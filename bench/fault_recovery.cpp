@@ -17,7 +17,6 @@
 #include <iostream>
 
 #include "figure_common.hpp"
-#include "fleet/runtime.hpp"
 #include "workload/spec.hpp"
 
 namespace {
@@ -99,15 +98,15 @@ int main() {
   workload::validate(clean);
 
   // Warm-up run (page in code, grow slabs) + measured run, each flavour.
-  fleet::FleetRunResult warm = fleet::run_fleet_scenario(faulty);
+  fleet::FleetRunResult warm = workload::run_spec(faulty).dyn;
   fleet::FleetRunResult result;
   const double faulty_s =
-      wall_seconds([&] { result = fleet::run_fleet_scenario(faulty); });
+      wall_seconds([&] { result = workload::run_spec(faulty).dyn; });
 
-  fleet::FleetRunResult clean_warm = fleet::run_fleet_scenario(clean);
+  fleet::FleetRunResult clean_warm = workload::run_spec(clean).dyn;
   fleet::FleetRunResult clean_result;
   const double clean_s =
-      wall_seconds([&] { clean_result = fleet::run_fleet_scenario(clean); });
+      wall_seconds([&] { clean_result = workload::run_spec(clean).dyn; });
 
   const double faulty_eps = result.sim_events / faulty_s;
   const double clean_eps = clean_result.sim_events / clean_s;

@@ -16,7 +16,6 @@
 #include <iostream>
 
 #include "figure_common.hpp"
-#include "fleet/runtime.hpp"
 #include "workload/spec.hpp"
 
 namespace {
@@ -101,10 +100,10 @@ int main() {
   workload::validate(churn);
 
   // Warm-up run (page in code, grow slabs) + measured run.
-  fleet::FleetRunResult warm = fleet::run_fleet_scenario(churn);
+  fleet::FleetRunResult warm = workload::run_spec(churn).dyn;
   fleet::FleetRunResult result;
   const double churn_s =
-      wall_seconds([&] { result = fleet::run_fleet_scenario(churn); });
+      wall_seconds([&] { result = workload::run_spec(churn).dyn; });
 
   // Static comparison sized to the churn run's mean live-stream count
   // (streams integrated over samples / sample count).

@@ -20,7 +20,6 @@
 
 #include "figure_common.hpp"
 #include "fleet/report.hpp"
-#include "fleet/runtime.hpp"
 #include "workload/spec.hpp"
 
 namespace {
@@ -83,11 +82,11 @@ int main() {
     workload::validate(spec);
 
     // Warm-up run (page in code, grow slabs and pools) + measured run.
-    fleet::FleetRunResult warm = fleet::run_fleet_scenario(spec);
+    fleet::FleetRunResult warm = workload::run_spec(spec).dyn;
     (void)warm;
     fleet::FleetRunResult result;
     const double wall =
-        wall_seconds([&] { result = fleet::run_fleet_scenario(spec); });
+        wall_seconds([&] { result = workload::run_spec(spec).dyn; });
 
     const std::string bytes = report_bytes(result);
     if (shards == 1) {

@@ -18,7 +18,6 @@
 #include <sstream>
 
 #include "figure_common.hpp"
-#include "fleet/runtime.hpp"
 #include "obs/instruments.hpp"
 #include "obs/span.hpp"
 #include "workload/spec.hpp"
@@ -88,7 +87,7 @@ int main() {
   // Warm-up (page in code, grow slabs), then best-of-N interleaved
   // measurements: a single ~50 ms run is noise-dominated, and the minimum
   // over several runs is the standard estimator for deterministic work.
-  fleet::FleetRunResult warm = fleet::run_fleet_scenario(spec, seeds);
+  fleet::FleetRunResult warm = workload::run_spec(spec, seeds).dyn;
   constexpr int kReps = 9;
   fleet::FleetRunResult bare;
   fleet::FleetRunResult traced;
@@ -97,7 +96,7 @@ int main() {
   for (int rep = 0; rep < kReps; ++rep) {
     const auto run_bare = [&] {
       off_s = std::min(off_s, wall_seconds([&] {
-                bare = fleet::run_fleet_scenario(spec, seeds);
+                bare = workload::run_spec(spec, seeds).dyn;
               }));
     };
     // Fresh sink per rep: identical simulation (pinned by tests/obs/),
@@ -107,8 +106,8 @@ int main() {
       obs::Instruments instruments;
       instruments.spans = &rep_sink;
       on_s = std::min(on_s, wall_seconds([&] {
-               traced = fleet::run_fleet_scenario(spec, seeds, nullptr,
-                                                  instruments);
+               traced = workload::run_spec(spec, seeds, nullptr,
+                                                  instruments).dyn;
              }));
     };
     // Alternate the order so slow drifts (thermal, noisy neighbors) hit

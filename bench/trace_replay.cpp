@@ -16,7 +16,6 @@
 #include <memory>
 
 #include "figure_common.hpp"
-#include "fleet/runtime.hpp"
 #include "trace/trace.hpp"
 #include "workload/spec.hpp"
 
@@ -81,11 +80,11 @@ int main() {
   // then measure the plain synthetic run: warm-up + measured.
   trace::TraceRecorder recorder(synthetic.name, "bench capture");
   const fleet::FleetRunResult recorded =
-      fleet::run_fleet_scenario(synthetic, {synthetic.base.seed, 0},
-                                &recorder);
+      workload::run_spec(synthetic, {synthetic.base.seed, 0},
+                                &recorder).dyn;
   fleet::FleetRunResult synth_result;
   const double synth_s = wall_seconds(
-      [&] { synth_result = fleet::run_fleet_scenario(synthetic); });
+      [&] { synth_result = workload::run_spec(synthetic).dyn; });
 
   // Replay spec: same base, timeline replaced by the captured trace.
   workload::ScenarioSpec replay = synthetic;
@@ -94,10 +93,10 @@ int main() {
   replay.timeline = std::move(tl);
   workload::validate(replay);
 
-  fleet::FleetRunResult warm = fleet::run_fleet_scenario(replay);
+  fleet::FleetRunResult warm = workload::run_spec(replay).dyn;
   fleet::FleetRunResult replay_result;
   const double replay_s = wall_seconds(
-      [&] { replay_result = fleet::run_fleet_scenario(replay); });
+      [&] { replay_result = workload::run_spec(replay).dyn; });
   (void)recorded;
   (void)warm;
 

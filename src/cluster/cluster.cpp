@@ -42,9 +42,9 @@ Cluster::Cluster(sim::Engine& engine, metrics::Collector& collector,
 Cluster::Device Cluster::make_device(const gpu::DeviceSpec& spec, int index) {
   Device dev;
   dev.spec = spec;
-  // Sharded runtimes route each device's whole event/metrics surface
-  // (executor, runner, scheduler collector) onto its shard; the classic
-  // fleet shares the constructor's engine and collector.
+  // The fleet runtime routes each device's whole event/metrics surface
+  // (executor, runner, scheduler collector) onto its shard; closed-world
+  // runs share the constructor's engine and collector.
   sim::Engine& engine = engine_of(index);
   metrics::Collector& collector = collector_of(index);
   dev.exec = std::make_unique<gpu::Executor>(
@@ -79,7 +79,7 @@ PlacerDevice Cluster::placer_device_for(const gpu::DeviceSpec& spec,
   PlacerDevice pd;
   pd.spec = spec;
   // Reference size for WCET lookups; profiles cover every pool size, so
-  // any context works — use the first, matching the single-GPU path.
+  // any context works — use the first.
   pd.pool_sms = dev.pool->at(0).sm_limit;
   // Capacity from the actual (possibly heterogeneous) context layout.
   std::vector<int> ctx_sms;
@@ -168,9 +168,7 @@ bool Cluster::retire_task(int i, int task_id, bool forget_metrics) {
   return true;
 }
 
-metrics::DeviceReport Cluster::device_report(
-    int i, SimTime end, const metrics::Collector* merged) const {
-  const metrics::Collector& collector = merged ? *merged : collector_;
+metrics::DeviceReport Cluster::device_report(int i, SimTime end) const {
   const Device& dev = devices_.at(i);
   metrics::DeviceReport report;
   report.device_index = i;
@@ -185,7 +183,7 @@ metrics::DeviceReport Cluster::device_report(
     }
   }
   report.tasks_assigned = static_cast<int>(ids.size());
-  report.snapshot = collector.aggregate_tasks(ids, end);
+  report.snapshot = collector_.aggregate_tasks(ids, end);
   report.busy_sm_seconds = dev.exec->busy_sm_seconds();
   // busy_sm_seconds integrates *granted* SMs, and an over-subscribed pool
   // grants up to its allocation (> the physical device). Normalise by the
@@ -197,12 +195,11 @@ metrics::DeviceReport Cluster::device_report(
   return report;
 }
 
-metrics::FleetReport Cluster::fleet_report(
-    SimTime end, const metrics::Collector* merged) const {
+metrics::FleetReport Cluster::fleet_report(SimTime end) const {
   std::vector<metrics::DeviceReport> reports;
   reports.reserve(devices_.size());
   for (int i = 0; i < num_devices(); ++i) {
-    reports.push_back(device_report(i, end, merged));
+    reports.push_back(device_report(i, end));
   }
   int oom = 0;
   for (const bool b : rejected_oom_) oom += b ? 1 : 0;

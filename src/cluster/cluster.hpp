@@ -1,9 +1,12 @@
-// Multi-GPU cluster: N simulated devices sharing one discrete-event
-// engine, each with its own Executor, ContextPool and per-device scheduler
-// (SGPRS or naive), fronted by a Placer that assigns admitted tasks to
-// devices. One Collector is shared across the fleet (task ids are globally
-// unique), so per-device metrics are subset aggregations and the fleet
-// aggregate is exact.
+// Multi-GPU cluster: N simulated devices, each with its own Executor,
+// ContextPool and per-device scheduler (SGPRS or naive), fronted by a
+// Placer that assigns admitted tasks to devices. This is the only code that
+// wires a device together; every run (single-GPU, closed-world fleet, the
+// fleet runtime) goes through it. By default the devices share one engine
+// and one Collector (task ids are globally unique), so per-device metrics
+// are subset aggregations and the fleet aggregate is exact; the fleet
+// runtime reroutes both per device (ClusterConfig::engine_for /
+// collector_for).
 //
 // Closed-world lifecycle: construct → place(tasks) → start(cfg) →
 // engine.run_until(T) → fleet_report(T).
@@ -64,12 +67,13 @@ struct ClusterConfig {
   std::function<std::unique_ptr<rt::Scheduler>(
       std::unique_ptr<rt::Scheduler> inner, int device_index)>
       wrap_scheduler;
-  /// Sharded-runtime hooks (docs/sharding.md): route a device's executor,
+  /// Fleet-runtime hooks (docs/sharding.md): route a device's executor,
   /// runner and event calendar onto its shard's engine, and its metrics
-  /// onto a per-device collector reduced canonically at the end of the
-  /// run. Absent = every device shares the constructor's engine/collector
-  /// (the classic single-calendar fleet). Both must be stable for the
-  /// cluster's lifetime and consistent per index.
+  /// onto a per-device collector that the runtime folds into the
+  /// constructor's collector at the end of the run. Absent = every device
+  /// shares the constructor's engine/collector (the closed-world runs).
+  /// Both must be stable for the cluster's lifetime and consistent per
+  /// index.
   std::function<sim::Engine&(int device_index)> engine_for;
   std::function<metrics::Collector&(int device_index)> collector_for;
   /// Optional execution-span tracer per device (src/obs/span.hpp,
@@ -169,16 +173,13 @@ class Cluster {
     return devices_.at(i).scheduler->abort_in_flight();
   }
 
-  /// Per-device metrics over [collector.warmup(), end]; utilization over
-  /// the whole run [0, end]. `merged` overrides the collector the report
-  /// aggregates from — the sharded runtime passes its canonical cross-shard
-  /// reduction so a re-placed stream's whole history (which may span
-  /// shards) is attributed to its final home, exactly as the shared
-  /// collector attributes it on the classic path.
-  metrics::DeviceReport device_report(
-      int i, SimTime end, const metrics::Collector* merged = nullptr) const;
-  metrics::FleetReport fleet_report(
-      SimTime end, const metrics::Collector* merged = nullptr) const;
+  /// Per-device metrics over [collector.warmup(), end] read from the
+  /// constructor's collector; utilization over the whole run [0, end].
+  /// The fleet runtime calls this after folding every per-device collector
+  /// into that collector, so a re-placed stream's whole history (which may
+  /// span devices and shards) is attributed to its final home.
+  metrics::DeviceReport device_report(int i, SimTime end) const;
+  metrics::FleetReport fleet_report(SimTime end) const;
 
   std::int64_t releases_issued() const;
   /// Summed over SGPRS devices (0 for the naive fleet).

@@ -226,8 +226,17 @@ class Parser {
     if (at_end()) fail("unexpected end of input, expected a value");
     const char c = peek();
     switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        if (depth_ == kMaxJsonDepth) {
+          fail("nesting deeper than " + std::to_string(kMaxJsonDepth) +
+               " levels");
+        }
+        ++depth_;
+        JsonValue v = c == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"': return JsonValue::of(parse_string());
       case 't': return parse_keyword("true", JsonValue::of(true));
       case 'f': return parse_keyword("false", JsonValue::of(false));
@@ -396,6 +405,7 @@ class Parser {
   std::size_t pos_ = 0;
   int line_ = 1;
   int col_ = 1;
+  int depth_ = 0;  // open arrays/objects around the current value
 };
 
 }  // namespace

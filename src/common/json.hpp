@@ -97,6 +97,11 @@ class JsonValue {
   std::vector<Member> obj_;
 };
 
+/// Deepest array/object nesting parse_json accepts. The reader recurses
+/// once per level, so a deeper document is an error (with the position of
+/// the bracket that crosses the limit) rather than a stack overflow.
+inline constexpr int kMaxJsonDepth = 256;
+
 /// Parses one JSON document (with optional `//` comments). Trailing
 /// non-whitespace after the document is an error. Throws JsonError.
 JsonValue parse_json(std::string_view text);

@@ -18,8 +18,8 @@
 // i.e. (epoch, source shard, per-shard sequence) — before any later
 // control-plane decision is appended. The flush points (record() of a
 // control decision, flush_all() at the end of the run) land at epoch
-// barriers in sharded runs, so staging is also what keeps the parallel
-// shard phase free of writes to shared audit state.
+// barriers, so staging is also what keeps the parallel shard phase free of
+// writes to shared audit state.
 #pragma once
 
 #include <algorithm>
@@ -40,9 +40,8 @@ namespace sgprs::fleet {
 /// shard) during the parallel phase; read and drained by the control plane
 /// at barriers.
 struct DeviceOverload {
-  /// Collector this device's scheduler stack reports into: the shared
-  /// fleet collector on the classic path, the device's own on the sharded
-  /// path.
+  /// Collector this device's scheduler stack reports into: the device's
+  /// own, folded into the fleet's at the end of the run.
   metrics::Collector* collector = nullptr;
   std::int64_t jobs_shed = 0;
   /// Shed audit records awaiting canonical flush, in this device's event
@@ -88,8 +87,8 @@ struct OverloadState {
   /// Appends a control-plane decision, first flushing every staged shed
   /// from *strictly earlier* instants so the trail stays time-sorted with
   /// sheds in canonical cross-device order. Strictly earlier, not <=: a
-  /// shed sharing the decision's instant has no canonical side in the
-  /// classic interleaving (the device event can carry a sequence number on
+  /// shed sharing the decision's instant has no canonical side (on one
+  /// shared calendar the device event could carry a sequence number on
   /// either side of the control event), so equal-instant sheds always wait
   /// for the first strictly later flush point — after the instant's
   /// control decisions at every shard count.

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <deque>
+#include <exception>
 #include <future>
 #include <map>
 #include <memory>
@@ -75,22 +76,23 @@ class FleetRuntime {
         policy_(spec.fleet_policy ? *spec.fleet_policy : FleetPolicySpec{}),
         timeline_(spec.timeline ? *spec.timeline : TimelineSpec{}),
         faults_(spec.faults ? *spec.faults : FaultSpec{}),
+        reduced_(cfg_.warmup),
         capture_(capture),
         sink_(instruments.spans),
         prof_(instruments.profiler) {
     cfg_.seed = seeds.sim;
     workload::validate(cfg_);
     generator_seed_ = seeds.generator;
-    shards_ = cfg_.shards;
-    if (sharded()) {
-      // One calendar per shard plus the control-plane calendar (engine_).
-      // Devices map onto shards by index (shard_of); the pool is sized to
-      // the shard count so every shard segment runs in one parallel wave.
-      shard_engines_.reserve(shards_);
-      for (int s = 0; s < shards_; ++s) {
-        shard_engines_.push_back(std::make_unique<sim::Engine>());
-      }
-      shard_pool_ = std::make_unique<common::ThreadPool>(shards_);
+    // One calendar per shard plus the control-plane calendar (engine_).
+    // Devices map onto shards by index (shard_of). The calling thread runs
+    // shard 0 and the pool the rest, so every shard segment runs in one
+    // parallel wave — and a one-shard run needs no pool at all.
+    shard_engines_.reserve(cfg_.shards);
+    for (int s = 0; s < cfg_.shards; ++s) {
+      shard_engines_.push_back(std::make_unique<sim::Engine>());
+    }
+    if (cfg_.shards > 1) {
+      shard_pool_ = std::make_unique<common::ThreadPool>(cfg_.shards - 1);
     }
     // Churn rng: timeline seed mixed with the sim seed, so experiment
     // replications decorrelate while a fixed (spec, seeds) pair replays
@@ -112,7 +114,6 @@ class FleetRuntime {
       }
     }
 
-    collector_ = std::make_unique<metrics::Collector>(cfg_.warmup);
     overload_.cfg = policy_.overload;
     overload_.audit = &result_.decisions;
     overload_.audit_truncated = &result_.truncated_decisions;
@@ -131,25 +132,20 @@ class FleetRuntime {
   }
 
   FleetRunResult run() {
-    if (sharded()) {
-      run_sharded();
-    } else {
+    {
       obs::PhaseProfiler::Scope eng(prof_,
                                     obs::PhaseProfiler::Phase::kEngineRun);
-      engine_.run_until(cfg_.duration);
+      run_epochs();
     }
     finish();
     return std::move(result_);
   }
 
  private:
-  // --- sharded execution (docs/sharding.md) --------------------------
+  // --- epoch loop (docs/sharding.md) ---------------------------------
 
-  bool sharded() const { return shards_ > 1; }
-
-  /// The per-device collector a sharded run routes device `index`'s
-  /// metrics into (grown on demand; deque keeps addresses stable as the
-  /// autoscaler adds devices).
+  /// The per-device collector device `index`'s metrics go to (grown on
+  /// demand; deque keeps addresses stable as the autoscaler adds devices).
   metrics::Collector& device_collector(int index) {
     while (static_cast<int>(device_collectors_.size()) <= index) {
       device_collectors_.emplace_back(cfg_.warmup);
@@ -158,18 +154,19 @@ class FleetRuntime {
   }
 
   sim::Engine& shard_engine(int device_index) {
-    return *shard_engines_[shard_of(device_index, shards_)];
+    return *shard_engines_[shard_of(device_index, cfg_.shards)];
   }
 
-  /// Epoch-barrier loop. Each iteration is one epoch: every shard engine
-  /// runs its device events up to the next control-plane instant (in
+  /// Epoch-barrier loop, the one execution path at every shard count. Each
+  /// iteration is one epoch: every shard engine runs its device events up
+  /// to the next control-plane instant (shard 0 on this thread, the rest in
   /// parallel on the pool), then the control engine runs that instant's
   /// events serially. Control handlers schedule onto the paused shard
   /// engines (admission release arming, retire cancels); those land in
   /// each engine's staging buffer and are ingested by MinHeap::merge_from
   /// when its shard resumes — the cross-shard handoff batch, ordered by
   /// (epoch, source shard, per-shard schedule sequence).
-  void run_sharded() {
+  void run_epochs() {
     for (;;) {
       const SimTime tc = engine_.next_event_time();
       const bool has_control = tc <= cfg_.duration;
@@ -186,19 +183,31 @@ class FleetRuntime {
     obs::PhaseProfiler::Scope wave(prof_,
                                    obs::PhaseProfiler::Phase::kShardPhase);
     std::vector<std::future<void>> joined;
-    joined.reserve(shard_engines_.size());
-    for (auto& eng : shard_engines_) {
-      sim::Engine* e = eng.get();
+    joined.reserve(shard_engines_.size() - 1);
+    for (std::size_t s = 1; s < shard_engines_.size(); ++s) {
+      sim::Engine* e = shard_engines_[s].get();
       joined.push_back(shard_pool_->submit([e, t] { e->run_until(t); }));
     }
-    for (auto& f : joined) f.get();  // barrier; propagates shard throws
+    // Barrier: every shard reaches `t` before the first throw propagates.
+    std::exception_ptr error;
+    try {
+      shard_engines_[0]->run_until(t);
+    } catch (...) {
+      error = std::current_exception();
+    }
+    for (auto& f : joined) {
+      try {
+        f.get();
+      } catch (...) {
+        if (!error) error = std::current_exception();
+      }
+    }
+    if (error) std::rethrow_exception(error);
   }
 
-  /// Fleet-wide job counters: the shared collector's on the classic path,
-  /// the per-device sum on the sharded path (integer sums, so the total is
-  /// order- and shard-count-invariant).
+  /// Fleet-wide job counters: the per-device sum (integer sums, so the
+  /// total is order- and shard-count-invariant).
   metrics::TaskCounters total_counts() const {
-    if (!sharded()) return collector_->total_counts();
     metrics::TaskCounters total;
     for (const auto& col : device_collectors_) {
       const metrics::TaskCounters c = col.total_counts();
@@ -213,64 +222,41 @@ class FleetRuntime {
   // --- setup ---------------------------------------------------------
 
   void build_cluster() {
-    cluster::ClusterConfig ccfg;
-    ccfg.devices = cfg_.fleet.empty()
-                       ? std::vector<gpu::DeviceSpec>(cfg_.num_devices,
-                                                      cfg_.device)
-                       : cfg_.fleet;
-    ccfg.placement = cfg_.placement;
-    ccfg.admission_margin = cfg_.admission_margin;
-    ccfg.occupancy_threshold = cfg_.occupancy_threshold;
-    if (cfg_.device_mem_mb > 0.0) {
-      const std::int64_t mem = static_cast<std::int64_t>(
-          std::llround(cfg_.device_mem_mb * 1048576.0));
-      for (auto& spec : ccfg.devices) spec.mem_bytes = mem;
-    }
-    ccfg.scheduler = cfg_.scheduler;
-    ccfg.pool = workload::pool_config_for(cfg_);
-    ccfg.sgprs = cfg_.sgprs;
-    ccfg.naive = cfg_.naive;
-    ccfg.sharing = cfg_.sharing;
+    cluster::ClusterConfig ccfg = workload::cluster_config_for(cfg_);
     ccfg.wrap_scheduler = [this](std::unique_ptr<rt::Scheduler> inner,
                                  int device_index) {
       DeviceOverload& dev = overload_.device(device_index);
-      dev.collector =
-          sharded() ? &device_collector(device_index) : collector_.get();
+      dev.collector = &device_collector(device_index);
       return std::make_unique<OverloadGuard>(std::move(inner), device_index,
                                              &overload_, &dev);
     };
-    if (sharded()) {
-      ccfg.engine_for = [this](int device_index) -> sim::Engine& {
-        return shard_engine(device_index);
-      };
-      ccfg.collector_for = [this](int device_index) -> metrics::Collector& {
-        return device_collector(device_index);
-      };
-    }
+    ccfg.engine_for = [this](int device_index) -> sim::Engine& {
+      return shard_engine(device_index);
+    };
+    ccfg.collector_for = [this](int device_index) -> metrics::Collector& {
+      return device_collector(device_index);
+    };
     if (sink_) {
-      // Per-device buffers: on the sharded path each is written only by
-      // its device's shard thread (and the control plane at barriers).
+      // Per-device buffers: each is written only by its device's shard
+      // thread (and the control plane at barriers).
       ccfg.tracer_for = [this](int device_index) {
         return &sink_->device_tracer(device_index);
       };
     }
-    cluster_ = std::make_unique<cluster::Cluster>(engine_, *collector_, ccfg);
+    cluster_ = std::make_unique<cluster::Cluster>(engine_, reduced_, ccfg);
 
-    scale_spec_ = policy_.autoscaler.device.empty()
-                      ? cfg_.device
-                      : *gpu::device_by_name(policy_.autoscaler.device);
-    if (cfg_.device_mem_mb > 0.0) {
-      // The scenario-wide memory cap applies to autoscaled devices too, so
-      // a memory-constrained fleet cannot scale its way past the budget.
-      scale_spec_.mem_bytes = static_cast<std::int64_t>(
-          std::llround(cfg_.device_mem_mb * 1048576.0));
-    }
+    // The scenario-wide memory cap applies to autoscaled devices too, so a
+    // memory-constrained fleet cannot scale its way past the budget.
+    scale_spec_ = workload::device_spec_for(
+        cfg_, policy_.autoscaler.device.empty()
+                  ? cfg_.device
+                  : *gpu::device_by_name(policy_.autoscaler.device));
     pool_sizes_ = cluster_->pool_sm_sizes();
     if (policy_.autoscaler.kind != AutoscalePolicyKind::kNone) {
       // Devices the autoscaler may add must already be covered by every
       // task's WCET profile — profile their pool sizes up front.
-      for (int sms : cluster::pool_sm_sizes_for(
-               scale_spec_, workload::pool_config_for(cfg_), cfg_.sharing)) {
+      for (int sms : cluster::pool_sm_sizes_for(scale_spec_, ccfg.pool,
+                                                cfg_.sharing)) {
         if (std::find(pool_sizes_.begin(), pool_sizes_.end(), sms) ==
             pool_sizes_.end()) {
           pool_sizes_.push_back(sms);
@@ -1250,25 +1236,22 @@ class FleetRuntime {
       }
     }
     result_.name = spec_.name;
-    if (sharded()) {
-      // Canonical cross-shard reduction: fold per-device collectors in
-      // device-index order into one collector, then report exactly as the
-      // classic path reports from its shared collector — so a re-placed
-      // stream's whole (possibly cross-shard) history is attributed to its
-      // final home and the sample multisets match byte for byte.
+    {
+      // Canonical reduction: fold the per-device collectors in device-index
+      // order into the cluster's collector, releasing each as it goes (no
+      // second copy of the per-task state), then report from it — so a
+      // re-placed stream's whole (possibly cross-shard) history is
+      // attributed to its final home at any shard count.
       obs::PhaseProfiler::Scope reduce(
           prof_, obs::PhaseProfiler::Phase::kCollectorReduce);
-      metrics::Collector merged(cfg_.warmup);
-      for (const auto& col : device_collectors_) merged.merge_from(col);
-      result_.fleet = cluster_->fleet_report(cfg_.duration, &merged);
-      result_.fleet.fleet = merged.aggregate(cfg_.duration);
-    } else {
-      result_.fleet = cluster_->fleet_report(cfg_.duration);
-      // The per-device rollup double-counts nothing (moved-away ids are
-      // forgotten at the source), but the exact fleet snapshot comes from
-      // the shared collector.
-      result_.fleet.fleet = collector_->aggregate(cfg_.duration);
+      for (auto& col : device_collectors_) reduced_.merge_from(std::move(col));
+      device_collectors_.clear();
     }
+    result_.fleet = cluster_->fleet_report(cfg_.duration);
+    // The per-device rollup double-counts nothing (moved-away ids are
+    // forgotten at the source), but the exact fleet snapshot comes from the
+    // whole reduced collector.
+    result_.fleet.fleet = reduced_.aggregate(cfg_.duration);
     result_.fleet.tasks_rejected =
         static_cast<int>(result_.streams_rejected);
     result_.fleet.tasks_oom_rejected =
@@ -1294,12 +1277,14 @@ class FleetRuntime {
   FaultSpec faults_;
   std::uint64_t generator_seed_ = 0;
 
-  sim::Engine engine_;  // control plane (and, unsharded, every device)
-  std::unique_ptr<metrics::Collector> collector_;
-  int shards_ = 1;
+  sim::Engine engine_;  // control plane
   std::vector<std::unique_ptr<sim::Engine>> shard_engines_;
-  std::deque<metrics::Collector> device_collectors_;  // sharded runs only
-  std::unique_ptr<common::ThreadPool> shard_pool_;
+  std::deque<metrics::Collector> device_collectors_;
+  /// Every device collector folded together at the end of the run; the
+  /// cluster's reports read it.
+  metrics::Collector reduced_;
+  std::unique_ptr<common::ThreadPool> shard_pool_;  // shards 1..N-1
+
   std::unique_ptr<cluster::Cluster> cluster_;
   std::unique_ptr<AutoscalerPolicy> autoscaler_;
   OverloadState overload_;
@@ -1347,24 +1332,6 @@ FleetRunResult run_fleet_scenario(const ScenarioSpec& spec,
                                   const obs::Instruments& instruments) {
   FleetRuntime runtime(spec, seeds, capture, instruments);
   return runtime.run();
-}
-
-FleetRunResult run_fleet_scenario(const ScenarioSpec& spec,
-                                  const workload::RunSeeds& seeds,
-                                  trace::TraceRecorder* capture) {
-  return run_fleet_scenario(spec, seeds, capture, obs::Instruments{});
-}
-
-FleetRunResult run_fleet_scenario(const ScenarioSpec& spec,
-                                  const workload::RunSeeds& seeds) {
-  return run_fleet_scenario(spec, seeds, nullptr);
-}
-
-FleetRunResult run_fleet_scenario(const ScenarioSpec& spec) {
-  workload::RunSeeds seeds;
-  seeds.sim = spec.base.seed;
-  seeds.generator = spec.generator ? spec.generator->seed : 0;
-  return run_fleet_scenario(spec, seeds, nullptr);
 }
 
 }  // namespace sgprs::fleet

@@ -1,7 +1,7 @@
 // Online fleet runtime: the sim-time control plane for open-world runs.
 //
 // Layered on the existing engine — cluster of per-device schedulers, the
-// placer's analytic admission model, the shared collector — it adds the
+// placer's analytic admission model, the metrics collectors — it adds the
 // three control loops a live serving fleet needs:
 //   * a churn driver executing the scenario's timeline (scripted admits /
 //     retires plus seeded Poisson arrival processes) through the dynamic
@@ -26,12 +26,13 @@
 // experiment fan-outs of the same spec are byte-identical (pinned by
 // tests/fleet/fleet_determinism_test.cpp).
 //
-// Sharding (sim.shards > 1, docs/sharding.md): devices are partitioned
-// onto per-shard engines (device_index % shards) that execute in parallel
-// between epoch barriers at control-plane instants; per-device collectors
-// are reduced canonically at the end of the run. Any shard count produces
-// byte-identical reports, series and traces (pinned by
-// tests/sim/shard_determinism_test.cpp).
+// Execution (docs/sharding.md): devices are partitioned onto sim.shards
+// per-shard engines (device_index % shards) that execute between epoch
+// barriers at control-plane instants — shard 0 on the calling thread, the
+// rest in parallel on a pool; per-device collectors are reduced
+// canonically at the end of the run. Every shard count runs this one
+// loop, and any shard count produces byte-identical reports, series and
+// traces (pinned by tests/sim/shard_determinism_test.cpp).
 #pragma once
 
 #include "fleet/report.hpp"
@@ -47,29 +48,19 @@ struct Instruments;
 
 namespace sgprs::fleet {
 
-/// Runs one open-world spec (validated by the caller; run_spec and the
-/// suite runner route here when spec.dynamic()).
-FleetRunResult run_fleet_scenario(const workload::ScenarioSpec& spec);
-
-/// Seed-overriding variant for experiment replications: seeds.sim replaces
-/// the sim seed (phases, arrival jitter, churn mixing), seeds.generator
-/// the task-generator seed.
-FleetRunResult run_fleet_scenario(const workload::ScenarioSpec& spec,
-                                  const workload::RunSeeds& seeds);
-
-/// Capture variant: when `capture` is non-null the runtime feeds it the
-/// run's admit/retire stream (trace::TraceRecorder, --record-trace).
-/// Recording never perturbs the run; replaying the captured trace against
-/// the same base spec reproduces the report byte for byte.
-FleetRunResult run_fleet_scenario(const workload::ScenarioSpec& spec,
-                                  const workload::RunSeeds& seeds,
-                                  trace::TraceRecorder* capture);
-
-/// Instrumented variant (docs/observability.md): `instruments.spans`
-/// collects execution spans for --trace-spans, `instruments.profiler`
-/// times the runtime's coarse phases for --profile. Both are optional and
-/// neither perturbs the run — the report is byte-identical with and
-/// without instruments attached.
+/// Runs one open-world spec, validated by the caller. workload::run_spec
+/// is the only caller: it routes here when spec.dynamic().
+///
+/// `seeds.sim` replaces the sim seed (phases, arrival jitter, churn
+/// mixing), `seeds.generator` the task-generator seed. When `capture` is
+/// non-null the runtime feeds it the run's admit/retire stream
+/// (trace::TraceRecorder, --record-trace); recording never perturbs the
+/// run, and replaying the captured trace against the same base spec
+/// reproduces the report byte for byte. `instruments`
+/// (docs/observability.md): `spans` collects execution spans for
+/// --trace-spans, `profiler` times the runtime's coarse phases for
+/// --profile. Both are optional and neither perturbs the run — the report
+/// is byte-identical with and without instruments attached.
 FleetRunResult run_fleet_scenario(const workload::ScenarioSpec& spec,
                                   const workload::RunSeeds& seeds,
                                   trace::TraceRecorder* capture,

@@ -62,12 +62,14 @@ void merge_into(PerTaskT& all, const PerTaskT& pt) {
 
 }  // namespace
 
-void Collector::merge_from(const Collector& other) {
+void Collector::merge_from(Collector&& other) {
   SGPRS_CHECK_MSG(warmup_ == other.warmup_,
                   "merging collectors with different warm-up windows");
-  for (const auto& [id, pt] : other.tasks_) {
-    merge_into(tasks_[id], pt);
-  }
+  // Node transfer for ids this collector lacks — merging into an empty
+  // record would reproduce the source bit for bit, so moving it is exact.
+  tasks_.merge(other.tasks_);
+  for (const auto& [id, pt] : other.tasks_) merge_into(tasks_[id], pt);
+  other.tasks_.clear();
 }
 
 Snapshot Collector::aggregate(SimTime end) const {

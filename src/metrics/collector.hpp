@@ -74,13 +74,15 @@ class Collector {
   /// Ids of tasks that produced at least one event.
   std::vector<int> task_ids() const;
 
-  /// Folds another collector's per-task records into this one (counter
-  /// sums, Welford merge, histogram bucket-count sums). Integer bucket
-  /// counts make the merge exact: the sharded fleet runtime reduces its
-  /// per-device collectors through this and every percentile read is
-  /// bit-identical to a single shared collector, independent of shard
-  /// count and thread scheduling. Warm-up boundaries must match (checked).
-  void merge_from(const Collector& other);
+  /// Folds another collector's per-task records into this one and leaves
+  /// `other` empty: a task new to this collector moves over whole (no
+  /// copy), a task both hold is merged (counter sums, Welford merge,
+  /// histogram bucket-count sums). Integer bucket counts make the merge
+  /// exact: the fleet runtime reduces its per-device collectors through
+  /// this and every percentile read is bit-identical to a single shared
+  /// collector, independent of shard count and thread scheduling. Warm-up
+  /// boundaries must match (checked).
+  void merge_from(Collector&& other);
 
   SimTime warmup() const { return warmup_; }
 

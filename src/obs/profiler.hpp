@@ -25,8 +25,8 @@ class PhaseProfiler {
   enum class Phase : int {
     kSetup = 0,        // cluster build, prototype profiling, initial place
     kShardPhase,       // one parallel shard wave (barrier to barrier)
-    kControlPhase,     // one serial control-plane instant (sharded runs)
-    kEngineRun,        // single-calendar engine execution (unsharded)
+    kControlPhase,     // one serial control-plane instant
+    kEngineRun,        // the whole epoch loop (any shard count)
     kPlacerBatch,      // drain / failover batched re-placement
     kCollectorReduce,  // canonical per-device collector reduction
     kSpanExport,       // span-file rendering (--trace-spans)

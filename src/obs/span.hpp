@@ -3,7 +3,7 @@
 // Two write surfaces, one canonical export:
 //  * JobTracer — a per-device flat event buffer fed by that device's
 //    scheduler stack (release / first dispatch / complete / drop / shed /
-//    crash abort). During a sharded run each buffer is written only by the
+//    crash abort). During a run each buffer is written only by the
 //    shard thread that owns the device (plus the control plane at epoch
 //    barriers, where the shards are parked), so the parallel phase needs
 //    no locks — the same partition-then-reduce discipline the per-device

@@ -1,6 +1,5 @@
 #include "workload/scenario.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <memory>
 
@@ -34,9 +33,7 @@ gpu::ContextPoolConfig pool_config_for(const ScenarioConfig& cfg) {
 namespace {
 
 /// Offline phase: one shared network + WCET profile at every distinct SM
-/// size, cloned per task with seeded phase jitter. Identical rng
-/// consumption on the single-GPU and cluster paths keeps a 1-device
-/// cluster bit-identical to run_scenario.
+/// size, cloned per task with seeded phase jitter.
 std::vector<rt::Task> build_task_set(const ScenarioConfig& cfg,
                                      const std::vector<int>& pool_sizes) {
   const auto network = std::make_shared<const dnn::Network>(
@@ -112,78 +109,21 @@ void validate(const ScenarioConfig& cfg) {
                   "got " << cfg.device_mem_mb);
 }
 
-ScenarioResult run_scenario(const ScenarioConfig& cfg,
-                            const TaskSetBuilder& task_builder) {
-  validate(cfg);
-
-  sim::Engine engine;
-  gpu::Executor exec(engine, cfg.device, gpu::SpeedupModel::rtx2080ti(),
-                     cfg.sharing);
-  gpu::ContextPool pool(exec, pool_config_for(cfg));
-
-  // Profile at every distinct SM size in the (possibly heterogeneous) pool.
-  std::vector<int> pool_sizes;
-  for (const auto& pc : pool.contexts()) {
-    if (std::find(pool_sizes.begin(), pool_sizes.end(), pc.sm_limit) ==
-        pool_sizes.end()) {
-      pool_sizes.push_back(pc.sm_limit);
-    }
+gpu::DeviceSpec device_spec_for(const ScenarioConfig& cfg,
+                                gpu::DeviceSpec spec) {
+  if (cfg.device_mem_mb > 0.0) {
+    spec.mem_bytes =
+        static_cast<std::int64_t>(std::llround(cfg.device_mem_mb * 1048576.0));
   }
-  std::vector<rt::Task> tasks = task_builder
-                                    ? task_builder(cfg, pool_sizes)
-                                    : build_task_set(cfg, pool_sizes);
-  SGPRS_CHECK_MSG(!tasks.empty(), "task-set builder produced no tasks");
-
-  metrics::Collector collector(cfg.warmup);
-  std::unique_ptr<rt::Scheduler> scheduler;
-  if (cfg.scheduler == SchedulerKind::kSgprs) {
-    scheduler = std::make_unique<rt::SgprsScheduler>(exec, pool, collector,
-                                                     cfg.sgprs);
-  } else {
-    scheduler = std::make_unique<rt::NaiveScheduler>(exec, pool, collector,
-                                                     cfg.naive);
-  }
-
-  rt::RunnerConfig rcfg;
-  rcfg.duration = cfg.duration;
-  // Sporadic inter-arrival draws key off this seed too; periodic runs
-  // never touch the runner rng, so this cannot perturb the paper path.
-  rcfg.jitter_seed = cfg.seed;
-  rt::Runner runner(engine, *scheduler, tasks, rcfg);
-  runner.run();
-
-  ScenarioResult result;
-  result.aggregate = collector.aggregate(cfg.duration);
-  for (const auto& t : tasks) {
-    result.per_task.push_back(collector.per_task(t.id, cfg.duration));
-  }
-  result.releases = runner.releases_issued();
-  if (auto* s = dynamic_cast<rt::SgprsScheduler*>(scheduler.get())) {
-    result.stage_migrations = s->stage_migrations();
-    result.medium_promotions = s->medium_promotions();
-  }
-  result.sim_events = static_cast<double>(engine.processed_count());
-  result.gpu_busy_sm_seconds = exec.busy_sm_seconds();
-  return result;
+  return spec;
 }
 
-ClusterScenarioResult run_cluster_scenario(const ScenarioConfig& cfg,
-                                           const TaskSetBuilder& task_builder) {
-  validate(cfg);
-
-  sim::Engine engine;
-  metrics::Collector collector(cfg.warmup);
-
+cluster::ClusterConfig cluster_config_for(const ScenarioConfig& cfg) {
   cluster::ClusterConfig ccfg;
   ccfg.devices = cfg.fleet.empty() ? std::vector<gpu::DeviceSpec>(
                                          cfg.num_devices, cfg.device)
                                    : cfg.fleet;
-  if (cfg.device_mem_mb > 0.0) {
-    for (auto& spec : ccfg.devices) {
-      spec.mem_bytes =
-          static_cast<std::int64_t>(std::llround(cfg.device_mem_mb * 1048576.0));
-    }
-  }
+  for (auto& spec : ccfg.devices) spec = device_spec_for(cfg, spec);
   ccfg.placement = cfg.placement;
   ccfg.admission_margin = cfg.admission_margin;
   ccfg.occupancy_threshold = cfg.occupancy_threshold;
@@ -192,26 +132,76 @@ ClusterScenarioResult run_cluster_scenario(const ScenarioConfig& cfg,
   ccfg.sgprs = cfg.sgprs;
   ccfg.naive = cfg.naive;
   ccfg.sharing = cfg.sharing;
-  cluster::Cluster fleet(engine, collector, ccfg);
+  return ccfg;
+}
 
-  fleet.place(task_builder ? task_builder(cfg, fleet.pool_sm_sizes())
-                           : build_task_set(cfg, fleet.pool_sm_sizes()));
+namespace {
 
-  rt::RunnerConfig rcfg;
-  rcfg.duration = cfg.duration;
-  rcfg.jitter_seed = cfg.seed;
-  fleet.start(rcfg);
-  engine.run_until(cfg.duration);
+/// One closed-world run, kept alive so the caller can map its state into
+/// a result: one engine and collector shared by every device, tasks placed
+/// as one batch at t = 0, then the engine runs to the horizon.
+struct ClosedWorldRun {
+  ClosedWorldRun(const ScenarioConfig& cfg, const TaskSetBuilder& builder)
+      : collector(cfg.warmup),
+        fleet(engine, collector, cluster_config_for(cfg)) {
+    const std::vector<int> pool_sizes = fleet.pool_sm_sizes();
+    std::vector<rt::Task> tasks = builder ? builder(cfg, pool_sizes)
+                                          : build_task_set(cfg, pool_sizes);
+    SGPRS_CHECK_MSG(!tasks.empty(), "task-set builder produced no tasks");
+    fleet.place(std::move(tasks));
+    rt::RunnerConfig rcfg;
+    rcfg.duration = cfg.duration;
+    // Sporadic inter-arrival draws key off this seed too; periodic runs
+    // never touch the runner rng, so this cannot perturb the paper path.
+    rcfg.jitter_seed = cfg.seed;
+    fleet.start(rcfg);
+    engine.run_until(cfg.duration);
+  }
+
+  sim::Engine engine;
+  metrics::Collector collector;
+  cluster::Cluster fleet;
+};
+
+}  // namespace
+
+ScenarioResult run_scenario(const ScenarioConfig& cfg,
+                            const TaskSetBuilder& task_builder) {
+  validate(cfg);
+  ScenarioConfig one = cfg;
+  one.num_devices = 1;
+  one.fleet.clear();
+  one.admission_margin = 0.0;  // every task is placed
+  const ClosedWorldRun run(one, task_builder);
+  const cluster::Cluster::Device& dev = run.fleet.device(0);
+
+  ScenarioResult result;
+  result.aggregate = run.collector.aggregate(cfg.duration);
+  for (const auto& t : dev.tasks) {
+    result.per_task.push_back(run.collector.per_task(t.id, cfg.duration));
+  }
+  result.releases = run.fleet.releases_issued();
+  result.stage_migrations = run.fleet.stage_migrations();
+  result.medium_promotions = run.fleet.medium_promotions();
+  result.sim_events = static_cast<double>(run.engine.processed_count());
+  result.gpu_busy_sm_seconds = dev.exec->busy_sm_seconds();
+  return result;
+}
+
+ClusterScenarioResult run_cluster_scenario(const ScenarioConfig& cfg,
+                                           const TaskSetBuilder& task_builder) {
+  validate(cfg);
+  const ClosedWorldRun run(cfg, task_builder);
 
   ClusterScenarioResult result;
-  result.fleet = fleet.fleet_report(cfg.duration);
-  for (const auto& t : fleet.rejected_tasks()) {
+  result.fleet = run.fleet.fleet_report(cfg.duration);
+  for (const auto& t : run.fleet.rejected_tasks()) {
     result.rejected_task_ids.push_back(t.id);
   }
-  result.releases = fleet.releases_issued();
-  result.stage_migrations = fleet.stage_migrations();
-  result.medium_promotions = fleet.medium_promotions();
-  result.sim_events = static_cast<double>(engine.processed_count());
+  result.releases = run.fleet.releases_issued();
+  result.stage_migrations = run.fleet.stage_migrations();
+  result.medium_promotions = run.fleet.medium_promotions();
+  result.sim_events = static_cast<double>(run.engine.processed_count());
   return result;
 }
 

@@ -1,6 +1,8 @@
 // Experiment harness: builds a full simulation (device, pool, task set,
 // scheduler, metrics) from a declarative config, runs it, and returns the
-// paper's metrics. Every bench and example goes through this.
+// paper's metrics. Every bench and example goes through this. Both
+// closed-world runs drive a cluster::Cluster — a single-GPU run is a
+// one-device cluster with admission disabled.
 #pragma once
 
 #include <functional>
@@ -17,6 +19,10 @@
 #include "rt/naive_scheduler.hpp"
 #include "rt/scheduler_kind.hpp"
 #include "rt/sgprs_scheduler.hpp"
+
+namespace sgprs::cluster {
+struct ClusterConfig;
+}  // namespace sgprs::cluster
 
 namespace sgprs::workload {
 
@@ -83,10 +89,11 @@ struct ScenarioConfig {
 
   /// Intra-run parallelism for dynamic (fleet-runtime) specs: partition
   /// the device fleet into this many shards, each on its own event
-  /// calendar, executed in parallel between control-plane epoch barriers
-  /// (docs/sharding.md). 1 = the classic single-calendar path. Results are
-  /// byte-identical at any shard count (pinned by the shard determinism
-  /// suite); only wall-clock changes.
+  /// calendar, executed between control-plane epoch barriers
+  /// (docs/sharding.md). Every count runs the same epoch loop; 1 runs its
+  /// one shard on the calling thread. Results are byte-identical at any
+  /// shard count (pinned by the shard determinism suite); only wall-clock
+  /// changes.
   int shards = 1;
 };
 
@@ -108,6 +115,17 @@ struct ScenarioResult {
 /// over-subscription). Shared by the single-GPU, cluster and fleet paths.
 gpu::ContextPoolConfig pool_config_for(const ScenarioConfig& cfg);
 
+/// `spec` under this config's device-memory override (device_mem_mb MiB;
+/// 0 keeps the spec's own budget).
+gpu::DeviceSpec device_spec_for(const ScenarioConfig& cfg,
+                                gpu::DeviceSpec spec);
+
+/// The cluster this config describes: its device list (memory override
+/// applied), placement, admission, scheduler, pool and sharing settings.
+/// The one place a ClusterConfig is filled from a ScenarioConfig — the
+/// closed-world runs and the fleet runtime (which adds its hooks) share it.
+cluster::ClusterConfig cluster_config_for(const ScenarioConfig& cfg);
+
 /// Checks every ScenarioConfig invariant in one place (task counts, rates,
 /// pool shape, oversubscription >= 1, fleet size, admission margin, sim
 /// window) and throws common::CheckError with a message naming the bad
@@ -124,7 +142,9 @@ void validate(const ScenarioConfig& cfg);
 using TaskSetBuilder = std::function<std::vector<rt::Task>(
     const ScenarioConfig& cfg, const std::vector<int>& pool_sm_sizes)>;
 
-/// Builds and runs one scenario to completion.
+/// Builds and runs one scenario to completion on a single device
+/// (cfg.device; num_devices and fleet are ignored): a one-device cluster
+/// with admission disabled, so every task is placed.
 ScenarioResult run_scenario(const ScenarioConfig& cfg,
                             const TaskSetBuilder& tasks = {});
 
@@ -145,8 +165,7 @@ struct ClusterScenarioResult {
 /// Builds and runs the fleet described by cfg.num_devices/cfg.fleet: one
 /// shared engine and collector, per-device executor/pool/scheduler, tasks
 /// assigned by cfg.placement with admission control. With one device and
-/// every task admitted this follows the exact event sequence of
-/// run_scenario (same seed → identical counts).
+/// every task admitted this is exactly run_scenario's run.
 ClusterScenarioResult run_cluster_scenario(const ScenarioConfig& cfg,
                                            const TaskSetBuilder& tasks = {});
 

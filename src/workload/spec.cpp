@@ -600,54 +600,59 @@ void capture_static_run(const ScenarioSpec& spec,
   }
 }
 
-/// Shared run path. The builder captures `spec` by reference — safe
-/// because it is only invoked synchronously inside the run_* call below.
-SpecResult run_spec_impl(const ScenarioSpec& spec, std::uint64_t sim_seed,
-                         std::uint64_t generator_seed,
-                         trace::TraceRecorder* capture,
-                         const obs::Instruments& instruments) {
-  ScenarioConfig cfg = lower(spec);
-  cfg.seed = sim_seed;
+}  // namespace
 
+RunSeeds spec_seeds(const ScenarioSpec& spec) {
+  RunSeeds seeds;
+  seeds.sim = spec.base.seed;
+  seeds.generator = spec.generator ? spec.generator->seed : 0;
+  return seeds;
+}
+
+SpecResult run_spec(const ScenarioSpec& spec, trace::TraceRecorder* capture) {
+  validate(spec);
+  return run_spec(spec, spec_seeds(spec), capture);
+}
+
+/// The builder below captures `spec` and `seeds` by reference — safe
+/// because it is only invoked synchronously inside the run_* call.
+SpecResult run_spec(const ScenarioSpec& spec, const RunSeeds& seeds,
+                    trace::TraceRecorder* capture,
+                    const obs::Instruments& instruments) {
   SpecResult result;
   result.name = spec.name;
   result.fleet = spec.fleet_mode;
-  // Open-world specs (timeline / fleet_policy) run in the fleet runtime;
-  // everything else keeps its closed-world path untouched.
+  // Open-world specs (timeline / fleet_policy / faults) run in the fleet
+  // runtime; everything else keeps its closed-world path untouched.
   if (spec.dynamic()) {
     result.dynamic = true;
-    RunSeeds seeds;
-    seeds.sim = sim_seed;
-    seeds.generator = generator_seed;
-    result.dyn =
-        fleet::run_fleet_scenario(spec, seeds, capture, instruments);
+    result.dyn = fleet::run_fleet_scenario(spec, seeds, capture, instruments);
     return result;
   }
+  ScenarioConfig cfg = lower(spec);
+  cfg.seed = seeds.sim;
   // Simple specs run through the default identical-task builder — the
   // exact code path of the hard-coded benches, so results are
   // bit-identical (pinned by spec_test).
   const TaskSetBuilder builder =
       is_simple_spec(spec)
           ? TaskSetBuilder{}
-          : TaskSetBuilder{[&spec, generator_seed](
+          : TaskSetBuilder{[&spec, &seeds](
                                const ScenarioConfig& c,
                                const std::vector<int>& pool_sizes) {
-              return build_spec_tasks(spec, generator_seed, c, pool_sizes);
+              return build_spec_tasks(spec, seeds.generator, c, pool_sizes);
             }};
   if (spec.fleet_mode) {
     result.cluster = run_cluster_scenario(cfg, builder);
   } else {
     result.single = run_scenario(cfg, builder);
   }
-  if (capture) capture_static_run(spec, generator_seed, cfg, *capture);
+  if (capture) capture_static_run(spec, seeds.generator, cfg, *capture);
   return result;
 }
 
-}  // namespace
-
 TaskSetBuilder task_builder_for(const ScenarioSpec& spec) {
-  return task_builder_for(spec,
-                          spec.generator ? spec.generator->seed : 0);
+  return task_builder_for(spec, spec_seeds(spec).generator);
 }
 
 TaskSetBuilder task_builder_for(const ScenarioSpec& spec,
@@ -671,36 +676,6 @@ const TaskEntrySpec* task_entry_for(const ScenarioSpec& spec,
 int task_tier_for(const ScenarioSpec& spec, int task_index) {
   const TaskEntrySpec* e = task_entry_for(spec, task_index);
   return e ? e->tier : 0;
-}
-
-SpecResult run_spec(const ScenarioSpec& spec) {
-  return run_spec(spec, static_cast<trace::TraceRecorder*>(nullptr));
-}
-
-SpecResult run_spec(const ScenarioSpec& spec,
-                    trace::TraceRecorder* capture) {
-  validate(spec);
-  return run_spec_impl(spec, spec.base.seed,
-                       spec.generator ? spec.generator->seed : 0, capture,
-                       obs::Instruments{});
-}
-
-SpecResult run_spec(const ScenarioSpec& spec, const RunSeeds& seeds) {
-  return run_spec_impl(spec, seeds.sim, seeds.generator, nullptr,
-                       obs::Instruments{});
-}
-
-SpecResult run_spec(const ScenarioSpec& spec, const RunSeeds& seeds,
-                    trace::TraceRecorder* capture) {
-  return run_spec_impl(spec, seeds.sim, seeds.generator, capture,
-                       obs::Instruments{});
-}
-
-SpecResult run_spec(const ScenarioSpec& spec, const RunSeeds& seeds,
-                    trace::TraceRecorder* capture,
-                    const obs::Instruments& instruments) {
-  return run_spec_impl(spec, seeds.sim, seeds.generator, capture,
-                       instruments);
 }
 
 }  // namespace sgprs::workload

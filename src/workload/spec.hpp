@@ -20,16 +20,13 @@
 #include "fleet/policy.hpp"
 #include "fleet/report.hpp"
 #include "fleet/timeline.hpp"
+#include "obs/instruments.hpp"
 #include "workload/scenario.hpp"
 #include "workload/spec_error.hpp"
 
 namespace sgprs::trace {
 class TraceRecorder;
 }  // namespace sgprs::trace
-
-namespace sgprs::obs {
-struct Instruments;
-}  // namespace sgprs::obs
 
 namespace sgprs::workload {
 
@@ -164,8 +161,8 @@ const TaskEntrySpec* task_entry_for(const ScenarioSpec& spec,
 /// Shed tier of initial task index `i` (0 for generator tasks).
 int task_tier_for(const ScenarioSpec& spec, int task_index);
 
-/// Result of running one spec: exactly one of the three run paths was
-/// taken (single device, closed-world fleet, or the open-world fleet
+/// Result of running one spec: exactly one of the three result shapes is
+/// valid (single device, closed-world fleet, or the open-world fleet
 /// runtime).
 struct SpecResult {
   std::string name;
@@ -191,9 +188,6 @@ struct SpecResult {
   }
 };
 
-/// Validates and runs one spec end to end.
-SpecResult run_spec(const ScenarioSpec& spec);
-
 /// Per-run seed overrides, replacing spec.base.seed and (when a generator
 /// section exists) spec.generator->seed without touching the spec itself.
 struct RunSeeds {
@@ -201,32 +195,36 @@ struct RunSeeds {
   std::uint64_t generator = 0;
 };
 
+/// The spec's own seeds: sim.seed, and the generator section's seed (0
+/// without one). Every run that is not a replication starts from these.
+RunSeeds spec_seeds(const ScenarioSpec& spec);
+
+/// Validates and runs one spec end to end with its own seeds.
+///
+/// When `capture` is non-null the run feeds it the admit/retire stream
+/// (--record-trace). Dynamic specs record their churn exactly (replaying
+/// the trace against the same base spec is byte-identical); closed-world
+/// specs record their initial task set as t=0 admissions, turning any
+/// static scenario into a replayable open-world workload (approximate: the
+/// closed-world report format differs).
+SpecResult run_spec(const ScenarioSpec& spec,
+                    trace::TraceRecorder* capture = nullptr);
+
 /// Runs one *already validated* spec with the given seeds. This is the
 /// Monte-Carlo hot path: the experiment engine validates every grid cell
 /// once up front, then fires (cells x replications) jobs through here
 /// against a shared immutable per-cell spec — no ScenarioSpec copy and no
 /// re-validation per job. Seeds are the only thing that varies between
 /// replications of a cell.
-SpecResult run_spec(const ScenarioSpec& spec, const RunSeeds& seeds);
-
-/// Capture variants (--record-trace): when `capture` is non-null the run
-/// feeds it the admit/retire stream. Dynamic specs record their churn
-/// exactly (replaying the trace against the same base spec is
-/// byte-identical); closed-world specs record their initial task set as
-/// t=0 admissions, turning any static scenario into a replayable open-
-/// world workload (approximate: the closed-world report format differs).
-SpecResult run_spec(const ScenarioSpec& spec, trace::TraceRecorder* capture);
+///
+/// `capture` is as above. `instruments` (--trace-spans / --profile,
+/// docs/observability.md): span tracing requires the dynamic fleet-runtime
+/// path; the CLI rejects --trace-spans on static specs up front. The
+/// profiler attaches to any path (the dynamic runtime additionally times
+/// its internal phases). Neither instrument perturbs the run: report bytes
+/// are identical with and without them.
 SpecResult run_spec(const ScenarioSpec& spec, const RunSeeds& seeds,
-                    trace::TraceRecorder* capture);
-
-/// Instrumented variant (--trace-spans / --profile, docs/observability.md).
-/// Span tracing requires the dynamic fleet-runtime path; the CLI rejects
-/// --trace-spans on static specs up front. The profiler attaches to any
-/// path (the dynamic runtime additionally times its internal phases).
-/// Neither instrument perturbs the run: report bytes are identical with
-/// and without them.
-SpecResult run_spec(const ScenarioSpec& spec, const RunSeeds& seeds,
-                    trace::TraceRecorder* capture,
-                    const obs::Instruments& instruments);
+                    trace::TraceRecorder* capture = nullptr,
+                    const obs::Instruments& instruments = {});
 
 }  // namespace sgprs::workload

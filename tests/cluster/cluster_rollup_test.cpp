@@ -113,6 +113,21 @@ TEST(ClusterScenario, OneDeviceClusterIsBitIdenticalToSingleGpu) {
   }
 }
 
+TEST(ClusterScenario, SingleGpuRunPlacesEveryTaskPastTheAdmissionLimit) {
+  // run_scenario is a one-device cluster with admission disabled: at a
+  // task count where the default 0.95 margin rejects streams on the same
+  // device, it still runs every task.
+  auto cfg = base_config(workload::SchedulerKind::kSgprs, 30);
+  cfg.num_devices = 1;
+  ASSERT_DOUBLE_EQ(cfg.admission_margin, 0.95);
+  const auto fleet = workload::run_cluster_scenario(cfg);
+  ASSERT_GT(fleet.rejected_task_ids.size(), 0u);
+
+  const auto single = workload::run_scenario(cfg);
+  EXPECT_EQ(static_cast<int>(single.per_task.size()), cfg.num_tasks);
+  for (const auto& t : single.per_task) EXPECT_GT(t.counts.released, 0);
+}
+
 TEST(ClusterScenario, FleetAggregateEqualsSumOfPerDevice) {
   auto cfg = base_config(workload::SchedulerKind::kSgprs, 18);
   cfg.num_devices = 3;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <string>
 
 namespace sgprs::common {
 namespace {
@@ -67,6 +68,26 @@ TEST(Json, ErrorsCarryLineAndColumn) {
         << e.what();
     EXPECT_NE(std::string(e.what()).find(":"), std::string::npos);
   }
+}
+
+TEST(Json, RejectsNestingPastTheDepthLimit) {
+  const auto nested = [](int depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  EXPECT_EQ(parse_json(nested(kMaxJsonDepth)).items().size(), 1u);
+  try {
+    parse_json("{\"a\":\n" + nested(kMaxJsonDepth) + "}");
+    FAIL() << "expected JsonError";
+  } catch (const JsonError& e) {
+    // The bracket that opens level kMaxJsonDepth + 1 (the object is 1).
+    EXPECT_EQ(e.line(), 2);
+    EXPECT_EQ(e.column(), kMaxJsonDepth);
+    EXPECT_NE(std::string(e.what()).find("nesting deeper than"),
+              std::string::npos)
+        << e.what();
+  }
+  // Far past the limit — once a stack overflow — fails the same way.
+  EXPECT_THROW(parse_json(std::string(200000, '[')), JsonError);
 }
 
 TEST(Json, RejectsNumbersBeyondDoubleRange) {

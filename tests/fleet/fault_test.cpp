@@ -10,7 +10,6 @@
 #include <map>
 #include <set>
 
-#include "fleet/runtime.hpp"
 #include "workload/spec.hpp"
 
 namespace sgprs::fleet {
@@ -67,7 +66,7 @@ TEST(FaultTest, ScriptedCrashAbortsJobsAndFailsOverStreams) {
   spec.faults = faults;
   workload::validate(spec);
 
-  const FleetRunResult r = run_fleet_scenario(spec);
+  const FleetRunResult r = workload::run_spec(spec).dyn;
   EXPECT_EQ(r.devices_failed, 1);
   EXPECT_EQ(r.devices_recovered, 1);
   EXPECT_EQ(count_decisions(r, DecisionKind::kDeviceFailed), 1);
@@ -135,7 +134,7 @@ TEST(FaultTest, CrashDuringActiveDrainReleasesAccountingOnce) {
   spec.fleet_policy = policy;
   workload::validate(spec);
 
-  const FleetRunResult clean = run_fleet_scenario(spec);
+  const FleetRunResult clean = workload::run_spec(spec).dyn;
   const auto down = std::find_if(clean.decisions.begin(),
                                  clean.decisions.end(),
                                  [](const FleetDecision& d) {
@@ -161,7 +160,7 @@ TEST(FaultTest, CrashDuringActiveDrainReleasesAccountingOnce) {
   spec.base.duration = down->at + common::SimTime::from_sec(0.2);
   workload::validate(spec);
 
-  const FleetRunResult r = run_fleet_scenario(spec);  // must not abort
+  const FleetRunResult r = workload::run_spec(spec).dyn;  // must not abort
   EXPECT_EQ(r.devices_failed, 1);
   EXPECT_EQ(count_decisions(r, DecisionKind::kDeviceFailed), 1);
   // The crash superseded the drain: the victim never reads as cleanly
@@ -196,7 +195,7 @@ TEST(FaultTest, RecoveryReadmitsParkedOrphans) {
   spec.faults = faults;
   workload::validate(spec);
 
-  const FleetRunResult r = run_fleet_scenario(spec);
+  const FleetRunResult r = workload::run_spec(spec).dyn;
   EXPECT_EQ(count_decisions(r, DecisionKind::kStreamOrphaned), 3);
   // Nothing fit while the fleet was empty; recovery re-placed all three.
   EXPECT_EQ(r.failovers, 3);
@@ -270,7 +269,7 @@ TEST(FaultTest, StochasticFaultSweepHoldsInvariants) {
     spec.faults = faults;
     workload::validate(spec);
 
-    const FleetRunResult r = run_fleet_scenario(spec);
+    const FleetRunResult r = workload::run_spec(spec).dyn;
     SCOPED_TRACE("seed=" + std::to_string(seed));
     for (const auto& s : r.series.samples) {
       EXPECT_GE(s.availability, 0.0);

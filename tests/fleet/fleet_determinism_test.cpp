@@ -11,7 +11,6 @@
 #include <sstream>
 
 #include "fleet/report.hpp"
-#include "fleet/runtime.hpp"
 #include "workload/experiment.hpp"
 #include "workload/spec.hpp"
 
@@ -31,8 +30,8 @@ workload::ScenarioSpec load_diurnal() {
 
 TEST(FleetDeterminismTest, DiurnalWaveReplaysByteIdentical) {
   const auto spec = load_diurnal();
-  const FleetRunResult first = run_fleet_scenario(spec);
-  const FleetRunResult second = run_fleet_scenario(spec);
+  const FleetRunResult first = workload::run_spec(spec).dyn;
+  const FleetRunResult second = workload::run_spec(spec).dyn;
 
   // The scenario must actually exercise the control plane: churn both
   // ways and at least one scale-up and one scale-down.

@@ -6,7 +6,6 @@
 
 #include <algorithm>
 
-#include "fleet/runtime.hpp"
 #include "workload/spec.hpp"
 
 namespace sgprs::fleet {
@@ -76,7 +75,7 @@ TEST(FleetRuntimeTest, ScriptedChurnAdmitsAndRetires) {
   spec.timeline = tl;
   workload::validate(spec);
 
-  const FleetRunResult r = run_fleet_scenario(spec);
+  const FleetRunResult r = workload::run_spec(spec).dyn;
   EXPECT_EQ(r.streams_admitted, 5);  // 2 initial + 3 scripted
   EXPECT_EQ(r.streams_retired, 2);
   EXPECT_EQ(r.streams_rejected, 0);
@@ -114,7 +113,7 @@ TEST(FleetRuntimeTest, PoissonArrivalsRespectWindowAndLifetime) {
   spec.timeline = tl;
   workload::validate(spec);
 
-  const FleetRunResult r = run_fleet_scenario(spec);
+  const FleetRunResult r = workload::run_spec(spec).dyn;
   // ~12 expected arrivals in the 0.6 s window; all leave within 0.4 s.
   EXPECT_GT(r.streams_admitted, 3);
   EXPECT_GT(r.streams_retired, 0);
@@ -154,7 +153,7 @@ TEST(FleetRuntimeTest, AutoscalerScalesUpWarmsUpAndDrainsDown) {
   spec.fleet_policy = policy;
   workload::validate(spec);
 
-  const FleetRunResult r = run_fleet_scenario(spec);
+  const FleetRunResult r = workload::run_spec(spec).dyn;
   EXPECT_GE(r.scale_ups, 1);
   EXPECT_GE(r.scale_downs, 1);
   EXPECT_EQ(r.peak_devices, 2);
@@ -197,7 +196,7 @@ TEST(FleetRuntimeTest, PrioritySheddingProtectsTierZero) {
   spec.fleet_policy = policy;
   workload::validate(spec);
 
-  const FleetRunResult r = run_fleet_scenario(spec);
+  const FleetRunResult r = workload::run_spec(spec).dyn;
   EXPECT_GT(r.jobs_shed, 0);
   // Tier 0 streams are the two initial tasks (ids 0 and 1): never shed.
   for (const auto& d : r.decisions) {
@@ -229,7 +228,7 @@ TEST(FleetRuntimeTest, AdmissionRejectsAndQosDowngradeRecovers) {
   spec.fleet_policy = policy;
   workload::validate(spec);
 
-  const FleetRunResult r = run_fleet_scenario(spec);
+  const FleetRunResult r = workload::run_spec(spec).dyn;
   // Every heavy stream either got downgraded or rejected — none admitted
   // at full rate into a near-full device.
   EXPECT_EQ(r.streams_downgraded + r.streams_rejected, 4);

@@ -12,7 +12,6 @@
 
 #include "common/json.hpp"
 #include "fleet/report.hpp"
-#include "fleet/runtime.hpp"
 #include "metrics/timeseries.hpp"
 #include "obs/instruments.hpp"
 #include "obs/profiler.hpp"
@@ -84,13 +83,11 @@ std::string report_bytes(workload::ScenarioSpec spec, int shards,
                          PhaseProfiler* profiler) {
   spec.base.shards = shards;
   workload::validate(spec);
-  workload::RunSeeds seeds;
-  seeds.sim = spec.base.seed;
-  seeds.generator = spec.generator ? spec.generator->seed : 0;
   Instruments instruments;
   instruments.profiler = profiler;
-  const auto r =
-      fleet::run_fleet_scenario(spec, seeds, nullptr, instruments);
+  const auto r = workload::run_spec(spec, workload::spec_seeds(spec), nullptr,
+                                    instruments)
+                     .dyn;
   std::ostringstream os;
   fleet::write_fleet_run_json(r, os);
   metrics::write_timeseries_csv(r.series, os);
@@ -100,21 +97,36 @@ std::string report_bytes(workload::ScenarioSpec spec, int shards,
 TEST(PhaseProfiler, ProfilingDoesNotPerturbReportBytes) {
   const auto spec = workload::load_scenario_spec(
       std::string(SGPRS_SOURCE_DIR) + "/scenarios/diurnal_wave.json");
-  for (int shards : {1, 4}) {
+  // Every shard count runs the same epoch loop, so it records the same
+  // phase set; epochs are control-plane instants, so the per-epoch phase
+  // counts match too.
+  const Phase fired[] = {Phase::kSetup, Phase::kEngineRun, Phase::kShardPhase,
+                         Phase::kControlPhase, Phase::kCollectorReduce};
+  const int shard_counts[2] = {1, 4};
+  PhaseProfiler profilers[2];
+  for (int i = 0; i < 2; ++i) {
+    const int shards = shard_counts[i];
     SCOPED_TRACE("shards=" + std::to_string(shards));
-    PhaseProfiler profiler;
+    PhaseProfiler& profiler = profilers[i];
     EXPECT_EQ(report_bytes(spec, shards, nullptr),
               report_bytes(spec, shards, &profiler));
-    // The run actually exercised the instrumented phases.
-    EXPECT_EQ(profiler.stat(Phase::kSetup).count, 1);
-    if (shards > 1) {
-      EXPECT_GT(profiler.stat(Phase::kShardPhase).count, 0);
-      EXPECT_GT(profiler.stat(Phase::kControlPhase).count, 0);
-      EXPECT_EQ(profiler.stat(Phase::kCollectorReduce).count, 1);
-    } else {
-      EXPECT_GT(profiler.stat(Phase::kEngineRun).count, 0);
+    for (const Phase p : fired) {
+      EXPECT_GT(profiler.stat(p).count, 0) << PhaseProfiler::phase_name(p);
     }
+    EXPECT_EQ(profiler.stat(Phase::kSetup).count, 1);
+    EXPECT_EQ(profiler.stat(Phase::kEngineRun).count, 1);
+    EXPECT_EQ(profiler.stat(Phase::kCollectorReduce).count, 1);
   }
+  for (int p = 0; p < PhaseProfiler::kPhases; ++p) {
+    const auto phase = static_cast<Phase>(p);
+    SCOPED_TRACE(PhaseProfiler::phase_name(phase));
+    EXPECT_EQ(profilers[0].stat(phase).count > 0,
+              profilers[1].stat(phase).count > 0);
+  }
+  EXPECT_EQ(profilers[0].stat(Phase::kShardPhase).count,
+            profilers[1].stat(Phase::kShardPhase).count);
+  EXPECT_EQ(profilers[0].stat(Phase::kControlPhase).count,
+            profilers[1].stat(Phase::kControlPhase).count);
 }
 
 }  // namespace

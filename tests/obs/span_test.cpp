@@ -16,7 +16,6 @@
 
 #include "common/json.hpp"
 #include "fleet/report.hpp"
-#include "fleet/runtime.hpp"
 #include "metrics/timeseries.hpp"
 #include "obs/instruments.hpp"
 #include "obs/span.hpp"
@@ -41,14 +40,13 @@ struct SpanRun {
 SpanRun run_with_spans(workload::ScenarioSpec spec, int shards) {
   spec.base.shards = shards;
   workload::validate(spec);
-  workload::RunSeeds seeds;
-  seeds.sim = spec.base.seed;
-  seeds.generator = spec.generator ? spec.generator->seed : 0;
   SpanSink sink;
   Instruments instruments;
   instruments.spans = &sink;
   SpanRun out;
-  out.result = fleet::run_fleet_scenario(spec, seeds, nullptr, instruments);
+  out.result =
+      workload::run_spec(spec, workload::spec_seeds(spec), nullptr, instruments)
+          .dyn;
   std::ostringstream report;
   fleet::write_fleet_run_json(out.result, report);
   metrics::write_timeseries_csv(out.result.series, report);
@@ -64,11 +62,7 @@ SpanRun run_with_spans(workload::ScenarioSpec spec, int shards) {
 std::string run_without_instruments(workload::ScenarioSpec spec,
                                     int shards) {
   spec.base.shards = shards;
-  workload::validate(spec);
-  workload::RunSeeds seeds;
-  seeds.sim = spec.base.seed;
-  seeds.generator = spec.generator ? spec.generator->seed : 0;
-  const auto r = fleet::run_fleet_scenario(spec, seeds, nullptr);
+  const auto r = workload::run_spec(spec).dyn;
   std::ostringstream os;
   fleet::write_fleet_run_json(r, os);
   metrics::write_timeseries_csv(r.series, os);

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "fleet/report.hpp"
-#include "fleet/runtime.hpp"
 #include "metrics/timeseries.hpp"
 #include "trace/trace.hpp"
 #include "workload/experiment.hpp"
@@ -35,12 +34,8 @@ workload::ScenarioSpec load_spec(const std::string& rel) {
 std::string run_bytes(workload::ScenarioSpec spec, int shards,
                       FleetRunResult* out = nullptr) {
   spec.base.shards = shards;
-  workload::validate(spec);
-  workload::RunSeeds seeds;
-  seeds.sim = spec.base.seed;
-  seeds.generator = spec.generator ? spec.generator->seed : 0;
   trace::TraceRecorder recorder(spec.name, "shard determinism pin");
-  FleetRunResult r = run_fleet_scenario(spec, seeds, &recorder);
+  FleetRunResult r = workload::run_spec(spec, &recorder).dyn;
   std::ostringstream os;
   write_fleet_run_json(r, os);
   metrics::write_timeseries_csv(r.series, os);

@@ -16,7 +16,6 @@
 #include <string>
 
 #include "fleet/report.hpp"
-#include "fleet/runtime.hpp"
 #include "metrics/timeseries.hpp"
 #include "trace/trace.hpp"
 #include "workload/experiment.hpp"

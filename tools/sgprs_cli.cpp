@@ -266,13 +266,11 @@ int run_loaded_spec(const workload::ScenarioSpec& spec,
   instruments.profiler = profiler.get();
 
   workload::validate(spec);
-  workload::RunSeeds seeds;
-  seeds.sim = spec.base.seed;
-  seeds.generator = spec.generator ? spec.generator->seed : 0;
   const auto r = [&] {
     obs::PhaseProfiler::Scope whole(profiler.get(),
                                     obs::PhaseProfiler::Phase::kRun);
-    return workload::run_spec(spec, seeds, recorder.get(), instruments);
+    return workload::run_spec(spec, workload::spec_seeds(spec),
+                              recorder.get(), instruments);
   }();
   std::cout << "scenario " << spec.name;
   if (!spec.description.empty()) std::cout << " — " << spec.description;
@@ -546,8 +544,8 @@ bool parse_base_config(const common::FlagParser& flags,
   // Range checking (margin <= 1, oversub >= 1, ...) is centralized in
   // workload::validate, called by the run functions.
   cfg.admission_margin = flags.get_double("admission-margin");
-  // Only an explicit --shards overrides: ad-hoc single-GPU runs stay on
-  // the classic path (shards > 1 requires a dynamic spec — validated).
+  // Only an explicit --shards overrides. Closed-world runs have nothing to
+  // partition (a spec with shards > 1 must be dynamic — validated).
   if (flags.has("shards")) cfg.shards = flags.get_int("shards");
   return true;
 }
