@@ -42,7 +42,7 @@ int main(int argc, char** argv) {
   const auto simple = workload::parse_scenario_spec(
       common::parse_json(kSimple), "inline_simple");
   const auto sr = workload::run_spec(simple);
-  std::cout << "   simple spec lowers onto the identical-task fast path: "
+  std::cout << "   spec's entry builder matches the hard-coded builder: "
             << "FPS " << metrics::Table::fmt(sr.fps(), 1)
             << (sr.fps() == hard.fps() ? " (bit-identical)" : " (DIVERGED!)")
             << "\n\n";

@@ -13,30 +13,16 @@ constexpr long kMaxFleetSize = 4096;
 }  // namespace
 
 const char* to_string(PlacementPolicy p) {
-  switch (p) {
-    case PlacementPolicy::kRoundRobin: return "roundrobin";
-    case PlacementPolicy::kLeastLoaded: return "leastloaded";
-    case PlacementPolicy::kBinPackUtilization: return "binpack";
-    case PlacementPolicy::kBinPackMemory: return "binpack_memory";
-    case PlacementPolicy::kWorstFit: return "worstfit";
-    case PlacementPolicy::kHashAffinity: return "hash";
-  }
-  return "?";
+  return common::name_of(kPlacementPolicyNames, p);
 }
 
-const char* placement_policy_names() {
-  return "roundrobin|leastloaded|binpack|binpack_memory|worstfit|hash";
+std::string placement_policy_names() {
+  return common::names_of(kPlacementPolicyNames);
 }
 
 std::optional<PlacementPolicy> parse_placement_policy(
     const std::string& name) {
-  if (name == "roundrobin") return PlacementPolicy::kRoundRobin;
-  if (name == "leastloaded") return PlacementPolicy::kLeastLoaded;
-  if (name == "binpack") return PlacementPolicy::kBinPackUtilization;
-  if (name == "binpack_memory") return PlacementPolicy::kBinPackMemory;
-  if (name == "worstfit") return PlacementPolicy::kWorstFit;
-  if (name == "hash") return PlacementPolicy::kHashAffinity;
-  return std::nullopt;
+  return common::parse_name(kPlacementPolicyNames, name);
 }
 
 std::optional<std::vector<gpu::DeviceSpec>> parse_fleet(

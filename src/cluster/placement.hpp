@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "common/enum_names.hpp"
 #include "gpu/device.hpp"
 
 namespace sgprs::cluster {
@@ -37,10 +38,18 @@ enum class PlacementPolicy {
   kHashAffinity,
 };
 
+inline constexpr common::EnumName<PlacementPolicy> kPlacementPolicyNames[] = {
+    {PlacementPolicy::kRoundRobin, "roundrobin"},
+    {PlacementPolicy::kLeastLoaded, "leastloaded"},
+    {PlacementPolicy::kBinPackUtilization, "binpack"},
+    {PlacementPolicy::kBinPackMemory, "binpack_memory"},
+    {PlacementPolicy::kWorstFit, "worstfit"},
+    {PlacementPolicy::kHashAffinity, "hash"}};
+
 const char* to_string(PlacementPolicy p);
 
 /// All accepted names, pipe-separated (for --help text).
-const char* placement_policy_names();
+std::string placement_policy_names();
 
 /// Parses a policy name; std::nullopt on anything unrecognised.
 std::optional<PlacementPolicy> parse_placement_policy(

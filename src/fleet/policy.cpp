@@ -58,24 +58,6 @@ class HeadroomPolicy final : public AutoscalerPolicy {
 
 }  // namespace
 
-const char* to_string(AutoscalePolicyKind k) {
-  switch (k) {
-    case AutoscalePolicyKind::kNone: return "none";
-    case AutoscalePolicyKind::kUtilization: return "utilization";
-    case AutoscalePolicyKind::kHeadroom: return "headroom";
-  }
-  return "?";
-}
-
-const char* to_string(ShedMode m) {
-  switch (m) {
-    case ShedMode::kNone: return "none";
-    case ShedMode::kPriority: return "priority";
-    case ShedMode::kAll: return "all";
-  }
-  return "?";
-}
-
 std::unique_ptr<AutoscalerPolicy> make_autoscaler(AutoscalePolicyKind kind) {
   switch (kind) {
     case AutoscalePolicyKind::kNone: return nullptr;
@@ -104,17 +86,8 @@ FleetPolicySpec parse_fleet_policy(const common::JsonValue& v,
                 "cooldown_ms", "device"},
                p);
     auto& a = spec.autoscaler;
-    const std::string policy = str_or(*as, "policy", "none", p);
-    if (policy == "none") {
-      a.kind = AutoscalePolicyKind::kNone;
-    } else if (policy == "utilization") {
-      a.kind = AutoscalePolicyKind::kUtilization;
-    } else if (policy == "headroom") {
-      a.kind = AutoscalePolicyKind::kHeadroom;
-    } else {
-      bad(p + ".policy", "unknown policy \"" + policy +
-                             "\" (want none|utilization|headroom)");
-    }
+    a.kind = enum_or(*as, "policy", kAutoscalePolicyNames, a.kind, "policy",
+                     p);
     a.min_devices = int_or(*as, "min_devices", a.min_devices, p);
     a.max_devices = int_or(*as, "max_devices", a.max_devices, p);
     a.scale_up_threshold =
@@ -135,17 +108,7 @@ FleetPolicySpec parse_fleet_policy(const common::JsonValue& v,
                p);
     auto& o = spec.overload;
     o.admission_test = bool_or(*ov, "admission_test", o.admission_test, p);
-    const std::string shed = str_or(*ov, "shed", "none", p);
-    if (shed == "none") {
-      o.shed = ShedMode::kNone;
-    } else if (shed == "priority") {
-      o.shed = ShedMode::kPriority;
-    } else if (shed == "all") {
-      o.shed = ShedMode::kAll;
-    } else {
-      bad(p + ".shed",
-          "unknown shed mode \"" + shed + "\" (want none|priority|all)");
-    }
+    o.shed = enum_or(*ov, "shed", kShedModeNames, o.shed, "shed mode", p);
     o.queue_limit = int_or(*ov, "queue_limit", o.queue_limit, p);
     o.fps_scale = num_or(*ov, "fps_scale", o.fps_scale, p);
   }

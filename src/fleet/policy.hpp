@@ -25,12 +25,16 @@
 #include <memory>
 #include <string>
 
+#include "common/enum_names.hpp"
 #include "common/json.hpp"
 
 namespace sgprs::fleet {
 
 enum class AutoscalePolicyKind { kNone, kUtilization, kHeadroom };
-const char* to_string(AutoscalePolicyKind k);
+inline constexpr common::EnumName<AutoscalePolicyKind> kAutoscalePolicyNames[] =
+    {{AutoscalePolicyKind::kNone, "none"},
+     {AutoscalePolicyKind::kUtilization, "utilization"},
+     {AutoscalePolicyKind::kHeadroom, "headroom"}};
 
 struct AutoscalerConfig {
   AutoscalePolicyKind kind = AutoscalePolicyKind::kNone;
@@ -55,7 +59,10 @@ struct AutoscalerConfig {
 };
 
 enum class ShedMode { kNone, kPriority, kAll };
-const char* to_string(ShedMode m);
+inline constexpr common::EnumName<ShedMode> kShedModeNames[] = {
+    {ShedMode::kNone, "none"},
+    {ShedMode::kPriority, "priority"},
+    {ShedMode::kAll, "all"}};
 
 struct OverloadConfig {
   /// Reject streams no device admits. Off = force-place on the device

@@ -17,8 +17,6 @@
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/thread_pool.hpp"
-#include "dnn/builders.hpp"
-#include "dnn/profiler.hpp"
 #include "fleet/faults.hpp"
 #include "fleet/overload_guard.hpp"
 #include "fleet/sharding.hpp"
@@ -278,59 +276,12 @@ class FleetRuntime {
   /// variant when QoS fps_scale is enabled): admissions clone, never
   /// profile.
   void build_prototypes() {
-    if (effective_templates().empty()) return;
-    dnn::Profiler profiler(cfg_.device, gpu::SpeedupModel::rtx2080ti(),
-                           dnn::CostModel::calibrated());
-    std::map<std::string, std::shared_ptr<const dnn::Network>> networks;
-    auto network_for = [&](const std::string& name) {
-      auto it = networks.find(name);
-      if (it == networks.end()) {
-        it = networks
-                 .emplace(name, std::make_shared<const dnn::Network>(
-                                    dnn::network_builder_by_name(name)()))
-                 .first;
-      }
-      return it->second;
-    };
-    auto build_proto = [&](const StreamTemplate& t, double fps_scale) {
-      const double fps = t.fps * fps_scale;
-      const double min_sep_ms =
-          (t.min_separation_ms > 0.0 ? t.min_separation_ms
-                                     : 1000.0 / t.fps) /
-          fps_scale;
-      rt::TaskConfig tc;
-      // Sporadic streams build at their worst-case rate so admission math
-      // stays conservative (mirrors the task-entry path).
-      tc.fps = t.arrival == rt::ArrivalModel::kSporadic ? 1000.0 / min_sep_ms
-                                                        : fps;
-      tc.num_stages = t.num_stages;
-      tc.priority_policy = t.priority_policy;
-      if (t.deadline_ms > 0.0) {
-        tc.deadline = SimTime::from_ms(t.deadline_ms);
-      }
-      rt::Task proto = rt::build_task(0, network_for(t.network), tc,
-                                      profiler, pool_sizes_);
-      proto.phase = SimTime::from_ms(t.phase_ms);
-      if (t.arrival == rt::ArrivalModel::kSporadic) {
-        proto.arrival = rt::ArrivalModel::kSporadic;
-        proto.min_separation = SimTime::from_ms(min_sep_ms);
-        proto.max_separation = SimTime::from_ms(
-            t.max_separation_ms > 0.0 ? t.max_separation_ms / fps_scale
-                                      : 1.5 * min_sep_ms);
-      }
-      // Template footprint overrides pin both the prototype and its
-      // downgraded variant (a slower stream still holds its weights).
-      if (t.mem_mb >= 0.0) {
-        proto.mem_bytes = static_cast<std::int64_t>(
-            std::llround(t.mem_mb * 1048576.0));
-      }
-      if (t.warps >= 0) proto.warps = t.warps;
-      return proto;
-    };
+    const double scale = policy_.overload.fps_scale;
     for (const auto& t : effective_templates()) {
-      prototypes_[t.name] = build_proto(t, 1.0);
-      if (policy_.overload.fps_scale < 1.0) {
-        downgraded_[t.name] = build_proto(t, policy_.overload.fps_scale);
+      prototypes_[t.name] = build_stream_task(t, cfg_.device, pool_sizes_);
+      if (scale < 1.0) {
+        downgraded_[t.name] =
+            build_stream_task(t, cfg_.device, pool_sizes_, scale);
       }
     }
   }

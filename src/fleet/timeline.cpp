@@ -1,6 +1,10 @@
 #include "fleet/timeline.hpp"
 
+#include <cmath>
+#include <utility>
+
 #include "dnn/builders.hpp"
+#include "dnn/profiler.hpp"
 #include "workload/spec_util.hpp"
 
 namespace sgprs::fleet {
@@ -8,88 +12,190 @@ namespace sgprs::fleet {
 namespace {
 
 using common::JsonValue;
+using common::SimTime;
 using namespace workload::specdet;
 
-rt::PriorityPolicy parse_priority(const std::string& s,
-                                  const std::string& path) {
-  if (s == "last_stage_high") return rt::PriorityPolicy::kLastStageHigh;
-  if (s == "all_low") return rt::PriorityPolicy::kAllLow;
-  if (s == "all_high") return rt::PriorityPolicy::kAllHigh;
-  bad(path, "unknown priority policy \"" + s +
-                "\" (want last_stage_high|all_low|all_high)");
+/// A sporadic stream's minimum separation: explicit, or 1000/fps.
+double min_separation_ms(const StreamTemplate& s, double fps_scale) {
+  return (s.min_separation_ms > 0.0 ? s.min_separation_ms : 1000.0 / s.fps) /
+         fps_scale;
+}
+
+/// Rate of the task a shape builds: sporadic streams are built at their
+/// worst-case rate (period == min separation) so admission and
+/// utilization math stay conservative.
+double built_fps(const StreamTemplate& s, double fps_scale) {
+  if (s.arrival != rt::ArrivalModel::kSporadic) return s.fps * fps_scale;
+  return 1000.0 / min_separation_ms(s, fps_scale);
 }
 
 }  // namespace
 
-StreamTemplate parse_stream_template(const common::JsonValue& v,
-                                     const std::string& path) {
+void parse_stream(const common::JsonValue& v, const std::string& path,
+                  StreamRole role, StreamTemplate& s) {
   require_object(v, path);
   check_keys(v,
-             {"name", "network", "fps", "stages", "deadline_ms", "phase_ms",
-              "priority", "arrival", "min_separation_ms",
+             {"name", "count", "network", "fps", "stages", "deadline_ms",
+              "phase_ms", "priority", "arrival", "min_separation_ms",
               "max_separation_ms", "tier", "mem_mb", "warps"},
              path);
-  StreamTemplate t;
-  t.name = str_or(v, "name", "", path);
-  if (t.name.empty()) bad(path + ".name", "template needs a non-empty name");
-  t.network = str_or(v, "network", t.network, path);
-  t.fps = num_or(v, "fps", t.fps, path);
-  t.num_stages = int_or(v, "stages", t.num_stages, path);
-  t.deadline_ms = num_or(v, "deadline_ms", t.deadline_ms, path);
-  t.phase_ms = num_or(v, "phase_ms", t.phase_ms, path);
-  t.priority_policy = parse_priority(
-      str_or(v, "priority", "last_stage_high", path), path + ".priority");
-  const std::string arrival = str_or(v, "arrival", "periodic", path);
-  if (arrival == "periodic") {
-    t.arrival = rt::ArrivalModel::kPeriodic;
-  } else if (arrival == "sporadic") {
-    t.arrival = rt::ArrivalModel::kSporadic;
-  } else {
-    bad(path + ".arrival",
-        "unknown arrival model \"" + arrival + "\" (want periodic|sporadic)");
+  if (role == StreamRole::kTemplate && v.find("count")) {
+    bad(path, "unknown key \"count\" (a template has no replica count)");
   }
-  t.min_separation_ms = num_or(v, "min_separation_ms", 0.0, path);
-  t.max_separation_ms = num_or(v, "max_separation_ms", 0.0, path);
-  t.tier = int_or(v, "tier", t.tier, path);
-  t.mem_mb = num_or(v, "mem_mb", t.mem_mb, path);
-  if (const common::JsonValue* w = v.find("warps")) {
-    t.warps = get_field("warps", path, [&] { return w->as_int(); });
+  s.name = str_or(v, "name", s.name, path);
+  if (role == StreamRole::kTemplate && s.name.empty()) {
+    bad(path + ".name", "template needs a non-empty name");
   }
-  return t;
+  s.network = str_or(v, "network", s.network, path);
+  s.fps = num_or(v, "fps", s.fps, path);
+  s.num_stages = int_or(v, "stages", s.num_stages, path);
+  s.deadline_ms = num_or(v, "deadline_ms", s.deadline_ms, path);
+  s.phase_ms = num_or(v, "phase_ms", s.phase_ms, path);
+  s.priority_policy = enum_or(v, "priority", rt::kPriorityPolicyNames,
+                              s.priority_policy, "priority policy", path);
+  s.arrival = enum_or(v, "arrival", rt::kArrivalModelNames, s.arrival,
+                      "arrival model", path);
+  s.min_separation_ms =
+      num_or(v, "min_separation_ms", s.min_separation_ms, path);
+  s.max_separation_ms =
+      num_or(v, "max_separation_ms", s.max_separation_ms, path);
+  s.tier = int_or(v, "tier", s.tier, path);
+  s.mem_mb = num_or(v, "mem_mb", s.mem_mb, path);
+  if (const JsonValue* w = v.find("warps")) {
+    s.warps = get_field("warps", path, [&] { return w->as_int(); });
+  }
+  // For sporadic task entries fps is only a shorthand for min_separation =
+  // 1000/fps; stating both invites silent disagreement, so reject it.
+  if (role == StreamRole::kTaskEntry &&
+      s.arrival == rt::ArrivalModel::kSporadic && v.find("fps") &&
+      v.find("min_separation_ms")) {
+    bad(path, "sporadic tasks take either fps or min_separation_ms, not "
+              "both (min_separation defaults to 1000/fps)");
+  }
 }
 
-void validate_stream_template(const StreamTemplate& t,
-                              const std::string& path) {
-  if (t.fps <= 0.0) bad(path + ".fps", "must be > 0");
-  if (t.num_stages < 1) bad(path + ".stages", "must be >= 1");
-  if (t.deadline_ms < 0.0) bad(path + ".deadline_ms", "must be >= 0");
-  if (t.phase_ms < 0.0) bad(path + ".phase_ms", "must be >= 0");
-  if (t.tier < 0) bad(path + ".tier", "must be >= 0");
-  if (t.mem_mb < 0.0 && t.mem_mb != -1.0) {
+void validate_stream(const StreamTemplate& s, const std::string& path,
+                     StreamRole role) {
+  const std::pair<const char*, double> times_ms[] = {
+      {"deadline_ms", s.deadline_ms},
+      {"phase_ms", s.phase_ms},
+      {"min_separation_ms", s.min_separation_ms},
+      {"max_separation_ms", s.max_separation_ms}};
+  for (const auto& [key, ms] : times_ms) {
+    if (!fits_sim_time(ms / 1000.0)) {
+      bad(path + "." + key, "must be finite and within SimTime range");
+    }
+  }
+  // mem_mb becomes an int64 byte count.
+  if (!(std::abs(s.mem_mb) < 8e12)) {
+    bad(path + ".mem_mb", "must be finite and below 8e12 MiB");
+  }
+  if (s.fps <= 0.0) bad(path + ".fps", "must be > 0");
+  if (s.num_stages < 1) bad(path + ".stages", "must be >= 1");
+  if (s.deadline_ms < 0.0) bad(path + ".deadline_ms", "must be >= 0");
+  if (role == StreamRole::kTemplate && s.phase_ms < 0.0) {
+    bad(path + ".phase_ms", "must be >= 0");
+  }
+  if (s.tier < 0) bad(path + ".tier", "must be >= 0");
+  if (s.mem_mb < 0.0 && s.mem_mb != -1.0) {
     bad(path + ".mem_mb", "must be >= 0 (or omitted to derive from the "
                           "network)");
   }
-  if (t.warps < -1) {
+  if (s.warps < -1) {
     bad(path + ".warps", "must be >= 0 (or omitted to derive from the "
                          "network)");
   }
-  if (!dnn::network_builder_by_name(t.network)) {
-    bad(path + ".network", "unknown network \"" + t.network + "\" (want " +
+  if (!dnn::network_builder_by_name(s.network)) {
+    bad(path + ".network", "unknown network \"" + s.network + "\" (want " +
                                dnn::network_names() + ")");
   }
-  if (t.arrival == rt::ArrivalModel::kSporadic) {
-    if (t.min_separation_ms < 0.0 || t.max_separation_ms < 0.0) {
+  if (s.arrival == rt::ArrivalModel::kSporadic) {
+    if (s.min_separation_ms < 0.0 || s.max_separation_ms < 0.0) {
       bad(path, "separations must be >= 0");
     }
-    const double min_ms =
-        t.min_separation_ms > 0.0 ? t.min_separation_ms : 1000.0 / t.fps;
-    if (t.max_separation_ms > 0.0 && t.max_separation_ms < min_ms) {
+    if (s.max_separation_ms > 0.0 &&
+        s.max_separation_ms < min_separation_ms(s, 1.0)) {
       bad(path + ".max_separation_ms",
           "must be >= the (possibly fps-derived) min separation");
     }
-  } else if (t.min_separation_ms != 0.0 || t.max_separation_ms != 0.0) {
+  } else if (s.min_separation_ms != 0.0 || s.max_separation_ms != 0.0) {
     bad(path, "separations only apply to arrival=sporadic");
   }
+  // The built period (rt::build_task truncates 1/fps seconds to integer
+  // nanoseconds) must be at least one tick and must fit SimTime. This also
+  // rejects a non-finite fps.
+  const double period_s = 1.0 / built_fps(s, 1.0);
+  if (!fits_sim_time(period_s) ||
+      SimTime::from_sec(period_s) < SimTime::from_ns(1)) {
+    const bool by_sep = s.arrival == rt::ArrivalModel::kSporadic &&
+                        s.min_separation_ms > 0.0;
+    bad(path + (by_sep ? ".min_separation_ms" : ".fps"),
+        "the period must be >= 1 ns (SimTime resolution) and within SimTime "
+        "range");
+  }
+}
+
+std::vector<StreamTemplate> parse_templates(const common::JsonValue& v,
+                                            const std::string& path) {
+  std::vector<StreamTemplate> templates;
+  if (const JsonValue* list = v.find("templates")) {
+    const auto& items =
+        get_field("templates", path, [&] { return list->items(); });
+    for (std::size_t i = 0; i < items.size(); ++i) {
+      parse_stream(items[i], path + ".templates[" + std::to_string(i) + "]",
+                   StreamRole::kTemplate, templates.emplace_back());
+    }
+  }
+  return templates;
+}
+
+void validate_templates(const std::vector<StreamTemplate>& templates,
+                        const std::string& path) {
+  for (std::size_t i = 0; i < templates.size(); ++i) {
+    const auto& t = templates[i];
+    const std::string p = path + ".templates[" + std::to_string(i) + "]";
+    for (std::size_t j = 0; j < i; ++j) {
+      if (templates[j].name == t.name) {
+        bad(p + ".name", "duplicate template \"" + t.name + "\"");
+      }
+    }
+    validate_stream(t, p, StreamRole::kTemplate);
+  }
+}
+
+rt::Task build_stream_task(const StreamTemplate& s,
+                           const gpu::DeviceSpec& device,
+                           const std::vector<int>& pool_sm_sizes,
+                           double fps_scale) {
+  const dnn::Profiler profiler(device, gpu::SpeedupModel::rtx2080ti(),
+                               dnn::CostModel::calibrated());
+  rt::TaskConfig tc;
+  tc.fps = built_fps(s, fps_scale);
+  tc.num_stages = s.num_stages;
+  tc.priority_policy = s.priority_policy;
+  if (s.deadline_ms > 0.0) tc.deadline = SimTime::from_ms(s.deadline_ms);
+  if (s.phase_ms >= 0.0) tc.phase = SimTime::from_ms(s.phase_ms);
+  rt::Task t = rt::build_task(
+      0,
+      std::make_shared<const dnn::Network>(
+          dnn::network_builder_by_name(s.network)()),
+      tc, profiler, pool_sm_sizes);
+  if (s.arrival == rt::ArrivalModel::kSporadic) {
+    const double min_sep_ms = min_separation_ms(s, fps_scale);
+    t.arrival = rt::ArrivalModel::kSporadic;
+    t.min_separation = SimTime::from_ms(min_sep_ms);
+    t.max_separation = SimTime::from_ms(s.max_separation_ms > 0.0
+                                            ? s.max_separation_ms / fps_scale
+                                            : 1.5 * min_sep_ms);
+  }
+  // Footprint overrides pin the task and its downgraded variant alike (a
+  // slower stream still holds its weights).
+  if (s.mem_mb >= 0.0) {
+    t.mem_bytes =
+        static_cast<std::int64_t>(std::llround(s.mem_mb * 1048576.0));
+  }
+  if (s.warps >= 0) t.warps = s.warps;
+  return t;
 }
 
 namespace {
@@ -155,14 +261,7 @@ TimelineSpec parse_timeline(const common::JsonValue& v,
   if (v.find("trace") && spec.trace_path.empty()) {
     bad(path + ".trace", "trace path must be non-empty");
   }
-  if (const JsonValue* templates = v.find("templates")) {
-    const auto& items = get_field("templates", path,
-                                  [&] { return templates->items(); });
-    for (std::size_t i = 0; i < items.size(); ++i) {
-      spec.templates.push_back(parse_stream_template(
-          items[i], path + ".templates[" + std::to_string(i) + "]"));
-    }
-  }
+  spec.templates = parse_templates(v, path);
   if (const JsonValue* events = v.find("events")) {
     const auto& items = get_field("events", path,
                                   [&] { return events->items(); });
@@ -198,16 +297,7 @@ void validate_timeline(const TimelineSpec& spec, const std::string& path) {
         "a trace-driven timeline replaces templates/events/arrivals; "
         "remove the other sections");
   }
-  for (std::size_t i = 0; i < spec.templates.size(); ++i) {
-    const auto& t = spec.templates[i];
-    const std::string p = path + ".templates[" + std::to_string(i) + "]";
-    for (std::size_t j = 0; j < i; ++j) {
-      if (spec.templates[j].name == t.name) {
-        bad(p + ".name", "duplicate template \"" + t.name + "\"");
-      }
-    }
-    validate_stream_template(t, p);
-  }
+  validate_templates(spec.templates, path);
 
   for (std::size_t i = 0; i < spec.events.size(); ++i) {
     const auto& e = spec.events[i];

@@ -17,6 +17,11 @@
 // are keyed on (jitter_seed, task id) — so a replay, or the same scenario
 // inside a parallel experiment fan-out, is byte-identical.
 //
+// The stream shape itself (StreamTemplate) lives here too, because every
+// place a stream is described shares it: timeline templates, the initial
+// "tasks" entries (workload::TaskEntrySpec) and recorded traces. One
+// parser, one validator and one rt::Task builder serve all three.
+//
 // docs/online-fleet.md is the schema reference; parsing follows the same
 // rules as the rest of the spec surface (unknown keys are errors, messages
 // carry field paths).
@@ -28,6 +33,7 @@
 #include <vector>
 
 #include "common/json.hpp"
+#include "gpu/device.hpp"
 #include "rt/task.hpp"
 
 namespace sgprs::trace {
@@ -36,8 +42,11 @@ struct Trace;
 
 namespace sgprs::fleet {
 
-/// A named stream shape churn events instantiate. Times are milliseconds,
-/// matching the task-entry schema.
+/// One periodic (or sporadic) DNN stream: the shape a task entry, a churn
+/// template and a recorded trace template all share. Times are
+/// milliseconds. The defaults here are a template's; workload::TaskEntrySpec
+/// is this struct plus a replica count, with its own defaults (see
+/// StreamRole).
 struct StreamTemplate {
   std::string name;
   std::string network = "resnet18";
@@ -45,25 +54,65 @@ struct StreamTemplate {
   int num_stages = 6;
   /// Relative deadline; 0 = implicit (deadline = period).
   double deadline_ms = 0.0;
-  /// First-release offset after admission (>= 0; streams are admitted at a
-  /// simulation instant, so there is no "random phase" — the admission
-  /// time itself is the phase).
+  /// First-release offset. Templates need >= 0 (a churned stream's phase
+  /// counts from its admission instant); a task entry's negative phase
+  /// means a seeded random phase in [0, period).
   double phase_ms = 0.0;
   rt::PriorityPolicy priority_policy = rt::PriorityPolicy::kLastStageHigh;
   rt::ArrivalModel arrival = rt::ArrivalModel::kPeriodic;
-  /// Sporadic only; 0 = derive min from fps and max as 1.5 * min.
+  /// Sporadic only; 0 = derive min from fps (1000/fps) and max as
+  /// 1.5 * min. Admission treats 1/min_separation as the worst-case rate.
   double min_separation_ms = 0.0;
   double max_separation_ms = 0.0;
   /// Overload shed tier: 0 = protected (never shed under priority-aware
-  /// shedding), higher tiers shed first. Initial "tasks" entries default
-  /// to tier 0, templates to tier 1.
+  /// shedding), higher tiers shed first. Task entries default to tier 0,
+  /// templates to tier 1.
   int tier = 1;
-  /// Placement footprint overrides, mirroring the task-entry schema:
-  /// < 0 (default) derives from the network's profile, >= 0 pins memory
-  /// (MiB) / time-averaged resident warps explicitly.
+  /// Placement footprint overrides: < 0 (default) derives from the
+  /// network's profile, >= 0 pins memory (MiB) / time-averaged resident
+  /// warps explicitly.
   double mem_mb = -1.0;
   long long warps = -1;
 };
+
+/// Where a stream shape appears. The roles differ only in these rules:
+///   * a task entry also takes "count" and may leave "name" out; a
+///     template needs a non-empty name;
+///   * a task entry's negative phase_ms is a seeded random phase; a
+///     template's phase_ms must be >= 0;
+///   * a sporadic task entry takes fps or min_separation_ms, not both; a
+///     template accepts both (recorded traces write both).
+enum class StreamRole { kTaskEntry, kTemplate };
+
+/// Parses one stream shape into `s`, whose fields hold the role's defaults
+/// on entry. Throws workload::SpecError with field paths. A task entry's
+/// "count" is accepted here and read by its caller.
+void parse_stream(const common::JsonValue& v, const std::string& path,
+                  StreamRole role, StreamTemplate& s);
+
+/// Semantic rules of one stream shape: finite numbers, a period of at
+/// least 1 ns, known network, separations only on sporadic streams,
+/// footprint overrides >= 0 or unset.
+void validate_stream(const StreamTemplate& s, const std::string& path,
+                     StreamRole role);
+
+/// The "templates" array of a timeline or trace object at `path` (empty
+/// when absent), and its rules: unique names plus validate_stream each.
+std::vector<StreamTemplate> parse_templates(const common::JsonValue& v,
+                                            const std::string& path);
+void validate_templates(const std::vector<StreamTemplate>& templates,
+                        const std::string& path);
+
+/// The offline phase for one stream shape on `device`'s pool sizes: the
+/// task's period, deadline, stage plan, WCET table, priorities, sporadic
+/// separations and footprint (spec overrides applied). `fps_scale` < 1
+/// builds the QoS-downgraded variant (rate and separations scaled). The
+/// task is a prototype: callers clone it and set id and name; its phase is
+/// phase_ms, or zero when phase_ms < 0 (the caller draws random phases).
+rt::Task build_stream_task(const StreamTemplate& s,
+                           const gpu::DeviceSpec& device,
+                           const std::vector<int>& pool_sm_sizes,
+                           double fps_scale = 1.0);
 
 /// One scripted churn event. `every_s == 0` fires once at `at_s`;
 /// `every_s > 0` repeats from `from_s` (inclusive) every `every_s` seconds
@@ -115,13 +164,6 @@ TimelineSpec parse_timeline(const common::JsonValue& v,
 /// Semantic validation: unique template names, known event targets, rate
 /// and lifetime ranges. Network-name existence is checked here too.
 void validate_timeline(const TimelineSpec& spec, const std::string& path);
-
-/// One-template parse/validate, shared with the trace reader (a trace file
-/// carries the same template schema as a timeline).
-StreamTemplate parse_stream_template(const common::JsonValue& v,
-                                     const std::string& path);
-void validate_stream_template(const StreamTemplate& t,
-                              const std::string& path);
 
 const StreamTemplate* find_template(const TimelineSpec& spec,
                                     const std::string& name);

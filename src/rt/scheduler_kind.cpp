@@ -3,19 +3,15 @@
 namespace sgprs::rt {
 
 const char* to_string(SchedulerKind k) {
-  switch (k) {
-    case SchedulerKind::kSgprs: return "sgprs";
-    case SchedulerKind::kNaive: return "naive";
-  }
-  return "?";
+  return common::name_of(kSchedulerKindNames, k);
 }
 
-const char* scheduler_kind_names() { return "sgprs|naive"; }
+std::string scheduler_kind_names() {
+  return common::names_of(kSchedulerKindNames);
+}
 
 std::optional<SchedulerKind> parse_scheduler_kind(const std::string& name) {
-  if (name == "sgprs") return SchedulerKind::kSgprs;
-  if (name == "naive") return SchedulerKind::kNaive;
-  return std::nullopt;
+  return common::parse_name(kSchedulerKindNames, name);
 }
 
 }  // namespace sgprs::rt

@@ -6,14 +6,19 @@
 #include <optional>
 #include <string>
 
+#include "common/enum_names.hpp"
+
 namespace sgprs::rt {
 
 enum class SchedulerKind { kSgprs, kNaive };
 
+inline constexpr common::EnumName<SchedulerKind> kSchedulerKindNames[] = {
+    {SchedulerKind::kSgprs, "sgprs"}, {SchedulerKind::kNaive, "naive"}};
+
 const char* to_string(SchedulerKind k);
 
 /// All accepted names, pipe-separated (for --help text).
-const char* scheduler_kind_names();
+std::string scheduler_kind_names();
 
 /// Parses a scheduler name; std::nullopt on anything unrecognised.
 std::optional<SchedulerKind> parse_scheduler_kind(const std::string& name);

@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "common/enum_names.hpp"
 #include "common/heap.hpp"
 #include "common/rng.hpp"
 #include "gpu/context_pool.hpp"
@@ -40,6 +41,8 @@ enum class ContextAssignPolicy {
 /// Ordering inside each priority level (paper Section IV-B3 uses EDF;
 /// FIFO exists for the ablation).
 enum class QueueOrder { kEdf, kFifo };
+inline constexpr common::EnumName<QueueOrder> kQueueOrderNames[] = {
+    {QueueOrder::kEdf, "edf"}, {QueueOrder::kFifo, "fifo"}};
 
 struct SgprsConfig {
   /// Maximum jobs of one task simultaneously in flight; further releases

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "common/enum_names.hpp"
 #include "common/time.hpp"
 #include "dnn/network.hpp"
 #include "dnn/partition.hpp"
@@ -47,6 +48,15 @@ enum class PriorityPolicy {
 /// worst-case rate (the one admission analysis must budget for) is
 /// 1 / min_separation.
 enum class ArrivalModel { kPeriodic, kSporadic };
+
+/// Spec and trace names of the two enums above (common/enum_names.hpp).
+inline constexpr common::EnumName<PriorityPolicy> kPriorityPolicyNames[] = {
+    {PriorityPolicy::kLastStageHigh, "last_stage_high"},
+    {PriorityPolicy::kAllLow, "all_low"},
+    {PriorityPolicy::kAllHigh, "all_high"}};
+inline constexpr common::EnumName<ArrivalModel> kArrivalModelNames[] = {
+    {ArrivalModel::kPeriodic, "periodic"},
+    {ArrivalModel::kSporadic, "sporadic"}};
 
 struct StageInfo {
   int index = 0;

@@ -16,19 +16,6 @@ using common::JsonValue;
 using common::JsonWriter;
 using namespace workload::specdet;
 
-const char* priority_name(rt::PriorityPolicy p) {
-  switch (p) {
-    case rt::PriorityPolicy::kAllLow: return "all_low";
-    case rt::PriorityPolicy::kAllHigh: return "all_high";
-    case rt::PriorityPolicy::kLastStageHigh: break;
-  }
-  return "last_stage_high";
-}
-
-const char* arrival_name(rt::ArrivalModel a) {
-  return a == rt::ArrivalModel::kSporadic ? "sporadic" : "periodic";
-}
-
 TraceEvent parse_event(const JsonValue& v, const std::string& path) {
   require_object(v, path);
   check_keys(v, {"t_ns", "admit", "retire", "fault", "device", "id", "tier",
@@ -100,8 +87,9 @@ void write_template(const fleet::StreamTemplate& t, std::ostream& out) {
   w.field("stages", t.num_stages);
   w.field_exact("deadline_ms", t.deadline_ms);
   w.field_exact("phase_ms", t.phase_ms);
-  w.field("priority", priority_name(t.priority_policy));
-  w.field("arrival", arrival_name(t.arrival));
+  w.field("priority", common::name_of(rt::kPriorityPolicyNames,
+                                      t.priority_policy));
+  w.field("arrival", common::name_of(rt::kArrivalModelNames, t.arrival));
   if (t.arrival == rt::ArrivalModel::kSporadic) {
     w.field_exact("min_separation_ms", t.min_separation_ms);
     w.field_exact("max_separation_ms", t.max_separation_ms);
@@ -171,14 +159,7 @@ Trace parse_trace(const common::JsonValue& root,
   Trace t;
   t.name = str_or(root, "name", default_name, path);
   t.description = str_or(root, "description", "", path);
-  if (const JsonValue* templates = root.find("templates")) {
-    const auto& items =
-        get_field("templates", path, [&] { return templates->items(); });
-    for (std::size_t i = 0; i < items.size(); ++i) {
-      t.templates.push_back(fleet::parse_stream_template(
-          items[i], path + ".templates[" + std::to_string(i) + "]"));
-    }
-  }
+  t.templates = fleet::parse_templates(root, path);
   if (const JsonValue* events = root.find("events")) {
     const auto& items =
         get_field("events", path, [&] { return events->items(); });
@@ -196,16 +177,7 @@ void validate_trace(const Trace& trace) {
   if (trace.templates.empty()) {
     bad(path + ".templates", "a trace needs at least one stream template");
   }
-  for (std::size_t i = 0; i < trace.templates.size(); ++i) {
-    const auto& t = trace.templates[i];
-    const std::string p = path + ".templates[" + std::to_string(i) + "]";
-    for (std::size_t j = 0; j < i; ++j) {
-      if (trace.templates[j].name == t.name) {
-        bad(p + ".name", "duplicate template \"" + t.name + "\"");
-      }
-    }
-    fleet::validate_stream_template(t, p);
-  }
+  fleet::validate_templates(trace.templates, path);
 
   std::unordered_set<int> admitted;
   std::unordered_set<int> retired;

@@ -1,9 +1,7 @@
 #include "workload/spec.hpp"
 
-#include <cmath>
+#include <algorithm>
 #include <filesystem>
-#include <limits>
-#include <map>
 #include <memory>
 
 #include "cluster/cluster.hpp"
@@ -24,22 +22,6 @@ namespace {
 
 using common::JsonValue;
 using namespace specdet;
-
-rt::PriorityPolicy parse_priority_policy(const std::string& s,
-                                         const std::string& path) {
-  if (s == "last_stage_high") return rt::PriorityPolicy::kLastStageHigh;
-  if (s == "all_low") return rt::PriorityPolicy::kAllLow;
-  if (s == "all_high") return rt::PriorityPolicy::kAllHigh;
-  bad(path, "unknown priority policy \"" + s +
-                "\" (want last_stage_high|all_low|all_high)");
-}
-
-rt::ArrivalModel parse_arrival_model(const std::string& s,
-                                     const std::string& path) {
-  if (s == "periodic") return rt::ArrivalModel::kPeriodic;
-  if (s == "sporadic") return rt::ArrivalModel::kSporadic;
-  bad(path, "unknown arrival model \"" + s + "\" (want periodic|sporadic)");
-}
 
 void parse_pool(const JsonValue& v, ScenarioConfig& cfg,
                 const std::string& path) {
@@ -64,10 +46,8 @@ void parse_sim(const JsonValue& v, ScenarioConfig& cfg,
   require_object(v, path);
   check_keys(v, {"duration_s", "warmup_s", "seed", "jitter_phases", "shards"},
              path);
-  cfg.duration = common::SimTime::from_sec(
-      num_or(v, "duration_s", cfg.duration.to_sec(), path));
-  cfg.warmup = common::SimTime::from_sec(
-      num_or(v, "warmup_s", cfg.warmup.to_sec(), path));
+  cfg.duration = seconds_or(v, "duration_s", cfg.duration, path);
+  cfg.warmup = seconds_or(v, "warmup_s", cfg.warmup, path);
   cfg.seed = seed_or(v, "seed", cfg.seed, path);
   cfg.jitter_phases = bool_or(v, "jitter_phases", cfg.jitter_phases, path);
   cfg.shards = int_or(v, "shards", cfg.shards, path);
@@ -88,15 +68,8 @@ void parse_sgprs(const JsonValue& v, ScenarioConfig& cfg,
       int_or(v, "max_in_flight", cfg.sgprs.max_in_flight_per_task, path);
   cfg.sgprs.high_streams_steal =
       bool_or(v, "high_streams_steal", cfg.sgprs.high_streams_steal, path);
-  const std::string order = str_or(v, "queue_order", "edf", path);
-  if (order == "edf") {
-    cfg.sgprs.queue_order = rt::QueueOrder::kEdf;
-  } else if (order == "fifo") {
-    cfg.sgprs.queue_order = rt::QueueOrder::kFifo;
-  } else {
-    bad(path + ".queue_order",
-        "unknown order \"" + order + "\" (want edf|fifo)");
-  }
+  cfg.sgprs.queue_order = enum_or(v, "queue_order", rt::kQueueOrderNames,
+                                  cfg.sgprs.queue_order, "order", path);
 }
 
 void parse_naive(const JsonValue& v, ScenarioConfig& cfg,
@@ -144,58 +117,15 @@ void parse_fleet(const JsonValue& v, ScenarioSpec& spec,
               devices->type_name());
     }
   }
-  const std::string placement =
-      str_or(v, "placement", cluster::to_string(spec.base.placement), path);
-  if (const auto policy = cluster::parse_placement_policy(placement)) {
-    spec.base.placement = *policy;
-  } else {
-    bad(path + ".placement", "unknown policy \"" + placement + "\" (want " +
-                                 cluster::placement_policy_names() + ")");
-  }
+  spec.base.placement =
+      enum_or(v, "placement", cluster::kPlacementPolicyNames,
+              spec.base.placement, "policy", path);
   spec.base.admission_margin =
       num_or(v, "admission_margin", spec.base.admission_margin, path);
   spec.base.occupancy_threshold =
       num_or(v, "occupancy_threshold", spec.base.occupancy_threshold, path);
   spec.base.device_mem_mb =
       num_or(v, "device_mem_mb", spec.base.device_mem_mb, path);
-}
-
-TaskEntrySpec parse_task_entry(const JsonValue& v, const std::string& path) {
-  require_object(v, path);
-  check_keys(v,
-             {"name", "count", "network", "fps", "stages", "deadline_ms",
-              "phase_ms", "priority", "arrival", "min_separation_ms",
-              "max_separation_ms", "tier", "mem_mb", "warps"},
-             path);
-  TaskEntrySpec e;
-  e.name = str_or(v, "name", e.name, path);
-  e.count = int_or(v, "count", e.count, path);
-  e.network = str_or(v, "network", e.network, path);
-  e.fps = num_or(v, "fps", e.fps, path);
-  e.num_stages = int_or(v, "stages", e.num_stages, path);
-  e.deadline_ms = num_or(v, "deadline_ms", e.deadline_ms, path);
-  e.phase_ms = num_or(v, "phase_ms", e.phase_ms, path);
-  e.priority_policy = parse_priority_policy(
-      str_or(v, "priority", "last_stage_high", path), path + ".priority");
-  e.arrival = parse_arrival_model(str_or(v, "arrival", "periodic", path),
-                                  path + ".arrival");
-  e.min_separation_ms =
-      num_or(v, "min_separation_ms", e.min_separation_ms, path);
-  e.max_separation_ms =
-      num_or(v, "max_separation_ms", e.max_separation_ms, path);
-  e.tier = int_or(v, "tier", e.tier, path);
-  e.mem_mb = num_or(v, "mem_mb", e.mem_mb, path);
-  if (const JsonValue* w = v.find("warps")) {
-    e.warps = get_field("warps", path, [&] { return w->as_int(); });
-  }
-  // For sporadic tasks fps is only a shorthand for min_separation =
-  // 1000/fps; stating both invites silent disagreement, so reject it.
-  if (e.arrival == rt::ArrivalModel::kSporadic && v.find("fps") &&
-      v.find("min_separation_ms")) {
-    bad(path, "sporadic tasks take either fps or min_separation_ms, not "
-              "both (min_separation defaults to 1000/fps)");
-  }
-  return e;
 }
 
 GeneratorSpec parse_generator(const JsonValue& v, const std::string& path) {
@@ -252,14 +182,9 @@ ScenarioSpec parse_scenario_spec(const common::JsonValue& root,
   spec.name = str_or(root, "name", default_name, path);
   spec.description = str_or(root, "description", "", path);
 
-  const std::string sched =
-      str_or(root, "scheduler", rt::to_string(spec.base.scheduler), path);
-  if (const auto kind = rt::parse_scheduler_kind(sched)) {
-    spec.base.scheduler = *kind;
-  } else {
-    bad(path + ".scheduler", "unknown scheduler \"" + sched + "\" (want " +
-                                 rt::scheduler_kind_names() + ")");
-  }
+  spec.base.scheduler =
+      enum_or(root, "scheduler", rt::kSchedulerKindNames, spec.base.scheduler,
+              "scheduler", path);
 
   if (const JsonValue* device = root.find("device")) {
     const std::string name = get_field("device", path,
@@ -292,8 +217,10 @@ ScenarioSpec parse_scenario_spec(const common::JsonValue& root,
     const auto& items = get_field("tasks", path,
                                   [&] { return tasks->items(); });
     for (std::size_t i = 0; i < items.size(); ++i) {
-      spec.tasks.push_back(parse_task_entry(
-          items[i], path + ".tasks[" + std::to_string(i) + "]"));
+      const std::string p = path + ".tasks[" + std::to_string(i) + "]";
+      TaskEntrySpec& e = spec.tasks.emplace_back();
+      fleet::parse_stream(items[i], p, fleet::StreamRole::kTaskEntry, e);
+      e.count = int_or(items[i], "count", e.count, p);
     }
   }
   if (const JsonValue* generator = root.find("generator")) {
@@ -373,36 +300,28 @@ void validate(const ScenarioSpec& spec) {
                         "load_scenario_spec, or call resolve_spec_trace");
   }
 
+  std::int64_t initial_streams = 0;
   for (std::size_t i = 0; i < spec.tasks.size(); ++i) {
     const auto& e = spec.tasks[i];
     const std::string path = "spec.tasks[" + std::to_string(i) + "]";
     if (e.count < 1) bad(path + ".count", "must be >= 1");
-    if (e.fps <= 0.0) bad(path + ".fps", "must be > 0");
-    if (e.num_stages < 1) bad(path + ".stages", "must be >= 1");
-    if (e.deadline_ms < 0.0) bad(path + ".deadline_ms", "must be >= 0");
-    check_network_known(e.network, path + ".network");
-    if (e.arrival == rt::ArrivalModel::kSporadic) {
-      if (e.min_separation_ms < 0.0 || e.max_separation_ms < 0.0) {
-        bad(path, "separations must be >= 0");
-      }
-      const double min_ms = e.min_separation_ms > 0.0 ? e.min_separation_ms
-                                                      : 1000.0 / e.fps;
-      if (e.max_separation_ms > 0.0 && e.max_separation_ms < min_ms) {
-        bad(path + ".max_separation_ms",
-            "must be >= the (possibly fps-derived) min separation");
-      }
-    } else if (e.min_separation_ms != 0.0 || e.max_separation_ms != 0.0) {
-      bad(path, "separations only apply to arrival=sporadic");
+    initial_streams += e.count;
+    if (initial_streams > kMaxInitialStreams) {
+      bad(path + ".count", "the spec's initial streams exceed " +
+                               std::to_string(kMaxInitialStreams) +
+                               " (kMaxInitialStreams)");
     }
-    if (e.tier < 0) bad(path + ".tier", "must be >= 0");
-    if (e.mem_mb < 0.0 && e.mem_mb != -1.0) {
-      bad(path + ".mem_mb", "must be >= 0 (or omitted to derive from the "
-                            "network)");
-    }
-    if (e.warps < -1) {
-      bad(path + ".warps", "must be >= 0 (or omitted to derive from the "
-                           "network)");
-    }
+    fleet::validate_stream(e, path, fleet::StreamRole::kTaskEntry);
+  }
+  // Each context needs at least one SM of every device it is carved from.
+  int min_sms = spec.base.device.total_sms;
+  for (const auto& d : spec.base.fleet) {
+    min_sms = std::min(min_sms, d.total_sms);
+  }
+  if (spec.base.num_contexts > min_sms) {
+    bad("spec.pool.contexts", "must be <= " + std::to_string(min_sms) +
+                                  ", the device's SM count (each context "
+                                  "needs at least one SM)");
   }
 
   if (spec.timeline) {
@@ -419,6 +338,11 @@ void validate(const ScenarioSpec& spec) {
     const auto& g = *spec.generator;
     const std::string path = "spec.generator";
     if (g.count < 1) bad(path + ".count", "must be >= 1");
+    if (g.count > kMaxInitialStreams) {
+      bad(path + ".count", "must be <= " +
+                               std::to_string(kMaxInitialStreams) +
+                               " (kMaxInitialStreams)");
+    }
     if (g.total_utilization <= 0.0) {
       bad(path + ".total_utilization", "must be > 0");
     }
@@ -440,14 +364,6 @@ void validate(const ScenarioSpec& spec) {
   }
 }
 
-bool is_simple_spec(const ScenarioSpec& spec) {
-  if (spec.dynamic()) return false;
-  if (spec.generator || spec.tasks.size() != 1) return false;
-  const auto& e = spec.tasks.front();
-  return e.arrival == rt::ArrivalModel::kPeriodic && e.phase_ms < 0.0 &&
-         e.deadline_ms == 0.0 && e.name == "task";
-}
-
 ScenarioConfig lower(const ScenarioSpec& spec) {
   ScenarioConfig cfg = spec.base;
   int total = 0;
@@ -457,13 +373,6 @@ ScenarioConfig lower(const ScenarioSpec& spec) {
     for (const auto& e : spec.tasks) total += e.count;
   }
   cfg.num_tasks = total > 0 ? total : 1;
-  if (is_simple_spec(spec)) {
-    const auto& e = spec.tasks.front();
-    cfg.fps = e.fps;
-    cfg.num_stages = e.num_stages;
-    cfg.priority_policy = e.priority_policy;
-    cfg.network_builder = dnn::network_builder_by_name(e.network);
-  }
   return cfg;
 }
 
@@ -476,9 +385,6 @@ std::vector<rt::Task> build_spec_tasks(const ScenarioSpec& spec,
                                        std::uint64_t generator_seed,
                                        const ScenarioConfig& cfg,
                                        const std::vector<int>& pool_sizes) {
-  dnn::Profiler profiler(cfg.device, gpu::SpeedupModel::rtx2080ti(),
-                         dnn::CostModel::calibrated());
-
   if (spec.generator) {
     const auto& g = *spec.generator;
     RandomTaskSetConfig rcfg;
@@ -491,61 +397,27 @@ std::vector<rt::Task> build_spec_tasks(const ScenarioSpec& spec,
     for (const auto& name : g.networks) {
       rcfg.network_choices.push_back(dnn::network_builder_by_name(name));
     }
+    const dnn::Profiler profiler(cfg.device, gpu::SpeedupModel::rtx2080ti(),
+                                 dnn::CostModel::calibrated());
     return build_random_taskset(rcfg, profiler, pool_sizes);
   }
 
-  // Explicit entries: build each network once, clone per replica, draw
-  // phases from one seeded rng in task order (mirrors the identical-task
+  // Explicit entries: one prototype per entry, cloned per replica, with
+  // phases drawn from one seeded rng in task order (the identical-task
   // builder's consumption pattern).
   common::Rng rng(cfg.seed);
-  std::map<std::string, std::shared_ptr<const dnn::Network>> networks;
   std::vector<rt::Task> tasks;
-  int id = 0;
   for (const auto& e : spec.tasks) {
-    auto it = networks.find(e.network);
-    if (it == networks.end()) {
-      it = networks
-               .emplace(e.network,
-                        std::make_shared<const dnn::Network>(
-                            dnn::network_builder_by_name(e.network)()))
-               .first;
-    }
-    const double min_sep_ms = e.min_separation_ms > 0.0
-                                  ? e.min_separation_ms
-                                  : 1000.0 / e.fps;
-    rt::TaskConfig tc;
-    // Sporadic tasks are built at their worst-case rate so period ==
-    // min_separation and utilization/admission math stays conservative.
-    tc.fps = e.arrival == rt::ArrivalModel::kSporadic ? 1000.0 / min_sep_ms
-                                                      : e.fps;
-    tc.num_stages = e.num_stages;
-    tc.priority_policy = e.priority_policy;
-    if (e.deadline_ms > 0.0) {
-      tc.deadline = common::SimTime::from_ms(e.deadline_ms);
-    }
+    const rt::Task proto =
+        fleet::build_stream_task(e, cfg.device, pool_sizes);
     for (int i = 0; i < e.count; ++i) {
-      rt::Task t = rt::build_task(id, it->second, tc, profiler, pool_sizes);
-      t.name = e.name + std::to_string(id);
-      if (e.mem_mb >= 0.0) {
-        t.mem_bytes =
-            static_cast<std::int64_t>(std::llround(e.mem_mb * 1048576.0));
-      }
-      if (e.warps >= 0) t.warps = e.warps;
-      if (e.phase_ms >= 0.0) {
-        t.phase = common::SimTime::from_ms(e.phase_ms);
-      } else if (cfg.jitter_phases) {
+      rt::Task& t = tasks.emplace_back(proto);
+      t.id = static_cast<int>(tasks.size()) - 1;
+      t.name = e.name + std::to_string(t.id);
+      if (e.phase_ms < 0.0 && cfg.jitter_phases) {
         t.phase =
             common::SimTime::from_sec(rng.next_double() * t.period.to_sec());
       }
-      if (e.arrival == rt::ArrivalModel::kSporadic) {
-        t.arrival = rt::ArrivalModel::kSporadic;
-        t.min_separation = common::SimTime::from_ms(min_sep_ms);
-        t.max_separation = common::SimTime::from_ms(
-            e.max_separation_ms > 0.0 ? e.max_separation_ms
-                                      : 1.5 * min_sep_ms);
-      }
-      tasks.push_back(std::move(t));
-      ++id;
     }
   }
   return tasks;
@@ -569,29 +441,22 @@ void capture_static_run(const ScenarioSpec& spec,
   std::vector<fleet::StreamTemplate> templates;
   templates.reserve(tasks.size());
   for (const auto& t : tasks) {
+    // The entry's shape (a default entry's for generator tasks), with the
+    // built task's name, phase and resolved times.
     const TaskEntrySpec* e = task_entry_for(spec, t.id);
-    fleet::StreamTemplate st;
+    fleet::StreamTemplate& st =
+        templates.emplace_back(e ? *e : TaskEntrySpec{});
+    const bool sporadic = t.arrival == rt::ArrivalModel::kSporadic;
     st.name = t.name;
     st.network = t.network->name();
-    st.num_stages = static_cast<int>(t.stages.size());
+    st.num_stages = t.stage_count();
     st.deadline_ms = t.deadline.to_ms();
     st.phase_ms = t.phase.to_ms();
-    st.priority_policy =
-        e ? e->priority_policy : rt::PriorityPolicy::kLastStageHigh;
-    st.tier = e ? e->tier : 0;
-    if (e) {
-      st.mem_mb = e->mem_mb;
-      st.warps = e->warps;
-    }
-    if (t.arrival == rt::ArrivalModel::kSporadic) {
-      st.arrival = rt::ArrivalModel::kSporadic;
-      st.fps = 1000.0 / t.min_separation.to_ms();
+    st.fps = 1000.0 / (sporadic ? t.min_separation : t.period).to_ms();
+    if (sporadic) {
       st.min_separation_ms = t.min_separation.to_ms();
       st.max_separation_ms = t.max_separation.to_ms();
-    } else {
-      st.fps = 1000.0 / t.period.to_ms();
     }
-    templates.push_back(std::move(st));
   }
   capture.set_templates(std::move(templates));
   for (const auto& t : tasks) {
@@ -631,17 +496,11 @@ SpecResult run_spec(const ScenarioSpec& spec, const RunSeeds& seeds,
   }
   ScenarioConfig cfg = lower(spec);
   cfg.seed = seeds.sim;
-  // Simple specs run through the default identical-task builder — the
-  // exact code path of the hard-coded benches, so results are
-  // bit-identical (pinned by spec_test).
-  const TaskSetBuilder builder =
-      is_simple_spec(spec)
-          ? TaskSetBuilder{}
-          : TaskSetBuilder{[&spec, &seeds](
-                               const ScenarioConfig& c,
-                               const std::vector<int>& pool_sizes) {
-              return build_spec_tasks(spec, seeds.generator, c, pool_sizes);
-            }};
+  const TaskSetBuilder builder = [&spec, &seeds](
+                                     const ScenarioConfig& c,
+                                     const std::vector<int>& pool_sizes) {
+    return build_spec_tasks(spec, seeds.generator, c, pool_sizes);
+  };
   if (spec.fleet_mode) {
     result.cluster = run_cluster_scenario(cfg, builder);
   } else {
@@ -671,11 +530,6 @@ const TaskEntrySpec* task_entry_for(const ScenarioSpec& spec,
     next += e.count;
   }
   return nullptr;  // generator-built, or out of range
-}
-
-int task_tier_for(const ScenarioSpec& spec, int task_index) {
-  const TaskEntrySpec* e = task_entry_for(spec, task_index);
-  return e ? e->tier : 0;
 }
 
 }  // namespace sgprs::workload

@@ -5,12 +5,14 @@
 // scheduler, pool shape, sim window, a *heterogeneous* task list (explicit
 // entries or a UUniFast generator) and an optional fleet section — so a
 // workload lives in a versioned .json file instead of a recompiled binary.
-// Lowering guarantee: a "simple" spec (one periodic task entry, default
-// phases) lowers onto the identical-task fast path of ScenarioConfig and is
-// bit-identical to the hard-coded benches (pinned by
+// Every spec builds its tasks through fleet::build_stream_task, one
+// prototype per entry cloned per replica. A spec of identical periodic
+// tasks therefore runs bit-identically to the hard-coded benches, whose
+// default builder clones one prototype the same way (pinned by
 // tests/workload/spec_test.cpp against scenarios/paper_scenario1.json).
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -30,35 +32,24 @@ class TraceRecorder;
 
 namespace sgprs::workload {
 
-/// One task entry: `count` replicas of a (network, rate, stages, arrival)
-/// combination. Times are milliseconds in the JSON schema because frame
-/// budgets are naturally quoted that way.
-struct TaskEntrySpec {
-  std::string name = "task";
+/// One task entry: `count` replicas of a stream shape (fleet::StreamTemplate
+/// holds the fields; docs/scenario-format.md lists them). An entry's
+/// defaults differ from a template's: name "task", tier 0 (protected from
+/// shedding), and a negative phase_ms, meaning a seeded random phase.
+struct TaskEntrySpec : fleet::StreamTemplate {
+  TaskEntrySpec() {
+    name = "task";
+    phase_ms = -1.0;
+    tier = 0;
+  }
   int count = 1;
-  std::string network = "resnet18";
-  double fps = 30.0;
-  int num_stages = 6;
-  /// Relative deadline; 0 = implicit (deadline = period).
-  double deadline_ms = 0.0;
-  /// First-release offset; < 0 = seeded random phase in [0, period).
-  double phase_ms = -1.0;
-  rt::PriorityPolicy priority_policy = rt::PriorityPolicy::kLastStageHigh;
-  rt::ArrivalModel arrival = rt::ArrivalModel::kPeriodic;
-  /// Sporadic only. 0 = derive min from fps (1000/fps) and max as
-  /// 1.5 * min. Admission treats 1/min_separation as the worst-case rate.
-  double min_separation_ms = 0.0;
-  double max_separation_ms = 0.0;
-  /// Overload shed tier (fleet runs only): 0 = protected from
-  /// priority-aware load shedding. Initial task entries default to 0;
-  /// timeline templates default to 1.
-  int tier = 0;
-  /// Placement footprint overrides. < 0 (default) keeps the footprint the
-  /// profiler derives from the network; >= 0 pins memory (MiB) and/or
-  /// time-averaged resident warps explicitly.
-  double mem_mb = -1.0;
-  long long warps = -1;
 };
+
+/// Upper bound on a spec's initial stream count (task-entry replicas or
+/// generator tasks). The largest curated spec, diurnal_wave_10k, starts
+/// 10,000 streams; the bound leaves 10x headroom and turns a mistyped count
+/// into a field-path error instead of an allocation failure.
+inline constexpr std::int64_t kMaxInitialStreams = 100000;
 
 /// UUniFast task-set generator (workload/taskset.hpp), for capacity
 /// studies: `count` tasks whose utilizations sum to `total_utilization`.
@@ -127,23 +118,19 @@ ScenarioSpec load_scenario_spec(const std::string& path);
 /// already attached (specs built in memory set timeline->trace directly).
 void resolve_spec_trace(ScenarioSpec& spec, const std::string& spec_path);
 
-/// Semantic validation beyond parsing: entry counts, rates, separations,
-/// generator bounds, fleet shape. Throws SpecError with the field path.
+/// Semantic validation beyond parsing: entry counts, stream shapes,
+/// initial stream total, generator bounds, pool and fleet shape. Throws
+/// SpecError with the field path.
 void validate(const ScenarioSpec& spec);
 
-/// True when the spec lowers exactly onto ScenarioConfig's identical-task
-/// fast path (one periodic entry, jittered phases, implicit deadline): such
-/// specs run bit-identically to the hard-coded path.
-bool is_simple_spec(const ScenarioSpec& spec);
-
-/// The ScenarioConfig a run of this spec uses: base plus the task fields
-/// (num_tasks = total replica count; fps/stages/network from the single
-/// entry when the spec is simple).
+/// The ScenarioConfig a run of this spec uses: base plus num_tasks = the
+/// total initial stream count. The task fields (fps, stages, network) stay
+/// at their defaults; the spec's own task builder supplies the tasks.
 ScenarioConfig lower(const ScenarioSpec& spec);
 
-/// Task-set builder implementing the general (heterogeneous / sporadic /
-/// generated) path; exposed for tests and custom harnesses. The returned
-/// builder owns a copy of the spec, so it outlives the argument.
+/// The spec's task-set builder (explicit entries or the generator);
+/// exposed for tests and custom harnesses. The returned builder owns a
+/// copy of the spec, so it outlives the argument.
 TaskSetBuilder task_builder_for(const ScenarioSpec& spec);
 
 /// Same, with the generator seed overridden (replication runs and the
@@ -157,9 +144,6 @@ TaskSetBuilder task_builder_for(const ScenarioSpec& spec,
 /// name (churn retire targets match entry names exactly).
 const TaskEntrySpec* task_entry_for(const ScenarioSpec& spec,
                                     int task_index);
-
-/// Shed tier of initial task index `i` (0 for generator tasks).
-int task_tier_for(const ScenarioSpec& spec, int task_index);
 
 /// Result of running one spec: exactly one of the three result shapes is
 /// valid (single device, closed-world fleet, or the open-world fleet

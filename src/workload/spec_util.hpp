@@ -5,11 +5,14 @@
 // Internal detail namespace — not part of the workload API surface.
 #pragma once
 
+#include <cmath>
 #include <initializer_list>
 #include <limits>
 #include <string>
 
+#include "common/enum_names.hpp"
 #include "common/json.hpp"
+#include "common/time.hpp"
 #include "workload/spec_error.hpp"
 
 namespace sgprs::workload::specdet {
@@ -40,6 +43,13 @@ inline void check_keys(const common::JsonValue& obj,
       bad(path, "unknown key \"" + key + "\" (allowed: " + names + ")");
     }
   }
+}
+
+/// True when `seconds` converts to a SimTime (integer nanoseconds) without
+/// overflow: finite and strictly inside +-2^63 ns (about 292 years).
+inline bool fits_sim_time(double seconds) {
+  return std::isfinite(seconds) &&
+         std::abs(seconds) < common::SimTime::max().to_sec();
 }
 
 inline const common::JsonValue& require_object(const common::JsonValue& v,
@@ -80,6 +90,19 @@ inline int int_or(const common::JsonValue& obj, const char* key, int def,
   return static_cast<int>(n);
 }
 
+/// A duration in seconds, converted to SimTime; it must be finite and fit
+/// SimTime's range.
+inline common::SimTime seconds_or(const common::JsonValue& obj,
+                                  const char* key, common::SimTime def,
+                                  const std::string& path) {
+  const double s = num_or(obj, key, def.to_sec(), path);
+  if (!fits_sim_time(s)) {
+    bad(path + std::string(".") + key,
+        "must be finite and within SimTime range");
+  }
+  return common::SimTime::from_sec(s);
+}
+
 inline bool bool_or(const common::JsonValue& obj, const char* key, bool def,
                     const std::string& path) {
   const common::JsonValue* v = obj.find(key);
@@ -92,6 +115,18 @@ inline std::string str_or(const common::JsonValue& obj, const char* key,
   const common::JsonValue* v = obj.find(key);
   if (!v) return def;
   return get_field(key, path, [&] { return v->as_string(); });
+}
+
+/// Reads an enum by its name in `table`; an unknown name is an error that
+/// lists the alternatives ("unknown <what> "x" (want a|b)").
+template <typename E, std::size_t N>
+E enum_or(const common::JsonValue& obj, const char* key,
+          const common::EnumName<E> (&table)[N], E def, const char* what,
+          const std::string& path) {
+  const std::string name = str_or(obj, key, common::name_of(table, def), path);
+  if (const auto e = common::parse_name(table, name)) return *e;
+  bad(path + "." + key, std::string("unknown ") + what + " \"" + name +
+                            "\" (want " + common::names_of(table) + ")");
 }
 
 inline std::uint64_t seed_or(const common::JsonValue& obj, const char* key,

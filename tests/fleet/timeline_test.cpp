@@ -94,6 +94,22 @@ TEST(TimelineValidateTest, CatchesSemanticErrors) {
   } catch (const workload::SpecError& e) {
     EXPECT_EQ(e.path(), "spec.timeline.templates[0].fps");
   }
+  // Hostile numbers: a period below 1 ns, and a time past SimTime's range.
+  try {
+    spec = parse_tl(R"({ "templates": [ { "name": "a", "fps": 1e308 } ] })");
+    validate_timeline(spec, "spec.timeline");
+    FAIL() << "expected SpecError";
+  } catch (const workload::SpecError& e) {
+    EXPECT_EQ(e.path(), "spec.timeline.templates[0].fps");
+  }
+  try {
+    spec = parse_tl(
+        R"({ "templates": [ { "name": "a", "phase_ms": 1e300 } ] })");
+    validate_timeline(spec, "spec.timeline");
+    FAIL() << "expected SpecError";
+  } catch (const workload::SpecError& e) {
+    EXPECT_EQ(e.path(), "spec.timeline.templates[0].phase_ms");
+  }
 }
 
 TEST(FleetPolicyParseTest, FullSectionAndDefaults) {

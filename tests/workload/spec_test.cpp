@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <limits>
 
 namespace sgprs::workload {
 namespace {
@@ -167,6 +168,25 @@ TEST(SpecParse, SporadicFpsAndMinSeparationConflict) {
   EXPECT_NO_THROW(parse(R"({"tasks": [
     { "arrival": "sporadic", "min_separation_ms": 100 }
   ]})"));
+  // Templates accept both: recorded traces write the two together.
+  EXPECT_NO_THROW(validate(parse(R"({"timeline": {"templates": [
+    { "name": "b", "arrival": "sporadic", "fps": 60, "min_separation_ms": 100 }
+  ]}})")));
+}
+
+TEST(SpecParse, EntryAndTemplateDefaults) {
+  const TaskEntrySpec e;
+  EXPECT_EQ(e.name, "task");
+  EXPECT_EQ(e.tier, 0);
+  EXPECT_LT(e.phase_ms, 0.0) << "seeded random phase";
+  EXPECT_EQ(e.count, 1);
+  const fleet::StreamTemplate t;
+  EXPECT_EQ(t.name, "");
+  EXPECT_EQ(t.tier, 1);
+  EXPECT_EQ(t.phase_ms, 0.0);
+  // A template must be named; a task entry need not be.
+  EXPECT_THROW(parse(R"({"timeline": {"templates": [{}]}})"), SpecError);
+  EXPECT_EQ(parse(R"({"tasks": [{}]})").tasks[0].name, "task");
 }
 
 TEST(SpecParse, BadEnumsNameTheAlternatives) {
@@ -221,6 +241,30 @@ TEST(SpecValidate, TaskEntryRules) {
   bad.tasks[0].min_separation_ms = 50.0;
   bad.tasks[0].max_separation_ms = 20.0;
   EXPECT_THROW(validate(bad), SpecError);
+  // Hostile numbers fail with the field path instead of aborting later.
+  const auto path_of = [](const ScenarioSpec& s) {
+    try {
+      validate(s);
+    } catch (const SpecError& e) {
+      return e.path();
+    }
+    return std::string("<no error>");
+  };
+  bad = base;
+  bad.tasks[0].fps = 1e308;  // period below 1 ns
+  EXPECT_EQ(path_of(bad), "spec.tasks[0].fps");
+  bad = base;
+  bad.tasks[0].fps = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(path_of(bad), "spec.tasks[0].fps");
+  bad = base;
+  bad.tasks[0].deadline_ms = 1e300;  // past SimTime's range
+  EXPECT_EQ(path_of(bad), "spec.tasks[0].deadline_ms");
+  bad = base;
+  bad.tasks[0].count = 2000000000;
+  EXPECT_EQ(path_of(bad), "spec.tasks[0].count");
+  bad = base;
+  bad.tasks[1].count = static_cast<int>(kMaxInitialStreams);  // total too
+  EXPECT_EQ(path_of(bad), "spec.tasks[1].count");
 }
 
 TEST(SpecValidate, TasksXorGenerator) {
@@ -247,40 +291,34 @@ TEST(SpecValidate, BaseConfigErrorsSurfaceAsSpecErrors) {
   spec = parse(kTinyMixed);
   spec.base.admission_margin = 1.5;
   EXPECT_THROW(validate(spec), SpecError);
+  // Out-of-range sim times fail at parse, before they become SimTimes.
+  std::string doc = kTinyMixed;
+  doc.replace(doc.find("\"duration_s\": 0.6"), 17, "\"duration_s\": 1e308");
+  try {
+    parse(doc);
+    FAIL() << "expected SpecError";
+  } catch (const SpecError& e) {
+    EXPECT_EQ(e.path(), "spec.sim.duration_s") << e.what();
+  }
+  // Every context needs at least one SM.
+  spec = parse(kTinyMixed);
+  spec.base.num_contexts = 100000000;
+  try {
+    validate(spec);
+    FAIL() << "expected SpecError";
+  } catch (const SpecError& e) {
+    EXPECT_EQ(e.path(), "spec.pool.contexts") << e.what();
+  }
 }
 
 TEST(SpecLower, SumsReplicaCounts) {
   const auto spec = parse(kTinyMixed);
-  EXPECT_FALSE(is_simple_spec(spec)) << "two entries";
   EXPECT_EQ(lower(spec).num_tasks, 3);
 
   const auto gen = parse(R"({
     "generator": { "count": 5, "total_utilization": 1.0 }
   })");
   EXPECT_EQ(lower(gen).num_tasks, 5);
-}
-
-TEST(SpecLower, SimpleSpecFillsTaskFields) {
-  const auto spec = parse(R"({
-    "tasks": [ { "count": 7, "network": "mobilenet", "fps": 15, "stages": 4,
-                 "priority": "all_low" } ]
-  })");
-  EXPECT_TRUE(is_simple_spec(spec));
-  const auto cfg = lower(spec);
-  EXPECT_EQ(cfg.num_tasks, 7);
-  EXPECT_DOUBLE_EQ(cfg.fps, 15.0);
-  EXPECT_EQ(cfg.num_stages, 4);
-  EXPECT_EQ(cfg.priority_policy, rt::PriorityPolicy::kAllLow);
-  ASSERT_TRUE(cfg.network_builder);
-}
-
-TEST(SpecLower, ExplicitPhaseOrDeadlineLeavesFastPath) {
-  auto spec = parse(R"({"tasks": [ { "count": 2, "phase_ms": 0 } ]})");
-  EXPECT_FALSE(is_simple_spec(spec));
-  spec = parse(R"({"tasks": [ { "count": 2, "deadline_ms": 20 } ]})");
-  EXPECT_FALSE(is_simple_spec(spec));
-  spec = parse(R"({"tasks": [ { "count": 2, "arrival": "sporadic" } ]})");
-  EXPECT_FALSE(is_simple_spec(spec));
 }
 
 TEST(SpecBuilder, HeterogeneousTaskSet) {
@@ -313,6 +351,55 @@ TEST(SpecBuilder, SporadicFieldsAndWorstCasePeriod) {
   // Built at the worst-case rate: period == min_separation, so admission
   // and utilization math stay conservative.
   EXPECT_EQ(tasks[0].period, SimTime::from_ms(20));
+}
+
+TEST(SpecBuilder, TaskEntryAndTemplateBuildTheSameTask) {
+  // One sporadic shape with every field set, once as a task entry and once
+  // as a churn template. Only id, name and phase may differ.
+  const auto spec = parse(R"({
+    "sim": { "jitter_phases": true },
+    "tasks": [ { "name": "cam", "count": 2, "network": "lenet5", "stages": 3,
+                 "deadline_ms": 40, "priority": "all_high",
+                 "arrival": "sporadic", "min_separation_ms": 25,
+                 "max_separation_ms": 70, "tier": 2, "mem_mb": 300,
+                 "warps": 96 } ],
+    "timeline": { "templates": [
+      { "name": "cam_t", "network": "lenet5", "stages": 3, "deadline_ms": 40,
+        "priority": "all_high", "arrival": "sporadic",
+        "min_separation_ms": 25, "max_separation_ms": 70, "tier": 2,
+        "phase_ms": 5, "mem_mb": 300, "warps": 96 } ] }
+  })");
+  validate(spec);
+  const std::vector<int> pools = {34, 51};
+  const auto entries = task_builder_for(spec)(lower(spec), pools);
+  const rt::Task tmpl = fleet::build_stream_task(spec.timeline->templates[0],
+                                                 spec.base.device, pools);
+  ASSERT_EQ(entries.size(), 2u);
+  EXPECT_EQ(tmpl.phase, SimTime::from_ms(5));
+  for (const rt::Task& t : entries) {
+    EXPECT_EQ(t.network->name(), tmpl.network->name());
+    EXPECT_EQ(t.period, tmpl.period);
+    EXPECT_EQ(t.period, SimTime::from_ms(25)) << "worst-case rate";
+    EXPECT_EQ(t.deadline, tmpl.deadline);
+    EXPECT_EQ(t.arrival, tmpl.arrival);
+    EXPECT_EQ(t.min_separation, tmpl.min_separation);
+    EXPECT_EQ(t.max_separation, tmpl.max_separation);
+    EXPECT_EQ(t.mem_bytes, tmpl.mem_bytes);
+    EXPECT_EQ(t.mem_bytes, 300LL * 1048576);
+    EXPECT_EQ(t.warps, tmpl.warps);
+    EXPECT_EQ(t.warps, 96);
+    ASSERT_EQ(t.stage_count(), tmpl.stage_count());
+    for (int i = 0; i < t.stage_count(); ++i) {
+      EXPECT_EQ(t.stages[i].nodes, tmpl.stages[i].nodes);
+      EXPECT_EQ(t.stages[i].base_priority, tmpl.stages[i].base_priority);
+      EXPECT_EQ(t.stages[i].virtual_deadline_offset,
+                tmpl.stages[i].virtual_deadline_offset);
+    }
+    EXPECT_EQ(t.wcet.per_stage, tmpl.wcet.per_stage);
+    EXPECT_EQ(t.wcet.total, tmpl.wcet.total);
+  }
+  EXPECT_EQ(entries[1].id, 1);
+  EXPECT_EQ(entries[1].name, "cam1");
 }
 
 TEST(SpecRun, HeterogeneousSpecRuns) {
@@ -381,8 +468,9 @@ TEST(SpecPin, PaperScenario1BitIdenticalToHardCodedPath) {
   const auto spec = load_scenario_spec(std::string(SGPRS_SOURCE_DIR) +
                                        "/scenarios/paper_scenario1.json");
   EXPECT_EQ(spec.name, "paper_scenario1");
-  ASSERT_TRUE(is_simple_spec(spec))
-      << "the pin scenario must lower onto the identical-task fast path";
+  // Two different builders must agree: the spec's entry builder
+  // (fleet::build_stream_task, cloned per replica) and the default
+  // identical-task builder run_scenario uses without one.
   const auto via_spec = run_spec(spec);
 
   // The hard-coded Scenario 1 operating point (bench figure_base(2) at
