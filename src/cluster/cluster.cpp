@@ -1,6 +1,8 @@
 #include "cluster/cluster.hpp"
 
 #include <algorithm>
+#include <exception>
+#include <future>
 
 #include "common/check.hpp"
 #include "rt/analysis.hpp"
@@ -26,8 +28,17 @@ std::vector<int> pool_sm_sizes_for(const gpu::DeviceSpec& spec,
 
 Cluster::Cluster(sim::Engine& engine, metrics::Collector& collector,
                  const ClusterConfig& cfg)
-    : engine_(engine), collector_(collector), cfg_(cfg) {
+    : collector_(collector), cfg_(cfg) {
   SGPRS_CHECK_MSG(!cfg_.devices.empty(), "cluster needs at least one device");
+  SGPRS_CHECK_MSG(cfg_.shards >= 1, "shards must be >= 1");
+  engines_.push_back(&engine);
+  for (int s = 1; s < cfg_.shards; ++s) {
+    owned_engines_.push_back(std::make_unique<sim::Engine>());
+    engines_.push_back(owned_engines_.back().get());
+  }
+  if (cfg_.shards > 1) {
+    pool_ = std::make_unique<common::ThreadPool>(cfg_.shards - 1);
+  }
 
   std::vector<PlacerDevice> placer_devices;
   for (const auto& spec : cfg_.devices) {
@@ -42,11 +53,10 @@ Cluster::Cluster(sim::Engine& engine, metrics::Collector& collector,
 Cluster::Device Cluster::make_device(const gpu::DeviceSpec& spec, int index) {
   Device dev;
   dev.spec = spec;
-  // The fleet runtime routes each device's whole event/metrics surface
-  // (executor, runner, scheduler collector) onto its shard; closed-world
-  // runs share the constructor's engine and collector.
-  sim::Engine& engine = engine_of(index);
-  metrics::Collector& collector = collector_of(index);
+  // The device's whole event surface (executor, runner) lives on its
+  // shard's calendar, and its metrics on a collector of its own.
+  sim::Engine& engine = device_engine(index);
+  metrics::Collector& collector = collectors_.emplace_back(collector_.warmup());
   dev.exec = std::make_unique<gpu::Executor>(
       engine, spec, gpu::SpeedupModel::rtx2080ti(), cfg_.sharing);
   dev.pool = std::make_unique<gpu::ContextPool>(*dev.exec, cfg_.pool);
@@ -61,9 +71,10 @@ Cluster::Device Cluster::make_device(const gpu::DeviceSpec& spec, int index) {
           *dev.exec, *dev.pool, collector, cfg_.naive);
       break;
   }
-  dev.scheduler = cfg_.wrap_scheduler
-                      ? cfg_.wrap_scheduler(std::move(scheduler), index)
-                      : std::move(scheduler);
+  dev.scheduler =
+      cfg_.wrap_scheduler
+          ? cfg_.wrap_scheduler(std::move(scheduler), index, collector)
+          : std::move(scheduler);
   if (cfg_.tracer_for) {
     if (auto* tracer = cfg_.tracer_for(index)) {
       dev.scheduler->set_tracer(tracer);
@@ -99,7 +110,7 @@ int Cluster::add_device(const gpu::DeviceSpec& spec, bool active) {
   Device& dev = devices_.back();
   placer_->add_device(placer_device_for(spec, dev), active);
   if (started_) {
-    dev.runner = std::make_unique<rt::Runner>(engine_of(index),
+    dev.runner = std::make_unique<rt::Runner>(device_engine(index),
                                               *dev.scheduler, rcfg_);
     dev.runner->start();
   }
@@ -139,10 +150,59 @@ void Cluster::start(const rt::RunnerConfig& rcfg) {
   for (int i = 0; i < num_devices(); ++i) {
     Device& dev = devices_[i];
     dev.runner =
-        std::make_unique<rt::Runner>(engine_of(i), *dev.scheduler, rcfg);
+        std::make_unique<rt::Runner>(device_engine(i), *dev.scheduler, rcfg);
     for (const auto& t : dev.tasks) dev.runner->add_task(t);
     dev.runner->start();
   }
+}
+
+void Cluster::run_until(SimTime t) {
+  std::vector<std::future<void>> joined;
+  joined.reserve(engines_.size() - 1);
+  for (std::size_t s = 1; s < engines_.size(); ++s) {
+    sim::Engine* e = engines_[s];
+    joined.push_back(pool_->submit([e, t] { e->run_until(t); }));
+  }
+  // Barrier: every shard reaches `t` before the first throw propagates.
+  std::exception_ptr error;
+  try {
+    engines_[0]->run_until(t);
+  } catch (...) {
+    error = std::current_exception();
+  }
+  for (auto& f : joined) {
+    try {
+      f.get();
+    } catch (...) {
+      if (!error) error = std::current_exception();
+    }
+  }
+  if (error) std::rethrow_exception(error);
+}
+
+void Cluster::reduce() {
+  // Canonical order, independent of shard count and thread scheduling;
+  // merge_from leaves each source empty, so no second copy of the per-task
+  // state is held.
+  for (auto& col : collectors_) collector_.merge_from(std::move(col));
+}
+
+metrics::TaskCounters Cluster::total_counts() const {
+  metrics::TaskCounters total;
+  for (const auto& col : collectors_) {
+    const metrics::TaskCounters c = col.total_counts();
+    total.released += c.released;
+    total.dropped += c.dropped;
+    total.on_time += c.on_time;
+    total.late += c.late;
+  }
+  return total;
+}
+
+std::size_t Cluster::events_processed() const {
+  std::size_t total = 0;
+  for (const sim::Engine* e : engines_) total += e->processed_count();
+  return total;
 }
 
 const rt::Task& Cluster::admit_task(int i, rt::Task task) {

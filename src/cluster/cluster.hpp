@@ -2,14 +2,15 @@
 // ContextPool and per-device scheduler (SGPRS or naive), fronted by a
 // Placer that assigns admitted tasks to devices. This is the only code that
 // wires a device together; every run (single-GPU, closed-world fleet, the
-// fleet runtime) goes through it. By default the devices share one engine
-// and one Collector (task ids are globally unique), so per-device metrics
-// are subset aggregations and the fleet aggregate is exact; the fleet
-// runtime reroutes both per device (ClusterConfig::engine_for /
-// collector_for).
+// fleet runtime) goes through it, with one device layout
+// (docs/sharding.md): device i runs on shard i % shards, each shard an
+// event calendar of its own, and records into a collector of its own.
+// reduce() folds the per-device collectors, in device-index order, into
+// the constructor's collector, so per-device metrics are subset
+// aggregations and the fleet aggregate is exact at any shard count.
 //
 // Closed-world lifecycle: construct → place(tasks) → start(cfg) →
-// engine.run_until(T) → fleet_report(T).
+// run_until(T) → reduce() → fleet_report(T).
 //
 // Open-world surface (the fleet runtime, src/fleet/): add_device() grows
 // the fleet mid-run, set_device_active() gates placement for warm-up and
@@ -26,6 +27,8 @@
 #include <vector>
 
 #include "cluster/placer.hpp"
+#include "common/check.hpp"
+#include "common/thread_pool.hpp"
 #include "gpu/context_pool.hpp"
 #include "gpu/device.hpp"
 #include "gpu/executor.hpp"
@@ -62,20 +65,19 @@ struct ClusterConfig {
   rt::SgprsConfig sgprs;
   rt::NaiveConfig naive;
   gpu::SharingParams sharing;
+  /// Event calendars the devices are partitioned onto (docs/sharding.md):
+  /// device i runs on shard i % shards. Shard 0 is the constructor's
+  /// engine and runs on the calling thread; the cluster owns shards
+  /// 1..N-1 and a pool of N-1 threads to run them. Any count gives
+  /// byte-identical results; only wall-clock changes.
+  int shards = 1;
   /// Optional decorator applied to every per-device scheduler as it is
-  /// created (the fleet overload guard). Absent = schedulers run bare.
+  /// created (the fleet overload guard), given the device's collector.
+  /// Absent = schedulers run bare.
   std::function<std::unique_ptr<rt::Scheduler>(
-      std::unique_ptr<rt::Scheduler> inner, int device_index)>
+      std::unique_ptr<rt::Scheduler> inner, int device_index,
+      metrics::Collector& collector)>
       wrap_scheduler;
-  /// Fleet-runtime hooks (docs/sharding.md): route a device's executor,
-  /// runner and event calendar onto its shard's engine, and its metrics
-  /// onto a per-device collector that the runtime folds into the
-  /// constructor's collector at the end of the run. Absent = every device
-  /// shares the constructor's engine/collector (the closed-world runs).
-  /// Both must be stable for the cluster's lifetime and consistent per
-  /// index.
-  std::function<sim::Engine&(int device_index)> engine_for;
-  std::function<metrics::Collector&(int device_index)> collector_for;
   /// Optional execution-span tracer per device (src/obs/span.hpp,
   /// --trace-spans). Called once as each device's scheduler stack is
   /// created; returning nullptr leaves that device untraced. The tracer
@@ -83,6 +85,17 @@ struct ClusterConfig {
   /// one null check per scheduler hook).
   std::function<obs::JobTracer*(int device_index)> tracer_for;
 };
+
+/// Shard owning device `device_index` in a `num_shards`-way partition:
+/// round-robin by construction index, a pure function of the two, never
+/// of admission order, placement outcomes or thread scheduling. Devices
+/// the autoscaler adds land on rotating shards, keeping the partition
+/// balanced under growth without ever re-homing an existing device.
+inline int shard_of(int device_index, int num_shards) {
+  SGPRS_CHECK(device_index >= 0);
+  SGPRS_CHECK(num_shards >= 1);
+  return device_index % num_shards;
+}
 
 /// Context SM sizes one device of `spec` would expose under `pool`,
 /// first-seen order — so task WCETs can be profiled for devices the
@@ -107,7 +120,9 @@ class Cluster {
   };
 
   /// Creates every device's executor, pool and scheduler up front (the
-  /// SGPRS zero-runtime-reconfiguration property, fleet-wide).
+  /// SGPRS zero-runtime-reconfiguration property, fleet-wide). `engine` is
+  /// shard 0; `collector` receives the reduced metrics and sets the
+  /// warm-up window of every per-device collector.
   Cluster(sim::Engine& engine, metrics::Collector& collector,
           const ClusterConfig& cfg);
 
@@ -129,9 +144,27 @@ class Cluster {
   const std::vector<bool>& rejected_oom() const { return rejected_oom_; }
 
   /// Arms periodic releases on every device (admits tasks into the
-  /// per-device schedulers). Call once after place(); then run the engine.
+  /// per-device schedulers). Call once after place(); then run_until().
   void start(const rt::RunnerConfig& rcfg);
   bool started() const { return started_; }
+
+  /// Runs every shard's device events up to and including `t`: shard 0 on
+  /// the calling thread, the rest in parallel on the pool. A barrier:
+  /// every shard reaches `t` before the first exception propagates.
+  void run_until(SimTime t);
+
+  /// Folds every per-device collector, in device-index order, into the
+  /// constructor's collector and leaves them empty. Call once the run is
+  /// over, before reading device_report()/fleet_report().
+  void reduce();
+
+  /// Job counters summed over the per-device collectors (integer sums,
+  /// so order- and shard-count-invariant). Reads the run so far; call
+  /// before reduce().
+  metrics::TaskCounters total_counts() const;
+
+  /// Events fired on every shard calendar.
+  std::size_t events_processed() const;
 
   // --- Open-world (fleet runtime) surface ---
 
@@ -174,10 +207,9 @@ class Cluster {
   }
 
   /// Per-device metrics over [collector.warmup(), end] read from the
-  /// constructor's collector; utilization over the whole run [0, end].
-  /// The fleet runtime calls this after folding every per-device collector
-  /// into that collector, so a re-placed stream's whole history (which may
-  /// span devices and shards) is attributed to its final home.
+  /// constructor's collector after reduce(); utilization over the whole
+  /// run [0, end]. A re-placed stream's whole history (which may span
+  /// devices and shards) is attributed to its final home.
   metrics::DeviceReport device_report(int i, SimTime end) const;
   metrics::FleetReport fleet_report(SimTime end) const;
 
@@ -190,16 +222,18 @@ class Cluster {
   PlacerDevice placer_device_for(const gpu::DeviceSpec& spec,
                                  const Device& dev) const;
   Device make_device(const gpu::DeviceSpec& spec, int index);
-  sim::Engine& engine_of(int index) {
-    return cfg_.engine_for ? cfg_.engine_for(index) : engine_;
-  }
-  metrics::Collector& collector_of(int index) {
-    return cfg_.collector_for ? cfg_.collector_for(index) : collector_;
+  /// Shard calendar owning device `index`.
+  sim::Engine& device_engine(int index) {
+    return *engines_[shard_of(index, cfg_.shards)];
   }
 
-  sim::Engine& engine_;
   metrics::Collector& collector_;
   ClusterConfig cfg_;
+  /// engines_[0] is the constructor's engine, the rest are owned_engines_.
+  std::vector<sim::Engine*> engines_;
+  std::vector<std::unique_ptr<sim::Engine>> owned_engines_;
+  std::unique_ptr<common::ThreadPool> pool_;  // shards 1..N-1; null at 1
+  std::deque<metrics::Collector> collectors_;  // one per device
   std::deque<Device> devices_;  // stable addresses under add_device
   std::unique_ptr<Placer> placer_;
   std::vector<rt::Task> rejected_;

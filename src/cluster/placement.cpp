@@ -6,12 +6,6 @@
 
 namespace sgprs::cluster {
 
-namespace {
-/// Upper bound on a parsed fleet size: far above any simulated deployment,
-/// low enough that a typo'd count fails fast instead of allocating GBs.
-constexpr long kMaxFleetSize = 4096;
-}  // namespace
-
 const char* to_string(PlacementPolicy p) {
   return common::name_of(kPlacementPolicyNames, p);
 }
@@ -41,7 +35,7 @@ std::optional<std::vector<gpu::DeviceSpec>> parse_fleet(
     char* end = nullptr;
     const long n = std::strtol(spec.c_str(), &end, 10);
     if (errno != 0 || end != spec.c_str() + spec.size() || n < 1 ||
-        n > kMaxFleetSize) {
+        n > kMaxFleetDevices) {
       return std::nullopt;
     }
     return std::vector<gpu::DeviceSpec>(static_cast<std::size_t>(n),

@@ -46,6 +46,13 @@ inline constexpr common::EnumName<PlacementPolicy> kPlacementPolicyNames[] = {
     {PlacementPolicy::kWorstFit, "worstfit"},
     {PlacementPolicy::kHashAffinity, "hash"}};
 
+/// Upper bound on a fleet's device count, for every input that sizes one
+/// (--devices, a spec's fleet.devices, the autoscaler's max_devices). The
+/// largest curated fleet, diurnal_wave_10k, has 10,000 devices; the bound
+/// leaves 10x headroom (each device costs tens of KiB) and turns a
+/// mistyped count into an error instead of an allocation failure.
+inline constexpr int kMaxFleetDevices = 100000;
+
 const char* to_string(PlacementPolicy p);
 
 /// All accepted names, pipe-separated (for --help text).
@@ -57,7 +64,7 @@ std::optional<PlacementPolicy> parse_placement_policy(
 
 /// Parses a CLI fleet description: either a device count ("4" = four
 /// 2080 Ti) or a comma-separated list of device names ("2080ti,3090").
-/// std::nullopt on unknown names or a non-positive count.
+/// std::nullopt on unknown names or a count outside 1..kMaxFleetDevices.
 std::optional<std::vector<gpu::DeviceSpec>> parse_fleet(
     const std::string& spec);
 

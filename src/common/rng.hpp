@@ -36,8 +36,7 @@ inline std::uint64_t stream_seed(std::uint64_t base, int stream_id) {
 /// Two-key seed derivation for draws indexed by an (entity, occurrence)
 /// pair — e.g. the fault process keys on (device, incident). Two splitmix64
 /// steps give full-avalanche separation, so unlike chaining the affine
-/// 2-arg form, (a, b) and (b, a) never share a seed. The fleet layer's
-/// shard_stream_seed delegates here, which pins the formula.
+/// 2-arg form, (a, b) and (b, a) never share a seed.
 inline std::uint64_t stream_seed(std::uint64_t base, int a, int b) {
   std::uint64_t state =
       stream_seed(base, a) +

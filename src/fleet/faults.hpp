@@ -100,7 +100,7 @@ void validate_fault_spec(const FaultSpec& spec, const std::string& path);
 /// The deterministic draw core of the stochastic process and the retry
 /// jitter. Stateless per call: every draw builds a fresh rng from a
 /// splitmix-avalanched (base, key-a, key-b) seed, so a draw depends only on
-/// its keys — rule 2 of the sharding contract (src/fleet/sharding.hpp).
+/// its keys, never on shard or event order (docs/sharding.md).
 class FaultEngine {
  public:
   /// `sim_seed` is mixed into the base exactly like the churn rng mixes the

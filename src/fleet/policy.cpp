@@ -1,5 +1,7 @@
 #include "fleet/policy.hpp"
 
+#include "cluster/placement.hpp"
+#include "fleet/timeline.hpp"
 #include "gpu/device.hpp"
 #include "workload/spec_util.hpp"
 
@@ -116,12 +118,25 @@ FleetPolicySpec parse_fleet_policy(const common::JsonValue& v,
 }
 
 void validate_fleet_policy(const FleetPolicySpec& spec,
-                           const std::string& path) {
+                           const std::string& path, common::SimTime horizon) {
+  // A periodic control source firing every `period_ms` over the horizon.
+  const auto check_period = [&](const std::string& p, double period_ms) {
+    if (horizon.to_ms() / period_ms >
+        static_cast<double>(kMaxControlInstants)) {
+      bad(p, "fires more than " + std::to_string(kMaxControlInstants) +
+                 " times over the run (kMaxControlInstants)");
+    }
+  };
   const auto& a = spec.autoscaler;
   const std::string ap = path + ".autoscaler";
   if (a.min_devices < 1) bad(ap + ".min_devices", "must be >= 1");
   if (a.max_devices < a.min_devices) {
     bad(ap + ".max_devices", "must be >= min_devices");
+  }
+  if (a.max_devices > cluster::kMaxFleetDevices) {
+    bad(ap + ".max_devices",
+        "must be <= " + std::to_string(cluster::kMaxFleetDevices) +
+            " (kMaxFleetDevices)");
   }
   if (a.scale_up_threshold <= 0.0 || a.scale_up_threshold > 2.0) {
     bad(ap + ".scale_up_threshold", "must be in (0, 2]");
@@ -137,6 +152,10 @@ void validate_fleet_policy(const FleetPolicySpec& spec,
   if (a.tick_ms <= 0.0) bad(ap + ".tick_ms", "must be > 0");
   if (a.warmup_ms < 0.0) bad(ap + ".warmup_ms", "must be >= 0");
   if (a.cooldown_ms < 0.0) bad(ap + ".cooldown_ms", "must be >= 0");
+  check_times(ap, {{"tick_ms", a.tick_ms / 1000.0},
+                   {"warmup_ms", a.warmup_ms / 1000.0},
+                   {"cooldown_ms", a.cooldown_ms / 1000.0}});
+  check_period(ap + ".tick_ms", a.tick_ms);
   if (!a.device.empty() && !gpu::device_by_name(a.device)) {
     bad(ap + ".device", "unknown device \"" + a.device + "\" (want " +
                             gpu::device_names() + ")");
@@ -151,6 +170,8 @@ void validate_fleet_policy(const FleetPolicySpec& spec,
   if (spec.series_window_ms <= 0.0) {
     bad(path + ".series_window_ms", "must be > 0");
   }
+  check_times(path, {{"series_window_ms", spec.series_window_ms / 1000.0}});
+  check_period(path + ".series_window_ms", spec.series_window_ms);
 }
 
 }  // namespace sgprs::fleet

@@ -27,6 +27,7 @@
 
 #include "common/enum_names.hpp"
 #include "common/json.hpp"
+#include "common/time.hpp"
 
 namespace sgprs::fleet {
 
@@ -118,8 +119,12 @@ std::unique_ptr<AutoscalerPolicy> make_autoscaler(AutoscalePolicyKind kind);
 FleetPolicySpec parse_fleet_policy(const common::JsonValue& v,
                                    const std::string& path);
 
-/// Semantic validation (bounds, thresholds, known device names).
+/// Semantic validation (bounds, thresholds, known device names, times
+/// finite and within SimTime range). The series sampler and the autoscaler
+/// tick fire at most kMaxControlInstants times over the run `horizon`; a
+/// zero horizon leaves them unbounded.
 void validate_fleet_policy(const FleetPolicySpec& spec,
-                           const std::string& path);
+                           const std::string& path,
+                           common::SimTime horizon = common::SimTime::zero());
 
 }  // namespace sgprs::fleet

@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <deque>
-#include <exception>
-#include <future>
 #include <map>
 #include <memory>
 #include <optional>
@@ -16,10 +13,8 @@
 #include "common/check.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
-#include "common/thread_pool.hpp"
 #include "fleet/faults.hpp"
 #include "fleet/overload_guard.hpp"
-#include "fleet/sharding.hpp"
 #include "gpu/device.hpp"
 #include "obs/instruments.hpp"
 #include "obs/profiler.hpp"
@@ -81,17 +76,6 @@ class FleetRuntime {
     cfg_.seed = seeds.sim;
     workload::validate(cfg_);
     generator_seed_ = seeds.generator;
-    // One calendar per shard plus the control-plane calendar (engine_).
-    // Devices map onto shards by index (shard_of). The calling thread runs
-    // shard 0 and the pool the rest, so every shard segment runs in one
-    // parallel wave — and a one-shard run needs no pool at all.
-    shard_engines_.reserve(cfg_.shards);
-    for (int s = 0; s < cfg_.shards; ++s) {
-      shard_engines_.push_back(std::make_unique<sim::Engine>());
-    }
-    if (cfg_.shards > 1) {
-      shard_pool_ = std::make_unique<common::ThreadPool>(cfg_.shards - 1);
-    }
     // Churn rng: timeline seed mixed with the sim seed, so experiment
     // replications decorrelate while a fixed (spec, seeds) pair replays
     // byte-identically.
@@ -142,33 +126,24 @@ class FleetRuntime {
  private:
   // --- epoch loop (docs/sharding.md) ---------------------------------
 
-  /// The per-device collector device `index`'s metrics go to (grown on
-  /// demand; deque keeps addresses stable as the autoscaler adds devices).
-  metrics::Collector& device_collector(int index) {
-    while (static_cast<int>(device_collectors_.size()) <= index) {
-      device_collectors_.emplace_back(cfg_.warmup);
-    }
-    return device_collectors_[index];
-  }
-
-  sim::Engine& shard_engine(int device_index) {
-    return *shard_engines_[shard_of(device_index, cfg_.shards)];
-  }
-
   /// Epoch-barrier loop, the one execution path at every shard count. Each
-  /// iteration is one epoch: every shard engine runs its device events up
-  /// to the next control-plane instant (shard 0 on this thread, the rest in
-  /// parallel on the pool), then the control engine runs that instant's
-  /// events serially. Control handlers schedule onto the paused shard
-  /// engines (admission release arming, retire cancels); those land in
-  /// each engine's staging buffer and are ingested by MinHeap::merge_from
-  /// when its shard resumes — the cross-shard handoff batch, ordered by
-  /// (epoch, source shard, per-shard schedule sequence).
+  /// iteration is one epoch: the cluster runs every shard's device events
+  /// up to the next control-plane instant (Cluster::run_until), then the
+  /// control engine runs that instant's events serially. Control handlers
+  /// schedule onto the paused shard engines (admission release arming,
+  /// retire cancels); those land in each engine's staging buffer and are
+  /// ingested by MinHeap::merge_from when its shard resumes — the
+  /// cross-shard handoff batch, ordered by (epoch, source shard, per-shard
+  /// schedule sequence).
   void run_epochs() {
     for (;;) {
       const SimTime tc = engine_.next_event_time();
       const bool has_control = tc <= cfg_.duration;
-      run_shards_until(has_control ? tc : cfg_.duration);
+      {
+        obs::PhaseProfiler::Scope wave(
+            prof_, obs::PhaseProfiler::Phase::kShardPhase);
+        cluster_->run_until(has_control ? tc : cfg_.duration);
+      }
       if (!has_control) break;
       obs::PhaseProfiler::Scope ctl(
           prof_, obs::PhaseProfiler::Phase::kControlPhase);
@@ -177,62 +152,17 @@ class FleetRuntime {
     engine_.run_until(cfg_.duration);  // idle control calendar: advance now
   }
 
-  void run_shards_until(SimTime t) {
-    obs::PhaseProfiler::Scope wave(prof_,
-                                   obs::PhaseProfiler::Phase::kShardPhase);
-    std::vector<std::future<void>> joined;
-    joined.reserve(shard_engines_.size() - 1);
-    for (std::size_t s = 1; s < shard_engines_.size(); ++s) {
-      sim::Engine* e = shard_engines_[s].get();
-      joined.push_back(shard_pool_->submit([e, t] { e->run_until(t); }));
-    }
-    // Barrier: every shard reaches `t` before the first throw propagates.
-    std::exception_ptr error;
-    try {
-      shard_engines_[0]->run_until(t);
-    } catch (...) {
-      error = std::current_exception();
-    }
-    for (auto& f : joined) {
-      try {
-        f.get();
-      } catch (...) {
-        if (!error) error = std::current_exception();
-      }
-    }
-    if (error) std::rethrow_exception(error);
-  }
-
-  /// Fleet-wide job counters: the per-device sum (integer sums, so the
-  /// total is order- and shard-count-invariant).
-  metrics::TaskCounters total_counts() const {
-    metrics::TaskCounters total;
-    for (const auto& col : device_collectors_) {
-      const metrics::TaskCounters c = col.total_counts();
-      total.released += c.released;
-      total.dropped += c.dropped;
-      total.on_time += c.on_time;
-      total.late += c.late;
-    }
-    return total;
-  }
-
   // --- setup ---------------------------------------------------------
 
   void build_cluster() {
     cluster::ClusterConfig ccfg = workload::cluster_config_for(cfg_);
     ccfg.wrap_scheduler = [this](std::unique_ptr<rt::Scheduler> inner,
-                                 int device_index) {
+                                 int device_index,
+                                 metrics::Collector& collector) {
       DeviceOverload& dev = overload_.device(device_index);
-      dev.collector = &device_collector(device_index);
+      dev.collector = &collector;
       return std::make_unique<OverloadGuard>(std::move(inner), device_index,
                                              &overload_, &dev);
-    };
-    ccfg.engine_for = [this](int device_index) -> sim::Engine& {
-      return shard_engine(device_index);
-    };
-    ccfg.collector_for = [this](int device_index) -> metrics::Collector& {
-      return device_collector(device_index);
     };
     if (sink_) {
       // Per-device buffers: each is written only by its device's shard
@@ -241,7 +171,7 @@ class FleetRuntime {
         return &sink_->device_tracer(device_index);
       };
     }
-    cluster_ = std::make_unique<cluster::Cluster>(engine_, reduced_, ccfg);
+    cluster_ = std::make_unique<cluster::Cluster>(shard0_, reduced_, ccfg);
 
     // The scenario-wide memory cap applies to autoscaled devices too, so a
     // memory-constrained fleet cannot scale its way past the budget.
@@ -1109,7 +1039,7 @@ class FleetRuntime {
     // Counts only — a full aggregate() would merge and sort every latency
     // sample recorded so far just to throw the percentiles away, turning
     // per-window sampling quadratic in run length.
-    const metrics::TaskCounters c = total_counts();
+    const metrics::TaskCounters c = cluster_->total_counts();
 
     metrics::TimeSample s;
     s.t = now;
@@ -1188,15 +1118,12 @@ class FleetRuntime {
     }
     result_.name = spec_.name;
     {
-      // Canonical reduction: fold the per-device collectors in device-index
-      // order into the cluster's collector, releasing each as it goes (no
-      // second copy of the per-task state), then report from it — so a
-      // re-placed stream's whole (possibly cross-shard) history is
-      // attributed to its final home at any shard count.
+      // Report from the reduced collector, so a re-placed stream's whole
+      // (possibly cross-shard) history is attributed to its final home at
+      // any shard count.
       obs::PhaseProfiler::Scope reduce(
           prof_, obs::PhaseProfiler::Phase::kCollectorReduce);
-      for (auto& col : device_collectors_) reduced_.merge_from(std::move(col));
-      device_collectors_.clear();
+      cluster_->reduce();
     }
     result_.fleet = cluster_->fleet_report(cfg_.duration);
     // The per-device rollup double-counts nothing (moved-away ids are
@@ -1210,9 +1137,8 @@ class FleetRuntime {
     result_.releases = cluster_->releases_issued();
     result_.stage_migrations = cluster_->stage_migrations();
     result_.medium_promotions = cluster_->medium_promotions();
-    std::size_t events = engine_.processed_count();
-    for (const auto& eng : shard_engines_) events += eng->processed_count();
-    result_.sim_events = static_cast<double>(events);
+    result_.sim_events = static_cast<double>(engine_.processed_count() +
+                                             cluster_->events_processed());
     result_.jobs_shed = overload_.total_jobs_shed();
     result_.recovery_p50_s = recovery_.p50();
     result_.recovery_p99_s = recovery_.p99();
@@ -1229,12 +1155,10 @@ class FleetRuntime {
   std::uint64_t generator_seed_ = 0;
 
   sim::Engine engine_;  // control plane
-  std::vector<std::unique_ptr<sim::Engine>> shard_engines_;
-  std::deque<metrics::Collector> device_collectors_;
+  sim::Engine shard0_;  // the cluster's shard 0
   /// Every device collector folded together at the end of the run; the
   /// cluster's reports read it.
   metrics::Collector reduced_;
-  std::unique_ptr<common::ThreadPool> shard_pool_;  // shards 1..N-1
 
   std::unique_ptr<cluster::Cluster> cluster_;
   std::unique_ptr<AutoscalerPolicy> autoscaler_;

@@ -26,13 +26,12 @@
 // experiment fan-outs of the same spec are byte-identical (pinned by
 // tests/fleet/fleet_determinism_test.cpp).
 //
-// Execution (docs/sharding.md): devices are partitioned onto sim.shards
-// per-shard engines (device_index % shards) that execute between epoch
-// barriers at control-plane instants — shard 0 on the calling thread, the
-// rest in parallel on a pool; per-device collectors are reduced
-// canonically at the end of the run. Every shard count runs this one
-// loop, and any shard count produces byte-identical reports, series and
-// traces (pinned by tests/sim/shard_determinism_test.cpp).
+// Execution (docs/sharding.md): the runtime keeps only the control plane.
+// cluster::Cluster owns the device side — sim.shards event calendars and
+// one collector per device — and runs the shards between epoch barriers at
+// control-plane instants. Every shard count runs this one loop, and any
+// shard count produces byte-identical reports, series and traces (pinned
+// by tests/sim/shard_determinism_test.cpp).
 #pragma once
 
 #include "fleet/report.hpp"

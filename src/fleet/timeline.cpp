@@ -1,5 +1,6 @@
 #include "fleet/timeline.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <utility>
 
@@ -76,16 +77,10 @@ void parse_stream(const common::JsonValue& v, const std::string& path,
 
 void validate_stream(const StreamTemplate& s, const std::string& path,
                      StreamRole role) {
-  const std::pair<const char*, double> times_ms[] = {
-      {"deadline_ms", s.deadline_ms},
-      {"phase_ms", s.phase_ms},
-      {"min_separation_ms", s.min_separation_ms},
-      {"max_separation_ms", s.max_separation_ms}};
-  for (const auto& [key, ms] : times_ms) {
-    if (!fits_sim_time(ms / 1000.0)) {
-      bad(path + "." + key, "must be finite and within SimTime range");
-    }
-  }
+  check_times(path, {{"deadline_ms", s.deadline_ms / 1000.0},
+                     {"phase_ms", s.phase_ms / 1000.0},
+                     {"min_separation_ms", s.min_separation_ms / 1000.0},
+                     {"max_separation_ms", s.max_separation_ms / 1000.0}});
   // mem_mb becomes an int64 byte count.
   if (!(std::abs(s.mem_mb) < 8e12)) {
     bad(path + ".mem_mb", "must be finite and below 8e12 MiB");
@@ -289,7 +284,8 @@ const StreamTemplate* find_template(const TimelineSpec& spec,
   return nullptr;
 }
 
-void validate_timeline(const TimelineSpec& spec, const std::string& path) {
+void validate_timeline(const TimelineSpec& spec, const std::string& path,
+                       SimTime horizon) {
   if ((!spec.trace_path.empty() || spec.trace != nullptr) &&
       (!spec.templates.empty() || !spec.events.empty() ||
        !spec.arrivals.empty())) {
@@ -299,15 +295,40 @@ void validate_timeline(const TimelineSpec& spec, const std::string& path) {
   }
   validate_templates(spec.templates, path);
 
+  const double horizon_s = horizon.to_sec();
   for (std::size_t i = 0; i < spec.events.size(); ++i) {
     const auto& e = spec.events[i];
     const std::string p = path + ".events[" + std::to_string(i) + "]";
     if (e.count < 1) bad(p + ".count", "must be >= 1");
+    if (e.count > kMaxChurnStreams) {
+      bad(p + ".count", "must be <= " + std::to_string(kMaxChurnStreams) +
+                            " (kMaxChurnStreams)");
+    }
     if (e.at_s < 0.0 || e.from_s < 0.0 || e.until_s < 0.0 || e.every_s < 0.0) {
       bad(p, "times must be >= 0");
     }
+    check_times(p, {{"at_s", e.at_s},
+                    {"every_s", e.every_s},
+                    {"from_s", e.from_s},
+                    {"until_s", e.until_s}});
     if (e.every_s > 0.0 && e.until_s > 0.0 && e.until_s < e.from_s) {
       bad(p + ".until_s", "must be >= from_s");
+    }
+    if (e.every_s > 0.0) {
+      const double until = e.until_s > 0.0 ? e.until_s : horizon_s;
+      const double instants =
+          std::floor(std::max(0.0, until - e.from_s) / e.every_s) + 1.0;
+      if (instants > static_cast<double>(kMaxControlInstants)) {
+        bad(p + ".every_s", "repeats more than " +
+                                std::to_string(kMaxControlInstants) +
+                                " times (kMaxControlInstants)");
+      }
+      if (e.kind == TimelineEvent::Kind::kAdmit &&
+          instants * e.count > static_cast<double>(kMaxChurnStreams)) {
+        bad(p + ".count", "admits more than " +
+                              std::to_string(kMaxChurnStreams) +
+                              " streams over its repeats (kMaxChurnStreams)");
+      }
     }
     // Admissions must name a template; retirements may also name a stream
     // prefix, but an exact template match is checked when one exists.
@@ -328,8 +349,22 @@ void validate_timeline(const TimelineSpec& spec, const std::string& path) {
       bad(p + ".lifetime_s", "needs 0 <= min_s <= max_s");
     }
     if (a.from_s < 0.0 || a.until_s < 0.0) bad(p, "times must be >= 0");
+    check_times(p, {{"lifetime_s", a.lifetime_max_s},
+                    {"from_s", a.from_s},
+                    {"until_s", a.until_s}});
     if (a.until_s > 0.0 && a.until_s < a.from_s) {
       bad(p + ".until_s", "must be >= from_s");
+    }
+    // Gaps are drawn in integer nanoseconds: a mean gap below one would
+    // stall the process at one instant.
+    const double window =
+        std::max(0.0, (a.until_s > 0.0 ? a.until_s : horizon_s) - a.from_s);
+    if (a.rate_per_s > 1e9 ||
+        a.rate_per_s * window > static_cast<double>(kMaxChurnStreams)) {
+      bad(p + ".rate_per_s",
+          "must be <= 1e9 (a mean gap of at least 1 ns) and admit at most " +
+              std::to_string(kMaxChurnStreams) +
+              " streams over its window (kMaxChurnStreams)");
     }
   }
 }

@@ -157,13 +157,30 @@ struct TimelineSpec {
   std::shared_ptr<const trace::Trace> trace;
 };
 
+/// Upper bound on the instants one periodic control source fires over a
+/// run: an every_s event's expansions, the series sampler, the autoscaler
+/// tick. The busiest curated source, the 50 ms autoscaler tick over a 3 s
+/// run, fires 60 times; the bound leaves room for hour-long runs and turns
+/// a mistyped period into a field-path error instead of a hang.
+inline constexpr std::int64_t kMaxControlInstants = 1000000;
+
+/// Upper bound on the streams one churn source admits over a run: an
+/// event's count (times its expansions), or a Poisson process's rate times
+/// its active window. The largest curated source, diurnal_wave_10k's wave,
+/// admits 1,500 streams; the bound leaves far more than 10x headroom.
+inline constexpr std::int64_t kMaxChurnStreams = 100000;
+
 /// Parses a "timeline" section. Throws workload::SpecError with field paths.
 TimelineSpec parse_timeline(const common::JsonValue& v,
                             const std::string& path);
 
 /// Semantic validation: unique template names, known event targets, rate
-/// and lifetime ranges. Network-name existence is checked here too.
-void validate_timeline(const TimelineSpec& spec, const std::string& path);
+/// and lifetime ranges, times finite and within SimTime range. Network-name
+/// existence is checked here too. Sources open to the run `horizon`
+/// (until_s = 0) are bounded against it (kMaxControlInstants,
+/// kMaxChurnStreams); a zero horizon leaves them unbounded.
+void validate_timeline(const TimelineSpec& spec, const std::string& path,
+                       common::SimTime horizon = common::SimTime::zero());
 
 const StreamTemplate* find_template(const TimelineSpec& spec,
                                     const std::string& name);

@@ -132,14 +132,16 @@ cluster::ClusterConfig cluster_config_for(const ScenarioConfig& cfg) {
   ccfg.sgprs = cfg.sgprs;
   ccfg.naive = cfg.naive;
   ccfg.sharing = cfg.sharing;
+  ccfg.shards = cfg.shards;
   return ccfg;
 }
 
 namespace {
 
 /// One closed-world run, kept alive so the caller can map its state into
-/// a result: one engine and collector shared by every device, tasks placed
-/// as one batch at t = 0, then the engine runs to the horizon.
+/// a result: tasks placed as one batch at t = 0, the cluster's shards run
+/// to the horizon, then its per-device collectors fold into `collector`.
+/// The fleet runtime's device loop with no control events.
 struct ClosedWorldRun {
   ClosedWorldRun(const ScenarioConfig& cfg, const TaskSetBuilder& builder)
       : collector(cfg.warmup),
@@ -155,10 +157,11 @@ struct ClosedWorldRun {
     // never touch the runner rng, so this cannot perturb the paper path.
     rcfg.jitter_seed = cfg.seed;
     fleet.start(rcfg);
-    engine.run_until(cfg.duration);
+    fleet.run_until(cfg.duration);
+    fleet.reduce();
   }
 
-  sim::Engine engine;
+  sim::Engine engine;  // shard 0
   metrics::Collector collector;
   cluster::Cluster fleet;
 };
@@ -183,7 +186,7 @@ ScenarioResult run_scenario(const ScenarioConfig& cfg,
   result.releases = run.fleet.releases_issued();
   result.stage_migrations = run.fleet.stage_migrations();
   result.medium_promotions = run.fleet.medium_promotions();
-  result.sim_events = static_cast<double>(run.engine.processed_count());
+  result.sim_events = static_cast<double>(run.fleet.events_processed());
   result.gpu_busy_sm_seconds = dev.exec->busy_sm_seconds();
   return result;
 }
@@ -201,7 +204,7 @@ ClusterScenarioResult run_cluster_scenario(const ScenarioConfig& cfg,
   result.releases = run.fleet.releases_issued();
   result.stage_migrations = run.fleet.stage_migrations();
   result.medium_promotions = run.fleet.medium_promotions();
-  result.sim_events = static_cast<double>(run.engine.processed_count());
+  result.sim_events = static_cast<double>(run.fleet.events_processed());
   return result;
 }
 

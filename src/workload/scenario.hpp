@@ -87,13 +87,13 @@ struct ScenarioConfig {
   /// memory-constrained scenarios); 0 keeps each spec's own budget.
   double device_mem_mb = 0.0;
 
-  /// Intra-run parallelism for dynamic (fleet-runtime) specs: partition
-  /// the device fleet into this many shards, each on its own event
-  /// calendar, executed between control-plane epoch barriers
-  /// (docs/sharding.md). Every count runs the same epoch loop; 1 runs its
-  /// one shard on the calling thread. Results are byte-identical at any
-  /// shard count (pinned by the shard determinism suite); only wall-clock
-  /// changes.
+  /// Intra-run parallelism for every run: partition the devices into this
+  /// many shards, each on its own event calendar (cluster::ClusterConfig::
+  /// shards, docs/sharding.md). Closed-world runs execute the shards to
+  /// the horizon in one wave; the fleet runtime between control-plane
+  /// epoch barriers. 1 runs its one shard on the calling thread. Results
+  /// are byte-identical at any shard count (pinned by the shard
+  /// determinism suite); only wall-clock changes.
   int shards = 1;
 };
 
@@ -162,10 +162,10 @@ struct ClusterScenarioResult {
   double dmr() const { return fleet.fleet.dmr; }
 };
 
-/// Builds and runs the fleet described by cfg.num_devices/cfg.fleet: one
-/// shared engine and collector, per-device executor/pool/scheduler, tasks
-/// assigned by cfg.placement with admission control. With one device and
-/// every task admitted this is exactly run_scenario's run.
+/// Builds and runs the fleet described by cfg.num_devices/cfg.fleet:
+/// per-device executor/pool/scheduler/collector on cfg.shards calendars,
+/// tasks assigned by cfg.placement with admission control. With one device
+/// and every task admitted this is exactly run_scenario's run.
 ClusterScenarioResult run_cluster_scenario(const ScenarioConfig& cfg,
                                            const TaskSetBuilder& tasks = {});
 

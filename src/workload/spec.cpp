@@ -269,15 +269,6 @@ void resolve_spec_trace(ScenarioSpec& spec, const std::string& spec_path) {
 }
 
 void validate(const ScenarioSpec& spec) {
-  // Sharding parallelizes the fleet runtime's epoch loop; the closed-world
-  // paths are single-calendar by construction, so a shard count on one is
-  // a spec mistake, not a silent no-op.
-  if (spec.base.shards > 1 && !spec.dynamic()) {
-    throw SpecError("spec.sim.shards",
-                    "shards > 1 requires a dynamic spec (a \"timeline\" or "
-                    "\"fleet_policy\" section routes the run through the "
-                    "sharded fleet runtime)");
-  }
   if (spec.generator && !spec.tasks.empty()) {
     throw SpecError("spec: \"tasks\" and \"generator\" are mutually "
                     "exclusive — pick one");
@@ -313,6 +304,11 @@ void validate(const ScenarioSpec& spec) {
     }
     fleet::validate_stream(e, path, fleet::StreamRole::kTaskEntry);
   }
+  if (spec.base.num_devices > cluster::kMaxFleetDevices) {
+    bad("spec.fleet.devices",
+        "must be <= " + std::to_string(cluster::kMaxFleetDevices) +
+            " (kMaxFleetDevices)");
+  }
   // Each context needs at least one SM of every device it is carved from.
   int min_sms = spec.base.device.total_sms;
   for (const auto& d : spec.base.fleet) {
@@ -325,10 +321,12 @@ void validate(const ScenarioSpec& spec) {
   }
 
   if (spec.timeline) {
-    fleet::validate_timeline(*spec.timeline, "spec.timeline");
+    fleet::validate_timeline(*spec.timeline, "spec.timeline",
+                             spec.base.duration);
   }
   if (spec.fleet_policy) {
-    fleet::validate_fleet_policy(*spec.fleet_policy, "spec.fleet_policy");
+    fleet::validate_fleet_policy(*spec.fleet_policy, "spec.fleet_policy",
+                                 spec.base.duration);
   }
   if (spec.faults) {
     fleet::validate_fault_spec(*spec.faults, "spec.faults");
@@ -362,6 +360,10 @@ void validate(const ScenarioSpec& spec) {
   } catch (const common::CheckError& e) {
     throw SpecError(std::string("spec: ") + e.what());
   }
+}
+
+common::SimTime spec_seconds(double seconds, const std::string& path) {
+  return to_sim_time(seconds, path);
 }
 
 ScenarioConfig lower(const ScenarioSpec& spec) {

@@ -123,6 +123,11 @@ void resolve_spec_trace(ScenarioSpec& spec, const std::string& spec_path);
 /// SpecError with the field path.
 void validate(const ScenarioSpec& spec);
 
+/// `seconds` as a SimTime, or SpecError at `path` unless finite and within
+/// SimTime's range: the check behind sim.duration_s and every other spec
+/// time field, for values that arrive as CLI flags.
+common::SimTime spec_seconds(double seconds, const std::string& path);
+
 /// The ScenarioConfig a run of this spec uses: base plus num_tasks = the
 /// total initial stream count. The task fields (fps, stages, network) stay
 /// at their defaults; the spec's own task builder supplies the tasks.

@@ -9,6 +9,7 @@
 #include <initializer_list>
 #include <limits>
 #include <string>
+#include <utility>
 
 #include "common/enum_names.hpp"
 #include "common/json.hpp"
@@ -50,6 +51,22 @@ inline void check_keys(const common::JsonValue& obj,
 inline bool fits_sim_time(double seconds) {
   return std::isfinite(seconds) &&
          std::abs(seconds) < common::SimTime::max().to_sec();
+}
+
+/// `seconds` as a SimTime; SpecError at `path` unless it fits_sim_time.
+inline common::SimTime to_sim_time(double seconds, const std::string& path) {
+  if (!fits_sim_time(seconds)) {
+    bad(path, "must be finite and within SimTime range");
+  }
+  return common::SimTime::from_sec(seconds);
+}
+
+/// Rejects the first time field, given as (key, seconds), that does not
+/// convert to a SimTime, naming it at `path`.key.
+inline void check_times(
+    const std::string& path,
+    std::initializer_list<std::pair<const char*, double>> seconds) {
+  for (const auto& [key, s] : seconds) to_sim_time(s, path + "." + key);
 }
 
 inline const common::JsonValue& require_object(const common::JsonValue& v,
@@ -95,12 +112,8 @@ inline int int_or(const common::JsonValue& obj, const char* key, int def,
 inline common::SimTime seconds_or(const common::JsonValue& obj,
                                   const char* key, common::SimTime def,
                                   const std::string& path) {
-  const double s = num_or(obj, key, def.to_sec(), path);
-  if (!fits_sim_time(s)) {
-    bad(path + std::string(".") + key,
-        "must be finite and within SimTime range");
-  }
-  return common::SimTime::from_sec(s);
+  return to_sim_time(num_or(obj, key, def.to_sec(), path),
+                     path + std::string(".") + key);
 }
 
 inline bool bool_or(const common::JsonValue& obj, const char* key, bool def,

@@ -1,4 +1,4 @@
-// Property tests for the sharding layer (fleet/sharding.hpp) over ~200
+// Property tests for the sharding layer (cluster::shard_of) over ~200
 // seeded random fleets:
 //  (a) the partition is total and disjoint — every device index lands in
 //      exactly one shard, every shard id is in range;
@@ -8,9 +8,9 @@
 //  (c) cross-shard handoff through an engine's staging buffer preserves
 //      per-stream event order (the MinHeap::merge_from ingestion path the
 //      epoch barriers rely on);
-//  (d) splitmix64-derived per-shard stream seeds never collide across
-//      (shard, stream) pairs, and the underlying stream_seed never
-//      collides across stream ids for one base seed.
+//  (d) the two-key splitmix64 stream_seed never collides across
+//      (stream, shard) pairs, and the one-key stream_seed never collides
+//      across stream ids for one base seed.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,12 +18,14 @@
 #include <set>
 #include <vector>
 
+#include "cluster/cluster.hpp"
 #include "common/rng.hpp"
-#include "fleet/sharding.hpp"
 #include "sim/engine.hpp"
 
 namespace sgprs::fleet {
 namespace {
+
+using cluster::shard_of;
 
 constexpr int kTrials = 200;
 
@@ -141,7 +143,7 @@ TEST(ShardPartitionTest, ShardStreamSeedsNeverCollideAcrossShardAndStream) {
     for (int shard = 0; shard < 16; ++shard) {
       for (int stream = 0; stream < 64; ++stream) {
         EXPECT_TRUE(
-            seen.insert(shard_stream_seed(base, shard, stream)).second)
+            seen.insert(common::stream_seed(base, stream, shard)).second)
             << "base " << base << " shard " << shard << " stream "
             << stream;
       }

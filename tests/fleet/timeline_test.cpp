@@ -110,6 +110,34 @@ TEST(TimelineValidateTest, CatchesSemanticErrors) {
   } catch (const workload::SpecError& e) {
     EXPECT_EQ(e.path(), "spec.timeline.templates[0].phase_ms");
   }
+  // Hostile churn values fail with their field path instead of hanging the
+  // run or aborting it on a past-dated event (a 2.5 s horizon, as in
+  // scenarios/flash_crowd.json).
+  const auto expect_path = [](const std::string& sources,
+                              const std::string& path) {
+    try {
+      validate_timeline(
+          parse_tl(R"({ "templates": [ { "name": "crowd" } ], )" + sources +
+                   " }"),
+          "spec.timeline", common::SimTime::from_sec(2.5));
+      ADD_FAILURE() << "expected SpecError at " << path;
+    } catch (const workload::SpecError& e) {
+      EXPECT_EQ(e.path(), path);
+    }
+  };
+  expect_path(R"("arrivals": [ { "template": "crowd", "rate_per_s": 1e12,
+                                 "from_s": 0.5, "until_s": 1.5 } ])",
+              "spec.timeline.arrivals[0].rate_per_s");
+  expect_path(R"("arrivals": [ { "template": "crowd",
+                                 "lifetime_s": [0.4, 1e308] } ])",
+              "spec.timeline.arrivals[0].lifetime_s");
+  expect_path(R"("events": [ { "at_s": 1e308, "admit": "crowd" } ])",
+              "spec.timeline.events[0].at_s");
+  expect_path(R"("events": [ { "at_s": 0.6, "admit": "crowd",
+                               "count": 2000000000 } ])",
+              "spec.timeline.events[0].count");
+  expect_path(R"("events": [ { "every_s": 1e-12, "admit": "crowd" } ])",
+              "spec.timeline.events[0].every_s");
 }
 
 TEST(FleetPolicyParseTest, FullSectionAndDefaults) {
@@ -157,6 +185,26 @@ TEST(FleetPolicyParseTest, RejectsBadValues) {
       R"({ "autoscaler": { "policy": "utilization", "device": "tpu" } })");
   EXPECT_THROW(validate_fleet_policy(bad_device, "spec.fleet_policy"),
                workload::SpecError);
+  // Hostile control periods and times fail with their field path (a 3 s
+  // horizon, as in scenarios/diurnal_wave.json).
+  const auto expect_path = [](const std::string& json,
+                              const std::string& path) {
+    try {
+      validate_fleet_policy(parse_fp(json), "spec.fleet_policy",
+                            common::SimTime::from_sec(3.0));
+      ADD_FAILURE() << "expected SpecError at " << path;
+    } catch (const workload::SpecError& e) {
+      EXPECT_EQ(e.path(), path);
+    }
+  };
+  expect_path(R"({ "series_window_ms": 1e-9 })",
+              "spec.fleet_policy.series_window_ms");
+  expect_path(R"({ "autoscaler": { "policy": "utilization",
+                                    "tick_ms": 1e-9 } })",
+              "spec.fleet_policy.autoscaler.tick_ms");
+  expect_path(R"({ "autoscaler": { "policy": "utilization",
+                                    "warmup_ms": 1e308 } })",
+              "spec.fleet_policy.autoscaler.warmup_ms");
 }
 
 TEST(AutoscalerPolicyTest, UtilizationThresholds) {

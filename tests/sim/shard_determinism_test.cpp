@@ -4,8 +4,9 @@
 // recorded trace — to the classic single-calendar run at --shards 1.
 //
 // Pinned here for every curated dynamic scenario, for the trace-driven
-// replay spec, and for sharded runs inside a parallel experiment fan-out
-// (--jobs and --shards composed). These tests run under TSan in CI (the
+// replay spec, for every curated static (closed-world) scenario, and for
+// sharded runs inside a parallel experiment fan-out (--jobs and --shards
+// composed). These tests run under TSan in CI (the
 // ShardDeterminism filter), so they double as a race check on the
 // epoch-barrier handoff between the control plane and the shard engines.
 #include <gtest/gtest.h>
@@ -19,6 +20,7 @@
 #include "trace/trace.hpp"
 #include "workload/experiment.hpp"
 #include "workload/spec.hpp"
+#include "workload/suite.hpp"
 
 namespace sgprs::fleet {
 namespace {
@@ -116,6 +118,66 @@ TEST(ShardDeterminismTest, TraceDrivenReplayByteIdenticalAcrossShardCounts) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
     EXPECT_EQ(baseline, run_bytes(spec, shards));
   }
+}
+
+void digest_snapshot(std::ostringstream& os, const metrics::Snapshot& s) {
+  os << s.counts.released << "," << s.counts.dropped << ","
+     << s.counts.on_time << "," << s.counts.late << "," << s.fps << ","
+     << s.fps_on_time << "," << s.dmr << "," << s.mean_latency_ms << ","
+     << s.p50_latency_ms << "," << s.p99_latency_ms << ","
+     << s.max_latency_ms << ";";
+}
+
+/// A closed-world run's suite-report row plus a bit-exact (hexfloat)
+/// digest of the golden-trace fields: every per-device and per-task
+/// snapshot, sim_events, busy SM-seconds, releases and migrations.
+std::string static_run_bytes(const std::string& file,
+                             workload::ScenarioSpec spec, int shards) {
+  spec.base.shards = shards;
+  workload::SuiteRun run;
+  run.file = file;
+  run.ok = true;
+  run.scenario = spec.name;
+  run.description = spec.description;
+  run.result = workload::run_spec(spec);
+  const workload::SpecResult& r = run.result;
+  std::ostringstream os;
+  workload::write_suite_json({run}, os);
+  os << std::hexfloat;
+  digest_snapshot(os, r.aggregate());
+  if (r.fleet) {
+    for (const auto& d : r.cluster.fleet.devices) {
+      os << "dev" << d.device_index << "," << d.busy_sm_seconds << ":";
+      digest_snapshot(os, d.snapshot);
+    }
+    os << "events=" << r.cluster.sim_events;
+  } else {
+    for (const auto& t : r.single.per_task) digest_snapshot(os, t);
+    os << "events=" << r.single.sim_events
+       << "|busy=" << r.single.gpu_busy_sm_seconds;
+  }
+  os << "|releases=" << r.releases() << "|migrations=" << r.migrations();
+  return os.str();
+}
+
+TEST(ShardDeterminismTest, StaticSpecsByteIdenticalAcrossShardCounts) {
+  // A closed-world run is the fleet runtime's device loop without control
+  // events, so it shards the same way: every static curated spec must
+  // report the same bytes at any shard count.
+  int static_specs = 0;
+  for (const auto& file : workload::list_spec_files(
+           std::string(SGPRS_SOURCE_DIR) + "/scenarios")) {
+    const auto spec = workload::load_scenario_spec(file);
+    if (spec.dynamic()) continue;
+    ++static_specs;
+    SCOPED_TRACE(file);
+    const std::string baseline = static_run_bytes(file, spec, 1);
+    for (int shards : {2, 4, 8}) {
+      SCOPED_TRACE("shards=" + std::to_string(shards));
+      EXPECT_EQ(baseline, static_run_bytes(file, spec, shards));
+    }
+  }
+  EXPECT_GT(static_specs, 0);
 }
 
 TEST(ShardDeterminismTest, ExperimentFanOutShardedMatchesSerial) {

@@ -309,6 +309,26 @@ TEST(SpecValidate, BaseConfigErrorsSurfaceAsSpecErrors) {
   } catch (const SpecError& e) {
     EXPECT_EQ(e.path(), "spec.pool.contexts") << e.what();
   }
+  // A mistyped fleet size fails before any device is allocated.
+  spec = parse(kTinyMixed);
+  spec.fleet_mode = true;
+  spec.base.num_devices = 1000000000;
+  try {
+    validate(spec);
+    FAIL() << "expected SpecError";
+  } catch (const SpecError& e) {
+    EXPECT_EQ(e.path(), "spec.fleet.devices") << e.what();
+  }
+  // Control periods are bounded against the spec's own horizon.
+  spec = parse(kTinyMixed);
+  spec.fleet_policy = fleet::FleetPolicySpec{};
+  spec.fleet_policy->series_window_ms = 1e-9;
+  try {
+    validate(spec);
+    FAIL() << "expected SpecError";
+  } catch (const SpecError& e) {
+    EXPECT_EQ(e.path(), "spec.fleet_policy.series_window_ms") << e.what();
+  }
 }
 
 TEST(SpecLower, SumsReplicaCounts) {

@@ -22,6 +22,7 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <sstream>
 
 #include "common/csv.hpp"
 #include "common/flags.hpp"
@@ -392,11 +393,11 @@ bool inject_fail_devices(const std::vector<std::string>& fail_devices,
 /// <report>_series.csv. With --trace the spec's timeline is replaced by
 /// the trace (replay against the spec's base config); with --record-trace
 /// the run's admit/retire stream is written out.
-int run_scenario_file(const std::string& path, const std::string& report,
-                      const std::string& trace_path,
-                      const std::string& record_path, int shards_override,
-                      const std::vector<std::string>& fail_devices,
-                      const std::string& span_path, bool profile) {
+int run_spec_file(const std::string& path, const std::string& report,
+                  const std::string& trace_path,
+                  const std::string& record_path, int shards_override,
+                  const std::vector<std::string>& fail_devices,
+                  const std::string& span_path, bool profile) {
   if (!fs::exists(path)) {
     std::cerr << "error: no such scenario spec: " << path << "\n";
     suggest_near(path);
@@ -482,12 +483,13 @@ int run_suite_dir(const std::string& dir, const std::string& report) {
   return workload::suite_ok(runs) ? 0 : 1;
 }
 
-/// Fills `cfg` from the shared workload flags (scheduler, pool shape, sim
-/// window, devices, placement). Returns false — with the message already
-/// printed — on an unknown name. `fleet_mode` reports whether the flags
-/// force the cluster path.
+/// Fills `spec.base` and `spec.fleet_mode` from the shared workload flags
+/// (docs/scenario-format.md maps each flag to its spec field). Returns
+/// false — with the message already printed — on an unknown name; range
+/// checks are validate(spec)'s, which names the field path.
 bool parse_base_config(const common::FlagParser& flags,
-                       workload::ScenarioConfig& cfg, bool& fleet_mode) {
+                       workload::ScenarioSpec& spec) {
+  workload::ScenarioConfig& cfg = spec.base;
   const std::string sched = flags.get("scheduler");
   if (const auto kind = rt::parse_scheduler_kind(sched)) {
     cfg.scheduler = *kind;
@@ -498,25 +500,19 @@ bool parse_base_config(const common::FlagParser& flags,
   }
   cfg.num_contexts = flags.get_int("contexts");
   cfg.oversubscription = flags.get_double("oversub");
-  cfg.num_tasks = flags.get_int("tasks");
-  cfg.fps = flags.get_double("fps");
-  cfg.num_stages = flags.get_int("stages");
-  cfg.duration = common::SimTime::from_sec(flags.get_double("duration"));
-  cfg.warmup = common::SimTime::from_sec(flags.get_double("warmup"));
+  cfg.duration = workload::spec_seconds(flags.get_double("duration"),
+                                        "spec.sim.duration_s");
+  cfg.warmup = workload::spec_seconds(flags.get_double("warmup"),
+                                      "spec.sim.warmup_s");
   cfg.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
   cfg.sgprs.medium_boost = flags.get_bool("medium-boost");
   cfg.sgprs.abort_hopeless = flags.get_bool("abort-hopeless");
   cfg.sgprs.max_in_flight_per_task = flags.get_int("in-flight");
-  cfg.network_builder = dnn::network_builder_by_name(flags.get("network"));
-  if (!cfg.network_builder) {
-    std::cerr << "unknown --network (want " << dnn::network_names()
-              << "): " << flags.get("network") << "\n";
-    return false;
-  }
 
   const auto fleet = cluster::parse_fleet(flags.get("devices"));
   if (!fleet) {
-    std::cerr << "bad --devices (want a count or a comma list of "
+    std::cerr << "bad --devices (want a count in 1.."
+              << cluster::kMaxFleetDevices << " or a comma list of "
               << gpu::device_names() << "): " << flags.get("devices")
               << "\n";
     return false;
@@ -530,8 +526,8 @@ bool parse_base_config(const common::FlagParser& flags,
   // Placement/admission only exist on the cluster path; an explicit flag
   // on a 1-device run routes there too (instead of being silently
   // dropped), giving a one-device fleet with admission control.
-  fleet_mode = cfg.num_devices > 1 || flags.has("placement") ||
-               flags.has("admission-margin");
+  spec.fleet_mode = cfg.num_devices > 1 || flags.has("placement") ||
+                    flags.has("admission-margin");
   if (const auto policy =
           cluster::parse_placement_policy(flags.get("placement"))) {
     cfg.placement = *policy;
@@ -541,157 +537,67 @@ bool parse_base_config(const common::FlagParser& flags,
               << "): " << flags.get("placement") << "\n";
     return false;
   }
-  // Range checking (margin <= 1, oversub >= 1, ...) is centralized in
-  // workload::validate, called by the run functions.
   cfg.admission_margin = flags.get_double("admission-margin");
-  // Only an explicit --shards overrides. Closed-world runs have nothing to
-  // partition (a spec with shards > 1 must be dynamic — validated).
   if (flags.has("shards")) cfg.shards = flags.get_int("shards");
   return true;
 }
 
-/// --trace=file.json (no --scenario): replay a recorded trace against the
-/// base config the flags describe. The sim window defaults to the trace's
-/// horizon plus half a second of drain unless --duration is explicit.
-int run_trace_file(const std::string& path, const common::FlagParser& flags,
-                   const std::string& report,
-                   const std::string& record_path,
-                   const std::vector<std::string>& fail_devices,
-                   const std::string& span_path, bool profile) {
-  if (!fs::exists(path)) {
-    std::cerr << "error: no such trace: " << path << "\n";
-    suggest_near(path, "scenarios/traces", "trace");
-    return 1;
+/// The workload flags as a spec: the base config plus one task entry of
+/// --tasks identical streams (--network, --fps, --stages).
+bool parse_flag_spec(const common::FlagParser& flags,
+                     workload::ScenarioSpec& spec) {
+  if (!parse_base_config(flags, spec)) return false;
+  workload::TaskEntrySpec& e = spec.tasks.emplace_back();
+  e.count = flags.get_int("tasks");
+  e.network = flags.get("network");
+  e.fps = flags.get_double("fps");
+  e.num_stages = flags.get_int("stages");
+  spec.name = "flags";
+  std::ostringstream d;
+  if (spec.fleet_mode) {
+    d << spec.base.num_devices << "-device fleet, placement "
+      << cluster::to_string(spec.base.placement) << ", ";
   }
-  auto tr = std::make_shared<const trace::Trace>(trace::load_trace(path));
-  workload::ScenarioSpec spec;
-  spec.name = tr->name.empty() ? fs::path(path).stem().string() : tr->name;
-  spec.description = tr->description;
-  bool fleet_mode = false;
-  if (!parse_base_config(flags, spec.base, fleet_mode)) return 1;
-  spec.base.num_tasks = 0;  // all load comes from the trace
-  spec.fleet_mode = true;
-  fleet::TimelineSpec tl;
-  tl.trace_path = path;
-  tl.trace = tr;
-  spec.timeline = std::move(tl);
-  if (!flags.has("duration")) {
-    spec.base.duration =
-        common::SimTime::from_ns(tr->horizon().ns + 500'000'000);
-  }
-  workload::validate(spec);
-  if (!inject_fail_devices(fail_devices, spec)) return 1;
-  return run_loaded_spec(spec, path, report, record_path, span_path,
-                         profile);
+  d << "scheduler " << rt::to_string(spec.base.scheduler) << ", " << e.count
+    << " tasks offered";
+  spec.description = d.str();
+  return true;
 }
 
-int run(const common::FlagParser& flags) {
-  if (flags.get_bool("list-scenarios")) {
-    return list_scenarios(flags.has("suite") ? flags.get("suite")
-                                             : "scenarios");
-  }
-  if (flags.has("scenario")) {
-    return run_scenario_file(flags.get("scenario"),
-                             flags.has("report") ? flags.get("report") : "",
-                             flags.get("trace"), flags.get("record-trace"),
-                             flags.has("shards") ? flags.get_int("shards")
-                                                 : 0,
-                             flags.get_all("fail-device"),
-                             flags.get("trace-spans"),
-                             flags.get_bool("profile"));
-  }
-  if (flags.has("trace")) {
-    return run_trace_file(flags.get("trace"), flags,
-                          flags.has("report") ? flags.get("report") : "",
-                          flags.get("record-trace"),
-                          flags.get_all("fail-device"),
-                          flags.get("trace-spans"),
-                          flags.get_bool("profile"));
-  }
-  if (flags.has("fail-device")) {
-    std::cerr << "error: --fail-device needs --scenario or --trace to know "
-                 "which fleet to crash\n";
-    return 1;
-  }
-  if (flags.has("record-trace")) {
-    std::cerr << "error: --record-trace needs --scenario or --trace to "
-                 "know what to run\n";
-    return 1;
-  }
-  if (flags.has("trace-spans")) {
-    std::cerr << "error: --trace-spans needs --scenario or --trace to "
-                 "know what to run\n";
-    return 1;
-  }
-  if (flags.get_bool("profile")) {
-    std::cerr << "error: --profile needs --scenario or --trace to know "
-                 "what to run\n";
-    return 1;
-  }
-  if (flags.has("experiment")) {
-    if (!fs::exists(flags.get("experiment"))) {
-      std::cerr << "error: no such experiment spec: "
-                << flags.get("experiment") << "\n";
-      suggest_near(flags.get("experiment"));
-      return 1;
-    }
-    // Distinct default prefix: an experiment must never silently overwrite
-    // a suite_report.* pair from an earlier --suite run.
-    return run_experiment_file(flags.get("experiment"), flags.get_int("jobs"),
-                               flags.has("report") ? flags.get("report")
-                                                   : "experiment_report",
-                               flags.has("shards") ? flags.get_int("shards")
-                                                   : 0);
-  }
-  if (flags.has("suite")) {
-    return run_suite_dir(flags.get("suite"), flags.get("report"));
-  }
-
-  workload::ScenarioConfig cfg;
-  bool fleet_mode = false;
-  if (!parse_base_config(flags, cfg, fleet_mode)) return 1;
-  const std::string sched = flags.get("scheduler");
-
-  int sweep_from = 0;
-  int sweep_to = 0;
-  if (flags.has("sweep")) {
-    const std::string s = flags.get("sweep");
-    const auto colon = s.find(':');
-    if (colon == std::string::npos) {
-      std::cerr << "--sweep wants from:to, got " << s << "\n";
-      return 1;
-    }
-    sweep_from = std::atoi(s.substr(0, colon).c_str());
-    sweep_to = std::atoi(s.substr(colon + 1).c_str());
-    if (sweep_from < 1 || sweep_to < sweep_from) {
-      std::cerr << "bad --sweep range\n";
+/// --sweep=from:to: the flag spec at every task count in the range (the
+/// x-axis of Figs. 3 and 4) on one device, with the pivot point.
+int run_sweep(const common::FlagParser& flags, workload::ScenarioSpec& spec) {
+  for (const char* flag :
+       {"fail-device", "record-trace", "trace-spans", "profile"}) {
+    if (flags.has(flag)) {
+      std::cerr << "error: --" << flag << " does not combine with --sweep\n";
       return 1;
     }
   }
-
-  if (fleet_mode) {
-    if (sweep_from != 0) {
-      std::cerr << "--sweep is not supported in fleet mode; use "
-                   "bench/fig_cluster_scaling for fleet sweeps\n";
-      return 1;
-    }
-    const auto r = workload::run_cluster_scenario(cfg);
-    std::cout << cfg.num_devices << "-device fleet, scheduler " << sched
-              << ", placement "
-              << cluster::to_string(cfg.placement) << ", "
-              << cfg.num_tasks << " tasks offered\n\n";
-    print_fleet(r);
-    return 0;
+  const std::string s = flags.get("sweep");
+  const auto colon = s.find(':');
+  if (colon == std::string::npos) {
+    std::cerr << "--sweep wants from:to, got " << s << "\n";
+    return 1;
   }
-
-  if (sweep_from == 0) {
-    const auto r = workload::run_scenario(cfg);
-    print_single(sched, cfg.num_tasks, r);
-    return 0;
+  const int sweep_from = std::atoi(s.substr(0, colon).c_str());
+  const int sweep_to = std::atoi(s.substr(colon + 1).c_str());
+  if (sweep_from < 1 || sweep_to < sweep_from) {
+    std::cerr << "bad --sweep range\n";
+    return 1;
   }
-
-  // Sweep mode.
-  const auto results = workload::sweep_num_tasks(cfg, sweep_from, sweep_to);
+  if (spec.fleet_mode) {
+    std::cerr << "--sweep is not supported in fleet mode; use "
+                 "bench/fig_cluster_scaling for fleet sweeps\n";
+    return 1;
+  }
+  int& count = spec.tasks.front().count;
+  count = sweep_to;
+  workload::validate(spec);  // the largest count bounds every run
+  std::vector<workload::ScenarioResult> results;
+  for (count = sweep_from; count <= sweep_to; ++count) {
+    results.push_back(workload::run_spec(spec).single);
+  }
   const int pivot = workload::find_pivot(results, sweep_from);
   if (flags.has("csv")) {
     std::ofstream out(flags.get("csv"));
@@ -723,6 +629,89 @@ int run(const common::FlagParser& flags) {
   t.print(std::cout);
   std::cout << "pivot: " << pivot << " tasks\n";
   return 0;
+}
+
+/// --trace=file.json (no --scenario): replay a recorded trace against the
+/// base config the flags describe. The sim window defaults to the trace's
+/// horizon plus half a second of drain unless --duration is explicit.
+int run_trace_file(const std::string& path, const common::FlagParser& flags,
+                   const std::string& report,
+                   const std::string& record_path,
+                   const std::vector<std::string>& fail_devices,
+                   const std::string& span_path, bool profile) {
+  if (!fs::exists(path)) {
+    std::cerr << "error: no such trace: " << path << "\n";
+    suggest_near(path, "scenarios/traces", "trace");
+    return 1;
+  }
+  auto tr = std::make_shared<const trace::Trace>(trace::load_trace(path));
+  workload::ScenarioSpec spec;
+  spec.name = tr->name.empty() ? fs::path(path).stem().string() : tr->name;
+  spec.description = tr->description;
+  if (!parse_base_config(flags, spec)) return 1;
+  spec.fleet_mode = true;  // all load comes from the trace
+  fleet::TimelineSpec tl;
+  tl.trace_path = path;
+  tl.trace = tr;
+  spec.timeline = std::move(tl);
+  if (!flags.has("duration")) {
+    spec.base.duration =
+        common::SimTime::from_ns(tr->horizon().ns + 500'000'000);
+  }
+  workload::validate(spec);
+  if (!inject_fail_devices(fail_devices, spec)) return 1;
+  return run_loaded_spec(spec, path, report, record_path, span_path,
+                         profile);
+}
+
+int run(const common::FlagParser& flags) {
+  if (flags.get_bool("list-scenarios")) {
+    return list_scenarios(flags.has("suite") ? flags.get("suite")
+                                             : "scenarios");
+  }
+  if (flags.has("scenario")) {
+    return run_spec_file(flags.get("scenario"),
+                         flags.has("report") ? flags.get("report") : "",
+                         flags.get("trace"), flags.get("record-trace"),
+                         flags.has("shards") ? flags.get_int("shards") : 0,
+                         flags.get_all("fail-device"),
+                         flags.get("trace-spans"), flags.get_bool("profile"));
+  }
+  if (flags.has("trace")) {
+    return run_trace_file(flags.get("trace"), flags,
+                          flags.has("report") ? flags.get("report") : "",
+                          flags.get("record-trace"),
+                          flags.get_all("fail-device"),
+                          flags.get("trace-spans"),
+                          flags.get_bool("profile"));
+  }
+  if (flags.has("experiment")) {
+    if (!fs::exists(flags.get("experiment"))) {
+      std::cerr << "error: no such experiment spec: "
+                << flags.get("experiment") << "\n";
+      suggest_near(flags.get("experiment"));
+      return 1;
+    }
+    // Distinct default prefix: an experiment must never silently overwrite
+    // a suite_report.* pair from an earlier --suite run.
+    return run_experiment_file(flags.get("experiment"), flags.get_int("jobs"),
+                               flags.has("report") ? flags.get("report")
+                                                   : "experiment_report",
+                               flags.has("shards") ? flags.get_int("shards")
+                                                   : 0);
+  }
+  if (flags.has("suite")) {
+    return run_suite_dir(flags.get("suite"), flags.get("report"));
+  }
+
+  workload::ScenarioSpec spec;
+  if (!parse_flag_spec(flags, spec)) return 1;
+  if (flags.has("sweep")) return run_sweep(flags, spec);
+  if (!inject_fail_devices(flags.get_all("fail-device"), spec)) return 1;
+  return run_loaded_spec(spec, "flags",
+                         flags.has("report") ? flags.get("report") : "",
+                         flags.get("record-trace"), flags.get("trace-spans"),
+                         flags.get_bool("profile"));
 }
 
 }  // namespace
@@ -768,9 +757,7 @@ int main(int argc, char** argv) {
                "spec's timeline",
                "");
   flags.define("record-trace",
-               "write the run's admit/retire stream as a trace file "
-               "(requires --scenario or --trace)",
-               "");
+               "write the run's admit/retire stream as a trace file", "");
   flags.define("trace-spans",
                "write the run's execution spans as Chrome/Perfetto "
                "trace-event JSON (open in ui.perfetto.dev); dynamic "
@@ -787,12 +774,11 @@ int main(int argc, char** argv) {
                "results are byte-identical for any value)",
                "0");
   flags.define_multi("fail-device",
-                     "inject a scripted crash into a --scenario/--trace "
-                     "run: <device>@<seconds>, e.g. --fail-device 2@1.5");
+                     "inject a scripted crash into the run: "
+                     "<device>@<seconds>, e.g. --fail-device 2@1.5");
   flags.define("shards",
-               "parallel shards inside one dynamic run (overrides the "
-               "spec's sim.shards; results are byte-identical for any "
-               "value)",
+               "parallel shards inside one run (overrides the spec's "
+               "sim.shards; results are byte-identical for any value)",
                "1");
   flags.define("devices",
                "fleet: a device count (\"4\") or a comma list of device "
