@@ -86,6 +86,13 @@ struct ClusterConfig {
   std::function<obs::JobTracer*(int device_index)> tracer_for;
 };
 
+/// Upper bound on ClusterConfig::shards, for every input that sets it
+/// (a spec's sim.shards, --shards). Each shard beyond the first is a
+/// thread; the largest count CI runs is 8, and the bound leaves 8x
+/// headroom while turning a mistyped count into an error instead of a
+/// thread storm.
+inline constexpr int kMaxShards = 64;
+
 /// Shard owning device `device_index` in a `num_shards`-way partition:
 /// round-robin by construction index, a pure function of the two, never
 /// of admission order, placement outcomes or thread scheduling. Devices

@@ -97,6 +97,7 @@ void validate_fault_spec(const FaultSpec& spec, const std::string& path) {
   for (std::size_t i = 0; i < spec.events.size(); ++i) {
     const auto& e = spec.events[i];
     const std::string p = path + ".events[" + std::to_string(i) + "]";
+    check_times(p, {{"at_s", e.at_s}, {"down_s", e.down_s}});
     if (e.at_s < 0.0) bad(p + ".at_s", "must be >= 0");
     if (e.device < -1) bad(p, "device index must be >= 0 (or -1 to pick "
                                "at fire time)");
@@ -112,6 +113,10 @@ void validate_fault_spec(const FaultSpec& spec, const std::string& path) {
 
   const auto& pr = spec.process;
   const std::string pp = path + ".process";
+  check_times(pp, {{"mtbf_s", pr.mtbf_s},
+                   {"mttr_s", pr.mttr_s},
+                   {"from_s", pr.from_s},
+                   {"until_s", pr.until_s}});
   if (pr.mtbf_s < 0.0) bad(pp + ".mtbf_s", "must be >= 0");
   if (pr.mttr_s < 0.0) bad(pp + ".mttr_s", "must be >= 0");
   if (pr.mtbf_s == 0.0 && pr.mttr_s > 0.0) {
@@ -124,6 +129,8 @@ void validate_fault_spec(const FaultSpec& spec, const std::string& path) {
 
   const auto& f = spec.failover;
   const std::string fp = path + ".failover";
+  check_times(fp, {{"backoff_ms", f.backoff_ms * 1e-3},
+                   {"jitter_ms", f.jitter_ms * 1e-3}});
   if (f.max_attempts < 1) bad(fp + ".max_attempts", "must be >= 1");
   if (f.backoff_ms < 0.0) bad(fp + ".backoff_ms", "must be >= 0");
   if (f.backoff_mult < 1.0) bad(fp + ".backoff_mult", "must be >= 1");

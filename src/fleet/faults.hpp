@@ -94,7 +94,7 @@ FaultSpec parse_fault_spec(const common::JsonValue& v,
                            const std::string& path);
 
 /// Semantic validation: event targets and ranges, process and failover
-/// parameter ranges.
+/// parameter ranges; every time field must fit SimTime.
 void validate_fault_spec(const FaultSpec& spec, const std::string& path);
 
 /// The deterministic draw core of the stochastic process and the retry

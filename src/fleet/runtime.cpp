@@ -30,6 +30,15 @@ using common::SimTime;
 using workload::ScenarioConfig;
 using workload::ScenarioSpec;
 
+/// True when `from` plus `seconds` lies more than a second past `limit`, so
+/// also when a drawn or compounded delay (an exponential MTTR tail, a
+/// failover backoff grown by its multiplier) is too long or not finite to
+/// convert to a SimTime. Sums near `limit` fall through to the caller's
+/// exact SimTime comparison.
+bool far_past(SimTime from, double seconds, SimTime limit) {
+  return !(from.to_sec() + seconds <= limit.to_sec() + 1.0);
+}
+
 /// A stream currently releasing jobs somewhere in the fleet.
 struct LiveStream {
   int task_id = -1;
@@ -764,7 +773,7 @@ class FleetRuntime {
     }
     for (int d : victims) {
       if (!crash_device(d, now, "scripted")) continue;
-      if (e.down_s > 0.0) {
+      if (e.down_s > 0.0 && !far_past(now, e.down_s, cfg_.duration)) {
         schedule_recovery(d, now + SimTime::from_sec(e.down_s),
                           "scripted recovery");
       }
@@ -784,8 +793,9 @@ class FleetRuntime {
                          : cfg_.duration;
     const SimTime base = std::max(from, SimTime::from_sec(pr.from_s));
     const int incident = fault_incidents_[d];
-    const SimTime at =
-        base + SimTime::from_sec(fault_engine_->failure_gap_s(d, incident));
+    const double gap_s = fault_engine_->failure_gap_s(d, incident);
+    if (far_past(base, gap_s, until)) return;
+    const SimTime at = base + SimTime::from_sec(gap_s);
     if (at >= until) return;
     engine_.schedule_at(at,
                         [this, d, incident] { stochastic_fail(d, incident); });
@@ -799,9 +809,11 @@ class FleetRuntime {
     const SimTime now = engine_.now();
     if (!crash_device(d, now, "mtbf")) return;
     if (faults_.process.mttr_s > 0.0) {
-      schedule_recovery(
-          d, now + SimTime::from_sec(fault_engine_->repair_s(d, incident)),
-          "mttr elapsed");
+      const double repair_s = fault_engine_->repair_s(d, incident);
+      if (!far_past(now, repair_s, cfg_.duration)) {
+        schedule_recovery(d, now + SimTime::from_sec(repair_s),
+                          "mttr elapsed");
+      }
     }
   }
 
@@ -892,6 +904,7 @@ class FleetRuntime {
   void schedule_retry(const Orphan& o, SimTime now) {
     const double backoff_ms =
         fault_engine_->retry_backoff_ms(o.task_id, o.attempts);
+    if (far_past(now, backoff_ms * 1e-3, cfg_.duration)) return;
     const SimTime at = now + SimTime::from_ms(backoff_ms);
     if (at > cfg_.duration) return;  // homeless at the horizon
     const int id = o.task_id;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/check.hpp"
 
@@ -12,7 +13,36 @@ namespace {
 // floating-point residue after integer-nanosecond event rounding).
 constexpr double kWorkEpsilon = 1e-12;
 
+// Delay until a kernel `finish` seconds from done completes, rounded up to
+// the next nanosecond so the event never fires before the kernel's exact
+// finish instant.
+SimTime finish_delay(double finish) {
+  const auto delta =
+      SimTime::from_ns(static_cast<std::int64_t>(std::ceil(finish * 1e9)));
+  return std::max(delta, SimTime::from_ns(0));
+}
+
 }  // namespace
+
+void Executor::KernelQueue::push_back(Pending p) {
+  items_.push_back(std::move(p));
+}
+
+void Executor::KernelQueue::pop_front() {
+  if (++head_ == items_.size()) {
+    clear();
+  } else if (head_ >= 64 && 2 * head_ >= items_.size()) {
+    // A queue that never drains still reclaims its consumed prefix.
+    items_.erase(items_.begin(),
+                 items_.begin() + static_cast<std::ptrdiff_t>(head_));
+    head_ = 0;
+  }
+}
+
+void Executor::KernelQueue::clear() {
+  items_.clear();
+  head_ = 0;
+}
 
 Executor::Executor(sim::Engine& engine, DeviceSpec device,
                    SpeedupModel speedup, SharingParams sharing)
@@ -53,30 +83,43 @@ StreamPriority Executor::stream_priority(StreamId s) const {
   return streams_[s].priority;
 }
 
-std::size_t Executor::stream_queue_length(StreamId s) const {
+std::size_t Executor::stream_queue_length(StreamId s) {
   SGPRS_CHECK(s >= 0 && s < stream_count());
+  catch_up(engine_.now());
   return streams_[s].queue.size();
 }
 
-bool Executor::stream_busy(StreamId s) const {
+bool Executor::stream_busy(StreamId s) {
   SGPRS_CHECK(s >= 0 && s < stream_count());
-  return streams_[s].running != nullptr || !streams_[s].queue.empty();
+  catch_up(engine_.now());
+  return streams_[s].running.has_value() || !streams_[s].queue.empty();
 }
 
-int Executor::running_kernel_count() const { return running_count_; }
+int Executor::running_kernel_count() {
+  catch_up(engine_.now());
+  return running_count_;
+}
 
-int Executor::context_running_count(ContextId c) const {
+int Executor::context_running_count(ContextId c) {
   SGPRS_CHECK(c >= 0 && c < context_count());
+  catch_up(engine_.now());
   return contexts_[c].running_count;
 }
 
-double Executor::busy_sm_seconds() const {
+double Executor::total_work_done() {
+  catch_up(engine_.now());
+  return work_done_;
+}
+
+double Executor::busy_sm_seconds() {
   // Up to date only as of last_update_; good enough for end-of-run stats.
+  catch_up(engine_.now());
   return busy_sm_seconds_;
 }
 
-SimTime Executor::running_remaining(StreamId s) const {
+SimTime Executor::running_remaining(StreamId s) {
   SGPRS_CHECK(s >= 0 && s < stream_count());
+  catch_up(engine_.now());
   const auto& run = streams_[s].running;
   if (!run) return SimTime::max();
   const double elapsed = (engine_.now() - last_update_).to_sec();
@@ -89,16 +132,8 @@ SimTime Executor::running_remaining(StreamId s) const {
 
 void Executor::enqueue(StreamId stream, KernelDesc kernel,
                        CompletionFn on_done) {
-  SGPRS_CHECK(stream >= 0 && stream < stream_count());
-  SGPRS_CHECK(kernel.work_sm_seconds >= 0.0);
-  SGPRS_CHECK(kernel.overhead_seconds >= 0.0);
-  Stream& s = streams_[stream];
-  s.queue.push_back(Pending{std::move(kernel), std::move(on_done)});
-  if (!s.running) {
-    advance_progress();
-    start_next(stream);
-    reschedule();
-  }
+  push_kernel(stream, std::move(kernel), std::move(on_done));
+  start_if_idle(stream);
 }
 
 void Executor::enqueue_batch(StreamId stream, std::vector<KernelDesc> kernels,
@@ -106,15 +141,36 @@ void Executor::enqueue_batch(StreamId stream, std::vector<KernelDesc> kernels,
   SGPRS_CHECK_MSG(!kernels.empty(), "enqueue_batch requires >= 1 kernel");
   const std::size_t last = kernels.size() - 1;
   for (std::size_t i = 0; i < kernels.size(); ++i) {
-    enqueue(stream, std::move(kernels[i]),
-            i == last ? std::move(on_all_done) : CompletionFn{});
+    push_kernel(stream, std::move(kernels[i]),
+                i == last ? std::move(on_all_done) : CompletionFn{});
   }
+  // The whole batch is queued first, so a solo chain armed now spans it.
+  start_if_idle(stream);
+}
+
+void Executor::push_kernel(StreamId stream, KernelDesc kernel,
+                           CompletionFn on_done) {
+  SGPRS_CHECK(stream >= 0 && stream < stream_count());
+  SGPRS_CHECK(kernel.work_sm_seconds >= 0.0);
+  SGPRS_CHECK(kernel.overhead_seconds >= 0.0);
+  streams_[stream].queue.push_back(
+      Pending{std::move(kernel), std::move(on_done)});
+}
+
+void Executor::start_if_idle(StreamId stream) {
+  if (streams_[stream].running) return;
+  // Starting a second stream ends any solo chain: settle it up to now.
+  catch_up(engine_.now());
+  advance_progress();
+  start_next(stream, engine_.now());
+  reschedule();
 }
 
 void Executor::purge_all() {
   // Credit busy-SM time and work completed up to the crash instant, then
   // drop everything in flight on the floor: no callbacks, no trace end
   // events, no work_done_ for the unfinished residue.
+  catch_up(engine_.now());
   advance_progress();
   for (auto& s : streams_) {
     s.queue.clear();
@@ -125,10 +181,7 @@ void Executor::purge_all() {
     }
   }
   SGPRS_CHECK(running_count_ == 0);
-  if (completion_event_ != sim::kInvalidEvent) {
-    engine_.cancel(completion_event_);
-    completion_event_ = sim::kInvalidEvent;
-  }
+  cancel_completion();
   needs_reschedule_ = false;
 }
 
@@ -143,40 +196,60 @@ void Executor::advance_progress() {
   last_update_ = now;
   if (elapsed <= 0.0 || running_count_ == 0) return;
   for (auto& s : streams_) {
-    if (!s.running) continue;
-    Running& r = *s.running;
-    double dt = elapsed;
-    if (r.rem_overhead > 0.0) {
-      const double t = std::min(dt, r.rem_overhead);
-      r.rem_overhead -= t;
-      dt -= t;
-    }
-    if (dt > 0.0) {
-      const double done = std::min(r.rem_work, dt * r.rate);
-      r.rem_work -= done;
-      work_done_ += done;
-    }
-    busy_sm_seconds_ += elapsed * r.granted_sms;
+    if (s.running) advance_kernel(*s.running, elapsed);
   }
 }
 
-void Executor::start_next(StreamId sid) {
+void Executor::advance_kernel(Running& r, double elapsed) {
+  double dt = elapsed;
+  if (r.rem_overhead > 0.0) {
+    const double t = std::min(dt, r.rem_overhead);
+    r.rem_overhead -= t;
+    dt -= t;
+  }
+  if (dt > 0.0) {
+    const double done = std::min(r.rem_work, dt * r.rate);
+    r.rem_work -= done;
+    work_done_ += done;
+  }
+  busy_sm_seconds_ += elapsed * r.granted_sms;
+}
+
+void Executor::start_next(StreamId sid, SimTime at) {
   Stream& s = streams_[sid];
   SGPRS_CHECK(!s.running);
   if (s.queue.empty()) return;
-  Pending p = std::move(s.queue.front());
+  Pending& p = s.queue.front();
+  Running& r = s.running.emplace();
+  r.desc = std::move(p.desc);
+  r.on_done = std::move(p.on_done);
+  r.rem_overhead = r.desc.overhead_seconds;
+  r.rem_work = r.desc.work_sm_seconds;
   s.queue.pop_front();
-  auto r = std::make_unique<Running>();
-  r->desc = std::move(p.desc);
-  r->on_done = std::move(p.on_done);
-  r->rem_overhead = r->desc.overhead_seconds;
-  r->rem_work = r->desc.work_sm_seconds;
-  s.running = std::move(r);
   ++running_count_;
   ++contexts_[s.ctx].running_count;
-  if (trace_) {
-    trace_->on_kernel_start(engine_.now(), s.ctx, sid, s.running->desc);
+  if (trace_) trace_->on_kernel_start(at, s.ctx, sid, r.desc);
+}
+
+ShareGrant Executor::solo_grant(const Stream& s, OpClass op) {
+  const std::size_t row = static_cast<std::size_t>(s.ctx) * 2 +
+                          static_cast<std::size_t>(s.priority);
+  const std::size_t key = row * kOpClassCount + static_cast<std::size_t>(op);
+  if (key >= solo_grants_.size()) {
+    solo_grants_.resize((row + 1) * kOpClassCount);
   }
+  ShareGrant& g = solo_grants_[key];
+  if (g.rate == 0.0) {
+    std::vector<int> ctx_sms;
+    ctx_sms.reserve(contexts_.size());
+    for (const auto& c : contexts_) ctx_sms.push_back(c.sm_limit);
+    g = compute_shares(speedup_, device_.total_sms, ctx_sms,
+                       {ShareRequest{s.ctx, priority_weight(s.priority), op}},
+                       sharing_)
+            .front();
+    SGPRS_CHECK(g.rate > 0.0);
+  }
+  return g;
 }
 
 void Executor::reschedule() {
@@ -184,6 +257,15 @@ void Executor::reschedule() {
     needs_reschedule_ = true;
     return;
   }
+  cancel_completion();
+  if (running_count_ == 1) {
+    for (StreamId sid = 0; sid < stream_count(); ++sid) {
+      if (!streams_[sid].running) continue;
+      arm_solo_chain(sid);
+      return;
+    }
+  }
+
   // Collect running kernels into share requests.
   std::vector<ShareRequest> reqs;
   std::vector<StreamId> req_stream;
@@ -194,11 +276,6 @@ void Executor::reschedule() {
     reqs.push_back(
         ShareRequest{s.ctx, priority_weight(s.priority), s.running->desc.op});
     req_stream.push_back(sid);
-  }
-
-  if (completion_event_ != sim::kInvalidEvent) {
-    engine_.cancel(completion_event_);
-    completion_event_ = sim::kInvalidEvent;
   }
   if (reqs.empty()) return;
 
@@ -219,28 +296,106 @@ void Executor::reschedule() {
     min_finish = std::min(min_finish, finish);
   }
 
-  // Round the completion up to the next nanosecond so the event never fires
-  // before the kernel's exact finish instant.
-  auto delta = SimTime::from_ns(
-      static_cast<std::int64_t>(std::ceil(min_finish * 1e9)));
   completion_event_ = engine_.schedule_after(
-      std::max(delta, SimTime::from_ns(0)), [this] { on_completion_event(); });
+      finish_delay(min_finish), [this] { on_completion_event(); });
+}
+
+void Executor::arm_solo_chain(StreamId sid) {
+  // The running kernel and every queued kernel up to the first one with a
+  // callback run alone at their memoised solo grant, each starting at its
+  // predecessor's end: the event the per-kernel path would fire at each
+  // boundary is skipped, and catch_up() replays it when needed.
+  Stream& s = streams_[sid];
+  Running& r = *s.running;
+  const ShareGrant g = solo_grant(s, r.desc.op);
+  r.rate = g.rate;
+  r.granted_sms = g.sms;
+  SimTime end =
+      engine_.now() + finish_delay(r.rem_overhead + r.rem_work / r.rate);
+  if (!r.on_done) {
+    for (const Pending& p : s.queue) {
+      const double rate = solo_grant(s, p.desc.op).rate;
+      end += finish_delay(p.desc.overhead_seconds +
+                          p.desc.work_sm_seconds / rate);
+      if (p.on_done) break;
+    }
+  }
+  solo_ = sid;
+  completion_event_ =
+      engine_.schedule_at(end, [this] { on_completion_event(); });
+}
+
+int Executor::catch_up(SimTime now) {
+  if (solo_ < 0) return 0;
+  const StreamId sid = solo_;
+  Stream& s = streams_[sid];
+  int retired = 0;
+  // Ties: a kernel that ends exactly at `now` is retired before whatever
+  // the caller is about to do at `now`. It has no work left, so retiring
+  // it first moves no share, rate or completion time — only the order of
+  // same-instant trace events can differ from a per-kernel run that
+  // happened to fire the foreign event first. A kernel that also *starts*
+  // at `now` stays: the per-kernel path would end it only at a fresh
+  // zero-delay event, behind everything already pending at `now`.
+  while (s.running && !s.running->on_done && last_update_ < now) {
+    Running& r = *s.running;
+    const SimTime end =
+        last_update_ + finish_delay(r.rem_overhead + r.rem_work / r.rate);
+    if (end > now) break;
+    // advance_progress() then on_completion_event() at `end`, for the one
+    // kernel running.
+    const double elapsed = (end - last_update_).to_sec();
+    last_update_ = end;
+    if (elapsed > 0.0) advance_kernel(r, elapsed);
+    SGPRS_CHECK_MSG(r.rem_overhead <= 0.0 && r.rem_work <= kWorkEpsilon,
+                    "completion event fired with no finished kernel");
+    work_done_ += r.rem_work;  // residue below epsilon
+    if (trace_) trace_->on_kernel_end(end, s.ctx, sid, r.desc);
+    s.running.reset();
+    --running_count_;
+    --contexts_[s.ctx].running_count;
+    start_next(sid, end);
+    if (s.running) {
+      const ShareGrant g = solo_grant(s, s.running->desc.op);
+      s.running->rate = g.rate;
+      s.running->granted_sms = g.sms;
+    }
+    ++retired;
+  }
+  // A chain that ran dry leaves its pending event nothing to end.
+  if (!s.running) cancel_completion();
+  return retired;
+}
+
+void Executor::cancel_completion() {
+  if (completion_event_ != sim::kInvalidEvent) {
+    engine_.cancel(completion_event_);
+    completion_event_ = sim::kInvalidEvent;
+  }
+  solo_ = -1;
 }
 
 void Executor::on_completion_event() {
   completion_event_ = sim::kInvalidEvent;
+  const SimTime now = engine_.now();
+  // A solo chain's event retires its skipped kernels first. A kernel that
+  // catch_up started exactly now is one the per-kernel path examines only
+  // at a fresh zero-delay event, so it is left to the reschedule below.
+  const int skipped = catch_up(now);
+  const bool started_now = skipped > 0 && last_update_ == now;
+  solo_ = -1;
   advance_progress();
 
   // Collect every kernel that has finished (several can tie).
   std::vector<StreamId> finished;
-  for (StreamId sid = 0; sid < stream_count(); ++sid) {
+  for (StreamId sid = 0; sid < stream_count() && !started_now; ++sid) {
     Stream& s = streams_[sid];
     if (s.running && s.running->rem_overhead <= 0.0 &&
         s.running->rem_work <= kWorkEpsilon) {
       finished.push_back(sid);
     }
   }
-  SGPRS_CHECK_MSG(!finished.empty(),
+  SGPRS_CHECK_MSG(!finished.empty() || skipped > 0,
                   "completion event fired with no finished kernel");
 
   // Retire finished kernels and start successors before firing callbacks so
@@ -250,16 +405,15 @@ void Executor::on_completion_event() {
     Stream& s = streams_[sid];
     Running& r = *s.running;
     work_done_ += r.rem_work;  // residue below epsilon
-    if (trace_) trace_->on_kernel_end(engine_.now(), s.ctx, sid, r.desc);
+    if (trace_) trace_->on_kernel_end(now, s.ctx, sid, r.desc);
     callbacks.emplace_back(std::move(r.on_done), std::move(r.desc));
     s.running.reset();
     --running_count_;
     --contexts_[s.ctx].running_count;
-    start_next(sid);
+    start_next(sid, now);
   }
 
   ++defer_depth_;
-  const SimTime now = engine_.now();
   for (auto& [fn, desc] : callbacks) {
     if (fn) fn(now);
   }

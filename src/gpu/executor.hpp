@@ -1,24 +1,36 @@
 // Processor-sharing GPU executor (discrete-event).
 //
 // Owns contexts, streams and running kernels; integrates with sim::Engine.
-// Whenever the set of running kernels changes, all progress rates are
-// recomputed from the sharing model and the single pending completion event
-// is rescheduled. Kernels have two phases: a launch-overhead phase that
-// progresses at unit rate regardless of SMs, then a work phase progressing
-// at rate speedup(op, granted_sms) * contention factors.
+// Kernels have two phases: a launch-overhead phase that progresses at unit
+// rate regardless of SMs, then a work phase progressing at rate
+// speedup(op, granted_sms) * contention factors. Whenever the set of
+// running kernels changes, all progress rates are recomputed from the
+// sharing model and the single pending completion event is rescheduled.
 //
 // Streams are FIFO: at most one kernel of a stream runs at a time; the rest
 // wait in the stream's queue. This mirrors CUDA stream semantics and is what
 // the scheduler layers on top of (it submits one *stage* — a kernel batch —
 // per stream at a time).
+//
+// Solo chains: while exactly one kernel runs on the device, no share can
+// change until that stream's own kernel boundaries, so the executor does
+// not fire one event per kernel. It walks the stream's queue with the
+// per-kernel nanosecond arithmetic up to the first kernel that carries a
+// completion callback (the stage end) and schedules one event there. The
+// callback-free kernels in between are retired lazily by catch_up() — at
+// that event, when an enqueue starts another stream, on purge_all() and in
+// the introspection getters — with the same floating-point operations, in
+// the same order, as the per-kernel path, so every callback time, work and
+// busy-SM integral and trace-sink event is bit-identical to it.
+// docs/ARCHITECTURE.md § "Solo chains" is the design note; the per-kernel
+// oracle lives in tests/gpu/reference_executor.hpp.
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <functional>
-#include <memory>
+#include <optional>
 #include <vector>
 
+#include "common/inplace_function.hpp"
 #include "common/time.hpp"
 #include "gpu/device.hpp"
 #include "gpu/kernel.hpp"
@@ -37,7 +49,11 @@ using StreamId = int;
 enum class StreamPriority : std::uint8_t { kHigh = 0, kLow = 1 };
 
 /// Invoked in simulation time when a kernel (or batch) fully completes.
-using CompletionFn = std::function<void(SimTime)>;
+/// Inline capacity covers every capture the callers create (the largest
+/// today: 4 words in rt::SgprsScheduler::dispatch); outgrowing it is a
+/// static_assert at the enqueue call site, never a heap allocation.
+using CompletionFn =
+    common::InplaceFunction<void(SimTime), 32, alignof(std::uint64_t)>;
 
 class Executor {
  public:
@@ -70,25 +86,27 @@ class Executor {
   void purge_all();
 
   // --- Introspection (used by schedulers and tests) ---
+  // The getters that read kernel state first retire the solo-chain kernels
+  // that ended by now, so they see what a per-kernel executor would.
   int context_count() const { return static_cast<int>(contexts_.size()); }
   int stream_count() const { return static_cast<int>(streams_.size()); }
   int context_sm_limit(ContextId c) const;
   ContextId stream_context(StreamId s) const;
   StreamPriority stream_priority(StreamId s) const;
   /// Kernels queued behind the running one (running kernel not counted).
-  std::size_t stream_queue_length(StreamId s) const;
-  bool stream_busy(StreamId s) const;
+  std::size_t stream_queue_length(StreamId s);
+  bool stream_busy(StreamId s);
   /// Number of kernels currently executing device-wide.
-  int running_kernel_count() const;
+  int running_kernel_count();
   /// Number of kernels currently executing in a context.
-  int context_running_count(ContextId c) const;
+  int context_running_count(ContextId c);
   /// Total 1-SM work completed so far (for utilization accounting).
-  double total_work_done() const { return work_done_; }
+  double total_work_done();
   /// Integral over time of (granted SMs of running kernels), in SM-seconds.
-  double busy_sm_seconds() const;
+  double busy_sm_seconds();
   /// Estimated remaining time of the kernel running on `s` at current rates
   /// (SimTime::max() if the stream is idle). Queued kernels not included.
-  SimTime running_remaining(StreamId s) const;
+  SimTime running_remaining(StreamId s);
 
   const DeviceSpec& device() const { return device_; }
   const SpeedupModel& speedup_model() const { return speedup_; }
@@ -98,6 +116,11 @@ class Executor {
   void set_trace_sink(TraceSink* sink) { trace_ = sink; }
 
  private:
+  struct Pending {
+    KernelDesc desc;
+    CompletionFn on_done;
+  };
+
   struct Running {
     KernelDesc desc;
     CompletionFn on_done;
@@ -107,16 +130,29 @@ class Executor {
     double granted_sms = 0.0;
   };
 
-  struct Pending {
-    KernelDesc desc;
-    CompletionFn on_done;
+  /// FIFO of pending kernels that keeps its storage: once a stream's
+  /// longest queue has been seen, push and pop touch no allocator.
+  class KernelQueue {
+   public:
+    bool empty() const { return head_ == items_.size(); }
+    std::size_t size() const { return items_.size() - head_; }
+    Pending& front() { return items_[head_]; }
+    const Pending* begin() const { return items_.data() + head_; }
+    const Pending* end() const { return items_.data() + items_.size(); }
+    void push_back(Pending p);
+    void pop_front();
+    void clear();
+
+   private:
+    std::vector<Pending> items_;
+    std::size_t head_ = 0;
   };
 
   struct Stream {
     ContextId ctx;
     StreamPriority priority;
-    std::deque<Pending> queue;
-    std::unique_ptr<Running> running;  // null when idle
+    KernelQueue queue;
+    std::optional<Running> running;  // empty when idle
   };
 
   struct Context {
@@ -124,13 +160,29 @@ class Executor {
     int running_count = 0;
   };
 
+  void push_kernel(StreamId stream, KernelDesc kernel, CompletionFn on_done);
+  // Starts the stream's first queued kernel unless it is already running.
+  void start_if_idle(StreamId stream);
   // Consumes elapsed time since the last update against stored rates.
   void advance_progress();
-  // Recomputes all shares/rates and schedules the next completion event.
+  // One kernel's share of advance_progress over `elapsed` seconds.
+  void advance_kernel(Running& r, double elapsed);
+  // Recomputes all shares/rates and schedules the next completion event;
+  // with one kernel running, arms a solo chain instead.
   void reschedule();
-  void start_next(StreamId s);
+  void arm_solo_chain(StreamId sid);
+  // Retires the armed solo chain's callback-free kernels that end by `now`;
+  // returns how many it retired.
+  int catch_up(SimTime now);
+  // Starts the stream's next queued kernel at `at`.
+  void start_next(StreamId s, SimTime at);
+  // Drops the pending completion event, solo chain or not.
+  void cancel_completion();
   void on_completion_event();
   double priority_weight(StreamPriority p) const;
+  // The grant a kernel of class `op` gets running alone on stream `s`,
+  // memoised from compute_shares on that one request.
+  ShareGrant solo_grant(const Stream& s, OpClass op);
 
   sim::Engine& engine_;
   DeviceSpec device_;
@@ -140,9 +192,15 @@ class Executor {
 
   std::vector<Context> contexts_;
   std::vector<Stream> streams_;
+  // solo_grant's memo, indexed by (context, priority, op); a zero rate
+  // marks an entry not computed yet. Grown only as contexts run solo.
+  std::vector<ShareGrant> solo_grants_;
 
   SimTime last_update_ = SimTime::zero();
   sim::EventId completion_event_ = sim::kInvalidEvent;
+  // Stream whose solo chain the pending completion event ends, or -1 when
+  // that event (if any) is a per-kernel one.
+  StreamId solo_ = -1;
   double work_done_ = 0.0;
   double busy_sm_seconds_ = 0.0;
   int running_count_ = 0;

@@ -304,6 +304,11 @@ void validate(const ScenarioSpec& spec) {
     }
     fleet::validate_stream(e, path, fleet::StreamRole::kTaskEntry);
   }
+  if (spec.base.shards < 1 || spec.base.shards > cluster::kMaxShards) {
+    bad("spec.sim.shards", "must be in [1, " +
+                               std::to_string(cluster::kMaxShards) +
+                               "] (kMaxShards)");
+  }
   if (spec.base.num_devices > cluster::kMaxFleetDevices) {
     bad("spec.fleet.devices",
         "must be <= " + std::to_string(cluster::kMaxFleetDevices) +

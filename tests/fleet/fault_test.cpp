@@ -3,7 +3,8 @@
 // parked orphans, a crash during an active drain releases placer
 // accounting exactly once, and a ~200-seed sweep of the stochastic
 // MTBF/MTTR process holds the structural invariants (availability in
-// [0, 1], no live stream on a failed device, counter consistency).
+// [0, 1], no live stream on a failed device, counter consistency), and
+// delays too long for a SimTime fall past the horizon.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -248,6 +249,31 @@ void check_no_stream_on_failed_device(const FleetRunResult& r) {
     }
   }
   verify();
+}
+
+TEST(FaultTest, DelaysPastSimTimeRangeLandPastTheHorizon) {
+  // In-range fault parameters can still draw, or add up to, delays too
+  // long for a SimTime: the exponential tail of a 9e9 s MTBF/MTTR, a
+  // recovery 9.2e9 s after a crash, a backoff plus jitter near the limit.
+  // Those events must fall past the horizon, not overflow into the past.
+  ScenarioSpec spec = base_spec(16, 0.5);
+  spec.tasks.push_back(entry("cam", 8));
+  FaultSpec faults;
+  faults.seed = 3;
+  faults.process.mtbf_s = 9e9;
+  faults.process.mttr_s = 9e9;
+  FaultEvent outage;
+  outage.at_s = 0.2;
+  outage.count = 16;
+  outage.down_s = 9.2e9;
+  faults.events.push_back(outage);
+  faults.failover.backoff_ms = 9e12;
+  faults.failover.jitter_ms = 9e12;
+  spec.faults = faults;
+  workload::validate(spec);
+  const FleetRunResult r = workload::run_spec(spec).dyn;
+  EXPECT_EQ(r.devices_failed, 16);
+  EXPECT_EQ(r.devices_recovered, 0);
 }
 
 TEST(FaultTest, StochasticFaultSweepHoldsInvariants) {

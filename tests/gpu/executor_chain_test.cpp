@@ -1,0 +1,460 @@
+// Solo chains against the per-kernel oracle (reference_executor.hpp).
+//
+// gpu::Executor advances a kernel that runs alone on its device through its
+// stream's queue analytically, with one event per stage instead of one per
+// kernel. These tests require that to be invisible: the same callback times
+// and order, the same work and busy-SM integrals bit for bit, the same
+// getter answers and the same trace-sink sequence as the per-kernel path.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <functional>
+#include <ostream>
+#include <sstream>
+#include <string>
+#include <tuple>
+#include <vector>
+
+#include "common/rng.hpp"
+#include "dnn/builders.hpp"
+#include "dnn/partition.hpp"
+#include "gpu/executor.hpp"
+#include "reference_executor.hpp"
+#include "sim/engine.hpp"
+
+namespace sgprs::gpu {
+namespace {
+
+using common::SimTime;
+using reference::ReferenceExecutor;
+
+struct TraceEvent {
+  char kind;  // 's' start, 'e' end
+  std::int64_t t_ns;
+  int ctx;
+  int stream;
+  std::uint64_t tag;
+  bool operator==(const TraceEvent&) const = default;
+  bool operator<(const TraceEvent& o) const {
+    return std::tie(t_ns, kind, stream, ctx, tag) <
+           std::tie(o.t_ns, o.kind, o.stream, o.ctx, o.tag);
+  }
+};
+
+std::ostream& operator<<(std::ostream& os, const TraceEvent& e) {
+  return os << e.kind << "@" << e.t_ns << " c" << e.ctx << " s" << e.stream
+            << " k" << e.tag;
+}
+
+struct TraceLog : TraceSink {
+  std::vector<TraceEvent> events;
+  void on_kernel_start(SimTime t, int ctx, int stream,
+                       const KernelDesc& k) override {
+    events.push_back({'s', t.ns, ctx, stream, k.tag});
+  }
+  void on_kernel_end(SimTime t, int ctx, int stream,
+                     const KernelDesc& k) override {
+    events.push_back({'e', t.ns, ctx, stream, k.tag});
+  }
+};
+
+/// One kernel batch of a randomized plan. A root batch arrives at `at_ns`;
+/// a child (at_ns < 0) is enqueued by its parent's completion callback, the
+/// way a scheduler dispatches a job's next stage.
+struct Batch {
+  std::int64_t at_ns = -1;
+  int stream = 0;
+  std::vector<KernelDesc> kernels;
+  bool callback = true;  // false: kernels enqueued one by one, no callback
+  std::vector<int> children;
+};
+
+struct StreamSpec {
+  int ctx;
+  StreamPriority priority;
+};
+
+/// What happens at `probe_ns`, on top of the batches.
+enum class Probe { kNone, kPurge, kEnqueue };
+
+struct Plan {
+  SharingParams sharing;
+  std::vector<int> context_sms;
+  std::vector<StreamSpec> streams;  // the last one only serves kEnqueue
+  std::vector<Batch> batches;
+  std::vector<std::int64_t> snapshots_ns;  // getter snapshots
+  std::int64_t purge_ns = -1;              // mid-run purge at a random time
+};
+
+KernelDesc random_kernel(common::Rng& rng, std::uint64_t tag) {
+  KernelDesc k;
+  k.op = static_cast<OpClass>(rng.next_u64() % kOpClassCount);
+  const double roll = rng.next_double();
+  // A few zero-length kernels exercise zero-delay boundaries.
+  k.work_sm_seconds = roll < 0.05 ? 0.0 : rng.uniform(0.0, 4e-3);
+  k.overhead_seconds =
+      roll < 0.05 || rng.next_double() < 0.3 ? 0.0 : rng.uniform(0.0, 2e-5);
+  k.tag = tag;
+  return k;
+}
+
+Plan random_plan(std::uint64_t seed) {
+  common::Rng rng(seed);
+  Plan p;
+  if (rng.next_double() < 0.5) {
+    p.sharing.interference_gamma = 0.0;
+    p.sharing.oversub_thrash_kappa = 0.0;
+    p.sharing.contention_exponent = 1.0;
+  }
+  const int contexts = 1 + static_cast<int>(rng.next_u64() % 3);
+  for (int c = 0; c < contexts; ++c) {
+    p.context_sms.push_back(1 + static_cast<int>(rng.next_u64() % 68));
+  }
+  const int streams = 1 + static_cast<int>(rng.next_u64() % 4);
+  for (int s = 0; s <= streams; ++s) {  // one extra: the probe stream
+    p.streams.push_back(
+        {static_cast<int>(rng.next_u64() % contexts),
+         rng.next_double() < 0.5 ? StreamPriority::kHigh
+                                 : StreamPriority::kLow});
+  }
+  std::uint64_t tag = 0;
+  const auto make_batch = [&](std::int64_t at_ns) {
+    Batch b;
+    b.at_ns = at_ns;
+    b.stream = static_cast<int>(rng.next_u64() % streams);
+    const int n = 1 + static_cast<int>(rng.next_u64() % 8);
+    for (int k = 0; k < n; ++k) b.kernels.push_back(random_kernel(rng, ++tag));
+    b.callback = rng.next_double() < 0.85;
+    p.batches.push_back(std::move(b));
+    return static_cast<int>(p.batches.size() - 1);
+  };
+  const int roots = 3 + static_cast<int>(rng.next_u64() % 14);
+  for (int i = 0; i < roots; ++i) {
+    make_batch(static_cast<std::int64_t>(rng.uniform(0.0, 2e7)));  // 20 ms
+  }
+  // Follow-up stages: a callback enqueues the next batch of its job.
+  for (std::size_t i = 0; i < p.batches.size() && p.batches.size() < 48;
+       ++i) {
+    if (p.batches[i].callback && rng.next_double() < 0.6) {
+      const int child = make_batch(-1);
+      p.batches[i].children.push_back(child);
+    }
+  }
+  const int snaps = static_cast<int>(rng.next_u64() % 8);
+  for (int i = 0; i < snaps; ++i) {
+    p.snapshots_ns.push_back(static_cast<std::int64_t>(rng.uniform(0.0, 3e7)));
+  }
+  if (rng.next_double() < 0.3) {
+    p.purge_ns = static_cast<std::int64_t>(rng.uniform(0.0, 2.5e7));
+  }
+  return p;
+}
+
+struct Outcome {
+  std::vector<std::pair<std::int64_t, int>> callbacks;  // (t ns, batch)
+  std::vector<TraceEvent> trace;
+  std::vector<std::string> snapshots;
+  double work = 0.0;
+  double busy = 0.0;
+  std::int64_t end_ns = 0;
+  std::size_t events = 0;
+};
+
+/// Drives one executor type through a plan. Both executors share the API,
+/// so the same code runs the oracle and the chain executor.
+template <typename Exec>
+class Harness {
+ public:
+  explicit Harness(const Plan& plan)
+      : plan_(plan),
+        exec_(engine_, rtx2080ti(), SpeedupModel::rtx2080ti(), plan.sharing) {
+    exec_.set_trace_sink(&trace_);
+    for (int sms : plan.context_sms) exec_.create_context(sms);
+    for (const auto& s : plan.streams) {
+      streams_.push_back(exec_.create_stream(s.ctx, s.priority));
+    }
+  }
+
+  /// Runs the plan. `probe` fires at `probe_ns`; when `two_step` is set it
+  /// is scheduled from an event at that same instant, so every completion
+  /// event already pending for that instant fires before it.
+  Outcome run(Probe probe = Probe::kNone, std::int64_t probe_ns = -1,
+              bool two_step = true) {
+    for (std::size_t i = 0; i < plan_.batches.size(); ++i) {
+      if (plan_.batches[i].at_ns < 0) continue;
+      const int b = static_cast<int>(i);
+      engine_.schedule_at(SimTime::from_ns(plan_.batches[i].at_ns),
+                          [this, b] { enqueue(b); });
+    }
+    for (std::int64_t t : plan_.snapshots_ns) {
+      engine_.schedule_at(SimTime::from_ns(t), [this] { snapshot(); });
+    }
+    if (plan_.purge_ns >= 0) {
+      engine_.schedule_at(SimTime::from_ns(plan_.purge_ns),
+                          [this] { exec_.purge_all(); });
+    }
+    if (probe != Probe::kNone) {
+      const SimTime at = SimTime::from_ns(probe_ns);
+      if (two_step) {
+        engine_.schedule_at(at, [this, at, probe] {
+          engine_.schedule_at(at, [this, probe] { fire(probe); });
+        });
+      } else {
+        engine_.schedule_at(at, [this, probe] { fire(probe); });
+      }
+    }
+    engine_.run();
+    out_.trace = trace_.events;
+    out_.work = exec_.total_work_done();
+    out_.busy = exec_.busy_sm_seconds();
+    out_.end_ns = engine_.now().ns;
+    out_.events = engine_.processed_count();
+    return out_;
+  }
+
+ private:
+  void enqueue(int b) {
+    const Batch& batch = plan_.batches[b];
+    const StreamId s = streams_[batch.stream];
+    if (batch.callback) {
+      exec_.enqueue_batch(s, batch.kernels, [this, b](SimTime t) {
+        out_.callbacks.emplace_back(t.ns, b);
+        for (int child : plan_.batches[b].children) enqueue(child);
+      });
+    } else {
+      for (const auto& k : batch.kernels) exec_.enqueue(s, k, {});
+    }
+  }
+
+  void fire(Probe probe) {
+    if (probe == Probe::kPurge) {
+      exec_.purge_all();
+      return;
+    }
+    KernelDesc k;
+    k.op = OpClass::kConv;
+    k.work_sm_seconds = 1e-3;
+    k.tag = 1u << 20;
+    exec_.enqueue(streams_.back(), k, [this](SimTime t) {
+      out_.callbacks.emplace_back(t.ns, -1);
+    });
+  }
+
+  void snapshot() {
+    std::ostringstream os;
+    os << std::hexfloat << engine_.now().ns << " run="
+       << exec_.running_kernel_count() << " work=" << exec_.total_work_done()
+       << " busy=" << exec_.busy_sm_seconds();
+    for (int c = 0; c < exec_.context_count(); ++c) {
+      os << " c" << c << "=" << exec_.context_running_count(c);
+    }
+    for (StreamId s : streams_) {
+      os << " s" << s << "=" << exec_.stream_busy(s) << "/"
+         << exec_.stream_queue_length(s) << "/"
+         << exec_.running_remaining(s).ns;
+    }
+    out_.snapshots.push_back(os.str());
+  }
+
+  const Plan& plan_;
+  sim::Engine engine_;
+  Exec exec_;
+  TraceLog trace_;
+  std::vector<StreamId> streams_;
+  Outcome out_;
+};
+
+void expect_identical(const Outcome& chain, const Outcome& oracle) {
+  EXPECT_EQ(chain.callbacks, oracle.callbacks);
+  EXPECT_EQ(chain.trace, oracle.trace);
+  EXPECT_EQ(chain.snapshots, oracle.snapshots);
+  // Bit-identical, not merely close.
+  EXPECT_EQ(chain.work, oracle.work);
+  EXPECT_EQ(chain.busy, oracle.busy);
+  EXPECT_EQ(chain.end_ns, oracle.end_ns);
+  EXPECT_LE(chain.events, oracle.events);
+}
+
+/// Kernel boundaries of an oracle trace where a kernel that started
+/// strictly earlier ends while running alone and its stream's next kernel
+/// starts at once — the boundaries a solo chain skips unless the ending
+/// kernel carries a callback.
+std::vector<std::int64_t> solo_boundaries(const std::vector<TraceEvent>& t) {
+  std::vector<std::int64_t> ends;
+  std::vector<std::pair<int, std::int64_t>> running;  // (stream, start)
+  for (std::size_t i = 0; i < t.size(); ++i) {
+    const TraceEvent& e = t[i];
+    if (e.kind == 's') {
+      running.emplace_back(e.stream, e.t_ns);
+      continue;
+    }
+    const auto it =
+        std::find_if(running.begin(), running.end(),
+                     [&](const auto& r) { return r.first == e.stream; });
+    const bool alone = running.size() == 1;
+    const bool started_earlier = it->second < e.t_ns;
+    running.erase(it);
+    const bool continues = i + 1 < t.size() && t[i + 1].kind == 's' &&
+                           t[i + 1].stream == e.stream &&
+                           t[i + 1].t_ns == e.t_ns;
+    if (alone && started_earlier && continues) ends.push_back(e.t_ns);
+  }
+  return ends;
+}
+
+TEST(SoloChainDifferential, TwoHundredSeedsMatchThePerKernelOracle) {
+  std::size_t chain_events = 0;
+  std::size_t oracle_events = 0;
+  int boundary_probes = 0;
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const Plan plan = random_plan(seed);
+    const Outcome base = Harness<ReferenceExecutor>(plan).run();
+    const Outcome chain = Harness<Executor>(plan).run();
+    expect_identical(chain, base);
+    chain_events += chain.events;
+    oracle_events += base.events;
+
+    // A purge or a foreign enqueue landing exactly on a solo kernel
+    // boundary, and one mid-kernel.
+    common::Rng rng(seed ^ 0x9e3779b97f4a7c15ULL);
+    const auto ends = solo_boundaries(base.trace);
+    if (ends.empty()) continue;
+    const std::int64_t at = ends[rng.next_u64() % ends.size()];
+    for (Probe probe : {Probe::kPurge, Probe::kEnqueue}) {
+      SCOPED_TRACE(probe == Probe::kPurge ? "purge at boundary"
+                                          : "enqueue at boundary");
+      expect_identical(Harness<Executor>(plan).run(probe, at),
+                       Harness<ReferenceExecutor>(plan).run(probe, at));
+      const std::int64_t mid = at - 1 - static_cast<std::int64_t>(
+                                            rng.next_u64() % 1000);
+      if (mid <= 0) continue;
+      SCOPED_TRACE("mid-kernel");
+      expect_identical(Harness<Executor>(plan).run(probe, mid),
+                       Harness<ReferenceExecutor>(plan).run(probe, mid));
+    }
+    ++boundary_probes;
+  }
+  EXPECT_GT(boundary_probes, 100);
+  // The chains must actually skip events, not merely agree.
+  EXPECT_LT(chain_events, oracle_events);
+}
+
+TEST(SoloChain, LoneResnet18JobFiresOneEventPerStage) {
+  const dnn::Network net = dnn::resnet18();
+  const dnn::CostModel cost = dnn::CostModel::calibrated();
+  const dnn::StagePlan stages = dnn::partition_into_stages(net, cost, 6);
+  ASSERT_EQ(stages.stage_count(), 6);
+  std::size_t kernels = 0;
+  for (const auto& st : stages.stages) kernels += st.size();
+
+  // Each stage end dispatches the next stage on the same stream, as the
+  // SGPRS scheduler does; returns the stage end times.
+  const auto run = [&](auto& exec, sim::Engine& engine) {
+    const auto ctx = exec.create_context(34);
+    const auto s = exec.create_stream(ctx, StreamPriority::kHigh);
+    std::vector<std::int64_t> ends;
+    std::function<void(int)> dispatch = [&](int stage) {
+      exec.enqueue_batch(s, dnn::stage_kernels(net, cost, stages.stages[stage]),
+                         [&, stage](SimTime t) {
+                           ends.push_back(t.ns);
+                           if (stage + 1 < 6) dispatch(stage + 1);
+                         });
+    };
+    dispatch(0);
+    engine.run();
+    return ends;
+  };
+  sim::Engine engine;
+  Executor exec(engine, rtx2080ti(), SpeedupModel::rtx2080ti(),
+                SharingParams{});
+  sim::Engine oracle_engine;
+  ReferenceExecutor oracle(oracle_engine, rtx2080ti(),
+                           SpeedupModel::rtx2080ti(), SharingParams{});
+  const auto ends = run(exec, engine);
+  EXPECT_EQ(ends, run(oracle, oracle_engine));
+  ASSERT_EQ(ends.size(), 6u);
+  EXPECT_EQ(engine.processed_count(), 6u);
+  EXPECT_EQ(oracle_engine.processed_count(), kernels);
+  EXPECT_GT(kernels, 6u * 3);
+  EXPECT_EQ(exec.total_work_done(), oracle.total_work_done());
+  EXPECT_EQ(exec.busy_sm_seconds(), oracle.busy_sm_seconds());
+}
+
+TEST(SoloChain, EnqueueOnSkippedBoundaryRetiresTheEndingKernelFirst) {
+  // Stream A runs four kernels as one stage; a foreign enqueue on stream B
+  // lands exactly where A's second kernel ends — a boundary the solo chain
+  // skipped.
+  Plan plan;
+  plan.context_sms = {34, 34};
+  plan.streams = {{0, StreamPriority::kHigh}, {1, StreamPriority::kLow}};
+  Batch stage;
+  stage.at_ns = 0;
+  for (int k = 0; k < 4; ++k) {
+    KernelDesc d;
+    d.op = k % 2 ? OpClass::kReLU : OpClass::kConv;
+    d.work_sm_seconds = 1e-3 * (k + 1);
+    d.overhead_seconds = 5e-6;
+    d.tag = static_cast<std::uint64_t>(k + 1);
+    stage.kernels.push_back(d);
+  }
+  plan.batches.push_back(stage);
+
+  const Outcome base = Harness<ReferenceExecutor>(plan).run();
+  const auto ends = solo_boundaries(base.trace);
+  ASSERT_EQ(ends.size(), 3u);
+  const std::int64_t at = ends[1];
+
+  // Scheduled behind the pending completion, the oracle retires A's kernel
+  // first too: every byte matches, trace order included.
+  const Outcome chain = Harness<Executor>(plan).run(Probe::kEnqueue, at);
+  const Outcome behind =
+      Harness<ReferenceExecutor>(plan).run(Probe::kEnqueue, at);
+  expect_identical(chain, behind);
+  // The chain executor orders the tie the same way however the foreign
+  // event was scheduled.
+  const Outcome chain_first =
+      Harness<Executor>(plan).run(Probe::kEnqueue, at, /*two_step=*/false);
+  expect_identical(chain_first, chain);
+
+  // Scheduled ahead of the completion, the oracle starts B while A's
+  // kernel sits finished with zero work left: no share, rate or completion
+  // time moves, only the order of same-instant trace events differs.
+  const Outcome ahead = Harness<ReferenceExecutor>(plan).run(
+      Probe::kEnqueue, at, /*two_step=*/false);
+  EXPECT_EQ(chain.callbacks, ahead.callbacks);
+  EXPECT_EQ(chain.work, ahead.work);
+  EXPECT_EQ(chain.busy, ahead.busy);
+  EXPECT_NE(chain.trace, ahead.trace);
+  auto sorted_chain = chain.trace;
+  auto sorted_ahead = ahead.trace;
+  std::sort(sorted_chain.begin(), sorted_chain.end());
+  std::sort(sorted_ahead.begin(), sorted_ahead.end());
+  EXPECT_EQ(sorted_chain, sorted_ahead);
+}
+
+TEST(SoloChain, GettersSeeSkippedKernelsRetired) {
+  // Between chain events the getters must answer as the per-kernel
+  // executor would: the kernels that ended by now are gone.
+  sim::Engine engine;
+  Executor exec(engine, rtx2080ti(), SpeedupModel::rtx2080ti(),
+                SharingParams{});
+  const auto ctx = exec.create_context(68);
+  const auto s = exec.create_stream(ctx, StreamPriority::kHigh);
+  KernelDesc k;
+  k.op = OpClass::kConv;
+  k.work_sm_seconds = 32.0;  // ~1 s each at 68 SMs
+  exec.enqueue_batch(s, {k, k, k}, {});
+  EXPECT_EQ(exec.stream_queue_length(s), 2u);
+  engine.run_until(SimTime::from_sec(1.5));
+  EXPECT_EQ(exec.stream_queue_length(s), 1u);
+  EXPECT_EQ(exec.running_kernel_count(), 1);
+  EXPECT_NEAR(exec.total_work_done(), 32.0, 1e-6);
+  engine.run();
+  EXPECT_FALSE(exec.stream_busy(s));
+  EXPECT_EQ(engine.processed_count(), 1u);
+}
+
+}  // namespace
+}  // namespace sgprs::gpu

@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <fstream>
+#include <functional>
 #include <limits>
+#include <utility>
+
+#include "cluster/cluster.hpp"
 
 namespace sgprs::workload {
 namespace {
@@ -328,6 +333,73 @@ TEST(SpecValidate, BaseConfigErrorsSurfaceAsSpecErrors) {
     FAIL() << "expected SpecError";
   } catch (const SpecError& e) {
     EXPECT_EQ(e.path(), "spec.fleet_policy.series_window_ms") << e.what();
+  }
+  // A shard is a thread: the count is bounded on both sides, in the file
+  // and through --shards (which sets spec.base.shards, then validates).
+  for (int shards : {-2, 0, cluster::kMaxShards + 1, 100000}) {
+    spec = parse(kTinyMixed);
+    spec.base.shards = shards;
+    try {
+      validate(spec);
+      FAIL() << "expected SpecError for shards " << shards;
+    } catch (const SpecError& e) {
+      EXPECT_EQ(e.path(), "spec.sim.shards") << e.what();
+    }
+  }
+  spec = parse(kTinyMixed);
+  spec.base.shards = cluster::kMaxShards;
+  EXPECT_NO_THROW(validate(spec));
+  doc = kTinyMixed;
+  doc.replace(doc.find("\"warmup_s\""), 10, "\"shards\": -2, \"warmup_s\"");
+  EXPECT_THROW(validate(parse(doc)), SpecError);
+}
+
+TEST(SpecValidate, FaultTimesMustFitSimTime) {
+  // Each value used to end in an internal "schedule event in the past"
+  // CHECK once converted to a SimTime.
+  const auto path_of = [](const ScenarioSpec& s) {
+    try {
+      validate(s);
+    } catch (const SpecError& e) {
+      return e.path();
+    }
+    return std::string("<no error>");
+  };
+  ScenarioSpec base = parse(kTinyMixed);
+  fleet::FaultSpec faults;
+  fleet::FaultEvent crash;
+  crash.at_s = 0.3;
+  crash.device = 0;
+  crash.down_s = 0.1;
+  faults.events.push_back(crash);
+  faults.process.mtbf_s = 1.0;
+  faults.process.mttr_s = 0.5;
+  base.faults = faults;
+  EXPECT_EQ(path_of(base), "<no error>");
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const std::pair<std::function<void(fleet::FaultSpec&)>, std::string>
+      cases[] = {
+          {[](auto& f) { f.events[0].at_s = 1e308; },
+           "spec.faults.events[0].at_s"},
+          {[](auto& f) { f.events[0].down_s = 1e308; },
+           "spec.faults.events[0].down_s"},
+          {[=](auto& f) { f.process.mtbf_s = kInf; },
+           "spec.faults.process.mtbf_s"},
+          {[](auto& f) { f.process.mttr_s = 1e308; },
+           "spec.faults.process.mttr_s"},
+          {[](auto& f) { f.process.from_s = 1e308; },
+           "spec.faults.process.from_s"},
+          {[](auto& f) { f.process.until_s = std::nan(""); },
+           "spec.faults.process.until_s"},
+          {[](auto& f) { f.failover.backoff_ms = 1e308; },
+           "spec.faults.failover.backoff_ms"},
+          {[=](auto& f) { f.failover.jitter_ms = kInf; },
+           "spec.faults.failover.jitter_ms"},
+      };
+  for (const auto& [mutate, path] : cases) {
+    ScenarioSpec bad = base;
+    mutate(*bad.faults);
+    EXPECT_EQ(path_of(bad), path);
   }
 }
 

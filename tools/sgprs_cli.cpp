@@ -22,6 +22,7 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <sstream>
 
 #include "common/csv.hpp"
@@ -395,7 +396,8 @@ bool inject_fail_devices(const std::vector<std::string>& fail_devices,
 /// the run's admit/retire stream is written out.
 int run_spec_file(const std::string& path, const std::string& report,
                   const std::string& trace_path,
-                  const std::string& record_path, int shards_override,
+                  const std::string& record_path,
+                  std::optional<int> shards_override,
                   const std::vector<std::string>& fail_devices,
                   const std::string& span_path, bool profile) {
   if (!fs::exists(path)) {
@@ -404,10 +406,10 @@ int run_spec_file(const std::string& path, const std::string& report,
     return 1;
   }
   auto spec = workload::load_scenario_spec(path);
-  if (shards_override > 0) {
+  if (shards_override) {
     // --shards re-partitions the run without editing the spec; any count
     // yields byte-identical reports (docs/sharding.md).
-    spec.base.shards = shards_override;
+    spec.base.shards = *shards_override;
     workload::validate(spec);
   }
   if (!trace_path.empty()) {
@@ -431,12 +433,13 @@ int run_spec_file(const std::string& path, const std::string& report,
 /// --experiment=file.json: expand the grid x replications, run on a worker
 /// pool, print the per-cell CI table and write <report>.csv/.json.
 int run_experiment_file(const std::string& path, int jobs,
-                        const std::string& report, int shards_override) {
+                        const std::string& report,
+                        std::optional<int> shards_override) {
   auto spec = workload::load_experiment_spec(path);
-  if (shards_override > 0) {
+  if (shards_override) {
     // Shards compose with --jobs: each replication runs sharded inside
     // one of the pool's jobs. Results are byte-identical either way.
-    spec.base.base.shards = shards_override;
+    spec.base.base.shards = *shards_override;
     workload::validate(spec.base);
   }
 
@@ -664,6 +667,13 @@ int run_trace_file(const std::string& path, const common::FlagParser& flags,
                          profile);
 }
 
+/// --shards when given; it then overrides the spec's sim.shards and goes
+/// through the same range check.
+std::optional<int> shards_flag(const common::FlagParser& flags) {
+  if (!flags.has("shards")) return std::nullopt;
+  return flags.get_int("shards");
+}
+
 int run(const common::FlagParser& flags) {
   if (flags.get_bool("list-scenarios")) {
     return list_scenarios(flags.has("suite") ? flags.get("suite")
@@ -673,8 +683,7 @@ int run(const common::FlagParser& flags) {
     return run_spec_file(flags.get("scenario"),
                          flags.has("report") ? flags.get("report") : "",
                          flags.get("trace"), flags.get("record-trace"),
-                         flags.has("shards") ? flags.get_int("shards") : 0,
-                         flags.get_all("fail-device"),
+                         shards_flag(flags), flags.get_all("fail-device"),
                          flags.get("trace-spans"), flags.get_bool("profile"));
   }
   if (flags.has("trace")) {
@@ -697,8 +706,7 @@ int run(const common::FlagParser& flags) {
     return run_experiment_file(flags.get("experiment"), flags.get_int("jobs"),
                                flags.has("report") ? flags.get("report")
                                                    : "experiment_report",
-                               flags.has("shards") ? flags.get_int("shards")
-                                                   : 0);
+                               shards_flag(flags));
   }
   if (flags.has("suite")) {
     return run_suite_dir(flags.get("suite"), flags.get("report"));
@@ -777,8 +785,9 @@ int main(int argc, char** argv) {
                      "inject a scripted crash into the run: "
                      "<device>@<seconds>, e.g. --fail-device 2@1.5");
   flags.define("shards",
-               "parallel shards inside one run (overrides the spec's "
-               "sim.shards; results are byte-identical for any value)",
+               "parallel shards inside one run, 1..64 (overrides the "
+               "spec's sim.shards; results are byte-identical for any "
+               "value)",
                "1");
   flags.define("devices",
                "fleet: a device count (\"4\") or a comma list of device "
