@@ -5,8 +5,7 @@
 // trade completed-late frames against on-time capacity under overload.
 #include <iostream>
 
-#include "metrics/report.hpp"
-#include "workload/scenario.hpp"
+#include "figure_common.hpp"
 
 int main() {
   using namespace sgprs;
@@ -27,20 +26,15 @@ int main() {
         V{"cap 2 + abort hopeless", 2, true},
         V{"cap 4, no abort", 4, false},
         V{"cap 4 + abort hopeless", 4, true}}) {
-    workload::ScenarioConfig cfg;
-    cfg.scheduler = workload::SchedulerKind::kSgprs;
-    cfg.num_contexts = 2;
-    cfg.oversubscription = 1.5;
-    cfg.num_tasks = 28;
-    cfg.duration = common::SimTime::from_sec(2.0);
-    cfg.warmup = common::SimTime::from_sec(0.4);
-    cfg.sgprs.max_in_flight_per_task = v.cap;
-    cfg.sgprs.abort_hopeless = v.abort_hopeless;
-    const auto r = workload::run_scenario(cfg);
+    auto spec = bench::figure_base(2, 28);
+    spec.base.oversubscription = 1.5;
+    spec.base.sgprs.max_in_flight_per_task = v.cap;
+    spec.base.sgprs.abort_hopeless = v.abort_hopeless;
+    const auto r = workload::run_spec(spec);
     t.add_row({v.name, Table::fmt(r.fps(), 0),
-               Table::fmt(r.aggregate.fps_on_time, 0),
+               Table::fmt(r.aggregate().fps_on_time, 0),
                Table::pct(r.dmr()),
-               Table::fmt(r.aggregate.p99_latency_ms, 1)});
+               Table::fmt(r.aggregate().p99_latency_ms, 1)});
     std::cerr << "  " << v.name << " done\n";
   }
   t.print(std::cout);

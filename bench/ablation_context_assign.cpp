@@ -5,8 +5,7 @@
 // random, and pure least-loaded assignment, across load levels.
 #include <iostream>
 
-#include "metrics/report.hpp"
-#include "workload/scenario.hpp"
+#include "figure_common.hpp"
 
 int main() {
   using namespace sgprs;
@@ -28,18 +27,13 @@ int main() {
   for (int tasks : {20, 24, 28}) {
     Table t({"policy", "total FPS", "DMR", "p99 lat (ms)", "migrations"});
     for (const auto& v : variants) {
-      workload::ScenarioConfig cfg;
-      cfg.scheduler = workload::SchedulerKind::kSgprs;
-      cfg.num_contexts = 2;
-      cfg.oversubscription = 1.5;
-      cfg.num_tasks = tasks;
-      cfg.duration = common::SimTime::from_sec(2.0);
-      cfg.warmup = common::SimTime::from_sec(0.4);
-      cfg.sgprs.assign_policy = v.policy;
-      const auto r = workload::run_scenario(cfg);
+      auto spec = bench::figure_base(2, tasks);
+      spec.base.oversubscription = 1.5;
+      spec.base.sgprs.assign_policy = v.policy;
+      const auto r = workload::run_spec(spec);
       t.add_row({v.name, Table::fmt(r.fps(), 0), Table::pct(r.dmr()),
-                 Table::fmt(r.aggregate.p99_latency_ms, 1),
-                 std::to_string(r.stage_migrations)});
+                 Table::fmt(r.aggregate().p99_latency_ms, 1),
+                 std::to_string(r.migrations())});
       std::cerr << "  " << tasks << " tasks / " << v.name << " done\n";
     }
     std::cout << "\n" << tasks << " tasks:\n";

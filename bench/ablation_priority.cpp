@@ -8,20 +8,14 @@
 // mechanisms matter.
 #include <iostream>
 
-#include "metrics/report.hpp"
-#include "workload/scenario.hpp"
+#include "figure_common.hpp"
 
 int main() {
   using namespace sgprs;
   using metrics::Table;
 
-  workload::ScenarioConfig base;
-  base.scheduler = workload::SchedulerKind::kSgprs;
-  base.num_contexts = 2;
-  base.oversubscription = 1.5;
-  base.num_tasks = 26;
-  base.duration = common::SimTime::from_sec(2.0);
-  base.warmup = common::SimTime::from_sec(0.4);
+  auto base = bench::figure_base(2, 26);
+  base.base.oversubscription = 1.5;
 
   struct Variant {
     std::string name;
@@ -41,13 +35,13 @@ int main() {
   Table t({"variant", "total FPS", "DMR", "p99 lat (ms)",
            "medium promotions"});
   for (const auto& v : variants) {
-    auto cfg = base;
-    cfg.priority_policy = v.policy;
-    cfg.sgprs.medium_boost = v.medium_boost;
-    const auto r = workload::run_scenario(cfg);
+    auto spec = base;
+    spec.tasks[0].priority_policy = v.policy;
+    spec.base.sgprs.medium_boost = v.medium_boost;
+    const auto r = workload::run_spec(spec);
     t.add_row({v.name, Table::fmt(r.fps(), 0), Table::pct(r.dmr()),
-               Table::fmt(r.aggregate.p99_latency_ms, 1),
-               std::to_string(r.medium_promotions)});
+               Table::fmt(r.aggregate().p99_latency_ms, 1),
+               std::to_string(r.medium_promotions())});
     std::cerr << "  " << v.name << " done\n";
   }
 

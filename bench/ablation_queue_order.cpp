@@ -5,8 +5,7 @@
 // arrival order at increasing load.
 #include <iostream>
 
-#include "metrics/report.hpp"
-#include "workload/scenario.hpp"
+#include "figure_common.hpp"
 
 int main() {
   using namespace sgprs;
@@ -20,18 +19,13 @@ int main() {
     for (auto [name, order] :
          {std::pair{"EDF (paper)", rt::QueueOrder::kEdf},
           std::pair{"FIFO", rt::QueueOrder::kFifo}}) {
-      workload::ScenarioConfig cfg;
-      cfg.scheduler = workload::SchedulerKind::kSgprs;
-      cfg.num_contexts = 2;
-      cfg.oversubscription = 1.5;
-      cfg.num_tasks = tasks;
-      cfg.duration = common::SimTime::from_sec(2.0);
-      cfg.warmup = common::SimTime::from_sec(0.4);
-      cfg.sgprs.queue_order = order;
-      const auto r = workload::run_scenario(cfg);
+      auto spec = bench::figure_base(2, tasks);
+      spec.base.oversubscription = 1.5;
+      spec.base.sgprs.queue_order = order;
+      const auto r = workload::run_spec(spec);
       t.add_row({name, Table::fmt(r.fps(), 0), Table::pct(r.dmr()),
-                 Table::fmt(r.aggregate.p50_latency_ms, 2),
-                 Table::fmt(r.aggregate.p99_latency_ms, 2)});
+                 Table::fmt(r.aggregate().p50_latency_ms, 2),
+                 Table::fmt(r.aggregate().p99_latency_ms, 2)});
       std::cerr << "  " << tasks << "/" << name << " done\n";
     }
     std::cout << "\n" << tasks << " tasks:\n";

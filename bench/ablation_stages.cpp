@@ -4,8 +4,7 @@
 // points), too fine pays launch-overhead and queueing overhead per stage.
 #include <iostream>
 
-#include "metrics/report.hpp"
-#include "workload/scenario.hpp"
+#include "figure_common.hpp"
 
 int main() {
   using namespace sgprs;
@@ -16,20 +15,15 @@ int main() {
   Table t({"stages/task", "total FPS", "DMR", "p50 lat (ms)",
            "p99 lat (ms)", "migrations"});
   for (int stages : {1, 2, 3, 6, 12, 24}) {
-    workload::ScenarioConfig cfg;
-    cfg.scheduler = workload::SchedulerKind::kSgprs;
-    cfg.num_contexts = 3;
-    cfg.oversubscription = 1.5;
-    cfg.num_tasks = 24;
-    cfg.num_stages = stages;
-    cfg.duration = common::SimTime::from_sec(2.0);
-    cfg.warmup = common::SimTime::from_sec(0.4);
-    const auto r = workload::run_scenario(cfg);
+    auto spec = bench::figure_base(3, 24);
+    spec.base.oversubscription = 1.5;
+    spec.tasks[0].num_stages = stages;
+    const auto r = workload::run_spec(spec);
     t.add_row({std::to_string(stages), Table::fmt(r.fps(), 0),
                Table::pct(r.dmr()),
-               Table::fmt(r.aggregate.p50_latency_ms, 2),
-               Table::fmt(r.aggregate.p99_latency_ms, 2),
-               std::to_string(r.stage_migrations)});
+               Table::fmt(r.aggregate().p50_latency_ms, 2),
+               Table::fmt(r.aggregate().p99_latency_ms, 2),
+               std::to_string(r.migrations())});
     std::cerr << "  " << stages << " stages done\n";
   }
   t.print(std::cout);

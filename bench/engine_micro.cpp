@@ -43,7 +43,7 @@ using common::SimTime;
 namespace {
 
 constexpr int kReps = 5;
-// Instrumenting run_scenario(paper scenario 1 / 24-task stress) gives the
+// Instrumenting run_spec(paper scenario 1 / 24-task stress) gives the
 // real calendar profile this bench must match: pending-set high-water of
 // 17-25 events, ~66k-99k schedules per run of which ~99.5% fire and ~0.5%
 // are cancelled. schedule_fire therefore drives small bursts over many

@@ -12,7 +12,7 @@
 #include <string>
 
 #include "metrics/report.hpp"
-#include "workload/scenario.hpp"
+#include "workload/spec.hpp"
 
 int main(int argc, char** argv) {
   using namespace sgprs;
@@ -51,24 +51,27 @@ int main(int argc, char** argv) {
   double fps_at_1 = 0.0;
   double fps_at_8 = 0.0;
   for (int devices = 1; devices <= 8; ++devices) {
-    workload::ScenarioConfig cfg;
-    cfg.scheduler = scheduler;
-    cfg.oversubscription = 1.5;
-    cfg.num_devices = devices;
-    cfg.placement = placement;
-    cfg.num_tasks = tasks_per_device * devices;
-    cfg.duration = common::SimTime::from_sec(2.0);
-    cfg.warmup = common::SimTime::from_sec(0.4);
+    workload::ScenarioSpec spec;
+    spec.base.scheduler = scheduler;
+    spec.base.oversubscription = 1.5;
+    spec.base.num_devices = devices;
+    spec.base.placement = placement;
+    spec.base.duration = common::SimTime::from_sec(2.0);
+    spec.base.warmup = common::SimTime::from_sec(0.4);
+    spec.fleet_mode = true;
+    const int offered = tasks_per_device * devices;
+    spec.tasks.emplace_back().count = offered;
 
-    const auto r = workload::run_cluster_scenario(cfg);
+    const auto r = workload::run_spec(spec);
+    const auto& fleet = r.cluster.fleet;
     if (devices == 1) fps_at_1 = r.fps();
     if (devices == 8) fps_at_8 = r.fps();
-    t.add_row({std::to_string(devices), std::to_string(cfg.num_tasks),
-               std::to_string(r.fleet.tasks_assigned),
+    t.add_row({std::to_string(devices), std::to_string(offered),
+               std::to_string(fleet.tasks_assigned),
                metrics::Table::fmt(r.fps(), 0),
                metrics::Table::fmt(r.fps() / devices, 0),
                metrics::Table::pct(r.dmr()),
-               metrics::Table::pct(r.fleet.mean_utilization)});
+               metrics::Table::pct(fleet.mean_utilization)});
     std::cerr << "  " << devices << " device(s) done\n";
   }
   t.print(std::cout);

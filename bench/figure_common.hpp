@@ -1,6 +1,8 @@
-// Shared sweep driver for the Fig. 3 / Fig. 4 reproductions, plus the
-// machine-readable benchmark reporter every bench_* binary uses to leave a
-// BENCH_<name>.json trajectory behind (schema: docs/benchmarks.md).
+// The paper workload as a spec (figure_base) and the sweep driver for the
+// Fig. 3 / Fig. 4 reproductions, shared with the tables and ablations,
+// plus the machine-readable benchmark reporter every bench_* binary uses
+// to leave a BENCH_<name>.json trajectory behind (schema:
+// docs/benchmarks.md).
 #pragma once
 
 #include <cstdlib>
@@ -13,7 +15,7 @@
 #include "common/json.hpp"
 #include "common/json_writer.hpp"
 #include "metrics/report.hpp"
-#include "workload/scenario.hpp"
+#include "workload/spec.hpp"
 
 namespace sgprs::bench {
 
@@ -115,15 +117,20 @@ class BenchReport {
 
 struct FigureSweep {
   std::string label;                 // e.g. "naive", "SGPRS 1.5"
-  std::vector<workload::ScenarioResult> results;
+  std::vector<workload::SpecResult> results;
 };
 
-inline workload::ScenarioConfig figure_base(int num_contexts) {
-  workload::ScenarioConfig cfg;
-  cfg.num_contexts = num_contexts;
-  cfg.duration = common::SimTime::from_sec(2.0);
-  cfg.warmup = common::SimTime::from_sec(0.4);
-  return cfg;
+/// The paper's evaluation workload as a one-entry spec: `count` identical
+/// ResNet18 tasks @ 30 fps, 6 stages each, on a `num_contexts` pool of one
+/// RTX 2080 Ti, 2 simulated seconds with a 0.4 s warm-up. Benches adjust
+/// the scheduler knobs on `base` and the task shape on `tasks[0]`.
+inline workload::ScenarioSpec figure_base(int num_contexts, int count = 1) {
+  workload::ScenarioSpec spec;
+  spec.base.num_contexts = num_contexts;
+  spec.base.duration = common::SimTime::from_sec(2.0);
+  spec.base.warmup = common::SimTime::from_sec(0.4);
+  spec.tasks.emplace_back().count = count;
+  return spec;
 }
 
 /// Runs the paper's comparison set over n = [from, to]: the naive baseline
@@ -132,18 +139,18 @@ inline std::vector<FigureSweep> run_figure(int num_contexts, int from,
                                            int to) {
   std::vector<FigureSweep> sweeps;
   {
-    auto cfg = figure_base(num_contexts);
-    cfg.scheduler = workload::SchedulerKind::kNaive;
-    sweeps.push_back({"naive", workload::sweep_num_tasks(cfg, from, to)});
+    auto spec = figure_base(num_contexts);
+    spec.base.scheduler = workload::SchedulerKind::kNaive;
+    sweeps.push_back({"naive", workload::sweep_num_tasks(spec, from, to)});
     std::cerr << "  naive done\n";
   }
   for (double os : {1.0, 1.5, 2.0}) {
-    auto cfg = figure_base(num_contexts);
-    cfg.scheduler = workload::SchedulerKind::kSgprs;
-    cfg.oversubscription = os;
+    auto spec = figure_base(num_contexts);
+    spec.base.scheduler = workload::SchedulerKind::kSgprs;
+    spec.base.oversubscription = os;
     char label[32];
     std::snprintf(label, sizeof(label), "SGPRS %.1f", os);
-    sweeps.push_back({label, workload::sweep_num_tasks(cfg, from, to)});
+    sweeps.push_back({label, workload::sweep_num_tasks(spec, from, to)});
     std::cerr << "  " << label << " done\n";
   }
   return sweeps;

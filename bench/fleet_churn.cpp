@@ -77,7 +77,6 @@ workload::ScenarioSpec static_spec(int tasks) {
   workload::ScenarioSpec spec;
   spec.name = "bench_fleet_static";
   spec.base = churn_spec().base;
-  spec.base.num_tasks = tasks;
   spec.fleet_mode = true;
   workload::TaskEntrySpec entry;
   entry.name = "cam";

@@ -11,7 +11,7 @@
 #include "rt/runner.hpp"
 #include "rt/sgprs_scheduler.hpp"
 #include "sim/engine.hpp"
-#include "workload/scenario.hpp"
+#include "workload/spec.hpp"
 
 namespace {
 
@@ -103,14 +103,13 @@ void BM_FullScenarioSecond(benchmark::State& state) {
   // Simulating one second of 20-task SGPRS operation (the unit of work
   // behind every figure data point).
   for (auto _ : state) {
-    workload::ScenarioConfig cfg;
-    cfg.scheduler = workload::SchedulerKind::kSgprs;
-    cfg.num_contexts = 2;
-    cfg.oversubscription = 1.5;
-    cfg.num_tasks = 20;
-    cfg.duration = common::SimTime::from_sec(1.0);
-    cfg.warmup = common::SimTime::from_ms(100);
-    benchmark::DoNotOptimize(workload::run_scenario(cfg));
+    workload::ScenarioSpec spec;
+    spec.base.num_contexts = 2;
+    spec.base.oversubscription = 1.5;
+    spec.base.duration = common::SimTime::from_sec(1.0);
+    spec.base.warmup = common::SimTime::from_ms(100);
+    spec.tasks.emplace_back().count = 20;
+    benchmark::DoNotOptimize(workload::run_spec(spec));
   }
 }
 BENCHMARK(BM_FullScenarioSecond)->Unit(benchmark::kMillisecond);

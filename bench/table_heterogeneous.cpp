@@ -7,8 +7,7 @@
 #include <iostream>
 #include <numeric>
 
-#include "metrics/report.hpp"
-#include "workload/scenario.hpp"
+#include "figure_common.hpp"
 
 int main() {
   using namespace sgprs;
@@ -31,17 +30,13 @@ int main() {
   for (int tasks : {20, 24}) {
     Table t({"pool", "total SMs", "total FPS", "DMR", "p99 lat (ms)"});
     for (const auto& p : pools) {
-      workload::ScenarioConfig cfg;
-      cfg.scheduler = workload::SchedulerKind::kSgprs;
-      cfg.context_sms = p.sms;
-      cfg.num_tasks = tasks;
-      cfg.duration = common::SimTime::from_sec(2.0);
-      cfg.warmup = common::SimTime::from_sec(0.4);
-      const auto r = workload::run_scenario(cfg);
+      auto spec = bench::figure_base(2, tasks);
+      spec.base.context_sms = p.sms;
+      const auto r = workload::run_spec(spec);
       const int total = std::accumulate(p.sms.begin(), p.sms.end(), 0);
       t.add_row({p.name, std::to_string(total), Table::fmt(r.fps(), 0),
                  Table::pct(r.dmr()),
-                 Table::fmt(r.aggregate.p99_latency_ms, 1)});
+                 Table::fmt(r.aggregate().p99_latency_ms, 1)});
       std::cerr << "  " << tasks << "/" << p.name << " done\n";
     }
     std::cout << "\n" << tasks << " tasks:\n";

@@ -13,7 +13,7 @@
 #include "dnn/builders.hpp"
 #include "metrics/report.hpp"
 #include "rt/analysis.hpp"
-#include "workload/scenario.hpp"
+#include "workload/spec.hpp"
 
 int main() {
   using namespace sgprs;
@@ -54,15 +54,15 @@ int main() {
   // past the bound, misses must appear (the bound is deliberately
   // conservative, so a small overshoot may still be fine).
   metrics::Table t({"tasks", "verdict", "total FPS", "DMR"});
+  workload::ScenarioSpec spec;
+  spec.base.num_contexts = contexts;
+  spec.base.oversubscription = os;
+  spec.base.duration = common::SimTime::from_sec(2.0);
+  spec.base.warmup = common::SimTime::from_ms(400);
+  spec.tasks.emplace_back();
   for (int n : {admitted, admitted + 8}) {
-    workload::ScenarioConfig cfg;
-    cfg.scheduler = workload::SchedulerKind::kSgprs;
-    cfg.num_contexts = contexts;
-    cfg.oversubscription = os;
-    cfg.num_tasks = n;
-    cfg.duration = common::SimTime::from_sec(2.0);
-    cfg.warmup = common::SimTime::from_ms(400);
-    const auto r = workload::run_scenario(cfg);
+    spec.tasks[0].count = n;
+    const auto r = workload::run_spec(spec);
     t.add_row({std::to_string(n),
                n <= admitted ? "admitted" : "refused (+8 anyway)",
                metrics::Table::fmt(r.fps(), 0),

@@ -7,21 +7,24 @@
 #include <iostream>
 
 #include "metrics/report.hpp"
-#include "workload/scenario.hpp"
+#include "workload/spec.hpp"
 
 int main() {
   using namespace sgprs;
 
-  workload::ScenarioConfig base;
-  base.scheduler = rt::SchedulerKind::kSgprs;
-  base.oversubscription = 1.5;
-  base.fleet = {gpu::rtx2080ti(), gpu::rtx2080ti(), gpu::rtx3090(),
-                gpu::rtx3090()};
-  base.num_tasks = 88;  // past what four devices admit at margin 0.95
-  base.duration = common::SimTime::from_sec(2.0);
-  base.warmup = common::SimTime::from_ms(400);
+  workload::ScenarioSpec spec;
+  spec.base.scheduler = rt::SchedulerKind::kSgprs;
+  spec.base.oversubscription = 1.5;
+  spec.base.fleet = {gpu::rtx2080ti(), gpu::rtx2080ti(), gpu::rtx3090(),
+                     gpu::rtx3090()};
+  spec.base.duration = common::SimTime::from_sec(2.0);
+  spec.base.warmup = common::SimTime::from_ms(400);
+  spec.fleet_mode = true;  // placement + admission control
+  // Past what four devices admit at margin 0.95.
+  spec.tasks.emplace_back().count = 88;
 
-  std::cout << "Fleet: 2x RTX 2080 Ti + 2x RTX 3090, " << base.num_tasks
+  std::cout << "Fleet: 2x RTX 2080 Ti + 2x RTX 3090, "
+            << spec.tasks[0].count
             << " ResNet18 tasks offered at 30 fps each\n\n";
 
   using cluster::PlacementPolicy;
@@ -31,28 +34,28 @@ int main() {
        {PlacementPolicy::kRoundRobin, PlacementPolicy::kLeastLoaded,
         PlacementPolicy::kBinPackUtilization,
         PlacementPolicy::kHashAffinity}) {
-    auto cfg = base;
-    cfg.placement = policy;
-    const auto r = workload::run_cluster_scenario(cfg);
+    spec.base.placement = policy;
+    const auto r = workload::run_spec(spec);
+    const auto& fleet = r.cluster.fleet;
     cmp.add_row({cluster::to_string(policy),
-                 std::to_string(r.fleet.tasks_assigned),
-                 std::to_string(r.fleet.tasks_rejected),
+                 std::to_string(fleet.tasks_assigned),
+                 std::to_string(fleet.tasks_rejected),
                  metrics::Table::fmt(r.fps(), 0),
                  metrics::Table::pct(r.dmr()),
-                 metrics::Table::pct(r.fleet.mean_utilization)});
+                 metrics::Table::pct(fleet.mean_utilization)});
   }
   std::cout << "Placement policy comparison (same offered load):\n";
   cmp.print(std::cout);
 
   // Detailed look at worst-fit bin packing: big devices soak up tasks
   // first, so per-device DMR stays balanced across a heterogeneous fleet.
-  auto cfg = base;
-  cfg.placement = PlacementPolicy::kBinPackUtilization;
-  const auto r = workload::run_cluster_scenario(cfg);
+  spec.base.placement = PlacementPolicy::kBinPackUtilization;
+  const auto r = workload::run_spec(spec);
+  const auto& fleet = r.cluster.fleet;
   std::cout << "\nPer-device breakdown under binpack:\n";
   metrics::Table dev({"device", "spec", "SMs", "tasks", "FPS", "DMR",
                       "util"});
-  for (const auto& d : r.fleet.devices) {
+  for (const auto& d : fleet.devices) {
     dev.add_row({std::to_string(d.device_index), d.device_name,
                  std::to_string(d.total_sms),
                  std::to_string(d.tasks_assigned),
@@ -64,7 +67,7 @@ int main() {
 
   std::cout << "\nFleet rollup: " << metrics::Table::fmt(r.fps(), 0)
             << " FPS, DMR " << metrics::Table::pct(r.dmr()) << ", "
-            << r.fleet.tasks_rejected
+            << fleet.tasks_rejected
             << " tasks rejected by admission control (no device could "
                "bound their response time).\n"
             << "The 3090s carry more tasks than the 2080 Tis — worst-fit "

@@ -3,8 +3,9 @@
 // introduction motivates (transportation / healthcare / speech stacks
 // co-located on one accelerator).
 //
-// Builds the stack from the lower-level API (instead of
-// workload::run_scenario) to show how custom task sets are assembled.
+// Builds the stack from the lower-level API (instead of a
+// workload::ScenarioSpec run through run_spec) to show how custom task
+// sets are assembled.
 #include <iostream>
 #include <memory>
 

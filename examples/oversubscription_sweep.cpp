@@ -8,7 +8,7 @@
 #include <iostream>
 
 #include "metrics/report.hpp"
-#include "workload/scenario.hpp"
+#include "workload/spec.hpp"
 
 int main(int argc, char** argv) {
   using namespace sgprs;
@@ -28,24 +28,23 @@ int main(int argc, char** argv) {
                     "p99 lat (ms)"});
   double best_fps = -1.0;
   double best_os = 1.0;
+  workload::ScenarioSpec spec;
+  spec.base.num_contexts = num_contexts;
+  spec.base.duration = common::SimTime::from_sec(2.0);
+  spec.base.warmup = common::SimTime::from_ms(400);
+  spec.tasks.emplace_back().count = num_tasks;
   for (double os : {1.0, 1.25, 1.5, 1.75, 2.0, 2.5}) {
-    workload::ScenarioConfig cfg;
-    cfg.scheduler = workload::SchedulerKind::kSgprs;
-    cfg.num_contexts = num_contexts;
-    cfg.oversubscription = os;
-    cfg.num_tasks = num_tasks;
-    cfg.duration = common::SimTime::from_sec(2.0);
-    cfg.warmup = common::SimTime::from_ms(400);
-    const auto r = workload::run_scenario(cfg);
+    spec.base.oversubscription = os;
+    const auto r = workload::run_spec(spec);
+    const double p99_ms = r.aggregate().p99_latency_ms;
     const int sms = gpu::ContextPool::sms_per_context(
-        cfg.device.total_sms, num_contexts, os);
+        spec.base.device.total_sms, num_contexts, os);
     t.add_row({metrics::Table::fmt(os, 2), std::to_string(sms),
                metrics::Table::fmt(r.fps(), 0), metrics::Table::pct(r.dmr()),
-               metrics::Table::fmt(r.aggregate.p99_latency_ms, 1)});
+               metrics::Table::fmt(p99_ms, 1)});
     // Prefer higher FPS, penalize DMR, and break near-ties toward lower
     // tail latency (slack matters even when nothing misses yet).
-    const double score = r.fps() * (1.0 - 0.5 * r.dmr()) -
-                         0.01 * r.aggregate.p99_latency_ms;
+    const double score = r.fps() * (1.0 - 0.5 * r.dmr()) - 0.01 * p99_ms;
     if (score > best_fps) {
       best_fps = score;
       best_os = os;

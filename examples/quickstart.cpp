@@ -7,7 +7,7 @@
 #include <iostream>
 
 #include "metrics/report.hpp"
-#include "workload/scenario.hpp"
+#include "workload/spec.hpp"
 
 int main(int argc, char** argv) {
   using namespace sgprs;
@@ -25,31 +25,32 @@ int main(int argc, char** argv) {
   metrics::Table table({"scheduler", "oversub", "total FPS", "DMR",
                         "p50 lat (ms)", "p99 lat (ms)", "migrations"});
 
+  // One spec describes the run: the pool on `base`, and one task entry of
+  // `num_tasks` identical streams (its defaults are the paper's ResNet18 @
+  // 30 fps, 6 stages).
+  workload::ScenarioSpec spec;
+  spec.base.num_contexts = 2;
+  spec.tasks.emplace_back().count = num_tasks;
+
   // Naive baseline: static spatial partitioning, one stream per context.
-  workload::ScenarioConfig naive;
-  naive.scheduler = workload::SchedulerKind::kNaive;
-  naive.num_contexts = 2;
-  naive.num_tasks = num_tasks;
-  const auto nr = workload::run_scenario(naive);
+  spec.base.scheduler = workload::SchedulerKind::kNaive;
+  const auto nr = workload::run_spec(spec);
   table.add_row({"naive", "-", metrics::Table::fmt(nr.fps()),
                  metrics::Table::pct(nr.dmr()),
-                 metrics::Table::fmt(nr.aggregate.p50_latency_ms, 2),
-                 metrics::Table::fmt(nr.aggregate.p99_latency_ms, 2), "0"});
+                 metrics::Table::fmt(nr.aggregate().p50_latency_ms, 2),
+                 metrics::Table::fmt(nr.aggregate().p99_latency_ms, 2), "0"});
 
   // SGPRS at the paper's three over-subscription levels.
+  spec.base.scheduler = workload::SchedulerKind::kSgprs;
   for (double os : {1.0, 1.5, 2.0}) {
-    workload::ScenarioConfig cfg;
-    cfg.scheduler = workload::SchedulerKind::kSgprs;
-    cfg.num_contexts = 2;
-    cfg.oversubscription = os;
-    cfg.num_tasks = num_tasks;
-    const auto r = workload::run_scenario(cfg);
+    spec.base.oversubscription = os;
+    const auto r = workload::run_spec(spec);
     table.add_row({"sgprs", metrics::Table::fmt(os, 1),
                    metrics::Table::fmt(r.fps()),
                    metrics::Table::pct(r.dmr()),
-                   metrics::Table::fmt(r.aggregate.p50_latency_ms, 2),
-                   metrics::Table::fmt(r.aggregate.p99_latency_ms, 2),
-                   std::to_string(r.stage_migrations)});
+                   metrics::Table::fmt(r.aggregate().p50_latency_ms, 2),
+                   metrics::Table::fmt(r.aggregate().p99_latency_ms, 2),
+                   std::to_string(r.migrations())});
   }
 
   table.print(std::cout);

@@ -1,7 +1,7 @@
-// Scenario specs walkthrough: the same workload described three ways —
-// hard-coded ScenarioConfig, an inline JSON spec (bit-identical to the
-// first), and a heterogeneous multi-tenant spec that the hard-coded path
-// cannot express. See docs/scenario-format.md for the full schema.
+// Scenario specs walkthrough: a ScenarioSpec built in C++, the same spec
+// as inline JSON (bit-identical to the first), and a heterogeneous
+// multi-tenant spec with sporadic arrivals. See docs/scenario-format.md for
+// the full schema.
 //
 //   ./examples/scenario_specs [path/to/spec.json]
 #include <iostream>
@@ -22,15 +22,15 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  std::cout << "1) The hard-coded way: ScenarioConfig in C++.\n";
-  workload::ScenarioConfig cfg;
-  cfg.num_contexts = 2;
-  cfg.oversubscription = 1.5;
-  cfg.num_tasks = 12;
-  const auto hard = workload::run_scenario(cfg);
+  std::cout << "1) A spec built in C++: base config plus one task entry.\n";
+  workload::ScenarioSpec built;
+  built.base.num_contexts = 2;
+  built.base.oversubscription = 1.5;
+  built.tasks.emplace_back().count = 12;  // ResNet18 @ 30 fps, 6 stages
+  const auto br = workload::run_spec(built);
   std::cout << "   12x ResNet18 @ 30 fps -> FPS "
-            << metrics::Table::fmt(hard.fps(), 1) << ", DMR "
-            << metrics::Table::pct(hard.dmr()) << "\n\n";
+            << metrics::Table::fmt(br.fps(), 1) << ", DMR "
+            << metrics::Table::pct(br.dmr()) << "\n\n";
 
   std::cout << "2) The same workload as a declarative JSON spec.\n";
   const char* kSimple = R"json({
@@ -42,13 +42,13 @@ int main(int argc, char** argv) {
   const auto simple = workload::parse_scenario_spec(
       common::parse_json(kSimple), "inline_simple");
   const auto sr = workload::run_spec(simple);
-  std::cout << "   spec's entry builder matches the hard-coded builder: "
+  std::cout << "   the JSON spec matches the C++ one: "
             << "FPS " << metrics::Table::fmt(sr.fps(), 1)
-            << (sr.fps() == hard.fps() ? " (bit-identical)" : " (DIVERGED!)")
+            << (sr.fps() == br.fps() ? " (bit-identical)" : " (DIVERGED!)")
             << "\n\n";
 
-  std::cout << "3) What only specs can say: a heterogeneous tenant mix\n"
-               "   with sporadic arrivals.\n";
+  std::cout << "3) One entry per tenant: a heterogeneous mix with\n"
+               "   sporadic arrivals.\n";
   const char* kMixed = R"json({
     "name": "inline_mixed",
     "scheduler": "sgprs",

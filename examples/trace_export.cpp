@@ -1,6 +1,7 @@
-// Exports a chrome://tracing / Perfetto timeline of an SGPRS schedule:
-// one process lane per context, one thread lane per stream, kernels
-// labelled by layer. Open the output at https://ui.perfetto.dev.
+// Exports a chrome://tracing / Perfetto timeline of an SGPRS schedule
+// through obs::SpanSink's kernel track: one thread lane per stream on the
+// device's process, kernels labelled by layer. Open the output at
+// https://ui.perfetto.dev.
 //
 //   ./examples/trace_export [out.json] [num_tasks]
 #include <fstream>
@@ -10,7 +11,7 @@
 #include "dnn/builders.hpp"
 #include "dnn/profiler.hpp"
 #include "gpu/context_pool.hpp"
-#include "metrics/trace_recorder.hpp"
+#include "obs/span.hpp"
 #include "rt/runner.hpp"
 #include "rt/sgprs_scheduler.hpp"
 #include "sim/engine.hpp"
@@ -25,8 +26,9 @@ int main(int argc, char** argv) {
   sim::Engine engine;
   gpu::Executor exec(engine, gpu::rtx2080ti(),
                      gpu::SpeedupModel::rtx2080ti(), gpu::SharingParams{});
-  metrics::TraceRecorder recorder;
-  exec.set_trace_sink(&recorder);
+  obs::SpanSink spans;
+  spans.set_device_name(0, exec.device().name);
+  exec.set_trace_sink(&spans.kernel_tracer(0));
 
   gpu::ContextPoolConfig pool_cfg;
   pool_cfg.num_contexts = 2;
@@ -52,17 +54,19 @@ int main(int argc, char** argv) {
   rc.duration = SimTime::from_ms(200);  // ~6 frames per task
   rt::Runner runner(engine, scheduler, tasks, rc);
   runner.run();
+  spans.set_horizon(rc.duration);
 
   std::ofstream out(out_path);
   if (!out) {
     std::cerr << "cannot open " << out_path << " for writing\n";
     return 1;
   }
-  recorder.write_json(out);
+  spans.write_perfetto(out);
 
-  std::cout << "Wrote " << recorder.event_count() << " kernel spans ("
-            << num_tasks << " tasks, 200 ms) to " << out_path << "\n"
-            << "Open at https://ui.perfetto.dev — pid = context, tid = "
+  std::cout << "Wrote " << spans.kernel_tracer(0).records().size()
+            << " kernel spans (" << num_tasks << " tasks, 200 ms) to "
+            << out_path << "\n"
+            << "Open at https://ui.perfetto.dev — pid = device, tid = "
                "stream.\n";
   return 0;
 }

@@ -83,7 +83,6 @@ class FleetRuntime {
         sink_(instruments.spans),
         prof_(instruments.profiler) {
     cfg_.seed = seeds.sim;
-    workload::validate(cfg_);
     generator_seed_ = seeds.generator;
     // Churn rng: timeline seed mixed with the sim seed, so experiment
     // replications decorrelate while a fixed (spec, seeds) pair replays

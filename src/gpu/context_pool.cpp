@@ -13,8 +13,10 @@ int ContextPool::sms_per_context(int device_total_sms, int num_contexts,
   SGPRS_CHECK(oversubscription > 0.0);
   const double raw = static_cast<double>(device_total_sms) /
                      static_cast<double>(num_contexts) * oversubscription;
-  const int sms = static_cast<int>(std::lround(raw));
-  return std::clamp(sms, 1, device_total_sms);
+  // Clamp before rounding: a huge oversubscription would overflow the
+  // conversion to an integer.
+  return static_cast<int>(std::lround(
+      std::clamp(raw, 1.0, static_cast<double>(device_total_sms))));
 }
 
 ContextPool::ContextPool(Executor& exec, const ContextPoolConfig& cfg) {

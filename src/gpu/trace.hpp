@@ -1,8 +1,9 @@
 // Observer interface for kernel lifecycle events (tracing / accounting).
 //
-// The Executor emits submit/start/finish callbacks; metrics::TraceRecorder
-// turns them into chrome://tracing JSON, and tests use them to assert on
-// exact kernel interleavings without touching executor internals.
+// The Executor emits kernel start/end callbacks; obs::KernelTracer (a
+// SpanSink's per-device kernel track) turns them into Chrome/Perfetto
+// spans, and tests use them to assert on exact kernel interleavings
+// without touching executor internals.
 #pragma once
 
 #include <cstdint>

@@ -1,17 +1,15 @@
-// Experiment harness: builds a full simulation (device, pool, task set,
-// scheduler, metrics) from a declarative config, runs it, and returns the
-// paper's metrics. Every bench and example goes through this. Both
-// closed-world runs drive a cluster::Cluster — a single-GPU run is a
-// one-device cluster with admission disabled.
+// The base config of a run: scheduler, pool shape, device/fleet, sim
+// window and seeds — everything but the task set, which a ScenarioSpec's
+// task entries (or generator) describe. workload/spec.hpp wraps it in the
+// spec that every caller runs through run_spec; this header also holds the
+// closed-world result shapes and the config-to-cluster lowering the
+// closed-world runs and the fleet runtime share.
 #pragma once
 
 #include <functional>
-#include <optional>
-#include <string>
 #include <vector>
 
 #include "cluster/placement.hpp"
-#include "dnn/builders.hpp"
 #include "gpu/context_pool.hpp"
 #include "gpu/device.hpp"
 #include "metrics/collector.hpp"
@@ -47,17 +45,6 @@ struct ScenarioConfig {
   /// the naive pool stays uniform).
   std::vector<int> context_sms;
 
-  /// Task set: identical periodic DNN tasks (paper: ResNet18 @ 30 fps,
-  /// 6 stages, implicit deadline = period).
-  int num_tasks = 1;
-  double fps = 30.0;
-  int num_stages = 6;
-  /// Offline priority assignment (paper: last stage high). Exposed for the
-  /// priority ablation.
-  rt::PriorityPolicy priority_policy = rt::PriorityPolicy::kLastStageHigh;
-  /// Build the task DNN; defaults to ResNet18 @ 224.
-  std::function<dnn::Network()> network_builder;
-
   /// Randomize task phases uniformly in [0, period) — sensor frames are
   /// not phase-aligned in practice. Seeded for reproducibility.
   bool jitter_phases = true;
@@ -71,7 +58,7 @@ struct ScenarioConfig {
   gpu::DeviceSpec device = gpu::rtx2080ti();
   gpu::SharingParams sharing;  // calibrated defaults
 
-  /// --- Fleet (cluster subsystem; used by run_cluster_scenario) ---
+  /// --- Fleet (a spec's "fleet" section) ---
   /// Number of devices, each a copy of `device`. `fleet` (when non-empty)
   /// wins and allows heterogeneous specs.
   int num_devices = 1;
@@ -97,6 +84,7 @@ struct ScenarioConfig {
   int shards = 1;
 };
 
+/// Result of a single-device closed-world run (SpecResult::single).
 struct ScenarioResult {
   metrics::Snapshot aggregate;
   std::vector<metrics::Snapshot> per_task;
@@ -108,6 +96,20 @@ struct ScenarioResult {
 
   double fps() const { return aggregate.fps; }
   double dmr() const { return aggregate.dmr; }
+};
+
+/// Result of a closed-world fleet run (SpecResult::cluster): per-device + rolled-up metrics plus the
+/// scheduler counters summed across devices.
+struct ClusterScenarioResult {
+  metrics::FleetReport fleet;
+  std::vector<int> rejected_task_ids;
+  std::int64_t releases = 0;
+  std::int64_t stage_migrations = 0;   // SGPRS only
+  std::int64_t medium_promotions = 0;  // SGPRS only
+  double sim_events = 0.0;
+
+  double fps() const { return fleet.fleet.fps; }
+  double dmr() const { return fleet.fleet.dmr; }
 };
 
 /// Context-pool shape one device of this config gets (the naive baseline
@@ -126,59 +128,10 @@ gpu::DeviceSpec device_spec_for(const ScenarioConfig& cfg,
 /// closed-world runs and the fleet runtime (which adds its hooks) share it.
 cluster::ClusterConfig cluster_config_for(const ScenarioConfig& cfg);
 
-/// Checks every ScenarioConfig invariant in one place (task counts, rates,
-/// pool shape, oversubscription >= 1, fleet size, admission margin, sim
-/// window) and throws common::CheckError with a message naming the bad
-/// field. run_scenario / run_cluster_scenario call this on entry; callers
-/// that build configs from user input (CLI, scenario specs) can call it
-/// early to fail before any simulation state exists.
-void validate(const ScenarioConfig& cfg);
-
-/// Custom task-set construction hook: given the validated config and the
-/// distinct context SM sizes to profile WCETs at, produce the tasks to run.
-/// The scenario-spec layer uses this for heterogeneous / sporadic /
-/// generated task sets; when absent the default builder clones
-/// cfg.num_tasks identical tasks (the paper's setup).
+/// Task-set construction hook: given the run's config and the distinct
+/// context SM sizes to profile WCETs at, produce the tasks to run.
+/// workload::task_builder_for returns the one a spec describes.
 using TaskSetBuilder = std::function<std::vector<rt::Task>(
     const ScenarioConfig& cfg, const std::vector<int>& pool_sm_sizes)>;
-
-/// Builds and runs one scenario to completion on a single device
-/// (cfg.device; num_devices and fleet are ignored): a one-device cluster
-/// with admission disabled, so every task is placed.
-ScenarioResult run_scenario(const ScenarioConfig& cfg,
-                            const TaskSetBuilder& tasks = {});
-
-/// Result of a fleet run: per-device + rolled-up metrics plus the
-/// scheduler counters summed across devices.
-struct ClusterScenarioResult {
-  metrics::FleetReport fleet;
-  std::vector<int> rejected_task_ids;
-  std::int64_t releases = 0;
-  std::int64_t stage_migrations = 0;   // SGPRS only
-  std::int64_t medium_promotions = 0;  // SGPRS only
-  double sim_events = 0.0;
-
-  double fps() const { return fleet.fleet.fps; }
-  double dmr() const { return fleet.fleet.dmr; }
-};
-
-/// Builds and runs the fleet described by cfg.num_devices/cfg.fleet:
-/// per-device executor/pool/scheduler/collector on cfg.shards calendars,
-/// tasks assigned by cfg.placement with admission control. With one device
-/// and every task admitted this is exactly run_scenario's run.
-ClusterScenarioResult run_cluster_scenario(const ScenarioConfig& cfg,
-                                           const TaskSetBuilder& tasks = {});
-
-/// Runs the scenario at every task count in [from, to] (the x-axis of
-/// Figs. 3 and 4). Results are indexed by (n - from).
-std::vector<ScenarioResult> sweep_num_tasks(ScenarioConfig cfg, int from,
-                                            int to);
-
-/// Pivot point (paper Section V): the largest task count that the
-/// scheduler handles without deadline misses — i.e. the last N before the
-/// first result with dmr > miss_epsilon. Returns `from - 1` if even the
-/// smallest count misses.
-int find_pivot(const std::vector<ScenarioResult>& sweep, int from,
-               double miss_epsilon = 1e-9);
 
 }  // namespace sgprs::workload

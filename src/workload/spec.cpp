@@ -6,12 +6,13 @@
 
 #include "cluster/cluster.hpp"
 #include "cluster/placement.hpp"
-#include "common/check.hpp"
 #include "common/rng.hpp"
 #include "dnn/builders.hpp"
 #include "dnn/profiler.hpp"
 #include "fleet/runtime.hpp"
 #include "obs/instruments.hpp"
+#include "rt/runner.hpp"
+#include "sim/engine.hpp"
 #include "trace/trace.hpp"
 #include "workload/spec_util.hpp"
 #include "workload/taskset.hpp"
@@ -78,8 +79,10 @@ void parse_naive(const JsonValue& v, ScenarioConfig& cfg,
   check_keys(v, {"max_in_flight", "host_sync_gap_ms"}, path);
   cfg.naive.max_in_flight_per_task =
       int_or(v, "max_in_flight", cfg.naive.max_in_flight_per_task, path);
-  cfg.naive.host_sync_gap = common::SimTime::from_ms(
-      num_or(v, "host_sync_gap_ms", cfg.naive.host_sync_gap.to_ms(), path));
+  const double gap_ms =
+      num_or(v, "host_sync_gap_ms", cfg.naive.host_sync_gap.to_ms(), path);
+  check_times(path, {{"host_sync_gap_ms", gap_ms / 1000.0}});
+  cfg.naive.host_sync_gap = common::SimTime::from_ms(gap_ms);
 }
 
 void parse_fleet(const JsonValue& v, ScenarioSpec& spec,
@@ -151,6 +154,75 @@ GeneratorSpec parse_generator(const JsonValue& v, const std::string& path) {
   }
   g.seed = seed_or(v, "seed", g.seed, path);
   return g;
+}
+
+/// The base config's rules, each reported at its spec field.
+void validate_base(const ScenarioConfig& cfg) {
+  // Explicit per-context SM limits replace pool.contexts, but only on the
+  // SGPRS path (the naive pool stays uniform and ignores them).
+  const bool explicit_pool =
+      !cfg.context_sms.empty() && cfg.scheduler == SchedulerKind::kSgprs;
+  if (cfg.num_contexts < 1 && !explicit_pool) {
+    bad("spec.pool.contexts", "must be >= 1");
+  }
+  // Each context needs at least one SM of every device it is carved from,
+  // and cannot hold more SMs than the smallest of them has.
+  int min_sms = cfg.device.total_sms;
+  for (const auto& d : cfg.fleet) min_sms = std::min(min_sms, d.total_sms);
+  if (cfg.num_contexts > min_sms) {
+    bad("spec.pool.contexts", "must be <= " + std::to_string(min_sms) +
+                                  ", the device's SM count (each context "
+                                  "needs at least one SM)");
+  }
+  if (!(cfg.oversubscription >= 1.0)) {
+    bad("spec.pool.oversubscription", "must be >= 1.0 (the paper's SGPRS_os)");
+  }
+  for (std::size_t i = 0; i < cfg.context_sms.size(); ++i) {
+    if (cfg.context_sms[i] < 1 || cfg.context_sms[i] > min_sms) {
+      bad("spec.pool.context_sms[" + std::to_string(i) + "]",
+          "must be in [1, " + std::to_string(min_sms) +
+              "], the smallest device's SM count");
+    }
+  }
+  if (cfg.duration <= common::SimTime::zero()) {
+    bad("spec.sim.duration_s", "must be > 0");
+  }
+  if (cfg.warmup >= cfg.duration) {
+    bad("spec.sim.warmup_s", "must be below sim.duration_s");
+  }
+  if (cfg.shards < 1 || cfg.shards > cluster::kMaxShards) {
+    bad("spec.sim.shards", "must be in [1, " +
+                               std::to_string(cluster::kMaxShards) +
+                               "] (kMaxShards)");
+  }
+  if (cfg.sgprs.max_in_flight_per_task < 1) {
+    bad("spec.sgprs.max_in_flight", "must be >= 1");
+  }
+  if (cfg.naive.max_in_flight_per_task < 1) {
+    bad("spec.naive.max_in_flight", "must be >= 1");
+  }
+  if (cfg.naive.host_sync_gap < common::SimTime::zero()) {
+    bad("spec.naive.host_sync_gap_ms", "must be >= 0");
+  }
+  if (cfg.num_devices < 1 && cfg.fleet.empty()) {
+    bad("spec.fleet.devices", "device count must be >= 1");
+  }
+  if (cfg.num_devices > cluster::kMaxFleetDevices) {
+    bad("spec.fleet.devices",
+        "must be <= " + std::to_string(cluster::kMaxFleetDevices) +
+            " (kMaxFleetDevices)");
+  }
+  if (!(cfg.admission_margin <= 1.0)) {
+    bad("spec.fleet.admission_margin",
+        "must be a fraction in (0, 1] (or <= 0 to disable admission)");
+  }
+  if (!(cfg.occupancy_threshold > 0.0 && cfg.occupancy_threshold <= 1.0)) {
+    bad("spec.fleet.occupancy_threshold", "must be a fraction in (0, 1]");
+  }
+  if (!(cfg.device_mem_mb >= 0.0)) {
+    bad("spec.fleet.device_mem_mb",
+        "must be >= 0 (0 keeps the device default)");
+  }
 }
 
 void check_network_known(const std::string& network, const std::string& path) {
@@ -304,26 +376,7 @@ void validate(const ScenarioSpec& spec) {
     }
     fleet::validate_stream(e, path, fleet::StreamRole::kTaskEntry);
   }
-  if (spec.base.shards < 1 || spec.base.shards > cluster::kMaxShards) {
-    bad("spec.sim.shards", "must be in [1, " +
-                               std::to_string(cluster::kMaxShards) +
-                               "] (kMaxShards)");
-  }
-  if (spec.base.num_devices > cluster::kMaxFleetDevices) {
-    bad("spec.fleet.devices",
-        "must be <= " + std::to_string(cluster::kMaxFleetDevices) +
-            " (kMaxFleetDevices)");
-  }
-  // Each context needs at least one SM of every device it is carved from.
-  int min_sms = spec.base.device.total_sms;
-  for (const auto& d : spec.base.fleet) {
-    min_sms = std::min(min_sms, d.total_sms);
-  }
-  if (spec.base.num_contexts > min_sms) {
-    bad("spec.pool.contexts", "must be <= " + std::to_string(min_sms) +
-                                  ", the device's SM count (each context "
-                                  "needs at least one SM)");
-  }
+  validate_base(spec.base);
 
   if (spec.timeline) {
     fleet::validate_timeline(*spec.timeline, "spec.timeline",
@@ -357,31 +410,13 @@ void validate(const ScenarioSpec& spec) {
       check_network_known(n, path + ".networks");
     }
   }
-
-  // Base-config invariants (pool shape, sim window, fleet, admission) are
-  // centralized in workload::validate; surface them as spec errors.
-  try {
-    workload::validate(lower(spec));
-  } catch (const common::CheckError& e) {
-    throw SpecError(std::string("spec: ") + e.what());
-  }
 }
 
 common::SimTime spec_seconds(double seconds, const std::string& path) {
   return to_sim_time(seconds, path);
 }
 
-ScenarioConfig lower(const ScenarioSpec& spec) {
-  ScenarioConfig cfg = spec.base;
-  int total = 0;
-  if (spec.generator) {
-    total = spec.generator->count;
-  } else {
-    for (const auto& e : spec.tasks) total += e.count;
-  }
-  cfg.num_tasks = total > 0 ? total : 1;
-  return cfg;
-}
+ScenarioConfig lower(const ScenarioSpec& spec) { return spec.base; }
 
 namespace {
 
@@ -410,8 +445,7 @@ std::vector<rt::Task> build_spec_tasks(const ScenarioSpec& spec,
   }
 
   // Explicit entries: one prototype per entry, cloned per replica, with
-  // phases drawn from one seeded rng in task order (the identical-task
-  // builder's consumption pattern).
+  // phases drawn from one seeded rng in task order.
   common::Rng rng(cfg.seed);
   std::vector<rt::Task> tasks;
   for (const auto& e : spec.tasks) {
@@ -430,20 +464,72 @@ std::vector<rt::Task> build_spec_tasks(const ScenarioSpec& spec,
   return tasks;
 }
 
+/// run_spec's closed-world branch: the tasks placed as one batch at t = 0,
+/// the cluster's shards run to the horizon, then its per-device collectors
+/// fold into one. Without a fleet section the run is one device
+/// (cfg.device) with admission off, so every task is placed.
+void run_closed_world(const ScenarioSpec& spec, const RunSeeds& seeds,
+                      SpecResult& result) {
+  ScenarioConfig cfg = spec.base;
+  cfg.seed = seeds.sim;
+  if (!spec.fleet_mode) {
+    cfg.num_devices = 1;
+    cfg.fleet.clear();
+    cfg.admission_margin = 0.0;
+  }
+  sim::Engine engine;  // shard 0
+  metrics::Collector collector(cfg.warmup);
+  cluster::Cluster fleet(engine, collector, cluster_config_for(cfg));
+  fleet.place(
+      build_spec_tasks(spec, seeds.generator, cfg, fleet.pool_sm_sizes()));
+  rt::RunnerConfig rcfg;
+  rcfg.duration = cfg.duration;
+  // Sporadic inter-arrival draws key off this seed too; periodic runs
+  // never touch the runner rng, so this cannot perturb the paper path.
+  rcfg.jitter_seed = cfg.seed;
+  fleet.start(rcfg);
+  fleet.run_until(cfg.duration);
+  fleet.reduce();
+
+  const auto fill = [&fleet](auto& r) {
+    r.releases = fleet.releases_issued();
+    r.stage_migrations = fleet.stage_migrations();
+    r.medium_promotions = fleet.medium_promotions();
+    r.sim_events = static_cast<double>(fleet.events_processed());
+  };
+  if (spec.fleet_mode) {
+    auto& r = result.cluster;
+    fill(r);
+    r.fleet = fleet.fleet_report(cfg.duration);
+    for (const auto& t : fleet.rejected_tasks()) {
+      r.rejected_task_ids.push_back(t.id);
+    }
+    return;
+  }
+  auto& r = result.single;
+  fill(r);
+  const cluster::Cluster::Device& dev = fleet.device(0);
+  r.aggregate = collector.aggregate(cfg.duration);
+  for (const auto& t : dev.tasks) {
+    r.per_task.push_back(collector.per_task(t.id, cfg.duration));
+  }
+  r.gpu_busy_sm_seconds = dev.exec->busy_sm_seconds();
+}
+
 /// Static-path capture (--record-trace on a closed-world spec): the run's
 /// workload is its initial task set, so the trace is one template plus one
 /// t=0 admission per task. Approximate by design — replaying it goes
 /// through the fleet runtime, whose report format differs from the
 /// closed-world one — but it turns any static scenario into an open-world
 /// workload artifact (and a seed for trace_scale).
-void capture_static_run(const ScenarioSpec& spec,
-                        std::uint64_t generator_seed,
-                        const ScenarioConfig& cfg,
+void capture_static_run(const ScenarioSpec& spec, const RunSeeds& seeds,
                         trace::TraceRecorder& capture) {
+  ScenarioConfig cfg = spec.base;
+  cfg.seed = seeds.sim;
   const std::vector<int> pool_sizes = cluster::pool_sm_sizes_for(
       cfg.device, pool_config_for(cfg), cfg.sharing);
   const std::vector<rt::Task> tasks =
-      build_spec_tasks(spec, generator_seed, cfg, pool_sizes);
+      build_spec_tasks(spec, seeds.generator, cfg, pool_sizes);
 
   std::vector<fleet::StreamTemplate> templates;
   templates.reserve(tasks.size());
@@ -486,8 +572,6 @@ SpecResult run_spec(const ScenarioSpec& spec, trace::TraceRecorder* capture) {
   return run_spec(spec, spec_seeds(spec), capture);
 }
 
-/// The builder below captures `spec` and `seeds` by reference — safe
-/// because it is only invoked synchronously inside the run_* call.
 SpecResult run_spec(const ScenarioSpec& spec, const RunSeeds& seeds,
                     trace::TraceRecorder* capture,
                     const obs::Instruments& instruments) {
@@ -495,25 +579,14 @@ SpecResult run_spec(const ScenarioSpec& spec, const RunSeeds& seeds,
   result.name = spec.name;
   result.fleet = spec.fleet_mode;
   // Open-world specs (timeline / fleet_policy / faults) run in the fleet
-  // runtime; everything else keeps its closed-world path untouched.
+  // runtime; everything else is a closed-world run.
   if (spec.dynamic()) {
     result.dynamic = true;
     result.dyn = fleet::run_fleet_scenario(spec, seeds, capture, instruments);
     return result;
   }
-  ScenarioConfig cfg = lower(spec);
-  cfg.seed = seeds.sim;
-  const TaskSetBuilder builder = [&spec, &seeds](
-                                     const ScenarioConfig& c,
-                                     const std::vector<int>& pool_sizes) {
-    return build_spec_tasks(spec, seeds.generator, c, pool_sizes);
-  };
-  if (spec.fleet_mode) {
-    result.cluster = run_cluster_scenario(cfg, builder);
-  } else {
-    result.single = run_scenario(cfg, builder);
-  }
-  if (capture) capture_static_run(spec, seeds.generator, cfg, *capture);
+  run_closed_world(spec, seeds, result);
+  if (capture) capture_static_run(spec, seeds, *capture);
   return result;
 }
 
@@ -527,6 +600,38 @@ TaskSetBuilder task_builder_for(const ScenarioSpec& spec,
                                 const std::vector<int>& pool_sizes) {
     return build_spec_tasks(spec, generator_seed, cfg, pool_sizes);
   };
+}
+
+std::vector<SpecResult> sweep_num_tasks(ScenarioSpec spec, int from,
+                                        int to) {
+  if (spec.tasks.size() != 1 || spec.generator) {
+    bad("spec.tasks", "a task-count sweep needs exactly one task entry");
+  }
+  if (from < 1 || to < from) {
+    bad("spec.tasks[0].count", "sweep range must satisfy 1 <= from <= to, "
+                               "got " + std::to_string(from) + ":" +
+                                   std::to_string(to));
+  }
+  int& count = spec.tasks.front().count;
+  count = to;
+  validate(spec);  // the largest count bounds every run
+  const RunSeeds seeds = spec_seeds(spec);
+  std::vector<SpecResult> results;
+  results.reserve(to - from + 1);
+  for (count = from; count <= to; ++count) {
+    results.push_back(run_spec(spec, seeds));
+  }
+  return results;
+}
+
+int find_pivot(const std::vector<SpecResult>& sweep, int from,
+               double miss_epsilon) {
+  int pivot = from - 1;
+  for (std::size_t i = 0; i < sweep.size(); ++i) {
+    if (sweep[i].dmr() > miss_epsilon) break;
+    pivot = from + static_cast<int>(i);
+  }
+  return pivot;
 }
 
 const TaskEntrySpec* task_entry_for(const ScenarioSpec& spec,

@@ -1,15 +1,13 @@
 // Declarative JSON scenario specs (docs/scenario-format.md is the full
 // schema reference).
 //
-// A spec describes everything run_scenario / run_cluster_scenario need —
-// scheduler, pool shape, sim window, a *heterogeneous* task list (explicit
-// entries or a UUniFast generator) and an optional fleet section — so a
-// workload lives in a versioned .json file instead of a recompiled binary.
-// Every spec builds its tasks through fleet::build_stream_task, one
-// prototype per entry cloned per replica. A spec of identical periodic
-// tasks therefore runs bit-identically to the hard-coded benches, whose
-// default builder clones one prototype the same way (pinned by
-// tests/workload/spec_test.cpp against scenarios/paper_scenario1.json).
+// A spec is the one description of a run: scheduler, pool shape, sim
+// window, a *heterogeneous* task list (explicit entries or a UUniFast
+// generator) and optional fleet, timeline, policy and fault sections. The
+// CLI, benches, examples and tests all build one — from a .json file or in
+// C++ — and run it through run_spec. Every spec builds its tasks through
+// fleet::build_stream_task, one prototype per entry cloned per replica
+// (the paper's N identical streams are one entry with count N).
 #pragma once
 
 #include <cstdint>
@@ -68,7 +66,6 @@ struct ScenarioSpec {
   std::string name;         // defaults to the file stem
   std::string description;  // free text, echoed in reports
   /// Scheduler/pool/device/fleet/sim knobs, lowered 1:1 from the JSON.
-  /// Task fields inside (num_tasks, fps, ...) are filled at run time.
   ScenarioConfig base;
   /// Explicit task entries, in file order. Mutually exclusive with
   /// `generator`.
@@ -119,8 +116,10 @@ ScenarioSpec load_scenario_spec(const std::string& path);
 void resolve_spec_trace(ScenarioSpec& spec, const std::string& spec_path);
 
 /// Semantic validation beyond parsing: entry counts, stream shapes,
-/// initial stream total, generator bounds, pool and fleet shape. Throws
-/// SpecError with the field path.
+/// initial stream total, generator bounds, and every base-config rule
+/// (pool shape, sim window, in-flight caps, fleet size, admission and
+/// occupancy fractions, device memory, shards). Throws SpecError with the
+/// field path.
 void validate(const ScenarioSpec& spec);
 
 /// `seconds` as a SimTime, or SpecError at `path` unless finite and within
@@ -128,9 +127,8 @@ void validate(const ScenarioSpec& spec);
 /// time field, for values that arrive as CLI flags.
 common::SimTime spec_seconds(double seconds, const std::string& path);
 
-/// The ScenarioConfig a run of this spec uses: base plus num_tasks = the
-/// total initial stream count. The task fields (fps, stages, network) stay
-/// at their defaults; the spec's own task builder supplies the tasks.
+/// The ScenarioConfig a run of this spec uses: its base config (the task
+/// set comes from task_builder_for).
 ScenarioConfig lower(const ScenarioSpec& spec);
 
 /// The spec's task-set builder (explicit entries or the generator);
@@ -175,6 +173,10 @@ struct SpecResult {
     if (dynamic) return dyn.stage_migrations;
     return fleet ? cluster.stage_migrations : single.stage_migrations;
   }
+  std::int64_t medium_promotions() const {
+    if (dynamic) return dyn.medium_promotions;
+    return fleet ? cluster.medium_promotions : single.medium_promotions;
+  }
 };
 
 /// Per-run seed overrides, replacing spec.base.seed and (when a generator
@@ -188,7 +190,11 @@ struct RunSeeds {
 /// without one). Every run that is not a replication starts from these.
 RunSeeds spec_seeds(const ScenarioSpec& spec);
 
-/// Validates and runs one spec end to end with its own seeds.
+/// Validates and runs one spec end to end with its own seeds. A spec
+/// without a fleet section runs on one device (base.device) with admission
+/// off, so every task is placed; a fleet section adds placement and
+/// admission control; timeline, fleet_policy or faults sections run the
+/// fleet runtime.
 ///
 /// When `capture` is non-null the run feeds it the admit/retire stream
 /// (--record-trace). Dynamic specs record their churn exactly (replaying
@@ -215,5 +221,18 @@ SpecResult run_spec(const ScenarioSpec& spec,
 SpecResult run_spec(const ScenarioSpec& spec, const RunSeeds& seeds,
                     trace::TraceRecorder* capture = nullptr,
                     const obs::Instruments& instruments = {});
+
+/// Runs a one-entry spec at every replica count in [from, to] (the x-axis
+/// of Figs. 3 and 4), each with the spec's own seeds. Results are indexed
+/// by (n - from). Throws SpecError unless the spec has exactly one task
+/// entry and 1 <= from <= to, or when the spec is invalid at count `to`.
+std::vector<SpecResult> sweep_num_tasks(ScenarioSpec spec, int from, int to);
+
+/// Pivot point (paper Section V): the largest task count that the
+/// scheduler handles without deadline misses — i.e. the last N before the
+/// first result with dmr > miss_epsilon. Returns `from - 1` if even the
+/// smallest count misses.
+int find_pivot(const std::vector<SpecResult>& sweep, int from,
+               double miss_epsilon = 1e-9);
 
 }  // namespace sgprs::workload

@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "metrics/fleet.hpp"
-#include "workload/scenario.hpp"
+#include "workload/spec.hpp"
 
 namespace sgprs {
 namespace {
@@ -68,25 +68,29 @@ TEST(FleetRollup, EmptyFleetIsAllZero) {
   EXPECT_DOUBLE_EQ(fleet.mean_utilization, 0.0);
 }
 
-workload::ScenarioConfig base_config(workload::SchedulerKind kind,
-                                     int tasks) {
-  workload::ScenarioConfig cfg;
-  cfg.scheduler = kind;
-  cfg.num_contexts = 2;
-  cfg.oversubscription = 1.5;
-  cfg.num_tasks = tasks;
-  cfg.duration = SimTime::from_sec(1.0);
-  cfg.warmup = SimTime::from_ms(200);
-  return cfg;
+workload::ScenarioSpec base_spec(workload::SchedulerKind kind, int tasks) {
+  workload::ScenarioSpec spec;
+  spec.base.scheduler = kind;
+  spec.base.num_contexts = 2;
+  spec.base.oversubscription = 1.5;
+  spec.base.duration = SimTime::from_sec(1.0);
+  spec.base.warmup = SimTime::from_ms(200);
+  spec.tasks.emplace_back().count = tasks;
+  return spec;
+}
+
+/// The spec's run as a closed-world fleet (placement + admission).
+auto run_fleet(workload::ScenarioSpec spec) {
+  spec.fleet_mode = true;
+  return workload::run_spec(spec).cluster;
 }
 
 TEST(ClusterScenario, OneDeviceClusterIsBitIdenticalToSingleGpu) {
   for (auto kind :
        {workload::SchedulerKind::kSgprs, workload::SchedulerKind::kNaive}) {
-    auto cfg = base_config(kind, 8);
-    const auto single = workload::run_scenario(cfg);
-    cfg.num_devices = 1;
-    const auto fleet = workload::run_cluster_scenario(cfg);
+    const auto spec = base_spec(kind, 8);
+    const auto single = workload::run_spec(spec).single;
+    const auto fleet = run_fleet(spec);
 
     ASSERT_EQ(static_cast<int>(fleet.fleet.devices.size()), 1);
     const auto& dev = fleet.fleet.devices[0].snapshot;
@@ -114,25 +118,24 @@ TEST(ClusterScenario, OneDeviceClusterIsBitIdenticalToSingleGpu) {
 }
 
 TEST(ClusterScenario, SingleGpuRunPlacesEveryTaskPastTheAdmissionLimit) {
-  // run_scenario is a one-device cluster with admission disabled: at a
-  // task count where the default 0.95 margin rejects streams on the same
-  // device, it still runs every task.
-  auto cfg = base_config(workload::SchedulerKind::kSgprs, 30);
-  cfg.num_devices = 1;
-  ASSERT_DOUBLE_EQ(cfg.admission_margin, 0.95);
-  const auto fleet = workload::run_cluster_scenario(cfg);
+  // A spec without a fleet section is a one-device cluster with admission
+  // disabled: at a task count where the default 0.95 margin rejects
+  // streams on the same device, it still runs every task.
+  const auto spec = base_spec(workload::SchedulerKind::kSgprs, 30);
+  ASSERT_DOUBLE_EQ(spec.base.admission_margin, 0.95);
+  const auto fleet = run_fleet(spec);
   ASSERT_GT(fleet.rejected_task_ids.size(), 0u);
 
-  const auto single = workload::run_scenario(cfg);
-  EXPECT_EQ(static_cast<int>(single.per_task.size()), cfg.num_tasks);
+  const auto single = workload::run_spec(spec).single;
+  EXPECT_EQ(static_cast<int>(single.per_task.size()), spec.tasks[0].count);
   for (const auto& t : single.per_task) EXPECT_GT(t.counts.released, 0);
 }
 
 TEST(ClusterScenario, FleetAggregateEqualsSumOfPerDevice) {
-  auto cfg = base_config(workload::SchedulerKind::kSgprs, 18);
-  cfg.num_devices = 3;
-  cfg.placement = cluster::PlacementPolicy::kRoundRobin;
-  const auto r = workload::run_cluster_scenario(cfg);
+  auto spec = base_spec(workload::SchedulerKind::kSgprs, 18);
+  spec.base.num_devices = 3;
+  spec.base.placement = cluster::PlacementPolicy::kRoundRobin;
+  const auto r = run_fleet(spec);
 
   ASSERT_EQ(static_cast<int>(r.fleet.devices.size()), 3);
   std::int64_t released = 0, on_time = 0, late = 0, dropped = 0;
@@ -157,10 +160,10 @@ TEST(ClusterScenario, FleetAggregateEqualsSumOfPerDevice) {
 }
 
 TEST(ClusterScenario, HeterogeneousFleetRunsAndUsesEveryDevice) {
-  auto cfg = base_config(workload::SchedulerKind::kSgprs, 12);
-  cfg.fleet = {gpu::rtx2080ti(), gpu::rtx3090()};
-  cfg.placement = cluster::PlacementPolicy::kLeastLoaded;
-  const auto r = workload::run_cluster_scenario(cfg);
+  auto spec = base_spec(workload::SchedulerKind::kSgprs, 12);
+  spec.base.fleet = {gpu::rtx2080ti(), gpu::rtx3090()};
+  spec.base.placement = cluster::PlacementPolicy::kLeastLoaded;
+  const auto r = run_fleet(spec);
 
   ASSERT_EQ(static_cast<int>(r.fleet.devices.size()), 2);
   EXPECT_EQ(r.fleet.devices[0].total_sms, 68);
@@ -176,10 +179,10 @@ TEST(ClusterScenario, HeterogeneousFleetRunsAndUsesEveryDevice) {
 }
 
 TEST(ClusterScenario, SaturatedFleetRejectsButNeverMisses) {
-  auto cfg = base_config(workload::SchedulerKind::kSgprs, 60);
-  cfg.num_devices = 2;
-  cfg.placement = cluster::PlacementPolicy::kBinPackUtilization;
-  const auto r = workload::run_cluster_scenario(cfg);
+  auto spec = base_spec(workload::SchedulerKind::kSgprs, 60);
+  spec.base.num_devices = 2;
+  spec.base.placement = cluster::PlacementPolicy::kBinPackUtilization;
+  const auto r = run_fleet(spec);
   // Admission sheds the overload up front...
   EXPECT_GT(r.fleet.tasks_rejected, 0);
   EXPECT_EQ(static_cast<int>(r.rejected_task_ids.size()),

@@ -32,6 +32,13 @@ TEST_F(ContextPoolTest, ClampsToDeviceLimits) {
   EXPECT_EQ(ContextPool::sms_per_context(68, 200, 1.0), 1);
 }
 
+TEST_F(ContextPoolTest, HugeOversubscriptionClampsToTheWholeDevice) {
+  // The per-context share is clamped before it becomes an integer, so an
+  // absurd oversubscription still means "every SM", not a wrapped value.
+  EXPECT_EQ(ContextPool::sms_per_context(68, 2, 1e9), 68);
+  EXPECT_EQ(ContextPool::sms_per_context(68, 2, 1e308), 68);
+}
+
 TEST_F(ContextPoolTest, BuildsPaperStreamLayout) {
   ContextPoolConfig cfg;
   cfg.num_contexts = 2;

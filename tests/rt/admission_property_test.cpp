@@ -13,9 +13,12 @@
 #include <memory>
 #include <vector>
 
+#include "cluster/cluster.hpp"
 #include "common/rng.hpp"
 #include "dnn/profiler.hpp"
 #include "rt/analysis.hpp"
+#include "rt/runner.hpp"
+#include "sim/engine.hpp"
 #include "workload/scenario.hpp"
 #include "workload/taskset.hpp"
 
@@ -30,9 +33,9 @@ class AdmissionPropertyTest : public ::testing::Test {
   AdmissionPropertyTest()
       : profiler_(gpu::rtx2080ti(), gpu::SpeedupModel::rtx2080ti(),
                   dnn::CostModel::calibrated()),
-        // 2 contexts x 51 SMs x 4 streams: exactly the pool run_scenario
-        // builds for sgprs with contexts=2, oversubscription=1.5 on a
-        // 68-SM device.
+        // 2 contexts x 51 SMs x 4 streams: exactly the pool an sgprs
+        // device gets with contexts=2, oversubscription=1.5 on a 68-SM
+        // device.
         capacity_(pool_capacity(gpu::SpeedupModel::rtx2080ti(),
                                 gpu::SharingParams{}, 68, 2, 51, 4)) {}
 
@@ -69,23 +72,33 @@ TEST_F(AdmissionPropertyTest, AdmittedSetsNeverMissDeadlinesInSimulation) {
     admitted_tasks += static_cast<std::int64_t>(admitted.size());
     ++simulated_sets;
 
+    // The admitted set on one sgprs device of that pool. The controller
+    // above already admitted it, so the cluster's own admission is off.
     workload::ScenarioConfig cfg;
     cfg.scheduler = workload::SchedulerKind::kSgprs;
     cfg.num_contexts = 2;
     cfg.oversubscription = 1.5;
-    cfg.num_tasks = static_cast<int>(admitted.size());
-    cfg.duration = common::SimTime::from_sec(1.0);
-    cfg.warmup = common::SimTime::from_sec(0.2);
-    const auto result = workload::run_scenario(
-        cfg, [&admitted](const workload::ScenarioConfig&,
-                         const std::vector<int>&) { return admitted; });
+    cfg.admission_margin = 0.0;
+    const auto duration = common::SimTime::from_sec(1.0);
+    sim::Engine engine;
+    metrics::Collector collector(common::SimTime::from_sec(0.2));
+    cluster::Cluster device(engine, collector,
+                            workload::cluster_config_for(cfg));
+    device.place(admitted);
+    RunnerConfig run;
+    run.duration = duration;
+    run.jitter_seed = cfg.seed;
+    device.start(run);
+    device.run_until(duration);
+    device.reduce();
+    const metrics::Snapshot result = collector.aggregate(duration);
 
-    EXPECT_DOUBLE_EQ(result.aggregate.dmr, 0.0)
+    EXPECT_DOUBLE_EQ(result.dmr, 0.0)
         << "seed " << seed << ": admission accepted "
         << admitted.size() << "/" << tasks.size() << " tasks (utilization "
         << ac.current_utilization() << ") but the simulation missed "
-        << result.aggregate.counts.late + result.aggregate.counts.dropped
-        << " of " << result.aggregate.counts.closed() << " deadlines";
+        << result.counts.late + result.counts.dropped << " of "
+        << result.counts.closed() << " deadlines";
   }
 
   // The property must not pass vacuously: most sets simulate, and the

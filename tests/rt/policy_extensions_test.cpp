@@ -8,7 +8,7 @@
 #include "rt/runner.hpp"
 #include "rt/sgprs_scheduler.hpp"
 #include "sim/engine.hpp"
-#include "workload/scenario.hpp"
+#include "workload/spec.hpp"
 
 namespace sgprs::rt {
 namespace {
@@ -193,13 +193,13 @@ TEST_F(PolicyExtTest, AbortDisabledRunsEverythingToCompletion) {
 }
 
 TEST_F(PolicyExtTest, HeterogeneousScenarioViaConfig) {
-  workload::ScenarioConfig cfg;
-  cfg.scheduler = workload::SchedulerKind::kSgprs;
-  cfg.context_sms = {51, 34, 17};  // lopsided, over-subscribed pool
-  cfg.num_tasks = 10;
-  cfg.duration = SimTime::from_sec(1.0);
-  cfg.warmup = SimTime::from_ms(200);
-  const auto r = workload::run_scenario(cfg);
+  workload::ScenarioSpec spec;
+  spec.base.scheduler = workload::SchedulerKind::kSgprs;
+  spec.base.context_sms = {51, 34, 17};  // lopsided, over-subscribed pool
+  spec.base.duration = SimTime::from_sec(1.0);
+  spec.base.warmup = SimTime::from_ms(200);
+  spec.tasks.emplace_back().count = 10;
+  const auto r = workload::run_spec(spec);
   EXPECT_NEAR(r.fps(), 300.0, 15.0);
   EXPECT_DOUBLE_EQ(r.dmr(), 0.0);
 }

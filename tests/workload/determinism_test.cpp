@@ -1,11 +1,13 @@
 // Golden-trace determinism regression: the whole Monte-Carlo layer rests on
 // run_spec being a pure function of its spec, including across threads. A
-// full-precision digest of every metric a run produces must be bit-identical
-// (1) across repeated serial runs and (2) when the same run executes inside
-// a 4-worker thread pool next to concurrent replicas. If threading (or a
-// stray global) ever perturbs simulation state, this fails loudly.
+// full-precision digest of every metric a run produces must (1) hash to a
+// pinned literal for paper_scenario1, (2) be bit-identical across repeated
+// serial runs and (3) when the same run executes inside a 4-worker thread
+// pool next to concurrent replicas. If threading (or a stray global) ever
+// perturbs simulation state, this fails loudly.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <future>
 #include <sstream>
 #include <string>
@@ -50,6 +52,27 @@ std::string digest(const SpecResult& r) {
   }
   os << "releases=" << r.releases() << "|migrations=" << r.migrations();
   return os.str();
+}
+
+/// FNV-1a-64 of a digest string.
+std::uint64_t fnv1a64(const std::string& s) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const unsigned char c : s) {
+    h ^= c;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+TEST(GoldenTraceDeterminism, PaperScenario1MatchesPinnedDigest) {
+  // A literal golden value, not a second code path: any change to what
+  // paper_scenario1 computes — task building, scheduling, executor timing,
+  // metrics — moves this hash. Update it only for an intended change of
+  // simulated behaviour, and say so in the change log.
+  constexpr std::uint64_t kPaperScenario1Fnv = 0xd7045efc4cde6548ULL;
+  const std::string d = digest(run_spec(load_scenario_spec(
+      paper_scenario1_path())));
+  EXPECT_EQ(fnv1a64(d), kPaperScenario1Fnv) << "full digest: " << d;
 }
 
 TEST(GoldenTraceDeterminism, PaperScenario1SerialRerunsAreBitIdentical) {

@@ -1,47 +1,60 @@
-#include "workload/scenario.hpp"
-
+// Closed-world runs of the paper's workload: one task entry of identical
+// ResNet18 streams on one device, run through run_spec.
 #include <gtest/gtest.h>
+
+#include "workload/spec.hpp"
 
 namespace sgprs::workload {
 namespace {
 
 using common::SimTime;
 
-ScenarioConfig quick(SchedulerKind kind, int tasks, int contexts = 2,
-                     double os = 1.0) {
-  ScenarioConfig cfg;
-  cfg.scheduler = kind;
-  cfg.num_contexts = contexts;
-  cfg.oversubscription = os;
-  cfg.num_tasks = tasks;
-  cfg.duration = SimTime::from_sec(1.0);
-  cfg.warmup = SimTime::from_ms(200);
-  return cfg;
+ScenarioSpec quick(SchedulerKind kind, int tasks, int contexts = 2,
+                   double os = 1.0) {
+  ScenarioSpec spec;
+  spec.base.scheduler = kind;
+  spec.base.num_contexts = contexts;
+  spec.base.oversubscription = os;
+  spec.base.duration = SimTime::from_sec(1.0);
+  spec.base.warmup = SimTime::from_ms(200);
+  spec.tasks.emplace_back().count = tasks;
+  return spec;
+}
+
+/// The SpecError path a spec fails validation at, "<no error>" when it
+/// passes.
+std::string path_of(const ScenarioSpec& spec) {
+  try {
+    validate(spec);
+  } catch (const SpecError& e) {
+    return e.path();
+  }
+  return "<no error>";
 }
 
 TEST(Scenario, LowLoadMeetsEveryDeadlineBothSchedulers) {
   for (auto kind : {SchedulerKind::kSgprs, SchedulerKind::kNaive}) {
-    const auto r = run_scenario(quick(kind, 4));
+    const auto r = run_spec(quick(kind, 4));
     EXPECT_DOUBLE_EQ(r.dmr(), 0.0) << to_string(kind);
     EXPECT_NEAR(r.fps(), 120.0, 6.0) << to_string(kind);
-    EXPECT_EQ(static_cast<int>(r.per_task.size()), 4);
+    EXPECT_EQ(static_cast<int>(r.single.per_task.size()), 4);
   }
 }
 
 TEST(Scenario, DeterministicForSameSeed) {
-  const auto a = run_scenario(quick(SchedulerKind::kSgprs, 10));
-  const auto b = run_scenario(quick(SchedulerKind::kSgprs, 10));
-  EXPECT_EQ(a.aggregate.counts.released, b.aggregate.counts.released);
+  const auto a = run_spec(quick(SchedulerKind::kSgprs, 10));
+  const auto b = run_spec(quick(SchedulerKind::kSgprs, 10));
+  EXPECT_EQ(a.aggregate().counts.released, b.aggregate().counts.released);
   EXPECT_DOUBLE_EQ(a.fps(), b.fps());
   EXPECT_DOUBLE_EQ(a.dmr(), b.dmr());
-  EXPECT_EQ(a.stage_migrations, b.stage_migrations);
+  EXPECT_EQ(a.migrations(), b.migrations());
 }
 
 TEST(Scenario, SeedChangesPhasesButNotHealth) {
-  auto cfg = quick(SchedulerKind::kSgprs, 8);
-  const auto a = run_scenario(cfg);
-  cfg.seed = 999;
-  const auto b = run_scenario(cfg);
+  auto spec = quick(SchedulerKind::kSgprs, 8);
+  const auto a = run_spec(spec);
+  spec.base.seed = 999;
+  const auto b = run_spec(spec);
   // Different phases -> different event interleavings, same zero-miss
   // behaviour at low load.
   EXPECT_DOUBLE_EQ(a.dmr(), 0.0);
@@ -52,40 +65,40 @@ TEST(Scenario, SgprsOutlastsNaivePivot) {
   // The paper's central claim at sweep granularity: there is a task count
   // where the naive scheduler misses deadlines but SGPRS does not.
   const int n = 19;
-  const auto naive = run_scenario(quick(SchedulerKind::kNaive, n));
-  const auto sgprs = run_scenario(quick(SchedulerKind::kSgprs, n, 2, 2.0));
+  const auto naive = run_spec(quick(SchedulerKind::kNaive, n));
+  const auto sgprs = run_spec(quick(SchedulerKind::kSgprs, n, 2, 2.0));
   EXPECT_GT(naive.dmr(), 0.05);
   EXPECT_DOUBLE_EQ(sgprs.dmr(), 0.0);
   EXPECT_GT(sgprs.fps(), naive.fps());
 }
 
 TEST(Scenario, NaiveIgnoresOversubscription) {
-  const auto a = run_scenario(quick(SchedulerKind::kNaive, 10, 2, 1.0));
-  const auto b = run_scenario(quick(SchedulerKind::kNaive, 10, 2, 2.0));
+  const auto a = run_spec(quick(SchedulerKind::kNaive, 10, 2, 1.0));
+  const auto b = run_spec(quick(SchedulerKind::kNaive, 10, 2, 2.0));
   EXPECT_DOUBLE_EQ(a.fps(), b.fps()) << "naive pool is always os=1.0";
 }
 
 TEST(Scenario, MigrationCountersOnlyForSgprs) {
-  const auto naive = run_scenario(quick(SchedulerKind::kNaive, 6));
-  EXPECT_EQ(naive.stage_migrations, 0);
-  const auto sgprs = run_scenario(quick(SchedulerKind::kSgprs, 6));
-  EXPECT_GT(sgprs.stage_migrations, 0);
+  const auto naive = run_spec(quick(SchedulerKind::kNaive, 6));
+  EXPECT_EQ(naive.migrations(), 0);
+  const auto sgprs = run_spec(quick(SchedulerKind::kSgprs, 6));
+  EXPECT_GT(sgprs.migrations(), 0);
 }
 
 TEST(Scenario, CustomNetworkBuilder) {
-  auto cfg = quick(SchedulerKind::kSgprs, 2);
-  cfg.network_builder = [] { return dnn::lenet5(); };
-  cfg.num_stages = 3;
-  const auto r = run_scenario(cfg);
+  auto spec = quick(SchedulerKind::kSgprs, 2);
+  spec.tasks[0].network = "lenet5";
+  spec.tasks[0].num_stages = 3;
+  const auto r = run_spec(spec);
   EXPECT_DOUBLE_EQ(r.dmr(), 0.0);
   EXPECT_NEAR(r.fps(), 60.0, 3.0);
 }
 
 TEST(Scenario, SweepProducesOneResultPerCount) {
-  auto cfg = quick(SchedulerKind::kSgprs, 1);
-  cfg.duration = SimTime::from_ms(600);
-  cfg.warmup = SimTime::from_ms(100);
-  const auto sweep = sweep_num_tasks(cfg, 2, 6);
+  auto spec = quick(SchedulerKind::kSgprs, 1);
+  spec.base.duration = SimTime::from_ms(600);
+  spec.base.warmup = SimTime::from_ms(100);
+  const auto sweep = sweep_num_tasks(spec, 2, 6);
   ASSERT_EQ(sweep.size(), 5u);
   // FPS grows linearly with task count below the pivot.
   for (std::size_t i = 0; i < sweep.size(); ++i) {
@@ -95,63 +108,62 @@ TEST(Scenario, SweepProducesOneResultPerCount) {
 
 TEST(Scenario, FindPivotIdentifiesFirstMiss) {
   // Synthesize sweep results rather than running 20 simulations.
-  std::vector<ScenarioResult> sweep(5);
-  for (auto& r : sweep) r.aggregate.dmr = 0.0;
+  std::vector<SpecResult> sweep(5);
+  for (auto& r : sweep) r.single.aggregate.dmr = 0.0;
   EXPECT_EQ(find_pivot(sweep, 10), 14) << "no misses -> last count";
-  sweep[3].aggregate.dmr = 0.02;
-  sweep[4].aggregate.dmr = 0.10;
+  sweep[3].single.aggregate.dmr = 0.02;
+  sweep[4].single.aggregate.dmr = 0.10;
   EXPECT_EQ(find_pivot(sweep, 10), 12);
-  sweep[0].aggregate.dmr = 0.5;
+  sweep[0].single.aggregate.dmr = 0.5;
   EXPECT_EQ(find_pivot(sweep, 10), 9) << "missing from the start";
 }
 
 TEST(Scenario, GpuBusyAccountingPositive) {
-  const auto r = run_scenario(quick(SchedulerKind::kSgprs, 4));
-  EXPECT_GT(r.gpu_busy_sm_seconds, 0.0);
-  EXPECT_GT(r.sim_events, 0.0);
+  const auto r = run_spec(quick(SchedulerKind::kSgprs, 4));
+  EXPECT_GT(r.single.gpu_busy_sm_seconds, 0.0);
+  EXPECT_GT(r.single.sim_events, 0.0);
 }
 
 TEST(Scenario, InvalidConfigThrows) {
-  auto cfg = quick(SchedulerKind::kSgprs, 0);
-  EXPECT_THROW(run_scenario(cfg), common::CheckError);
-  auto cfg2 = quick(SchedulerKind::kSgprs, 1);
-  cfg2.warmup = cfg2.duration;
-  EXPECT_THROW(run_scenario(cfg2), common::CheckError);
+  EXPECT_THROW(run_spec(quick(SchedulerKind::kSgprs, 0)), SpecError);
+  auto spec = quick(SchedulerKind::kSgprs, 1);
+  spec.base.warmup = spec.base.duration;
+  EXPECT_THROW(run_spec(spec), SpecError);
+}
+
+TEST(Scenario, SweepNeedsOneEntryAndAnOrderedRange) {
+  auto spec = quick(SchedulerKind::kSgprs, 1);
+  EXPECT_THROW(sweep_num_tasks(spec, 0, 3), SpecError);
+  EXPECT_THROW(sweep_num_tasks(spec, 4, 3), SpecError);
+  spec.tasks.push_back(spec.tasks[0]);
+  EXPECT_THROW(sweep_num_tasks(spec, 1, 2), SpecError);
 }
 
 TEST(Scenario, ValidateIsTheSingleCheckedEntryPoint) {
-  EXPECT_NO_THROW(validate(quick(SchedulerKind::kSgprs, 4)));
+  EXPECT_EQ(path_of(quick(SchedulerKind::kSgprs, 4)), "<no error>");
 
-  auto cfg = quick(SchedulerKind::kSgprs, 4);
-  cfg.fps = 0.0;
-  EXPECT_THROW(validate(cfg), common::CheckError);
-  cfg = quick(SchedulerKind::kSgprs, 4);
-  cfg.oversubscription = 0.5;
-  EXPECT_THROW(validate(cfg), common::CheckError);
-  cfg = quick(SchedulerKind::kSgprs, 4);
-  cfg.num_stages = 0;
-  EXPECT_THROW(validate(cfg), common::CheckError);
-  cfg = quick(SchedulerKind::kSgprs, 4);
-  cfg.num_devices = 0;
-  EXPECT_THROW(validate(cfg), common::CheckError);
-  cfg.fleet = {gpu::rtx3090()};  // an explicit fleet satisfies the check
-  EXPECT_NO_THROW(validate(cfg));
-  cfg = quick(SchedulerKind::kSgprs, 4);
-  cfg.admission_margin = 1.5;
-  EXPECT_THROW(validate(cfg), common::CheckError);
-  cfg = quick(SchedulerKind::kSgprs, 4);
-  cfg.sgprs.max_in_flight_per_task = 0;
-  EXPECT_THROW(validate(cfg), common::CheckError);
+  auto spec = quick(SchedulerKind::kSgprs, 4);
+  spec.tasks[0].fps = 0.0;
+  EXPECT_EQ(path_of(spec), "spec.tasks[0].fps");
+  spec = quick(SchedulerKind::kSgprs, 4);
+  spec.tasks[0].num_stages = 0;
+  EXPECT_EQ(path_of(spec), "spec.tasks[0].stages");
+  spec = quick(SchedulerKind::kSgprs, 4);
+  spec.base.num_devices = 0;
+  EXPECT_EQ(path_of(spec), "spec.fleet.devices");
+  spec.base.fleet = {gpu::rtx3090()};  // an explicit fleet satisfies it
+  EXPECT_EQ(path_of(spec), "<no error>");
 }
 
 TEST(Scenario, ValidateMessagesNameTheField) {
-  auto cfg = quick(SchedulerKind::kSgprs, 4);
-  cfg.oversubscription = 0.5;
+  auto spec = quick(SchedulerKind::kSgprs, 4);
+  spec.base.oversubscription = 0.5;
   try {
-    validate(cfg);
-    FAIL() << "expected CheckError";
-  } catch (const common::CheckError& e) {
-    EXPECT_NE(std::string(e.what()).find("oversubscription"),
+    validate(spec);
+    FAIL() << "expected SpecError";
+  } catch (const SpecError& e) {
+    EXPECT_EQ(e.path(), "spec.pool.oversubscription");
+    EXPECT_NE(std::string(e.what()).find("spec.pool.oversubscription"),
               std::string::npos)
         << e.what();
   }

@@ -20,6 +20,17 @@ ScenarioSpec parse(const std::string& json,
   return parse_scenario_spec(common::parse_json(json), name);
 }
 
+/// The field path of the SpecError validate() throws, "<no error>" when
+/// the spec passes.
+std::string path_of(const ScenarioSpec& s) {
+  try {
+    validate(s);
+  } catch (const SpecError& e) {
+    return e.path();
+  }
+  return "<no error>";
+}
+
 /// A tiny heterogeneous spec that runs in well under a second.
 constexpr const char* kTinyMixed = R"({
   "scheduler": "sgprs",
@@ -247,14 +258,6 @@ TEST(SpecValidate, TaskEntryRules) {
   bad.tasks[0].max_separation_ms = 20.0;
   EXPECT_THROW(validate(bad), SpecError);
   // Hostile numbers fail with the field path instead of aborting later.
-  const auto path_of = [](const ScenarioSpec& s) {
-    try {
-      validate(s);
-    } catch (const SpecError& e) {
-      return e.path();
-    }
-    return std::string("<no error>");
-  };
   bad = base;
   bad.tasks[0].fps = 1e308;  // period below 1 ns
   EXPECT_EQ(path_of(bad), "spec.tasks[0].fps");
@@ -357,14 +360,6 @@ TEST(SpecValidate, BaseConfigErrorsSurfaceAsSpecErrors) {
 TEST(SpecValidate, FaultTimesMustFitSimTime) {
   // Each value used to end in an internal "schedule event in the past"
   // CHECK once converted to a SimTime.
-  const auto path_of = [](const ScenarioSpec& s) {
-    try {
-      validate(s);
-    } catch (const SpecError& e) {
-      return e.path();
-    }
-    return std::string("<no error>");
-  };
   ScenarioSpec base = parse(kTinyMixed);
   fleet::FaultSpec faults;
   fleet::FaultEvent crash;
@@ -403,14 +398,94 @@ TEST(SpecValidate, FaultTimesMustFitSimTime) {
   }
 }
 
+TEST(SpecValidate, EveryBaseConfigRuleNamesItsField) {
+  const ScenarioSpec base = parse(kTinyMixed);
+  ASSERT_EQ(path_of(base), "<no error>");
+  const double kNan = std::nan("");
+  const std::pair<std::function<void(ScenarioConfig&)>, std::string>
+      cases[] = {
+          {[](auto& c) { c.num_contexts = 0; }, "spec.pool.contexts"},
+          {[](auto& c) { c.num_contexts = 69; }, "spec.pool.contexts"},
+          {[](auto& c) { c.oversubscription = 0.5; },
+           "spec.pool.oversubscription"},
+          {[=](auto& c) { c.oversubscription = kNan; },
+           "spec.pool.oversubscription"},
+          {[](auto& c) { c.context_sms = {34, 0}; },
+           "spec.pool.context_sms[1]"},
+          {[](auto& c) { c.context_sms = {100000, 34}; },
+           "spec.pool.context_sms[0]"},
+          {[](auto& c) { c.duration = SimTime::zero(); },
+           "spec.sim.duration_s"},
+          {[](auto& c) { c.warmup = c.duration; }, "spec.sim.warmup_s"},
+          {[](auto& c) { c.shards = 0; }, "spec.sim.shards"},
+          {[](auto& c) { c.sgprs.max_in_flight_per_task = 0; },
+           "spec.sgprs.max_in_flight"},
+          {[](auto& c) { c.naive.max_in_flight_per_task = 0; },
+           "spec.naive.max_in_flight"},
+          {[](auto& c) { c.naive.host_sync_gap = SimTime::from_ms(-5); },
+           "spec.naive.host_sync_gap_ms"},
+          {[](auto& c) { c.num_devices = 0; }, "spec.fleet.devices"},
+          {[](auto& c) { c.admission_margin = 1.5; },
+           "spec.fleet.admission_margin"},
+          {[](auto& c) { c.occupancy_threshold = 0.0; },
+           "spec.fleet.occupancy_threshold"},
+          {[](auto& c) { c.occupancy_threshold = 1.5; },
+           "spec.fleet.occupancy_threshold"},
+          {[](auto& c) { c.device_mem_mb = -1.0; },
+           "spec.fleet.device_mem_mb"},
+      };
+  for (const auto& [mutate, path] : cases) {
+    ScenarioSpec bad = base;
+    mutate(bad.base);
+    EXPECT_EQ(path_of(bad), path);
+  }
+  // An explicit device list stands in for the device count, and explicit
+  // SGPRS context sizes for the context count.
+  ScenarioSpec ok = base;
+  ok.base.num_devices = 0;
+  ok.base.fleet = {gpu::rtx3090()};
+  EXPECT_EQ(path_of(ok), "<no error>");
+  ok = base;
+  ok.base.num_contexts = 0;
+  ok.base.context_sms = {68, 34};
+  EXPECT_EQ(path_of(ok), "<no error>");
+}
+
+TEST(SpecValidate, HostileNaiveAndPoolValuesNameTheirField) {
+  // Each used to die in an internal CHECK or run silently as a 0 ms gap.
+  const auto doc_path = [](const std::string& json) {
+    try {
+      return path_of(parse(json));  // parse rejects out-of-range times
+    } catch (const SpecError& e) {
+      return e.path();
+    }
+  };
+  const auto naive = [](const std::string& section) {
+    return R"({ "scheduler": "naive", "naive": )" + section +
+           R"(, "tasks": [ { "count": 2 } ] })";
+  };
+  EXPECT_EQ(doc_path(naive(R"({ "max_in_flight": 0 })")),
+            "spec.naive.max_in_flight");
+  for (const char* gap : {"1e30", "1e308", "-5"}) {
+    EXPECT_EQ(doc_path(naive(std::string(R"({ "host_sync_gap_ms": )") + gap +
+                             " }")),
+              "spec.naive.host_sync_gap_ms")
+        << gap;
+  }
+  EXPECT_EQ(doc_path(naive(R"({ "host_sync_gap_ms": 0 })")), "<no error>");
+  EXPECT_EQ(doc_path(R"({ "pool": { "context_sms": [100000, 34] },
+                          "tasks": [ { "count": 2 } ] })"),
+            "spec.pool.context_sms[0]");
+}
+
 TEST(SpecLower, SumsReplicaCounts) {
   const auto spec = parse(kTinyMixed);
-  EXPECT_EQ(lower(spec).num_tasks, 3);
+  EXPECT_EQ(task_builder_for(spec)(lower(spec), {51}).size(), 3u);
 
   const auto gen = parse(R"({
     "generator": { "count": 5, "total_utilization": 1.0 }
   })");
-  EXPECT_EQ(lower(gen).num_tasks, 5);
+  EXPECT_EQ(task_builder_for(gen)(lower(gen), {51}).size(), 5u);
 }
 
 TEST(SpecBuilder, HeterogeneousTaskSet) {
@@ -551,59 +626,6 @@ TEST(SpecRun, FleetSpecRuns) {
   EXPECT_EQ(r.cluster.fleet.devices.size(), 2u);
   EXPECT_EQ(r.cluster.fleet.tasks_assigned, 4);
   EXPECT_GT(r.fps(), 0.0);
-}
-
-// --- The acceptance pin: the curated Scenario 1 spec reproduces the
-// hard-coded path exactly, metric for metric. ---
-
-TEST(SpecPin, PaperScenario1BitIdenticalToHardCodedPath) {
-  const auto spec = load_scenario_spec(std::string(SGPRS_SOURCE_DIR) +
-                                       "/scenarios/paper_scenario1.json");
-  EXPECT_EQ(spec.name, "paper_scenario1");
-  // Two different builders must agree: the spec's entry builder
-  // (fleet::build_stream_task, cloned per replica) and the default
-  // identical-task builder run_scenario uses without one.
-  const auto via_spec = run_spec(spec);
-
-  // The hard-coded Scenario 1 operating point (bench figure_base(2) at
-  // os=1.5 with 16 tasks).
-  ScenarioConfig cfg;
-  cfg.scheduler = SchedulerKind::kSgprs;
-  cfg.num_contexts = 2;
-  cfg.oversubscription = 1.5;
-  cfg.num_tasks = 16;
-  cfg.fps = 30.0;
-  cfg.num_stages = 6;
-  cfg.duration = SimTime::from_sec(2.0);
-  cfg.warmup = SimTime::from_sec(0.4);
-  cfg.seed = 42;
-  const auto hard = run_scenario(cfg);
-
-  const auto& a = via_spec.single;
-  EXPECT_EQ(a.releases, hard.releases);
-  EXPECT_EQ(a.stage_migrations, hard.stage_migrations);
-  EXPECT_EQ(a.medium_promotions, hard.medium_promotions);
-  EXPECT_DOUBLE_EQ(a.sim_events, hard.sim_events);
-  EXPECT_DOUBLE_EQ(a.gpu_busy_sm_seconds, hard.gpu_busy_sm_seconds);
-  EXPECT_EQ(a.aggregate.counts.released, hard.aggregate.counts.released);
-  EXPECT_EQ(a.aggregate.counts.on_time, hard.aggregate.counts.on_time);
-  EXPECT_EQ(a.aggregate.counts.late, hard.aggregate.counts.late);
-  EXPECT_EQ(a.aggregate.counts.dropped, hard.aggregate.counts.dropped);
-  EXPECT_DOUBLE_EQ(a.aggregate.fps, hard.aggregate.fps);
-  EXPECT_DOUBLE_EQ(a.aggregate.fps_on_time, hard.aggregate.fps_on_time);
-  EXPECT_DOUBLE_EQ(a.aggregate.dmr, hard.aggregate.dmr);
-  EXPECT_DOUBLE_EQ(a.aggregate.mean_latency_ms,
-                   hard.aggregate.mean_latency_ms);
-  EXPECT_DOUBLE_EQ(a.aggregate.p50_latency_ms, hard.aggregate.p50_latency_ms);
-  EXPECT_DOUBLE_EQ(a.aggregate.p99_latency_ms, hard.aggregate.p99_latency_ms);
-  EXPECT_DOUBLE_EQ(a.aggregate.max_latency_ms, hard.aggregate.max_latency_ms);
-  ASSERT_EQ(a.per_task.size(), hard.per_task.size());
-  for (std::size_t i = 0; i < a.per_task.size(); ++i) {
-    EXPECT_DOUBLE_EQ(a.per_task[i].fps, hard.per_task[i].fps) << "task " << i;
-    EXPECT_DOUBLE_EQ(a.per_task[i].p99_latency_ms,
-                     hard.per_task[i].p99_latency_ms)
-        << "task " << i;
-  }
 }
 
 TEST(SpecPin, CuratedLibraryParsesAndValidates) {

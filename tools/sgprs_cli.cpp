@@ -28,6 +28,7 @@
 #include "common/csv.hpp"
 #include "common/flags.hpp"
 #include "common/thread_pool.hpp"
+#include "dnn/builders.hpp"
 #include "fleet/report.hpp"
 #include "metrics/report.hpp"
 #include "metrics/timeseries.hpp"
@@ -36,7 +37,6 @@
 #include "obs/span.hpp"
 #include "trace/trace.hpp"
 #include "workload/experiment.hpp"
-#include "workload/scenario.hpp"
 #include "workload/spec.hpp"
 #include "workload/suite.hpp"
 
@@ -181,7 +181,8 @@ int list_scenarios(const std::string& dir) {
 }
 
 /// Per-device breakdown plus the fleet rollup row.
-void print_fleet(const workload::ClusterScenarioResult& r) {
+void print_fleet(const workload::SpecResult& spec_result) {
+  const auto& r = spec_result.cluster;
   metrics::Table devices({"device", "spec", "SMs", "tasks", "FPS", "DMR",
                           "p99 (ms)", "util"});
   for (const auto& d : r.fleet.devices) {
@@ -215,11 +216,12 @@ void print_fleet(const workload::ClusterScenarioResult& r) {
 }
 
 /// Single-run metrics table (shared by the flag path and --scenario).
-void print_single(const std::string& scheduler, int tasks,
-                  const workload::ScenarioResult& r) {
+void print_single(const std::string& scheduler,
+                  const workload::SpecResult& spec_result) {
+  const auto& r = spec_result.single;
   metrics::Table t({"metric", "value"});
   t.add_row({"scheduler", scheduler});
-  t.add_row({"tasks", std::to_string(tasks)});
+  t.add_row({"tasks", std::to_string(r.per_task.size())});
   t.add_row({"total FPS", metrics::Table::fmt(r.fps(), 1)});
   t.add_row({"on-time FPS", metrics::Table::fmt(r.aggregate.fps_on_time, 1)});
   t.add_row({"DMR", metrics::Table::pct(r.dmr())});
@@ -297,10 +299,9 @@ int run_loaded_spec(const workload::ScenarioSpec& spec,
     }
   } else {
     if (r.fleet) {
-      print_fleet(r.cluster);
+      print_fleet(r);
     } else {
-      print_single(rt::to_string(spec.base.scheduler),
-                   static_cast<int>(r.single.per_task.size()), r.single);
+      print_single(rt::to_string(spec.base.scheduler), r);
     }
     if (!report.empty()) {
       std::cerr << "note: --report with --scenario only writes files for "
@@ -569,7 +570,8 @@ bool parse_flag_spec(const common::FlagParser& flags,
 
 /// --sweep=from:to: the flag spec at every task count in the range (the
 /// x-axis of Figs. 3 and 4) on one device, with the pivot point.
-int run_sweep(const common::FlagParser& flags, workload::ScenarioSpec& spec) {
+int run_sweep(const common::FlagParser& flags,
+              const workload::ScenarioSpec& spec) {
   for (const char* flag :
        {"fail-device", "record-trace", "trace-spans", "profile"}) {
     if (flags.has(flag)) {
@@ -594,13 +596,7 @@ int run_sweep(const common::FlagParser& flags, workload::ScenarioSpec& spec) {
                  "bench/fig_cluster_scaling for fleet sweeps\n";
     return 1;
   }
-  int& count = spec.tasks.front().count;
-  count = sweep_to;
-  workload::validate(spec);  // the largest count bounds every run
-  std::vector<workload::ScenarioResult> results;
-  for (count = sweep_from; count <= sweep_to; ++count) {
-    results.push_back(workload::run_spec(spec).single);
-  }
+  const auto results = workload::sweep_num_tasks(spec, sweep_from, sweep_to);
   const int pivot = workload::find_pivot(results, sweep_from);
   if (flags.has("csv")) {
     std::ofstream out(flags.get("csv"));
@@ -611,7 +607,7 @@ int run_sweep(const common::FlagParser& flags, workload::ScenarioSpec& spec) {
     common::CsvWriter csv(out);
     csv.header({"tasks", "fps", "fps_on_time", "dmr", "p50_ms", "p99_ms"});
     for (std::size_t i = 0; i < results.size(); ++i) {
-      const auto& a = results[i].aggregate;
+      const auto& a = results[i].aggregate();
       csv.row({std::to_string(sweep_from + static_cast<int>(i)),
                common::CsvWriter::num(a.fps, 2),
                common::CsvWriter::num(a.fps_on_time, 2),
