@@ -8,6 +8,8 @@
 #include <limits>
 #include <string>
 
+#include "common/check.hpp"
+
 namespace sgprs::common {
 
 /// Absolute simulation time or a duration, in nanoseconds.
@@ -23,13 +25,24 @@ struct SimTime {
   }
   static constexpr SimTime from_ns(std::int64_t v) { return SimTime{v}; }
   static constexpr SimTime from_us(double us) {
-    return SimTime{static_cast<std::int64_t>(us * 1e3)};
+    return from_ns_saturated(us * 1e3);
   }
   static constexpr SimTime from_ms(double ms) {
-    return SimTime{static_cast<std::int64_t>(ms * 1e6)};
+    return from_ns_saturated(ms * 1e6);
   }
   static constexpr SimTime from_sec(double s) {
-    return SimTime{static_cast<std::int64_t>(s * 1e9)};
+    return from_ns_saturated(s * 1e9);
+  }
+  /// `ns` truncated toward zero. Values past the int64 range, infinities
+  /// included, saturate to its limits; NaN fails a CHECK.
+  static constexpr SimTime from_ns_saturated(double ns) {
+    const bool is_number = ns == ns;  // false only for NaN
+    SGPRS_CHECK(is_number);
+    if (ns >= 0x1p63) return max();
+    if (ns < -0x1p63) {
+      return SimTime{std::numeric_limits<std::int64_t>::min()};
+    }
+    return SimTime{static_cast<std::int64_t>(ns)};
   }
 
   constexpr double to_sec() const { return static_cast<double>(ns) * 1e-9; }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 
 #include "common/check.hpp"
@@ -12,6 +13,24 @@ namespace {
 // Work below this many 1-SM seconds counts as finished (guards against
 // floating-point residue after integer-nanosecond event rounding).
 constexpr double kWorkEpsilon = 1e-12;
+
+// Running sets the share memo holds before it starts over. A curated pool
+// sees a few hundred per device; the cap only bounds memory when a device
+// runs many more streams than that.
+constexpr std::size_t kShareMemoCap = 4096;
+// The memo index's first size, allocated at the first contended lookup (a
+// power of two; it doubles to stay at most half full).
+constexpr std::size_t kShareMemoSlots = 16;
+
+// FNV-1a over a share-memo key.
+std::uint64_t hash_key(const std::uint8_t* key, std::size_t n) {
+  std::uint64_t h = 14695981039346656037ULL;
+  for (std::size_t i = 0; i < n; ++i) {
+    h ^= key[i];
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
 
 // Delay until a kernel `finish` seconds from done completes, rounded up to
 // the next nanosecond so the event never fires before the kernel's exact
@@ -55,7 +74,8 @@ Executor::Executor(sim::Engine& engine, DeviceSpec device,
 ContextId Executor::create_context(int sm_limit) {
   SGPRS_CHECK_MSG(sm_limit > 0 && sm_limit <= device_.total_sms,
                   "context SM limit must be in [1, total_sms]");
-  contexts_.push_back(Context{sm_limit});
+  contexts_.push_back(Context{});
+  context_sms_.push_back(sm_limit);
   return static_cast<ContextId>(contexts_.size() - 1);
 }
 
@@ -65,12 +85,14 @@ StreamId Executor::create_stream(ContextId ctx, StreamPriority priority) {
   s.ctx = ctx;
   s.priority = priority;
   streams_.push_back(std::move(s));
+  // A memo key has one byte per stream: the new width starts afresh.
+  clear_share_memo();
   return static_cast<StreamId>(streams_.size() - 1);
 }
 
 int Executor::context_sm_limit(ContextId c) const {
   SGPRS_CHECK(c >= 0 && c < context_count());
-  return contexts_[c].sm_limit;
+  return context_sms_[c];
 }
 
 ContextId Executor::stream_context(StreamId s) const {
@@ -240,10 +262,7 @@ ShareGrant Executor::solo_grant(const Stream& s, OpClass op) {
   }
   ShareGrant& g = solo_grants_[key];
   if (g.rate == 0.0) {
-    std::vector<int> ctx_sms;
-    ctx_sms.reserve(contexts_.size());
-    for (const auto& c : contexts_) ctx_sms.push_back(c.sm_limit);
-    g = compute_shares(speedup_, device_.total_sms, ctx_sms,
+    g = compute_shares(speedup_, device_.total_sms, context_sms_,
                        {ShareRequest{s.ctx, priority_weight(s.priority), op}},
                        sharing_)
             .front();
@@ -258,6 +277,7 @@ void Executor::reschedule() {
     return;
   }
   cancel_completion();
+  if (running_count_ == 0) return;
   if (running_count_ == 1) {
     for (StreamId sid = 0; sid < stream_count(); ++sid) {
       if (!streams_[sid].running) continue;
@@ -266,31 +286,13 @@ void Executor::reschedule() {
     }
   }
 
-  // Collect running kernels into share requests.
-  std::vector<ShareRequest> reqs;
-  std::vector<StreamId> req_stream;
-  reqs.reserve(static_cast<std::size_t>(running_count_));
-  for (StreamId sid = 0; sid < stream_count(); ++sid) {
-    const Stream& s = streams_[sid];
-    if (!s.running) continue;
-    reqs.push_back(
-        ShareRequest{s.ctx, priority_weight(s.priority), s.running->desc.op});
-    req_stream.push_back(sid);
-  }
-  if (reqs.empty()) return;
-
-  std::vector<int> ctx_sms;
-  ctx_sms.reserve(contexts_.size());
-  for (const auto& c : contexts_) ctx_sms.push_back(c.sm_limit);
-
-  const auto grants =
-      compute_shares(speedup_, device_.total_sms, ctx_sms, reqs, sharing_);
-
+  const ShareGrant* grants = contended_grants();
   double min_finish = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < reqs.size(); ++i) {
-    Running& r = *streams_[req_stream[i]].running;
-    r.rate = grants[i].rate;
-    r.granted_sms = grants[i].sms;
+  for (StreamId sid = 0; sid < stream_count(); ++sid) {
+    if (!streams_[sid].running) continue;
+    Running& r = *streams_[sid].running;
+    r.rate = grants[sid].rate;
+    r.granted_sms = grants[sid].sms;
     SGPRS_CHECK(r.rate > 0.0);
     const double finish = r.rem_overhead + r.rem_work / r.rate;
     min_finish = std::min(min_finish, finish);
@@ -298,6 +300,69 @@ void Executor::reschedule() {
 
   completion_event_ = engine_.schedule_after(
       finish_delay(min_finish), [this] { on_completion_event(); });
+}
+
+const ShareGrant* Executor::contended_grants() {
+  const std::size_t width = streams_.size();
+  key_.resize(width);
+  for (std::size_t sid = 0; sid < width; ++sid) {
+    const auto& run = streams_[sid].running;
+    key_[sid] = run ? static_cast<std::uint8_t>(
+                          static_cast<unsigned>(run->desc.op) + 1)
+                    : 0;
+  }
+  const std::uint64_t hash = hash_key(key_.data(), width);
+  if (memo_slots_.empty()) memo_slots_.resize(kShareMemoSlots);
+  std::size_t mask = memo_slots_.size() - 1;
+  std::size_t i = hash & mask;
+  for (; memo_slots_[i] != 0; i = (i + 1) & mask) {
+    const std::size_t e = memo_slots_[i] - 1;
+    if (std::memcmp(key_.data(), memo_keys_.data() + e * width, width) == 0) {
+      return memo_grants_.data() + e * width;
+    }
+  }
+
+  // Miss: ask compute_shares, which stays the single source of grants. It
+  // allocates, so the requests are built here rather than kept.
+  if (memo_keys_.size() == kShareMemoCap * width) {
+    clear_share_memo();
+    i = hash & mask;
+  }
+  std::vector<ShareRequest> reqs;
+  reqs.reserve(static_cast<std::size_t>(running_count_));
+  for (const auto& s : streams_) {
+    if (!s.running) continue;
+    reqs.push_back(
+        ShareRequest{s.ctx, priority_weight(s.priority), s.running->desc.op});
+  }
+  const auto grants = compute_shares(speedup_, device_.total_sms,
+                                     context_sms_, reqs, sharing_);
+  const std::size_t base = memo_keys_.size();
+  memo_keys_.insert(memo_keys_.end(), key_.begin(), key_.end());
+  memo_grants_.resize(base + width);
+  for (std::size_t sid = 0, k = 0; sid < width; ++sid) {
+    if (key_[sid] != 0) memo_grants_[base + sid] = grants[k++];
+  }
+  const std::size_t entries = base / width + 1;
+  memo_slots_[i] = static_cast<std::uint32_t>(entries);
+
+  // Keep the index at most half full.
+  if (2 * entries > memo_slots_.size()) {
+    memo_slots_.assign(2 * memo_slots_.size(), 0);
+    mask = memo_slots_.size() - 1;
+    for (std::size_t e = 0; e < entries; ++e) {
+      std::size_t j = hash_key(memo_keys_.data() + e * width, width) & mask;
+      while (memo_slots_[j] != 0) j = (j + 1) & mask;
+      memo_slots_[j] = static_cast<std::uint32_t>(e + 1);
+    }
+  }
+  return memo_grants_.data() + base;
+}
+
+void Executor::clear_share_memo() {
+  memo_keys_.clear();
+  memo_grants_.clear();
+  std::fill(memo_slots_.begin(), memo_slots_.end(), 0);
 }
 
 void Executor::arm_solo_chain(StreamId sid) {
@@ -386,37 +451,33 @@ void Executor::on_completion_event() {
   solo_ = -1;
   advance_progress();
 
-  // Collect every kernel that has finished (several can tie).
-  std::vector<StreamId> finished;
+  // Retire every kernel that has finished (several can tie) and start its
+  // stream's successor before firing callbacks, so that callbacks observe a
+  // consistent executor state. start_next touches only its own stream, so
+  // one pass in stream order retires what a collect-then-retire pass would.
+  int finished = 0;
+  callbacks_.clear();
   for (StreamId sid = 0; sid < stream_count() && !started_now; ++sid) {
     Stream& s = streams_[sid];
-    if (s.running && s.running->rem_overhead <= 0.0 &&
-        s.running->rem_work <= kWorkEpsilon) {
-      finished.push_back(sid);
-    }
-  }
-  SGPRS_CHECK_MSG(!finished.empty() || skipped > 0,
-                  "completion event fired with no finished kernel");
-
-  // Retire finished kernels and start successors before firing callbacks so
-  // that callbacks observe a consistent executor state.
-  std::vector<std::pair<CompletionFn, KernelDesc>> callbacks;
-  for (StreamId sid : finished) {
-    Stream& s = streams_[sid];
+    const bool done = s.running && s.running->rem_overhead <= 0.0 &&
+                      s.running->rem_work <= kWorkEpsilon;
+    if (!done) continue;
+    ++finished;
     Running& r = *s.running;
     work_done_ += r.rem_work;  // residue below epsilon
     if (trace_) trace_->on_kernel_end(now, s.ctx, sid, r.desc);
-    callbacks.emplace_back(std::move(r.on_done), std::move(r.desc));
+    if (r.on_done) callbacks_.push_back(std::move(r.on_done));
     s.running.reset();
     --running_count_;
     --contexts_[s.ctx].running_count;
     start_next(sid, now);
   }
+  SGPRS_CHECK_MSG(finished > 0 || skipped > 0,
+                  "completion event fired with no finished kernel");
 
   ++defer_depth_;
-  for (auto& [fn, desc] : callbacks) {
-    if (fn) fn(now);
-  }
+  for (auto& fn : callbacks_) fn(now);
+  callbacks_.clear();
   --defer_depth_;
   needs_reschedule_ = false;
   reschedule();

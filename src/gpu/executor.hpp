@@ -24,6 +24,17 @@
 // busy-SM integral and trace-sink event is bit-identical to it.
 // docs/ARCHITECTURE.md § "Solo chains" is the design note; the per-kernel
 // oracle lives in tests/gpu/reference_executor.hpp.
+//
+// Contended shares: with two or more kernels running, every boundary
+// re-splits the SMs, but compute_shares is a pure function of the running
+// set — each stream's running op class, since a stream's context and
+// priority, the context SM limits and the sharing parameters are fixed.
+// The executor memoises its grants keyed by that set, so a repeated set
+// costs one lookup and returns the exact doubles a fresh call would. The
+// memo, like every scratch buffer of the completion path, belongs to this
+// executor (shards run executors on separate threads), and after warm-up a
+// contended completion touches no allocator. docs/ARCHITECTURE.md
+// § "Contended shares" is the design note.
 #pragma once
 
 #include <cstdint>
@@ -115,6 +126,12 @@ class Executor {
 
   void set_trace_sink(TraceSink* sink) { trace_ = sink; }
 
+  /// Distinct running sets whose contended grants are memoised (tests use
+  /// it to see that the memo was hit).
+  std::size_t share_memo_size() const {
+    return streams_.empty() ? 0 : memo_keys_.size() / streams_.size();
+  }
+
  private:
   struct Pending {
     KernelDesc desc;
@@ -156,7 +173,6 @@ class Executor {
   };
 
   struct Context {
-    int sm_limit;
     int running_count = 0;
   };
 
@@ -170,6 +186,11 @@ class Executor {
   // Recomputes all shares/rates and schedules the next completion event;
   // with one kernel running, arms a solo chain instead.
   void reschedule();
+  // The grants of the current running set (two or more kernels), indexed
+  // by stream, from the memo or, on a miss, from compute_shares.
+  const ShareGrant* contended_grants();
+  // Empties the share memo, keeping its storage.
+  void clear_share_memo();
   void arm_solo_chain(StreamId sid);
   // Retires the armed solo chain's callback-free kernels that end by `now`;
   // returns how many it retired.
@@ -208,6 +229,23 @@ class Executor {
   // until the outermost mutation finishes.
   int defer_depth_ = 0;
   bool needs_reschedule_ = false;
+
+  // Declared last, so the scalars above keep their cache lines.
+  // Context SM limits, as compute_shares takes them.
+  std::vector<int> context_sms_;
+
+  // contended_grants' memo. A key is stream_count() bytes: each stream's
+  // running op class + 1, or 0 for an idle stream. Entry i's key and its
+  // grants, indexed by stream (an idle stream's left zero), start at
+  // i * stream_count() in memo_keys_ and memo_grants_. memo_slots_ is an
+  // open-addressing index (entry + 1, 0 = empty).
+  std::vector<std::uint8_t> memo_keys_;
+  std::vector<ShareGrant> memo_grants_;
+  std::vector<std::uint32_t> memo_slots_;
+
+  // Scratch buffers reused by every reschedule and completion event.
+  std::vector<std::uint8_t> key_;
+  std::vector<CompletionFn> callbacks_;
 };
 
 }  // namespace sgprs::gpu

@@ -223,6 +223,13 @@ void validate_base(const ScenarioConfig& cfg) {
     bad("spec.fleet.device_mem_mb",
         "must be >= 0 (0 keeps the device default)");
   }
+  if (!(cfg.device_mem_mb * 1048576.0 <=
+        static_cast<double>(kMaxDeviceMemBytes))) {
+    bad("spec.fleet.device_mem_mb",
+        "must be finite and at most " +
+            std::to_string(kMaxDeviceMemBytes >> 20) +
+            " MiB (kMaxDeviceMemBytes)");
+  }
 }
 
 void check_network_known(const std::string& network, const std::string& path) {

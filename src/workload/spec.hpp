@@ -49,6 +49,11 @@ struct TaskEntrySpec : fleet::StreamTemplate {
 /// into a field-path error instead of an allocation failure.
 inline constexpr std::int64_t kMaxInitialStreams = 100000;
 
+/// Upper bound on `fleet.device_mem_mb`, in bytes: 1 PiB, far past any
+/// GPU, and small enough that byte counts and budgets built from it stay
+/// well inside int64.
+inline constexpr std::int64_t kMaxDeviceMemBytes = std::int64_t{1} << 50;
+
 /// UUniFast task-set generator (workload/taskset.hpp), for capacity
 /// studies: `count` tasks whose utilizations sum to `total_utilization`.
 struct GeneratorSpec {

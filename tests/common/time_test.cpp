@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace sgprs::common {
 namespace {
 
@@ -17,6 +19,36 @@ TEST(SimTime, UnitConversionsRoundTrip) {
   EXPECT_EQ(SimTime::from_sec(1.0).ns, 1'000'000'000);
   EXPECT_DOUBLE_EQ(SimTime::from_ms(33.25).to_ms(), 33.25);
   EXPECT_DOUBLE_EQ(SimTime::from_sec(2.5).to_sec(), 2.5);
+}
+
+TEST(SimTime, ConversionsSaturateOutOfRange) {
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(SimTime::from_sec(9.3).ns, 9'300'000'000);
+  EXPECT_EQ(SimTime::from_sec(9.3e9).ns, kMax);  // 9.3e18 ns
+  EXPECT_EQ(SimTime::from_sec(-9.3e9).ns, kMin);
+  EXPECT_EQ(SimTime::from_ms(9.3e12).ns, kMax);
+  EXPECT_EQ(SimTime::from_us(-9.3e15).ns, kMin);
+  EXPECT_EQ(SimTime::from_sec(inf).ns, kMax);
+  EXPECT_EQ(SimTime::from_ms(-inf).ns, kMin);
+  EXPECT_EQ(SimTime::from_us(inf).ns, kMax);
+  EXPECT_EQ(SimTime::from_sec(1e308).ns, kMax);
+  // The int64 limits themselves, as doubles, still convert.
+  EXPECT_EQ(SimTime::from_ns_saturated(-0x1p63).ns, kMin);
+  EXPECT_EQ(SimTime::from_ns_saturated(0x1p63).ns, kMax);
+  // In range, a conversion truncates exactly as a plain cast does.
+  EXPECT_EQ(SimTime::from_sec(1.5).ns, 1'500'000'000);
+  EXPECT_EQ(SimTime::from_us(-2.7).ns, -2'700);
+  EXPECT_EQ(SimTime::from_ns_saturated(0x1.fffffffffffffp62).ns,
+            static_cast<std::int64_t>(0x1.fffffffffffffp62));
+}
+
+TEST(SimTime, ConversionFromNanFailsACheck) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(SimTime::from_sec(nan), CheckError);
+  EXPECT_THROW(SimTime::from_ms(nan), CheckError);
+  EXPECT_THROW(SimTime::from_us(nan), CheckError);
 }
 
 TEST(SimTime, Arithmetic) {

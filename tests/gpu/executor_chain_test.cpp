@@ -1,10 +1,13 @@
-// Solo chains against the per-kernel oracle (reference_executor.hpp).
+// Solo chains and the share memo against the per-kernel oracle
+// (reference_executor.hpp).
 //
 // gpu::Executor advances a kernel that runs alone on its device through its
 // stream's queue analytically, with one event per stage instead of one per
-// kernel. These tests require that to be invisible: the same callback times
-// and order, the same work and busy-SM integrals bit for bit, the same
-// getter answers and the same trace-sink sequence as the per-kernel path.
+// kernel, and memoises the grants of contended running sets instead of
+// calling compute_shares at every boundary. These tests require both to be
+// invisible: the same callback times and order, the same work and busy-SM
+// integrals bit for bit, the same getter answers and the same trace-sink
+// sequence as the per-kernel path.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,6 +17,7 @@
 #include <sstream>
 #include <string>
 #include <tuple>
+#include <type_traits>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -159,6 +163,7 @@ struct Outcome {
   double busy = 0.0;
   std::int64_t end_ns = 0;
   std::size_t events = 0;
+  std::size_t share_memo_size = 0;  // gpu::Executor only
 };
 
 /// Drives one executor type through a plan. Both executors share the API,
@@ -210,6 +215,9 @@ class Harness {
     out_.busy = exec_.busy_sm_seconds();
     out_.end_ns = engine_.now().ns;
     out_.events = engine_.processed_count();
+    if constexpr (std::is_same_v<Exec, Executor>) {
+      out_.share_memo_size = exec_.share_memo_size();
+    }
     return out_;
   }
 
@@ -339,6 +347,118 @@ TEST(SoloChainDifferential, TwoHundredSeedsMatchThePerKernelOracle) {
   EXPECT_GT(boundary_probes, 100);
   // The chains must actually skip events, not merely agree.
   EXPECT_LT(chain_events, oracle_events);
+}
+
+/// A plan that keeps many kernels running at once: 2-16 streams over 1-4
+/// over-subscribed contexts, kernels from a small op-class palette, and
+/// jobs whose follow-up batches repeat their first batch's op sequence on
+/// the same stream, the way a periodic task re-runs its stages. Running
+/// sets recur, so most contended reschedules hit the share memo.
+Plan contended_plan(std::uint64_t seed) {
+  common::Rng rng(seed);
+  Plan p;
+  if (rng.next_double() < 0.5) {
+    p.sharing.interference_gamma = 0.0;
+    p.sharing.oversub_thrash_kappa = 0.0;
+    p.sharing.contention_exponent = 1.0;
+  }
+  const int contexts = 1 + static_cast<int>(rng.next_u64() % 4);
+  const double oversub = rng.uniform(1.0, 2.0);
+  for (int c = 0; c < contexts; ++c) {
+    const int sms = static_cast<int>(68.0 * oversub / contexts);
+    p.context_sms.push_back(std::clamp(sms, 1, 68));
+  }
+  const int streams = 2 + static_cast<int>(rng.next_u64() % 15);
+  for (int s = 0; s < streams; ++s) {
+    p.streams.push_back(
+        {static_cast<int>(rng.next_u64() % contexts),
+         rng.next_double() < 0.5 ? StreamPriority::kHigh
+                                 : StreamPriority::kLow});
+  }
+  const OpClass palette[] = {OpClass::kConv, OpClass::kReLU};
+  std::uint64_t tag = 0;
+  const int jobs = 4 + static_cast<int>(rng.next_u64() % 13);
+  for (int j = 0; j < jobs; ++j) {
+    Batch first;
+    first.at_ns = static_cast<std::int64_t>(rng.uniform(0.0, 2e6));  // 2 ms
+    first.stream = static_cast<int>(rng.next_u64() % streams);
+    const int n = 1 + static_cast<int>(rng.next_u64() % 6);
+    for (int k = 0; k < n; ++k) {
+      KernelDesc d = random_kernel(rng, ++tag);
+      d.op = palette[rng.next_u64() % 2];
+      first.kernels.push_back(d);
+    }
+    const int repeats = 2 + static_cast<int>(rng.next_u64() % 9);
+    int parent = static_cast<int>(p.batches.size());
+    p.batches.push_back(first);
+    for (int r = 0; r < repeats; ++r) {
+      Batch next = first;
+      next.at_ns = -1;
+      for (auto& d : next.kernels) d.tag = ++tag;
+      const int child = static_cast<int>(p.batches.size());
+      p.batches.push_back(std::move(next));
+      p.batches[parent].children.push_back(child);
+      parent = child;
+    }
+  }
+  const int snaps = static_cast<int>(rng.next_u64() % 8);
+  for (int i = 0; i < snaps; ++i) {
+    p.snapshots_ns.push_back(static_cast<std::int64_t>(rng.uniform(0.0, 2e7)));
+  }
+  if (rng.next_double() < 0.3) {  // mid-contention: the jobs overlap early
+    p.purge_ns = static_cast<std::int64_t>(rng.uniform(1e5, 4e6));
+  }
+  return p;
+}
+
+/// Instants in a trace after which two or more kernels run. The last
+/// reschedule at such an instant sees that running set, so each one is at
+/// least one share-memo lookup.
+/// A purge ends kernels without trace events, so counting stops there.
+std::size_t contended_instants(const std::vector<TraceEvent>& t,
+                               std::int64_t purge_ns) {
+  std::size_t instants = 0;
+  int running = 0;
+  for (std::size_t i = 0; i < t.size(); ++i) {
+    if (purge_ns >= 0 && t[i].t_ns >= purge_ns) break;
+    running += t[i].kind == 's' ? 1 : -1;
+    const bool last = i + 1 == t.size() || t[i + 1].t_ns != t[i].t_ns;
+    if (last && running >= 2) ++instants;
+  }
+  return instants;
+}
+
+/// Kernels running just before `at_ns`, from a trace.
+int running_before(const std::vector<TraceEvent>& t, std::int64_t at_ns) {
+  int running = 0;
+  for (const TraceEvent& e : t) {
+    if (e.t_ns >= at_ns) break;
+    running += e.kind == 's' ? 1 : -1;
+  }
+  return running;
+}
+
+TEST(ShareMemoDifferential, TwoHundredSeedsMatchThePerKernelOracle) {
+  std::size_t lookups = 0;
+  std::size_t memo_entries = 0;
+  int purged = 0;  // plans purged while two or more kernels ran
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const Plan plan = contended_plan(seed);
+    const Outcome base = Harness<ReferenceExecutor>(plan).run();
+    const Outcome memo = Harness<Executor>(plan).run();
+    expect_identical(memo, base);
+    lookups += contended_instants(memo.trace, plan.purge_ns);
+    memo_entries += memo.share_memo_size;
+    if (plan.purge_ns >= 0 && running_before(base.trace, plan.purge_ns) >= 2) {
+      ++purged;
+    }
+  }
+  EXPECT_GT(purged, 20);
+  // Every memo entry is one miss; the rest of the lookups were hits, and
+  // they must dominate.
+  EXPECT_GT(memo_entries, 0u);
+  EXPECT_LT(3 * memo_entries, lookups);
 }
 
 TEST(SoloChain, LoneResnet18JobFiresOneEventPerStage) {

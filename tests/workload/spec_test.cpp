@@ -433,6 +433,17 @@ TEST(SpecValidate, EveryBaseConfigRuleNamesItsField) {
            "spec.fleet.occupancy_threshold"},
           {[](auto& c) { c.device_mem_mb = -1.0; },
            "spec.fleet.device_mem_mb"},
+          {[=](auto& c) { c.device_mem_mb = kNan; },
+           "spec.fleet.device_mem_mb"},
+          {[](auto& c) { c.device_mem_mb = HUGE_VAL; },
+           "spec.fleet.device_mem_mb"},
+          {[](auto& c) { c.device_mem_mb = 1e308; },
+           "spec.fleet.device_mem_mb"},
+          {[](auto& c) {
+             c.device_mem_mb =
+                 static_cast<double>(kMaxDeviceMemBytes >> 20) + 1.0;
+           },
+           "spec.fleet.device_mem_mb"},
       };
   for (const auto& [mutate, path] : cases) {
     ScenarioSpec bad = base;
@@ -448,6 +459,10 @@ TEST(SpecValidate, EveryBaseConfigRuleNamesItsField) {
   ok = base;
   ok.base.num_contexts = 0;
   ok.base.context_sms = {68, 34};
+  EXPECT_EQ(path_of(ok), "<no error>");
+  // The device-memory bound itself is accepted.
+  ok = base;
+  ok.base.device_mem_mb = static_cast<double>(kMaxDeviceMemBytes >> 20);
   EXPECT_EQ(path_of(ok), "<no error>");
 }
 
