@@ -1,8 +1,8 @@
 // Multi-GPU cluster: N simulated devices, each with its own Executor,
 // ContextPool and per-device scheduler (SGPRS or naive), fronted by a
 // Placer that assigns admitted tasks to devices. This is the only code that
-// wires a device together; every run (single-GPU, closed-world fleet, the
-// fleet runtime) goes through it, with one device layout
+// wires a device together; every run goes through it (the fleet runtime
+// builds one per spec), with one device layout
 // (docs/sharding.md): device i runs on shard i % shards, each shard an
 // event calendar of its own, and records into a collector of its own.
 // reduce() folds the per-device collectors, in device-index order, into
@@ -153,7 +153,6 @@ class Cluster {
   /// Arms periodic releases on every device (admits tasks into the
   /// per-device schedulers). Call once after place(); then run_until().
   void start(const rt::RunnerConfig& rcfg);
-  bool started() const { return started_; }
 
   /// Runs every shard's device events up to and including `t`: shard 0 on
   /// the calling thread, the rest in parallel on the pool. A barrier:

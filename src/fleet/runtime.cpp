@@ -84,6 +84,12 @@ class FleetRuntime {
         prof_(instruments.profiler) {
     cfg_.seed = seeds.sim;
     generator_seed_ = seeds.generator;
+    if (!spec.fleet_mode && !spec.dynamic()) {
+      // The paper's single-GPU runs: every task placed on base.device.
+      cfg_.num_devices = 1;
+      cfg_.fleet.clear();
+      cfg_.admission_margin = 0.0;
+    }
     // Churn rng: timeline seed mixed with the sim seed, so experiment
     // replications decorrelate while a fixed (spec, seeds) pair replays
     // byte-identically.
@@ -121,14 +127,26 @@ class FleetRuntime {
     start();
   }
 
-  FleetRunResult run() {
+  workload::SpecResult run() {
     {
       obs::PhaseProfiler::Scope eng(prof_,
                                     obs::PhaseProfiler::Phase::kEngineRun);
       run_epochs();
     }
     finish();
-    return std::move(result_);
+    workload::SpecResult out;
+    out.name = spec_.name;
+    out.fleet = spec_.fleet_mode;
+    out.dynamic = spec_.dynamic();
+    if (out.dynamic) {
+      fill_dynamic();
+      out.dyn = std::move(result_);
+    } else if (out.fleet) {
+      fill_cluster(out.cluster);
+    } else {
+      fill_single(out.single);
+    }
+    return out;
   }
 
  private:
@@ -1128,7 +1146,6 @@ class FleetRuntime {
         sink_->set_device_name(d, cluster_->device(d).spec.name);
       }
     }
-    result_.name = spec_.name;
     {
       // Report from the reduced collector, so a re-placed stream's whole
       // (possibly cross-shard) history is attributed to its final home at
@@ -1137,6 +1154,21 @@ class FleetRuntime {
           prof_, obs::PhaseProfiler::Phase::kCollectorReduce);
       cluster_->reduce();
     }
+  }
+
+  /// Counters every result shape carries. `sim_events` counts the device
+  /// calendars, plus the control plane's events for a dynamic run.
+  template <typename Result>
+  void fill_counters(Result& r, std::size_t control_events) const {
+    r.releases = cluster_->releases_issued();
+    r.stage_migrations = cluster_->stage_migrations();
+    r.medium_promotions = cluster_->medium_promotions();
+    r.sim_events = static_cast<double>(control_events +
+                                       cluster_->events_processed());
+  }
+
+  void fill_dynamic() {
+    result_.name = spec_.name;
     result_.fleet = cluster_->fleet_report(cfg_.duration);
     // The per-device rollup double-counts nothing (moved-away ids are
     // forgotten at the source), but the exact fleet snapshot comes from the
@@ -1146,17 +1178,35 @@ class FleetRuntime {
         static_cast<int>(result_.streams_rejected);
     result_.fleet.tasks_oom_rejected =
         static_cast<int>(result_.streams_oom_rejected);
-    result_.releases = cluster_->releases_issued();
-    result_.stage_migrations = cluster_->stage_migrations();
-    result_.medium_promotions = cluster_->medium_promotions();
-    result_.sim_events = static_cast<double>(engine_.processed_count() +
-                                             cluster_->events_processed());
+    fill_counters(result_, engine_.processed_count());
     result_.jobs_shed = overload_.total_jobs_shed();
     result_.recovery_p50_s = recovery_.p50();
     result_.recovery_p99_s = recovery_.p99();
     result_.peak_devices =
         std::max(peak_provisioned_, provisioned_devices());
     result_.final_devices = cluster_->placer().active_devices();
+  }
+
+  void fill_cluster(workload::ClusterScenarioResult& r) const {
+    fill_counters(r, 0);
+    r.fleet = cluster_->fleet_report(cfg_.duration);
+    for (const auto& t : cluster_->rejected_tasks()) {
+      r.rejected_task_ids.push_back(t.id);
+    }
+  }
+
+  void fill_single(workload::ScenarioResult& r) const {
+    fill_counters(r, 0);
+    const cluster::Cluster::Device& dev = cluster_->device(0);
+    r.aggregate = reduced_.aggregate(cfg_.duration);
+    r.per_task.reserve(dev.tasks.size());
+    for (const auto& t : dev.tasks) {
+      // A task with no release in the window never reached the collector.
+      r.per_task.push_back(reduced_.has_task(t.id)
+                               ? reduced_.per_task(t.id, cfg_.duration)
+                               : metrics::Snapshot{});
+    }
+    r.gpu_busy_sm_seconds = dev.exec->busy_sm_seconds();
   }
 
   const ScenarioSpec& spec_;
@@ -1213,10 +1263,10 @@ class FleetRuntime {
 
 }  // namespace
 
-FleetRunResult run_fleet_scenario(const ScenarioSpec& spec,
-                                  const workload::RunSeeds& seeds,
-                                  trace::TraceRecorder* capture,
-                                  const obs::Instruments& instruments) {
+workload::SpecResult run_fleet_scenario(const ScenarioSpec& spec,
+                                        const workload::RunSeeds& seeds,
+                                        trace::TraceRecorder* capture,
+                                        const obs::Instruments& instruments) {
   FleetRuntime runtime(spec, seeds, capture, instruments);
   return runtime.run();
 }

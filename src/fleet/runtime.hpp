@@ -1,8 +1,11 @@
-// Online fleet runtime: the sim-time control plane for open-world runs.
+// Fleet runtime: the one code path that executes a spec.
 //
-// Layered on the existing engine — cluster of per-device schedulers, the
-// placer's analytic admission model, the metrics collectors — it adds the
-// three control loops a live serving fleet needs:
+// A closed-world spec (no timeline, policy or faults section) is a fleet
+// run with an empty timeline and the inert default policy; without a fleet
+// section it is one device (base.device) with admission off. For
+// open-world specs, layered on the cluster of per-device schedulers, the
+// placer's analytic admission model and the metrics collectors, it adds
+// the three control loops a live serving fleet needs:
 //   * a churn driver executing the scenario's timeline (scripted admits /
 //     retires plus seeded Poisson arrival processes) through the dynamic
 //     Runner surface (add_task / generation-tagged retire);
@@ -47,8 +50,8 @@ struct Instruments;
 
 namespace sgprs::fleet {
 
-/// Runs one open-world spec, validated by the caller. workload::run_spec
-/// is the only caller: it routes here when spec.dynamic().
+/// Runs one spec, validated by the caller; workload::run_spec is the only
+/// caller. The result has the shape the spec calls for (SpecResult).
 ///
 /// `seeds.sim` replaces the sim seed (phases, arrival jitter, churn
 /// mixing), `seeds.generator` the task-generator seed. When `capture` is
@@ -60,9 +63,9 @@ namespace sgprs::fleet {
 /// --trace-spans, `profiler` times the runtime's coarse phases for
 /// --profile. Both are optional and neither perturbs the run — the report
 /// is byte-identical with and without instruments attached.
-FleetRunResult run_fleet_scenario(const workload::ScenarioSpec& spec,
-                                  const workload::RunSeeds& seeds,
-                                  trace::TraceRecorder* capture,
-                                  const obs::Instruments& instruments);
+workload::SpecResult run_fleet_scenario(const workload::ScenarioSpec& spec,
+                                        const workload::RunSeeds& seeds,
+                                        trace::TraceRecorder* capture,
+                                        const obs::Instruments& instruments);
 
 }  // namespace sgprs::fleet

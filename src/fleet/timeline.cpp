@@ -116,18 +116,10 @@ void validate_stream(const StreamTemplate& s, const std::string& path,
   } else if (s.min_separation_ms != 0.0 || s.max_separation_ms != 0.0) {
     bad(path, "separations only apply to arrival=sporadic");
   }
-  // The built period (rt::build_task truncates 1/fps seconds to integer
-  // nanoseconds) must be at least one tick and must fit SimTime. This also
-  // rejects a non-finite fps.
-  const double period_s = 1.0 / built_fps(s, 1.0);
-  if (!fits_sim_time(period_s) ||
-      SimTime::from_sec(period_s) < SimTime::from_ns(1)) {
-    const bool by_sep = s.arrival == rt::ArrivalModel::kSporadic &&
-                        s.min_separation_ms > 0.0;
-    bad(path + (by_sep ? ".min_separation_ms" : ".fps"),
-        "the period must be >= 1 ns (SimTime resolution) and within SimTime "
-        "range");
-  }
+  const bool by_sep = s.arrival == rt::ArrivalModel::kSporadic &&
+                      s.min_separation_ms > 0.0;
+  check_period(built_fps(s, 1.0),
+               path + (by_sep ? ".min_separation_ms" : ".fps"));
 }
 
 std::vector<StreamTemplate> parse_templates(const common::JsonValue& v,

@@ -109,14 +109,4 @@ Snapshot Collector::per_task(int task, SimTime end) const {
   return snapshot_of(it->second, end);
 }
 
-std::vector<int> Collector::task_ids() const {
-  std::vector<int> ids;
-  ids.reserve(tasks_.size());
-  for (const auto& [id, pt] : tasks_) {
-    (void)pt;
-    ids.push_back(id);
-  }
-  return ids;
-}
-
 }  // namespace sgprs::metrics

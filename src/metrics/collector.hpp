@@ -69,10 +69,10 @@ class Collector {
   /// Aggregate over a subset of tasks (e.g. one device's share of a fleet).
   /// Ids with no recorded events contribute nothing.
   Snapshot aggregate_tasks(const std::vector<int>& ids, SimTime end) const;
-  /// Metrics for one task over [warmup, end].
+  /// Metrics for one task over [warmup, end]; the task must has_task().
   Snapshot per_task(int task, SimTime end) const;
-  /// Ids of tasks that produced at least one event.
-  std::vector<int> task_ids() const;
+  /// True when `task` produced at least one in-window event.
+  bool has_task(int task) const { return tasks_.count(task) != 0; }
 
   /// Folds another collector's per-task records into this one and leaves
   /// `other` empty: a task new to this collector moves over whole (no

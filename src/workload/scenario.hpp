@@ -3,7 +3,7 @@
 // task entries (or generator) describe. workload/spec.hpp wraps it in the
 // spec that every caller runs through run_spec; this header also holds the
 // closed-world result shapes and the config-to-cluster lowering the
-// closed-world runs and the fleet runtime share.
+// fleet runtime uses.
 #pragma once
 
 #include <functional>
@@ -76,11 +76,11 @@ struct ScenarioConfig {
 
   /// Intra-run parallelism for every run: partition the devices into this
   /// many shards, each on its own event calendar (cluster::ClusterConfig::
-  /// shards, docs/sharding.md). Closed-world runs execute the shards to
-  /// the horizon in one wave; the fleet runtime between control-plane
-  /// epoch barriers. 1 runs its one shard on the calling thread. Results
-  /// are byte-identical at any shard count (pinned by the shard
-  /// determinism suite); only wall-clock changes.
+  /// shards, docs/sharding.md). The fleet runtime, which runs every spec,
+  /// executes the shards between control-plane epoch barriers. 1 runs its
+  /// one shard on the calling thread. Results are byte-identical at any
+  /// shard count (pinned by the shard determinism suite); only wall-clock
+  /// changes.
   int shards = 1;
 };
 
@@ -98,8 +98,8 @@ struct ScenarioResult {
   double dmr() const { return aggregate.dmr; }
 };
 
-/// Result of a closed-world fleet run (SpecResult::cluster): per-device + rolled-up metrics plus the
-/// scheduler counters summed across devices.
+/// Result of a closed-world fleet run (SpecResult::cluster): per-device +
+/// rolled-up metrics plus the scheduler counters summed across devices.
 struct ClusterScenarioResult {
   metrics::FleetReport fleet;
   std::vector<int> rejected_task_ids;
@@ -124,8 +124,8 @@ gpu::DeviceSpec device_spec_for(const ScenarioConfig& cfg,
 
 /// The cluster this config describes: its device list (memory override
 /// applied), placement, admission, scheduler, pool and sharing settings.
-/// The one place a ClusterConfig is filled from a ScenarioConfig — the
-/// closed-world runs and the fleet runtime (which adds its hooks) share it.
+/// The one place a ClusterConfig is filled from a ScenarioConfig; the
+/// fleet runtime adds its hooks to it.
 cluster::ClusterConfig cluster_config_for(const ScenarioConfig& cfg);
 
 /// Task-set construction hook: given the run's config and the distinct

@@ -1,6 +1,7 @@
 #include "workload/spec.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <filesystem>
 #include <memory>
 
@@ -11,8 +12,6 @@
 #include "dnn/profiler.hpp"
 #include "fleet/runtime.hpp"
 #include "obs/instruments.hpp"
-#include "rt/runner.hpp"
-#include "sim/engine.hpp"
 #include "trace/trace.hpp"
 #include "workload/spec_util.hpp"
 #include "workload/taskset.hpp"
@@ -406,13 +405,15 @@ void validate(const ScenarioSpec& spec) {
                                std::to_string(kMaxInitialStreams) +
                                " (kMaxInitialStreams)");
     }
-    if (g.total_utilization <= 0.0) {
-      bad(path + ".total_utilization", "must be > 0");
+    if (!(g.total_utilization > 0.0 && std::isfinite(g.total_utilization))) {
+      bad(path + ".total_utilization", "must be finite and > 0");
     }
     if (g.num_stages < 1) bad(path + ".stages", "must be >= 1");
-    if (g.min_fps <= 0.0 || g.max_fps < g.min_fps) {
-      bad(path, "needs 0 < min_fps <= max_fps");
-    }
+    // Drawn rates are clamped to [min_fps, max_fps], so the period rule
+    // at both bounds covers every generated task.
+    check_period(g.min_fps, path + ".min_fps");
+    check_period(g.max_fps, path + ".max_fps");
+    if (g.max_fps < g.min_fps) bad(path, "needs 0 < min_fps <= max_fps");
     for (const auto& n : g.networks) {
       check_network_known(n, path + ".networks");
     }
@@ -469,58 +470,6 @@ std::vector<rt::Task> build_spec_tasks(const ScenarioSpec& spec,
     }
   }
   return tasks;
-}
-
-/// run_spec's closed-world branch: the tasks placed as one batch at t = 0,
-/// the cluster's shards run to the horizon, then its per-device collectors
-/// fold into one. Without a fleet section the run is one device
-/// (cfg.device) with admission off, so every task is placed.
-void run_closed_world(const ScenarioSpec& spec, const RunSeeds& seeds,
-                      SpecResult& result) {
-  ScenarioConfig cfg = spec.base;
-  cfg.seed = seeds.sim;
-  if (!spec.fleet_mode) {
-    cfg.num_devices = 1;
-    cfg.fleet.clear();
-    cfg.admission_margin = 0.0;
-  }
-  sim::Engine engine;  // shard 0
-  metrics::Collector collector(cfg.warmup);
-  cluster::Cluster fleet(engine, collector, cluster_config_for(cfg));
-  fleet.place(
-      build_spec_tasks(spec, seeds.generator, cfg, fleet.pool_sm_sizes()));
-  rt::RunnerConfig rcfg;
-  rcfg.duration = cfg.duration;
-  // Sporadic inter-arrival draws key off this seed too; periodic runs
-  // never touch the runner rng, so this cannot perturb the paper path.
-  rcfg.jitter_seed = cfg.seed;
-  fleet.start(rcfg);
-  fleet.run_until(cfg.duration);
-  fleet.reduce();
-
-  const auto fill = [&fleet](auto& r) {
-    r.releases = fleet.releases_issued();
-    r.stage_migrations = fleet.stage_migrations();
-    r.medium_promotions = fleet.medium_promotions();
-    r.sim_events = static_cast<double>(fleet.events_processed());
-  };
-  if (spec.fleet_mode) {
-    auto& r = result.cluster;
-    fill(r);
-    r.fleet = fleet.fleet_report(cfg.duration);
-    for (const auto& t : fleet.rejected_tasks()) {
-      r.rejected_task_ids.push_back(t.id);
-    }
-    return;
-  }
-  auto& r = result.single;
-  fill(r);
-  const cluster::Cluster::Device& dev = fleet.device(0);
-  r.aggregate = collector.aggregate(cfg.duration);
-  for (const auto& t : dev.tasks) {
-    r.per_task.push_back(collector.per_task(t.id, cfg.duration));
-  }
-  r.gpu_busy_sm_seconds = dev.exec->busy_sm_seconds();
 }
 
 /// Static-path capture (--record-trace on a closed-world spec): the run's
@@ -582,18 +531,12 @@ SpecResult run_spec(const ScenarioSpec& spec, trace::TraceRecorder* capture) {
 SpecResult run_spec(const ScenarioSpec& spec, const RunSeeds& seeds,
                     trace::TraceRecorder* capture,
                     const obs::Instruments& instruments) {
-  SpecResult result;
-  result.name = spec.name;
-  result.fleet = spec.fleet_mode;
-  // Open-world specs (timeline / fleet_policy / faults) run in the fleet
-  // runtime; everything else is a closed-world run.
-  if (spec.dynamic()) {
-    result.dynamic = true;
-    result.dyn = fleet::run_fleet_scenario(spec, seeds, capture, instruments);
-    return result;
-  }
-  run_closed_world(spec, seeds, result);
-  if (capture) capture_static_run(spec, seeds, *capture);
+  // The runtime records a dynamic spec's churn as it happens; a static
+  // spec's workload is its initial task set, captured on the side.
+  const bool dynamic = spec.dynamic();
+  SpecResult result = fleet::run_fleet_scenario(
+      spec, seeds, dynamic ? capture : nullptr, instruments);
+  if (capture && !dynamic) capture_static_run(spec, seeds, *capture);
   return result;
 }
 

@@ -76,18 +76,18 @@ struct ScenarioSpec {
   /// `generator`.
   std::vector<TaskEntrySpec> tasks;
   std::optional<GeneratorSpec> generator;
-  /// True when the spec has a "fleet" section: the run goes through the
-  /// cluster path (placement + admission control) even with one device.
+  /// True when the spec has a "fleet" section: the run keeps placement and
+  /// admission control even with one device.
   bool fleet_mode = false;
   /// Open-world sections (docs/online-fleet.md): a churn timeline and/or a
-  /// fleet control policy. Either routes the run through the fleet runtime
-  /// (src/fleet/); specs without them keep the closed-world paths
-  /// bit-identical.
+  /// fleet control policy. Either makes the spec dynamic; without them
+  /// the fleet runtime runs it with an empty timeline and the inert
+  /// default policy.
   std::optional<fleet::TimelineSpec> timeline;
   std::optional<fleet::FleetPolicySpec> fleet_policy;
   /// Fault injection (docs/faults.md): scripted crashes, a stochastic
-  /// MTBF/MTTR process and the failover policy. Also routes the run
-  /// through the fleet runtime.
+  /// MTBF/MTTR process and the failover policy. Also makes the spec
+  /// dynamic.
   std::optional<fleet::FaultSpec> faults;
 
   bool dynamic() const {
@@ -154,12 +154,12 @@ const TaskEntrySpec* task_entry_for(const ScenarioSpec& spec,
                                     int task_index);
 
 /// Result of running one spec: exactly one of the three result shapes is
-/// valid (single device, closed-world fleet, or the open-world fleet
-/// runtime).
+/// valid (single device, closed-world fleet, or dynamic). All three come
+/// from the fleet runtime.
 struct SpecResult {
   std::string name;
-  bool fleet = false;    // closed-world cluster path
-  bool dynamic = false;  // open-world fleet runtime (wins over `fleet`)
+  bool fleet = false;    // the spec has a fleet section
+  bool dynamic = false;  // spec.dynamic() (wins over `fleet`)
   ScenarioResult single;           // valid when !fleet && !dynamic
   ClusterScenarioResult cluster;   // valid when fleet
   fleet::FleetRunResult dyn;       // valid when dynamic
@@ -195,11 +195,12 @@ struct RunSeeds {
 /// without one). Every run that is not a replication starts from these.
 RunSeeds spec_seeds(const ScenarioSpec& spec);
 
-/// Validates and runs one spec end to end with its own seeds. A spec
-/// without a fleet section runs on one device (base.device) with admission
-/// off, so every task is placed; a fleet section adds placement and
-/// admission control; timeline, fleet_policy or faults sections run the
-/// fleet runtime.
+/// Validates and runs one spec end to end with its own seeds, in the fleet
+/// runtime (fleet::run_fleet_scenario). A closed-world spec without a
+/// fleet section runs on one device (base.device) with admission off, so
+/// every task is placed; a fleet section adds placement and admission
+/// control; timeline, fleet_policy or faults sections add the control
+/// loops.
 ///
 /// When `capture` is non-null the run feeds it the admit/retire stream
 /// (--record-trace). Dynamic specs record their churn exactly (replaying
@@ -218,11 +219,10 @@ SpecResult run_spec(const ScenarioSpec& spec,
 /// replications of a cell.
 ///
 /// `capture` is as above. `instruments` (--trace-spans / --profile,
-/// docs/observability.md): span tracing requires the dynamic fleet-runtime
-/// path; the CLI rejects --trace-spans on static specs up front. The
-/// profiler attaches to any path (the dynamic runtime additionally times
-/// its internal phases). Neither instrument perturbs the run: report bytes
-/// are identical with and without them.
+/// docs/observability.md) attach to every spec, static or dynamic: spans
+/// record the run's jobs and streams, the profiler times the runtime's
+/// phases. Neither instrument perturbs the run: results are bit-identical
+/// with and without them.
 SpecResult run_spec(const ScenarioSpec& spec, const RunSeeds& seeds,
                     trace::TraceRecorder* capture = nullptr,
                     const obs::Instruments& instruments = {});

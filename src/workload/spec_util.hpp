@@ -61,6 +61,19 @@ inline common::SimTime to_sim_time(double seconds, const std::string& path) {
   return common::SimTime::from_sec(seconds);
 }
 
+/// The period rule for every stream rate: 1/fps seconds, truncated to
+/// integer nanoseconds by rt::build_task, must be at least one tick and fit
+/// SimTime. SpecError at `path` otherwise, also for a non-finite fps.
+inline void check_period(double fps, const std::string& path) {
+  const double period_s = 1.0 / fps;
+  if (!fits_sim_time(period_s) ||
+      common::SimTime::from_sec(period_s) < common::SimTime::from_ns(1)) {
+    bad(path,
+        "the period must be >= 1 ns (SimTime resolution) and within SimTime "
+        "range");
+  }
+}
+
 /// Rejects the first time field, given as (key, seconds), that does not
 /// convert to a SimTime, naming it at `path`.key.
 inline void check_times(

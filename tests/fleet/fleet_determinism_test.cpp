@@ -68,7 +68,7 @@ TEST(FleetDeterminismTest, ExperimentFanOutMatchesSerial) {
 
 TEST(FleetDeterminismTest, NoChurnDynamicRunMatchesClusterPath) {
   // A spec whose only open-world feature is an (inert) fleet policy must
-  // serve exactly the workload of the closed-world cluster path.
+  // serve exactly the workload of the same spec without it.
   workload::ScenarioSpec spec;
   spec.name = "no_churn";
   spec.base.duration = common::SimTime::from_sec(1.0);

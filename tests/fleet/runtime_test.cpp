@@ -258,5 +258,28 @@ TEST(FleetRuntimeTest, StaticSpecKeepsClosedWorldPath) {
   EXPECT_DOUBLE_EQ(rd.dyn.fleet.fleet.fps, r.cluster.fleet.fleet.fps);
 }
 
+TEST(FleetRuntimeTest, DynamicSpecWithoutFleetSectionKeepsAdmission) {
+  // Only a spec with no fleet, timeline, policy or faults section runs
+  // with admission off. A policy alone keeps the placer's admission test
+  // on the one device.
+  ScenarioSpec spec = base_spec(0.4);
+  spec.fleet_mode = false;
+  spec.tasks.push_back(entry("cam", 40));  // past one device's budget
+  spec.fleet_policy = FleetPolicySpec{};
+  workload::validate(spec);
+  const auto dyn = workload::run_spec(spec);
+  ASSERT_TRUE(dyn.dynamic);
+  EXPECT_GT(dyn.dyn.streams_rejected, 0);
+  EXPECT_EQ(dyn.dyn.fleet.tasks_assigned + dyn.dyn.streams_rejected, 40);
+  EXPECT_EQ(count_decisions(dyn.dyn, DecisionKind::kStreamRejected),
+            static_cast<int>(dyn.dyn.streams_rejected));
+
+  spec.fleet_policy.reset();  // closed-world: every task is placed
+  workload::validate(spec);
+  const auto closed = workload::run_spec(spec);
+  ASSERT_FALSE(closed.dynamic || closed.fleet);
+  EXPECT_EQ(closed.single.per_task.size(), 40u);
+}
+
 }  // namespace
 }  // namespace sgprs::fleet

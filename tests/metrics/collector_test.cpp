@@ -93,7 +93,10 @@ TEST(Collector, PerTaskSeparation) {
   const auto end = SimTime::from_sec(1);
   EXPECT_DOUBLE_EQ(c.per_task(1, end).dmr, 0.0);
   EXPECT_DOUBLE_EQ(c.per_task(2, end).dmr, 1.0);
-  EXPECT_EQ(c.task_ids(), (std::vector<int>{1, 2}));
+  EXPECT_TRUE(c.has_task(1));
+  EXPECT_TRUE(c.has_task(2));
+  EXPECT_FALSE(c.has_task(0));
+  EXPECT_FALSE(c.has_task(3));
   EXPECT_THROW(c.per_task(3, end), common::CheckError);
 }
 

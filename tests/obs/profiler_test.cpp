@@ -10,9 +10,8 @@
 #include <sstream>
 #include <string>
 
+#include "../workload/result_digest.hpp"
 #include "common/json.hpp"
-#include "fleet/report.hpp"
-#include "metrics/timeseries.hpp"
 #include "obs/instruments.hpp"
 #include "obs/profiler.hpp"
 #include "workload/spec.hpp"
@@ -85,13 +84,8 @@ std::string report_bytes(workload::ScenarioSpec spec, int shards,
   workload::validate(spec);
   Instruments instruments;
   instruments.profiler = profiler;
-  const auto r = workload::run_spec(spec, workload::spec_seeds(spec), nullptr,
-                                    instruments)
-                     .dyn;
-  std::ostringstream os;
-  fleet::write_fleet_run_json(r, os);
-  metrics::write_timeseries_csv(r.series, os);
-  return os.str();
+  return workload::golden::result_bytes(workload::run_spec(
+      spec, workload::spec_seeds(spec), nullptr, instruments));
 }
 
 TEST(PhaseProfiler, ProfilingDoesNotPerturbReportBytes) {
@@ -127,6 +121,20 @@ TEST(PhaseProfiler, ProfilingDoesNotPerturbReportBytes) {
             profilers[1].stat(Phase::kShardPhase).count);
   EXPECT_EQ(profilers[0].stat(Phase::kControlPhase).count,
             profilers[1].stat(Phase::kControlPhase).count);
+}
+
+TEST(PhaseProfiler, StaticSpecRecordsRuntimePhases) {
+  // A closed-world spec runs in the fleet runtime, so it times the same
+  // coarse phases as a dynamic one, and profiling moves no result bit.
+  const auto spec = workload::load_scenario_spec(
+      std::string(SGPRS_SOURCE_DIR) + "/scenarios/paper_scenario1.json");
+  ASSERT_FALSE(spec.dynamic());
+  PhaseProfiler profiler;
+  EXPECT_EQ(report_bytes(spec, 1, nullptr), report_bytes(spec, 1, &profiler));
+  EXPECT_EQ(profiler.stat(Phase::kSetup).count, 1);
+  EXPECT_EQ(profiler.stat(Phase::kEngineRun).count, 1);
+  EXPECT_EQ(profiler.stat(Phase::kCollectorReduce).count, 1);
+  EXPECT_GT(profiler.stat(Phase::kShardPhase).count, 0);
 }
 
 }  // namespace

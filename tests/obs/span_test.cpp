@@ -14,11 +14,11 @@
 #include <string>
 #include <vector>
 
+#include "../workload/result_digest.hpp"
 #include "common/check.hpp"
 #include "common/json.hpp"
-#include "fleet/report.hpp"
-#include "metrics/timeseries.hpp"
 #include "obs/instruments.hpp"
+#include "obs/profiler.hpp"
 #include "obs/span.hpp"
 #include "workload/spec.hpp"
 
@@ -30,28 +30,30 @@ workload::ScenarioSpec load_spec(const std::string& rel) {
                                       rel);
 }
 
+using workload::golden::result_bytes;
+
 struct SpanRun {
-  std::string report;  // full report JSON + series CSV
+  std::string report;  // result_bytes of the run
   std::string spans;   // Perfetto trace-event export
   std::int64_t events = 0;
   int devices = 0;
-  fleet::FleetRunResult result;
+  workload::SpecResult result;
 };
 
-SpanRun run_with_spans(workload::ScenarioSpec spec, int shards) {
+/// Runs `spec` at `shards` with a SpanSink attached, and a PhaseProfiler
+/// too when `profiler` is non-null.
+SpanRun run_with_spans(workload::ScenarioSpec spec, int shards,
+                       PhaseProfiler* profiler = nullptr) {
   spec.base.shards = shards;
   workload::validate(spec);
   SpanSink sink;
   Instruments instruments;
   instruments.spans = &sink;
+  instruments.profiler = profiler;
   SpanRun out;
-  out.result =
-      workload::run_spec(spec, workload::spec_seeds(spec), nullptr, instruments)
-          .dyn;
-  std::ostringstream report;
-  fleet::write_fleet_run_json(out.result, report);
-  metrics::write_timeseries_csv(out.result.series, report);
-  out.report = report.str();
+  out.result = workload::run_spec(spec, workload::spec_seeds(spec), nullptr,
+                                  instruments);
+  out.report = result_bytes(out.result);
   std::ostringstream spans;
   sink.write_perfetto(spans);
   out.spans = spans.str();
@@ -63,11 +65,7 @@ SpanRun run_with_spans(workload::ScenarioSpec spec, int shards) {
 std::string run_without_instruments(workload::ScenarioSpec spec,
                                     int shards) {
   spec.base.shards = shards;
-  const auto r = workload::run_spec(spec).dyn;
-  std::ostringstream os;
-  fleet::write_fleet_run_json(r, os);
-  metrics::write_timeseries_csv(r.series, os);
-  return os.str();
+  return result_bytes(workload::run_spec(spec));
 }
 
 /// Events named `name` in a parsed trace-event document.
@@ -83,8 +81,10 @@ std::vector<const common::JsonValue*> events_named(
 }
 
 TEST(SpanTest, ExportByteIdenticalAcrossShardCounts) {
+  // heterogeneous_fleet is a static spec; its spans shard the same way.
   for (const std::string path : {"scenarios/diurnal_wave.json",
-                                 "scenarios/device_crash_failover.json"}) {
+                                 "scenarios/device_crash_failover.json",
+                                 "scenarios/heterogeneous_fleet.json"}) {
     SCOPED_TRACE(path);
     const auto spec = load_spec(path);
     const SpanRun baseline = run_with_spans(spec, 1);
@@ -112,6 +112,22 @@ TEST(SpanTest, TracingDoesNotPerturbReportBytes) {
       EXPECT_EQ(run_without_instruments(spec, shards),
                 run_with_spans(spec, shards).report);
     }
+  }
+}
+
+TEST(SpanTest, StaticSpecInstrumentsLeaveDigestUnchanged) {
+  // Closed-world specs run in the fleet runtime too, so they export spans;
+  // attaching a sink and a profiler changes no bit of their results.
+  for (const std::string path : {"scenarios/paper_scenario1.json",
+                                 "scenarios/heterogeneous_fleet.json"}) {
+    SCOPED_TRACE(path);
+    const auto spec = load_spec(path);
+    ASSERT_FALSE(spec.dynamic());
+    PhaseProfiler profiler;
+    const SpanRun run = run_with_spans(spec, 1, &profiler);
+    EXPECT_EQ(run_without_instruments(spec, 1), run.report);
+    EXPECT_GT(run.events, 0);
+    EXPECT_FALSE(events_named(common::parse_json(run.spans), "exec").empty());
   }
 }
 
@@ -161,7 +177,7 @@ TEST(SpanTest, CrashScenarioMarksAbortedInFlightJobs) {
   // The crash kills in-flight jobs; every kill shows up both in
   // the fault counters and as an abort_in_flight instant on the device
   // track, with the kill count in args.
-  ASSERT_GT(run.result.jobs_faulted, 0);
+  ASSERT_GT(run.result.dyn.jobs_faulted, 0);
   const auto aborts = events_named(root, "abort_in_flight");
   ASSERT_FALSE(aborts.empty());
   std::int64_t killed = 0;
@@ -170,7 +186,7 @@ TEST(SpanTest, CrashScenarioMarksAbortedInFlightJobs) {
     EXPECT_GT(e->at("pid").as_int(), 0);  // a device track, not pid 0
     killed += e->at("args").at("killed").as_int();
   }
-  EXPECT_EQ(killed, run.result.jobs_faulted);
+  EXPECT_EQ(killed, run.result.dyn.jobs_faulted);
 
   // The control-plane track narrates the same incident.
   EXPECT_FALSE(events_named(root, "device_failed").empty());

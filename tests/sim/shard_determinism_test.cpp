@@ -161,9 +161,9 @@ std::string static_run_bytes(const std::string& file,
 }
 
 TEST(ShardDeterminismTest, StaticSpecsByteIdenticalAcrossShardCounts) {
-  // A closed-world run is the fleet runtime's device loop without control
-  // events, so it shards the same way: every static curated spec must
-  // report the same bytes at any shard count.
+  // A closed-world run is a fleet-runtime run with only the series
+  // sampler on the control calendar, so it shards the same way: every
+  // static curated spec must report the same bytes at any shard count.
   int static_specs = 0;
   for (const auto& file : workload::list_spec_files(
            std::string(SGPRS_SOURCE_DIR) + "/scenarios")) {

@@ -9,49 +9,21 @@
 
 #include <cstdint>
 #include <future>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/thread_pool.hpp"
+#include "result_digest.hpp"
 #include "workload/experiment.hpp"
 #include "workload/spec.hpp"
 
 namespace sgprs::workload {
 namespace {
 
+using golden::digest;
+
 std::string paper_scenario1_path() {
   return std::string(SGPRS_SOURCE_DIR) + "/scenarios/paper_scenario1.json";
-}
-
-void digest_snapshot(std::ostringstream& os, const metrics::Snapshot& s) {
-  os << s.counts.released << "," << s.counts.dropped << ","
-     << s.counts.on_time << "," << s.counts.late << "," << s.fps << ","
-     << s.fps_on_time << "," << s.dmr << "," << s.mean_latency_ms << ","
-     << s.p50_latency_ms << "," << s.p99_latency_ms << ","
-     << s.max_latency_ms << ";";
-}
-
-/// Bit-exact digest: hexfloat formatting means two digests compare equal
-/// iff every double is the same bit pattern, not merely close.
-std::string digest(const SpecResult& r) {
-  std::ostringstream os;
-  os << std::hexfloat;
-  os << r.name << "|fleet=" << r.fleet << "|";
-  digest_snapshot(os, r.aggregate());
-  if (r.fleet) {
-    for (const auto& d : r.cluster.fleet.devices) {
-      os << "dev" << d.device_index << ":";
-      digest_snapshot(os, d.snapshot);
-    }
-    os << "rejected=" << r.cluster.rejected_task_ids.size() << "|";
-  } else {
-    for (const auto& t : r.single.per_task) digest_snapshot(os, t);
-    os << "events=" << r.single.sim_events
-       << "|busy=" << r.single.gpu_busy_sm_seconds << "|";
-  }
-  os << "releases=" << r.releases() << "|migrations=" << r.migrations();
-  return os.str();
 }
 
 /// FNV-1a-64 of a digest string.

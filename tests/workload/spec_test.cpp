@@ -282,6 +282,50 @@ TEST(SpecValidate, TasksXorGenerator) {
   EXPECT_THROW(validate(both), SpecError);
 }
 
+TEST(SpecValidate, GeneratorBoundsNameTheirField) {
+  // Each used to reach an internal CHECK: a sub-nanosecond period in the
+  // profiler, or a period past SimTime's range in the collector.
+  ScenarioSpec base;
+  base.generator = GeneratorSpec{};
+  ASSERT_EQ(path_of(base), "<no error>");
+  const double kInf = std::numeric_limits<double>::infinity();
+  const std::pair<std::function<void(GeneratorSpec&)>, std::string>
+      cases[] = {
+          {[](auto& g) {
+             g.max_fps = 1e12;
+             g.total_utilization = 1e12;
+           },
+           "spec.generator.max_fps"},
+          {[](auto& g) {
+             g.min_fps = 1e-12;
+             g.total_utilization = 1e-12;
+           },
+           "spec.generator.min_fps"},
+          {[](auto& g) { g.min_fps = 0.0; }, "spec.generator.min_fps"},
+          {[](auto& g) { g.min_fps = std::nan(""); },
+           "spec.generator.min_fps"},
+          {[=](auto& g) { g.max_fps = kInf; }, "spec.generator.max_fps"},
+          {[](auto& g) { g.max_fps = 1.0; }, "spec.generator"},
+          {[](auto& g) { g.total_utilization = 0.0; },
+           "spec.generator.total_utilization"},
+          {[=](auto& g) { g.total_utilization = kInf; },
+           "spec.generator.total_utilization"},
+          {[](auto& g) { g.total_utilization = std::nan(""); },
+           "spec.generator.total_utilization"},
+      };
+  for (const auto& [mutate, path] : cases) {
+    ScenarioSpec bad = base;
+    mutate(*bad.generator);
+    EXPECT_EQ(path_of(bad), path);
+  }
+  // The bounds themselves are accepted: a 1 ns period at the top, and a
+  // huge but finite utilization (clamped to max_fps per task).
+  ScenarioSpec ok = base;
+  ok.generator->max_fps = 1e9;
+  ok.generator->total_utilization = 1e12;
+  EXPECT_EQ(path_of(ok), "<no error>");
+}
+
 TEST(SpecValidate, BaseConfigErrorsSurfaceAsSpecErrors) {
   auto spec = parse(kTinyMixed);
   spec.base.oversubscription = 0.5;
@@ -628,6 +672,29 @@ TEST(SpecRun, GeneratorSpecRuns) {
   })"));
   EXPECT_EQ(r.single.per_task.size(), 4u);
   EXPECT_GT(r.fps(), 0.0);
+}
+
+TEST(SpecRun, TaskReleasingPastHorizonReportsZeroSnapshot) {
+  // At 0.3 fps the seeded phases spread over a 3.3 s period, so some of the
+  // 16 streams never release within the 2 s run. Each still gets a row.
+  auto spec = load_scenario_spec(std::string(SGPRS_SOURCE_DIR) +
+                                 "/scenarios/paper_scenario1.json");
+  spec.tasks[0].fps = 0.3;
+  SpecResult r;
+  ASSERT_NO_THROW(r = run_spec(spec));
+  ASSERT_EQ(r.single.per_task.size(), 16u);
+  int silent = 0;
+  std::int64_t released = 0;
+  for (const auto& t : r.single.per_task) {
+    if (t.counts.released == 0) {
+      ++silent;
+      EXPECT_EQ(t.fps, 0.0);
+      EXPECT_EQ(t.dmr, 0.0);
+    }
+    released += t.counts.released;
+  }
+  EXPECT_GT(silent, 0);
+  EXPECT_EQ(released, r.aggregate().counts.released);
 }
 
 TEST(SpecRun, FleetSpecRuns) {

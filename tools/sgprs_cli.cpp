@@ -254,12 +254,6 @@ int run_loaded_spec(const workload::ScenarioSpec& spec,
   std::ofstream span_out;
   std::unique_ptr<obs::SpanSink> spans;
   if (!span_path.empty()) {
-    if (!spec.dynamic()) {
-      std::cerr << "error: --trace-spans requires a dynamic "
-                   "(timeline/fleet_policy) scenario; a closed-world run "
-                   "has no span stream to export\n";
-      return 1;
-    }
     if (!open_output_file("--trace-spans", span_path, span_out)) return 1;
     spans = std::make_unique<obs::SpanSink>();
   }
@@ -764,9 +758,8 @@ int main(int argc, char** argv) {
                "write the run's admit/retire stream as a trace file", "");
   flags.define("trace-spans",
                "write the run's execution spans as Chrome/Perfetto "
-               "trace-event JSON (open in ui.perfetto.dev); dynamic "
-               "scenarios only; byte-identical at any --shards "
-               "(docs/observability.md)",
+               "trace-event JSON (open in ui.perfetto.dev); "
+               "byte-identical at any --shards (docs/observability.md)",
                "");
   flags.define_bool("profile",
                     "time the runtime's coarse phases (wall clock) and "
