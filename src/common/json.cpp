@@ -1,7 +1,9 @@
 #include "common/json.hpp"
 
+#include <array>
 #include <cmath>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 
@@ -415,12 +417,34 @@ JsonValue parse_json(std::string_view text) {
 }
 
 JsonValue parse_json_file(const std::string& path) {
+  const auto too_large = [&path] {
+    return JsonError(path + ": larger than the " +
+                     std::to_string(kMaxJsonFileBytes >> 20) +
+                     " MiB document limit");
+  };
+  std::error_code ec;
+  const auto status = std::filesystem::status(path, ec);
+  if (std::filesystem::is_directory(status)) {
+    throw JsonError(path + ": is a directory, not a JSON file");
+  }
+  // A regular file's size is known up front; anything else (a device, a
+  // pipe) is read in chunks up to the limit.
+  if (std::filesystem::is_regular_file(status) &&
+      std::filesystem::file_size(path, ec) > kMaxJsonFileBytes && !ec) {
+    throw too_large();
+  }
   std::ifstream in(path);
   if (!in) throw JsonError("cannot open " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
+  std::string text;
+  std::array<char, 4096> chunk;
+  do {
+    in.read(chunk.data(), static_cast<std::streamsize>(chunk.size()));
+    const auto got = static_cast<std::size_t>(in.gcount());
+    if (text.size() + got > kMaxJsonFileBytes) throw too_large();
+    text.append(chunk.data(), got);
+  } while (in);
   try {
-    return parse_json(buf.str());
+    return parse_json(text);
   } catch (const JsonError& e) {
     throw JsonError::with_context(path, e);
   }

@@ -10,6 +10,7 @@
 // strict JSON.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -106,7 +107,13 @@ inline constexpr int kMaxJsonDepth = 256;
 /// non-whitespace after the document is an error. Throws JsonError.
 JsonValue parse_json(std::string_view text);
 
-/// Reads and parses a file; errors are prefixed with the path.
+/// Largest file parse_json_file reads. The largest curated input is under
+/// 1 MiB; a bigger file, or an endless one such as /dev/zero, is an error
+/// naming the path rather than an allocation failure.
+inline constexpr std::size_t kMaxJsonFileBytes = std::size_t{64} << 20;
+
+/// Reads and parses a file; errors are prefixed with the path. A directory
+/// or a file past kMaxJsonFileBytes is a JsonError too.
 JsonValue parse_json_file(const std::string& path);
 
 }  // namespace sgprs::common

@@ -22,6 +22,14 @@ constexpr std::size_t kShareMemoCap = 4096;
 // power of two; it doubles to stay at most half full).
 constexpr std::size_t kShareMemoSlots = 16;
 
+// Solo steps the solo memo holds before it starts over. Stage programs
+// keep it to a few hundred per device; the cap bounds memory for an
+// executor fed one-off batches (enqueue_batch programs are never reused).
+constexpr std::size_t kSoloMemoCap = 16384;
+// The solo memo index's first size (a power of two; it doubles to stay at
+// most half full).
+constexpr std::size_t kSoloMemoSlots = 16;
+
 // FNV-1a over a share-memo key.
 std::uint64_t hash_key(const std::uint8_t* key, std::size_t n) {
   std::uint64_t h = 14695981039346656037ULL;
@@ -30,6 +38,12 @@ std::uint64_t hash_key(const std::uint8_t* key, std::size_t n) {
     h *= 1099511628211ULL;
   }
   return h;
+}
+
+// Mixes a solo-memo key: a program id and a solo class.
+std::uint64_t hash_solo(std::uint64_t program, std::uint32_t solo_class) {
+  std::uint64_t h = (program * 0x9e3779b97f4a7c15ULL) ^ solo_class;
+  return h ^ (h >> 29);
 }
 
 // Delay until a kernel `finish` seconds from done completes, rounded up to
@@ -43,11 +57,12 @@ SimTime finish_delay(double finish) {
 
 }  // namespace
 
-void Executor::KernelQueue::push_back(Pending p) {
-  items_.push_back(std::move(p));
+Executor::Entry& Executor::EntryQueue::push_back() {
+  return items_.emplace_back();
 }
 
-void Executor::KernelQueue::pop_front() {
+void Executor::EntryQueue::pop_front() {
+  items_[head_].owned.reset();
   if (++head_ == items_.size()) {
     clear();
   } else if (head_ >= 64 && 2 * head_ >= items_.size()) {
@@ -58,7 +73,7 @@ void Executor::KernelQueue::pop_front() {
   }
 }
 
-void Executor::KernelQueue::clear() {
+void Executor::EntryQueue::clear() {
   items_.clear();
   head_ = 0;
 }
@@ -108,7 +123,9 @@ StreamPriority Executor::stream_priority(StreamId s) const {
 std::size_t Executor::stream_queue_length(StreamId s) {
   SGPRS_CHECK(s >= 0 && s < stream_count());
   catch_up(engine_.now());
-  return streams_[s].queue.size();
+  std::size_t queued = 0;
+  for (const Entry& e : streams_[s].queue) queued += e.program->size() - e.next;
+  return queued;
 }
 
 bool Executor::stream_busy(StreamId s) {
@@ -152,31 +169,49 @@ SimTime Executor::running_remaining(StreamId s) {
   return SimTime::from_sec(rem_over + rem_work / rate);
 }
 
+void Executor::enqueue_program(StreamId stream, const KernelProgram& program,
+                               std::uint64_t tag, CompletionFn on_done) {
+  submit(stream, &program, nullptr, tag, std::move(on_done));
+}
+
 void Executor::enqueue(StreamId stream, KernelDesc kernel,
                        CompletionFn on_done) {
-  push_kernel(stream, std::move(kernel), std::move(on_done));
-  start_if_idle(stream);
+  std::vector<KernelDesc> kernels;
+  kernels.push_back(std::move(kernel));
+  enqueue_batch(stream, std::move(kernels), std::move(on_done));
 }
 
 void Executor::enqueue_batch(StreamId stream, std::vector<KernelDesc> kernels,
                              CompletionFn on_all_done) {
   SGPRS_CHECK_MSG(!kernels.empty(), "enqueue_batch requires >= 1 kernel");
-  const std::size_t last = kernels.size() - 1;
-  for (std::size_t i = 0; i < kernels.size(); ++i) {
-    push_kernel(stream, std::move(kernels[i]),
-                i == last ? std::move(on_all_done) : CompletionFn{});
-  }
-  // The whole batch is queued first, so a solo chain armed now spans it.
-  start_if_idle(stream);
+  auto program = std::make_unique<const KernelProgram>(std::move(kernels));
+  const KernelProgram* p = program.get();
+  submit(stream, p, std::move(program), 0, std::move(on_all_done));
 }
 
-void Executor::push_kernel(StreamId stream, KernelDesc kernel,
-                           CompletionFn on_done) {
+void Executor::submit(StreamId stream, const KernelProgram* program,
+                      std::unique_ptr<const KernelProgram> owned,
+                      std::uint64_t tag, CompletionFn on_done) {
   SGPRS_CHECK(stream >= 0 && stream < stream_count());
-  SGPRS_CHECK(kernel.work_sm_seconds >= 0.0);
-  SGPRS_CHECK(kernel.overhead_seconds >= 0.0);
-  streams_[stream].queue.push_back(
-      Pending{std::move(kernel), std::move(on_done)});
+  Stream& s = streams_[stream];
+  Entry& e = s.queue.push_back();
+  e.program = program;
+  e.owned = std::move(owned);
+  e.next = 0;
+  e.tag = tag;
+  e.on_done = std::move(on_done);
+  if (!s.running) {
+    start_if_idle(stream);
+    return;
+  }
+  if (solo_ != stream || !solo_open_) return;
+  // The armed chain ran off the queue without a callback: it now runs on
+  // through this entry, as if the entry had been queued when it was armed.
+  solo_end_ += SimTime::from_ns(solo_steps(s, *program)[0].tail_ns);
+  solo_open_ = !e.on_done;
+  engine_.cancel(completion_event_);
+  completion_event_ =
+      engine_.schedule_at(solo_end_, [this] { on_completion_event(); });
 }
 
 void Executor::start_if_idle(StreamId stream) {
@@ -222,7 +257,8 @@ void Executor::advance_progress() {
   }
 }
 
-void Executor::advance_kernel(Running& r, double elapsed) {
+Executor::Progress Executor::progress(Running& r, double elapsed) {
+  Progress p;
   double dt = elapsed;
   if (r.rem_overhead > 0.0) {
     const double t = std::min(dt, r.rem_overhead);
@@ -230,27 +266,50 @@ void Executor::advance_kernel(Running& r, double elapsed) {
     dt -= t;
   }
   if (dt > 0.0) {
-    const double done = std::min(r.rem_work, dt * r.rate);
-    r.rem_work -= done;
-    work_done_ += done;
+    p.work = std::min(r.rem_work, dt * r.rate);
+    r.rem_work -= p.work;
   }
-  busy_sm_seconds_ += elapsed * r.granted_sms;
+  p.busy = elapsed * r.granted_sms;
+  return p;
+}
+
+void Executor::advance_kernel(Running& r, double elapsed) {
+  // Adding a zero work increment is exact: work_done_ is never -0.0.
+  const Progress p = progress(r, elapsed);
+  work_done_ += p.work;
+  busy_sm_seconds_ += p.busy;
 }
 
 void Executor::start_next(StreamId sid, SimTime at) {
   Stream& s = streams_[sid];
   SGPRS_CHECK(!s.running);
   if (s.queue.empty()) return;
-  Pending& p = s.queue.front();
+  Entry& e = s.queue.front();
+  const KernelDesc& k = e.program->kernels()[e.next];
   Running& r = s.running.emplace();
-  r.desc = std::move(p.desc);
-  r.on_done = std::move(p.on_done);
-  r.rem_overhead = r.desc.overhead_seconds;
-  r.rem_work = r.desc.work_sm_seconds;
-  s.queue.pop_front();
+  r.desc = &k;
+  r.tag = e.tag_of(k);
+  r.rem_overhead = k.overhead_seconds;
+  r.rem_work = k.work_sm_seconds;
+  if (++e.next == e.program->size()) {
+    r.on_done = std::move(e.on_done);
+    r.owned = std::move(e.owned);
+    s.queue.pop_front();
+  }
   ++running_count_;
   ++contexts_[s.ctx].running_count;
-  if (trace_) trace_->on_kernel_start(at, s.ctx, sid, r.desc);
+  if (trace_) trace_->on_kernel_start(at, s.ctx, sid, traced(k, r.tag));
+}
+
+const KernelDesc& Executor::traced(const KernelDesc& k, std::uint64_t tag) {
+  if (k.tag == tag) return k;
+  // Assigning the label reuses the scratch string's storage.
+  trace_desc_.op = k.op;
+  trace_desc_.work_sm_seconds = k.work_sm_seconds;
+  trace_desc_.overhead_seconds = k.overhead_seconds;
+  trace_desc_.tag = tag;
+  trace_desc_.label = k.label;
+  return trace_desc_;
 }
 
 ShareGrant Executor::solo_grant(const Stream& s, OpClass op) {
@@ -308,7 +367,7 @@ const ShareGrant* Executor::contended_grants() {
   for (std::size_t sid = 0; sid < width; ++sid) {
     const auto& run = streams_[sid].running;
     key_[sid] = run ? static_cast<std::uint8_t>(
-                          static_cast<unsigned>(run->desc.op) + 1)
+                          static_cast<unsigned>(run->desc->op) + 1)
                     : 0;
   }
   const std::uint64_t hash = hash_key(key_.data(), width);
@@ -333,7 +392,7 @@ const ShareGrant* Executor::contended_grants() {
   for (const auto& s : streams_) {
     if (!s.running) continue;
     reqs.push_back(
-        ShareRequest{s.ctx, priority_weight(s.priority), s.running->desc.op});
+        ShareRequest{s.ctx, priority_weight(s.priority), s.running->desc->op});
   }
   const auto grants = compute_shares(speedup_, device_.total_sms,
                                      context_sms_, reqs, sharing_);
@@ -369,25 +428,106 @@ void Executor::arm_solo_chain(StreamId sid) {
   // The running kernel and every queued kernel up to the first one with a
   // callback run alone at their memoised solo grant, each starting at its
   // predecessor's end: the event the per-kernel path would fire at each
-  // boundary is skipped, and catch_up() replays it when needed.
+  // boundary is skipped, and catch_up() replays it when needed. A queued
+  // entry adds its memoised remaining duration.
   Stream& s = streams_[sid];
   Running& r = *s.running;
-  const ShareGrant g = solo_grant(s, r.desc.op);
+  const ShareGrant g = solo_grant(s, r.desc->op);
   r.rate = g.rate;
   r.granted_sms = g.sms;
   SimTime end =
       engine_.now() + finish_delay(r.rem_overhead + r.rem_work / r.rate);
-  if (!r.on_done) {
-    for (const Pending& p : s.queue) {
-      const double rate = solo_grant(s, p.desc.op).rate;
-      end += finish_delay(p.desc.overhead_seconds +
-                          p.desc.work_sm_seconds / rate);
-      if (p.on_done) break;
+  bool open = !r.on_done;
+  if (open) {
+    for (const Entry& e : s.queue) {
+      end += SimTime::from_ns(solo_steps(s, *e.program)[e.next].tail_ns);
+      if (e.on_done) {
+        open = false;
+        break;
+      }
     }
   }
   solo_ = sid;
+  solo_end_ = end;
+  solo_open_ = open;
   completion_event_ =
       engine_.schedule_at(end, [this] { on_completion_event(); });
+}
+
+const Executor::SoloStep* Executor::solo_steps(const Stream& s,
+                                               const KernelProgram& program) {
+  // The solo class: a lone kernel's grant depends on its context only
+  // through the context's SM limit, so the first context with the same
+  // limit stands for all of them.
+  const auto same_limit =
+      std::find(context_sms_.begin(), context_sms_.end(), context_sms_[s.ctx]);
+  const std::uint32_t cls =
+      static_cast<std::uint32_t>(same_limit - context_sms_.begin()) * 2 +
+      static_cast<std::uint32_t>(s.priority);
+  const std::uint64_t h = hash_solo(program.id(), cls);
+  if (solo_slots_.empty()) solo_slots_.resize(kSoloMemoSlots);
+  std::size_t mask = solo_slots_.size() - 1;
+  std::size_t i = h & mask;
+  for (; solo_slots_[i] != 0; i = (i + 1) & mask) {
+    const SoloRow& row = solo_rows_[solo_slots_[i] - 1];
+    if (row.program == program.id() && row.solo_class == cls) {
+      return solo_steps_.data() + row.first;
+    }
+  }
+
+  // Miss: run each kernel alone from a cold start, with the per-kernel
+  // path's arithmetic (catch_up's retirement of one kernel).
+  const std::size_t n = program.size();
+  if (solo_steps_.size() + n > kSoloMemoCap && !solo_rows_.empty()) {
+    solo_rows_.clear();
+    solo_steps_.clear();
+    std::fill(solo_slots_.begin(), solo_slots_.end(), 0);
+    i = h & mask;
+  }
+  const std::size_t first = solo_steps_.size();
+  solo_steps_.resize(first + n);
+  SoloStep* steps = solo_steps_.data() + first;
+  for (std::size_t j = 0; j < n; ++j) {
+    const KernelDesc& k = program.kernels()[j];
+    const ShareGrant g = solo_grant(s, k.op);
+    Running r;
+    r.rem_overhead = k.overhead_seconds;
+    r.rem_work = k.work_sm_seconds;
+    r.rate = g.rate;
+    r.granted_sms = g.sms;
+    const SimTime d = finish_delay(r.rem_overhead + r.rem_work / r.rate);
+    const double elapsed = d.to_sec();
+    Progress p;
+    if (elapsed > 0.0) p = progress(r, elapsed);
+    SGPRS_CHECK_MSG(r.rem_overhead <= 0.0 && r.rem_work <= kWorkEpsilon,
+                    "completion event fired with no finished kernel");
+    steps[j].ns = d.ns;
+    steps[j].work = p.work;
+    steps[j].residue = r.rem_work;
+    steps[j].busy = p.busy;
+  }
+  std::int64_t tail = 0;
+  for (std::size_t j = n; j-- > 0;) {
+    tail += steps[j].ns;
+    steps[j].tail_ns = tail;
+  }
+  solo_rows_.push_back(
+      SoloRow{program.id(), cls, static_cast<std::uint32_t>(first)});
+  const std::size_t rows = solo_rows_.size();
+  solo_slots_[i] = static_cast<std::uint32_t>(rows);
+
+  // Keep the index at most half full.
+  if (2 * rows > solo_slots_.size()) {
+    solo_slots_.assign(2 * solo_slots_.size(), 0);
+    mask = solo_slots_.size() - 1;
+    for (std::size_t r = 0; r < rows; ++r) {
+      std::size_t j =
+          hash_solo(solo_rows_[r].program, solo_rows_[r].solo_class) & mask;
+      while (solo_slots_[j] != 0) j = (j + 1) & mask;
+      solo_slots_[j] = static_cast<std::uint32_t>(r + 1);
+    }
+  }
+  return steps;
 }
 
 int Executor::catch_up(SimTime now) {
@@ -415,20 +555,56 @@ int Executor::catch_up(SimTime now) {
     SGPRS_CHECK_MSG(r.rem_overhead <= 0.0 && r.rem_work <= kWorkEpsilon,
                     "completion event fired with no finished kernel");
     work_done_ += r.rem_work;  // residue below epsilon
-    if (trace_) trace_->on_kernel_end(end, s.ctx, sid, r.desc);
+    if (trace_) trace_->on_kernel_end(end, s.ctx, sid, traced(*r.desc, r.tag));
     s.running.reset();
     --running_count_;
     --contexts_[s.ctx].running_count;
-    start_next(sid, end);
+    ++retired;
+    // Its successors start cold: the memo retires those that end by now,
+    // and start_next materialises the one the chain stops at.
+    retired += retire_queued(sid, now);
+    start_next(sid, last_update_);
     if (s.running) {
-      const ShareGrant g = solo_grant(s, s.running->desc.op);
+      const ShareGrant g = solo_grant(s, s.running->desc->op);
       s.running->rate = g.rate;
       s.running->granted_sms = g.sms;
     }
-    ++retired;
   }
   // A chain that ran dry leaves its pending event nothing to end.
   if (!s.running) cancel_completion();
+  return retired;
+}
+
+int Executor::retire_queued(StreamId sid, SimTime now) {
+  Stream& s = streams_[sid];
+  int retired = 0;
+  while (last_update_ < now && !s.queue.empty()) {
+    Entry& e = s.queue.front();
+    const std::size_t n = e.program->size();
+    // An entry's last kernel carries its callback: start_next starts it.
+    const std::size_t stop = e.on_done ? n - 1 : n;
+    const SoloStep* steps = solo_steps(s, *e.program);
+    for (; e.next < stop && last_update_ < now; ++e.next) {
+      const SoloStep& step = steps[e.next];
+      const SimTime end = last_update_ + SimTime::from_ns(step.ns);
+      if (end > now) return retired;
+      if (trace_) {
+        const KernelDesc& k = e.program->kernels()[e.next];
+        const std::uint64_t tag = e.tag_of(k);
+        trace_->on_kernel_start(last_update_, s.ctx, sid, traced(k, tag));
+        trace_->on_kernel_end(end, s.ctx, sid, traced(k, tag));
+      }
+      // advance_kernel's increments, then the residue, as catch_up adds
+      // them for a materialised kernel.
+      work_done_ += step.work;
+      busy_sm_seconds_ += step.busy;
+      work_done_ += step.residue;
+      last_update_ = end;
+      ++retired;
+    }
+    if (e.next < n) break;
+    s.queue.pop_front();
+  }
   return retired;
 }
 
@@ -465,7 +641,7 @@ void Executor::on_completion_event() {
     ++finished;
     Running& r = *s.running;
     work_done_ += r.rem_work;  // residue below epsilon
-    if (trace_) trace_->on_kernel_end(now, s.ctx, sid, r.desc);
+    if (trace_) trace_->on_kernel_end(now, s.ctx, sid, traced(*r.desc, r.tag));
     if (r.on_done) callbacks_.push_back(std::move(r.on_done));
     s.running.reset();
     --running_count_;

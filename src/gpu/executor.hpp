@@ -12,18 +12,30 @@
 // the scheduler layers on top of (it submits one *stage* — a kernel batch —
 // per stream at a time).
 //
+// Stage programs: a queue entry is (program, next kernel, tag, callback).
+// Schedulers submit a task stage's shared, immutable gpu::KernelProgram
+// with enqueue_program, so a dispatch copies no kernel; enqueue and
+// enqueue_batch wrap their kernels in a program the entry owns. The trace
+// sink sees each kernel under its submission's tag.
+//
 // Solo chains: while exactly one kernel runs on the device, no share can
 // change until that stream's own kernel boundaries, so the executor does
-// not fire one event per kernel. It walks the stream's queue with the
-// per-kernel nanosecond arithmetic up to the first kernel that carries a
-// completion callback (the stage end) and schedules one event there. The
-// callback-free kernels in between are retired lazily by catch_up() — at
-// that event, when an enqueue starts another stream, on purge_all() and in
-// the introspection getters — with the same floating-point operations, in
-// the same order, as the per-kernel path, so every callback time, work and
-// busy-SM integral and trace-sink event is bit-identical to it.
-// docs/ARCHITECTURE.md § "Solo chains" is the design note; the per-kernel
-// oracle lives in tests/gpu/reference_executor.hpp.
+// not fire one event per kernel. It schedules one event at the end of the
+// first queued kernel that carries a completion callback (the stage end);
+// entries pushed behind an armed chain that has no callback yet extend it.
+// The callback-free kernels in between are retired lazily by catch_up() —
+// at that event, when an enqueue starts another stream, on purge_all() and
+// in the introspection getters. Per (program, solo class) — a priority on
+// contexts of one SM limit — the executor memoises each kernel's solo
+// duration and its work and busy-SM increments from a cold start, plus the
+// durations' suffix sums: arming a
+// chain costs one lookup per queue entry, and catch_up replays the
+// increments in the per-kernel path's order, materialising a running kernel
+// only where it stops. Every callback time, work and busy-SM integral and
+// trace-sink event is bit-identical to the per-kernel path.
+// docs/ARCHITECTURE.md § "Solo chains" and § "Stage programs" are the
+// design notes; the per-kernel oracle lives in
+// tests/gpu/reference_executor.hpp.
 //
 // Contended shares: with two or more kernels running, every boundary
 // re-splits the SMs, but compute_shares is a pure function of the running
@@ -38,6 +50,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -81,11 +94,20 @@ class Executor {
   /// Creates a stream in `ctx` with the given priority.
   StreamId create_stream(ContextId ctx, StreamPriority priority);
 
+  /// Enqueues every kernel of `program` in order; `on_done` (optional)
+  /// fires when the last one completes. The trace sink sees the kernels
+  /// with `tag` as their tag. The program is not copied: it must outlive
+  /// the submission (rt::Task owns its stage programs and outlives its
+  /// jobs).
+  void enqueue_program(StreamId stream, const KernelProgram& program,
+                       std::uint64_t tag, CompletionFn on_done);
+
   /// Enqueues one kernel; `on_done` (optional) fires at completion.
   void enqueue(StreamId stream, KernelDesc kernel, CompletionFn on_done);
 
   /// Enqueues a batch in order; `on_all_done` fires when the last kernel
-  /// completes. The batch must be non-empty.
+  /// completes. The batch must be non-empty. Its kernels keep their own
+  /// tags.
   void enqueue_batch(StreamId stream, std::vector<KernelDesc> kernels,
                      CompletionFn on_all_done);
 
@@ -133,42 +155,62 @@ class Executor {
   }
 
  private:
-  struct Pending {
-    KernelDesc desc;
+  // One submission: a program, the index of its next kernel to start, the
+  // tag the trace sink sees and the callback of its last kernel.
+  struct Entry {
+    const KernelProgram* program = nullptr;
+    // enqueue and enqueue_batch's program; their kernels keep their tags.
+    std::unique_ptr<const KernelProgram> owned;
+    std::uint32_t next = 0;
+    std::uint64_t tag = 0;
     CompletionFn on_done;
+
+    // The tag the trace sink sees for kernel `k` of this entry.
+    std::uint64_t tag_of(const KernelDesc& k) const {
+      return owned ? k.tag : tag;
+    }
   };
 
   struct Running {
-    KernelDesc desc;
+    const KernelDesc* desc = nullptr;  // inside its entry's program
+    std::uint64_t tag = 0;
+    // The entry's callback and owned program move here with its last
+    // kernel, when the entry leaves the queue.
     CompletionFn on_done;
+    std::unique_ptr<const KernelProgram> owned;
     double rem_overhead = 0.0;  // seconds at unit rate
     double rem_work = 0.0;      // 1-SM seconds
     double rate = 0.0;          // work per second at last reschedule
     double granted_sms = 0.0;
   };
 
-  /// FIFO of pending kernels that keeps its storage: once a stream's
-  /// longest queue has been seen, push and pop touch no allocator.
-  class KernelQueue {
+  // What a kernel's progress adds to work_done_ and busy_sm_seconds_.
+  struct Progress {
+    double work = 0.0;
+    double busy = 0.0;
+  };
+
+  /// FIFO of queue entries that keeps its storage: once a stream's longest
+  /// queue has been seen, push and pop touch no allocator.
+  class EntryQueue {
    public:
     bool empty() const { return head_ == items_.size(); }
-    std::size_t size() const { return items_.size() - head_; }
-    Pending& front() { return items_[head_]; }
-    const Pending* begin() const { return items_.data() + head_; }
-    const Pending* end() const { return items_.data() + items_.size(); }
-    void push_back(Pending p);
+    Entry& front() { return items_[head_]; }
+    const Entry* begin() const { return items_.data() + head_; }
+    const Entry* end() const { return items_.data() + items_.size(); }
+    Entry& push_back();
     void pop_front();
     void clear();
 
    private:
-    std::vector<Pending> items_;
+    std::vector<Entry> items_;
     std::size_t head_ = 0;
   };
 
   struct Stream {
     ContextId ctx;
     StreamPriority priority;
-    KernelQueue queue;
+    EntryQueue queue;
     std::optional<Running> running;  // empty when idle
   };
 
@@ -176,13 +218,39 @@ class Executor {
     int running_count = 0;
   };
 
-  void push_kernel(StreamId stream, KernelDesc kernel, CompletionFn on_done);
+  // One kernel run alone from a cold start in a given solo class:
+  // its duration, the nanoseconds from its start to its program's end, and
+  // what its retirement adds to work_done_ (work phase, then the residue
+  // below kWorkEpsilon) and to busy_sm_seconds_.
+  struct SoloStep {
+    std::int64_t ns = 0;
+    std::int64_t tail_ns = 0;
+    double work = 0.0;
+    double residue = 0.0;
+    double busy = 0.0;
+  };
+
+  // A solo-step memo row: `program`'s steps in one solo class start at
+  // solo_steps_[first].
+  struct SoloRow {
+    std::uint64_t program = 0;
+    std::uint32_t solo_class = 0;
+    std::uint32_t first = 0;
+  };
+
+  // Queues a submission, then starts the stream or extends its open solo
+  // chain.
+  void submit(StreamId stream, const KernelProgram* program,
+              std::unique_ptr<const KernelProgram> owned, std::uint64_t tag,
+              CompletionFn on_done);
   // Starts the stream's first queued kernel unless it is already running.
   void start_if_idle(StreamId stream);
   // Consumes elapsed time since the last update against stored rates.
   void advance_progress();
   // One kernel's share of advance_progress over `elapsed` seconds.
   void advance_kernel(Running& r, double elapsed);
+  // Advances `r` by `elapsed` seconds at its stored rate.
+  static Progress progress(Running& r, double elapsed);
   // Recomputes all shares/rates and schedules the next completion event;
   // with one kernel running, arms a solo chain instead.
   void reschedule();
@@ -195,6 +263,15 @@ class Executor {
   // Retires the armed solo chain's callback-free kernels that end by `now`;
   // returns how many it retired.
   int catch_up(SimTime now);
+  // catch_up's inner loop: retires, from the memo, the queued kernels of
+  // the solo stream that start before `now` and end by it.
+  int retire_queued(StreamId sid, SimTime now);
+  // `program`'s memoised solo steps in the stream's solo class (its
+  // priority on contexts of its context's SM limit, whose lone kernels get
+  // identical grants). Valid until the next call.
+  const SoloStep* solo_steps(const Stream& s, const KernelProgram& program);
+  // The kernel as the trace sink sees it: `k` under `tag`.
+  const KernelDesc& traced(const KernelDesc& k, std::uint64_t tag);
   // Starts the stream's next queued kernel at `at`.
   void start_next(StreamId s, SimTime at);
   // Drops the pending completion event, solo chain or not.
@@ -222,6 +299,10 @@ class Executor {
   // Stream whose solo chain the pending completion event ends, or -1 when
   // that event (if any) is a per-kernel one.
   StreamId solo_ = -1;
+  // The armed chain's end, and whether it ran off the stream's queue
+  // without reaching a callback (so a new entry extends it).
+  SimTime solo_end_ = SimTime::zero();
+  bool solo_open_ = false;
   double work_done_ = 0.0;
   double busy_sm_seconds_ = 0.0;
   int running_count_ = 0;
@@ -243,9 +324,16 @@ class Executor {
   std::vector<ShareGrant> memo_grants_;
   std::vector<std::uint32_t> memo_slots_;
 
+  // solo_steps' memo, allocated at the first solo chain: rows, their
+  // steps, and an open-addressing index over the rows (row + 1, 0 = empty).
+  std::vector<SoloRow> solo_rows_;
+  std::vector<SoloStep> solo_steps_;
+  std::vector<std::uint32_t> solo_slots_;
+
   // Scratch buffers reused by every reschedule and completion event.
   std::vector<std::uint8_t> key_;
   std::vector<CompletionFn> callbacks_;
+  KernelDesc trace_desc_;
 };
 
 }  // namespace sgprs::gpu

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/check.hpp"
-#include "dnn/partition.hpp"
 #include "obs/span.hpp"
 
 namespace sgprs::rt {
@@ -76,20 +75,18 @@ void NaiveScheduler::try_dispatch(int ctx_idx, SimTime now) {
   // only) move from queue to execution.
   if (tracer_) tracer_->dispatch(job->task->id, job->release, now);
 
-  // Whole-network execution, no stage-level scheduling: every layer kernel
-  // of the job in topological order on the single stream.
-  const auto& net = *job->task->network;
-  std::vector<gpu::KernelDesc> kernels;
-  kernels.reserve(net.node_count());
-  const auto cost = dnn::CostModel::calibrated();
-  for (const auto& st : job->task->stages) {
-    auto stage_ks = dnn::stage_kernels(net, cost, st.nodes, job->tag());
-    for (auto& k : stage_ks) kernels.push_back(std::move(k));
+  // Whole-network execution, no stage-level scheduling: every stage
+  // program of the job in order on the single stream, the callback on the
+  // last. The submissions queue back to back, so a lone stream still runs
+  // the whole job as one solo chain.
+  const auto& stages = job->task->stages;
+  for (std::size_t i = 0; i + 1 < stages.size(); ++i) {
+    exec_.enqueue_program(cs.stream, *stages[i].program, job->tag(), {});
   }
-  exec_.enqueue_batch(cs.stream, std::move(kernels),
-                      [this, job, ctx_idx](SimTime t) {
-                        on_job_complete(*job, ctx_idx, t);
-                      });
+  exec_.enqueue_program(cs.stream, *stages.back().program, job->tag(),
+                        [this, job, ctx_idx](SimTime t) {
+                          on_job_complete(*job, ctx_idx, t);
+                        });
   (void)now;
 }
 

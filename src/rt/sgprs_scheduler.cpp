@@ -4,7 +4,6 @@
 #include <limits>
 
 #include "common/check.hpp"
-#include "dnn/partition.hpp"
 #include "obs/span.hpp"
 
 namespace sgprs::rt {
@@ -266,16 +265,14 @@ void SgprsScheduler::dispatch(CtxState& cs, Slot& slot, QueuedStage qs,
   const int slot_idx = static_cast<int>(
       &slot - (high_slot ? cs.high_slots.data() : cs.low_slots.data()));
 
-  auto kernels = dnn::stage_kernels(
-      *job.task->network, dnn::CostModel::calibrated(),
-      job.task->stages[stage].nodes, job.tag());
   Job* job_ptr = &job;
-  exec_.enqueue_batch(slot.stream, std::move(kernels),
-                      [this, job_ptr, stage, ctx_idx, slot_idx,
-                       high_slot](SimTime t) {
-                        on_stage_complete(*job_ptr, stage, ctx_idx, slot_idx,
-                                          high_slot, t);
-                      });
+  exec_.enqueue_program(slot.stream, *job.task->stages[stage].program,
+                        job.tag(),
+                        [this, job_ptr, stage, ctx_idx, slot_idx,
+                         high_slot](SimTime t) {
+                          on_stage_complete(*job_ptr, stage, ctx_idx,
+                                            slot_idx, high_slot, t);
+                        });
 }
 
 void SgprsScheduler::on_stage_complete(Job& job, int stage, int ctx_idx,

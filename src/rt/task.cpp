@@ -31,11 +31,14 @@ Task build_task(int id, std::shared_ptr<const dnn::Network> network,
   const double total_wcet = task.wcet.total_at(ref_sms).to_sec();
   SGPRS_CHECK_MSG(total_wcet > 0.0, "task has zero WCET");
 
+  const dnn::CostModel dispatch_cost = dnn::CostModel::calibrated();
   double cumulative = 0.0;
   for (int s = 0; s < plan.stage_count(); ++s) {
     StageInfo info;
     info.index = s;
     info.nodes = plan.stages[s];
+    info.program = std::make_shared<const gpu::KernelProgram>(
+        dnn::stage_kernels(*network, dispatch_cost, info.nodes));
     cumulative += task.wcet.stage_at(s, ref_sms).to_sec();
     const double fraction = cumulative / total_wcet;
     info.virtual_deadline_offset = SimTime::from_sec(

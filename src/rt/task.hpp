@@ -17,6 +17,7 @@
 #include "dnn/network.hpp"
 #include "dnn/partition.hpp"
 #include "dnn/profiler.hpp"
+#include "gpu/kernel.hpp"
 
 namespace sgprs::rt {
 
@@ -61,6 +62,10 @@ inline constexpr common::EnumName<ArrivalModel> kArrivalModelNames[] = {
 struct StageInfo {
   int index = 0;
   std::vector<dnn::NodeId> nodes;
+  /// The stage's kernels (dnn::CostModel::calibrated()), built once by
+  /// build_task and shared by every copy of the task; schedulers submit it
+  /// with Executor::enqueue_program.
+  std::shared_ptr<const gpu::KernelProgram> program;
   StagePriority base_priority = StagePriority::kLow;
   /// Cumulative virtual-deadline offset from job release: the stage's
   /// absolute deadline is release + this (paper Section IV-B1). The last

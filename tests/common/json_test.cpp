@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <fstream>
 #include <string>
 
@@ -181,6 +182,53 @@ TEST(Json, ParseFileErrorsKeepPosition) {
     EXPECT_EQ(msg.find("line 3"), msg.rfind("line 3"))
         << "position suffix must not be duplicated: " << msg;
   }
+}
+
+/// The message of the JsonError parse_json_file throws for `path`.
+std::string file_error(const std::string& path) {
+  try {
+    parse_json_file(path);
+  } catch (const JsonError& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "expected JsonError for " << path;
+  return "";
+}
+
+TEST(Json, ParseFileRejectsADirectoryByName) {
+  const std::string dir = testing::TempDir();
+  const std::string msg = file_error(dir);
+  EXPECT_NE(msg.find(dir), std::string::npos) << msg;
+  EXPECT_NE(msg.find("is a directory"), std::string::npos) << msg;
+}
+
+TEST(Json, ParseFileRejectsAFilePastTheSizeLimit) {
+  // Sparse: the size check must fire before anything is read.
+  const std::string path = testing::TempDir() + "sgprs_json_huge_test.json";
+  { std::ofstream out(path); }
+  std::filesystem::resize_file(path, kMaxJsonFileBytes + 1);
+  const std::string msg = file_error(path);
+  std::filesystem::remove(path);
+  EXPECT_NE(msg.find(path), std::string::npos) << msg;
+  EXPECT_NE(msg.find("64 MiB document limit"), std::string::npos) << msg;
+}
+
+TEST(Json, ParseFileStopsAnEndlessStreamAtTheSizeLimit) {
+  if (!std::filesystem::exists("/dev/zero")) GTEST_SKIP() << "no /dev/zero";
+  const std::string msg = file_error("/dev/zero");
+  EXPECT_NE(msg.find("/dev/zero: larger than the 64 MiB document limit"),
+            std::string::npos)
+      << msg;
+}
+
+TEST(Json, ParseFileAcceptsADocumentUnderTheLimit) {
+  const std::string path = testing::TempDir() + "sgprs_json_small_test.json";
+  {
+    std::ofstream out(path);
+    out << "{\"a\": [1, 2, 3]}";
+  }
+  EXPECT_EQ(parse_json_file(path).at("a").items().size(), 3u);
+  std::filesystem::remove(path);
 }
 
 }  // namespace

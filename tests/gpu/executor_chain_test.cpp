@@ -1,10 +1,11 @@
-// Solo chains and the share memo against the per-kernel oracle
-// (reference_executor.hpp).
+// Solo chains, stage programs and the share memo against the per-kernel
+// oracle (reference_executor.hpp).
 //
 // gpu::Executor advances a kernel that runs alone on its device through its
 // stream's queue analytically, with one event per stage instead of one per
-// kernel, and memoises the grants of contended running sets instead of
-// calling compute_shares at every boundary. These tests require both to be
+// kernel, replays shared stage programs from a per-program memo, and
+// memoises the grants of contended running sets instead of calling
+// compute_shares at every boundary. These tests require all three to be
 // invisible: the same callback times and order, the same work and busy-SM
 // integrals bit for bit, the same getter answers and the same trace-sink
 // sequence as the per-kernel path.
@@ -66,12 +67,17 @@ struct TraceLog : TraceSink {
 /// One kernel batch of a randomized plan. A root batch arrives at `at_ns`;
 /// a child (at_ns < 0) is enqueued by its parent's completion callback, the
 /// way a scheduler dispatches a job's next stage.
+/// A batch that names `programs` submits those shared programs back to
+/// back under `tag`, the callback on the last (the oracle gets their
+/// kernels as plain batches with that tag).
 struct Batch {
   std::int64_t at_ns = -1;
   int stream = 0;
   std::vector<KernelDesc> kernels;
   bool callback = true;  // false: kernels enqueued one by one, no callback
   std::vector<int> children;
+  std::vector<int> programs;  // indices into Plan::programs
+  std::uint64_t tag = 0;
 };
 
 struct StreamSpec {
@@ -84,6 +90,7 @@ enum class Probe { kNone, kPurge, kEnqueue };
 
 struct Plan {
   SharingParams sharing;
+  std::vector<std::vector<KernelDesc>> programs;  // kernels tagged 0
   std::vector<int> context_sms;
   std::vector<StreamSpec> streams;  // the last one only serves kEnqueue
   std::vector<Batch> batches;
@@ -167,14 +174,16 @@ struct Outcome {
 };
 
 /// Drives one executor type through a plan. Both executors share the API,
-/// so the same code runs the oracle and the chain executor.
+/// so the same code runs the oracle and the chain executor; only program
+/// submissions differ, the oracle taking their kernels as batches.
 template <typename Exec>
 class Harness {
  public:
-  explicit Harness(const Plan& plan)
+  explicit Harness(const Plan& plan, bool traced = true)
       : plan_(plan),
         exec_(engine_, rtx2080ti(), SpeedupModel::rtx2080ti(), plan.sharing) {
-    exec_.set_trace_sink(&trace_);
+    if (traced) exec_.set_trace_sink(&trace_);
+    for (const auto& kernels : plan.programs) programs_.emplace_back(kernels);
     for (int sms : plan.context_sms) exec_.create_context(sms);
     for (const auto& s : plan.streams) {
       streams_.push_back(exec_.create_stream(s.ctx, s.priority));
@@ -225,6 +234,10 @@ class Harness {
   void enqueue(int b) {
     const Batch& batch = plan_.batches[b];
     const StreamId s = streams_[batch.stream];
+    if (!batch.programs.empty()) {
+      submit_programs(b);
+      return;
+    }
     if (batch.callback) {
       exec_.enqueue_batch(s, batch.kernels, [this, b](SimTime t) {
         out_.callbacks.emplace_back(t.ns, b);
@@ -232,6 +245,31 @@ class Harness {
       });
     } else {
       for (const auto& k : batch.kernels) exec_.enqueue(s, k, {});
+    }
+  }
+
+  void submit_programs(int b) {
+    const Batch& batch = plan_.batches[b];
+    const StreamId s = streams_[batch.stream];
+    using Fn =
+        std::conditional_t<std::is_same_v<Exec, Executor>, CompletionFn,
+                           ReferenceExecutor::CompletionFn>;
+    for (std::size_t i = 0; i < batch.programs.size(); ++i) {
+      const int p = batch.programs[i];
+      Fn done;
+      if (i + 1 == batch.programs.size() && batch.callback) {
+        done = [this, b](SimTime t) {
+          out_.callbacks.emplace_back(t.ns, b);
+          for (int child : plan_.batches[b].children) enqueue(child);
+        };
+      }
+      if constexpr (std::is_same_v<Exec, Executor>) {
+        exec_.enqueue_program(s, programs_[p], batch.tag, std::move(done));
+      } else {
+        std::vector<KernelDesc> kernels = plan_.programs[p];
+        for (auto& k : kernels) k.tag = batch.tag;
+        exec_.enqueue_batch(s, std::move(kernels), std::move(done));
+      }
     }
   }
 
@@ -268,6 +306,7 @@ class Harness {
   const Plan& plan_;
   sim::Engine engine_;
   Exec exec_;
+  std::vector<KernelProgram> programs_;
   TraceLog trace_;
   std::vector<StreamId> streams_;
   Outcome out_;
@@ -346,6 +385,143 @@ TEST(SoloChainDifferential, TwoHundredSeedsMatchThePerKernelOracle) {
   }
   EXPECT_GT(boundary_probes, 100);
   // The chains must actually skip events, not merely agree.
+  EXPECT_LT(chain_events, oracle_events);
+}
+
+/// A plan built around shared stage programs: 1-3 programs, 1-4 streams,
+/// and roots that mix program submissions (1-3 programs back to back, the
+/// callback on the last, as the naive scheduler submits a whole job) with
+/// enqueue_batch and callback-free per-kernel enqueues. Streams draw
+/// programs at random, so several streams run the same program.
+Plan program_plan(std::uint64_t seed) {
+  common::Rng rng(seed);
+  Plan p;
+  if (rng.next_double() < 0.5) {
+    p.sharing.interference_gamma = 0.0;
+    p.sharing.oversub_thrash_kappa = 0.0;
+    p.sharing.contention_exponent = 1.0;
+  }
+  // Half the plans give every context one SM limit, so streams of
+  // different contexts share solo-memo rows.
+  const int contexts = 1 + static_cast<int>(rng.next_u64() % 3);
+  const bool equal_limits = rng.next_double() < 0.5;
+  const int limit = 1 + static_cast<int>(rng.next_u64() % 68);
+  for (int c = 0; c < contexts; ++c) {
+    p.context_sms.push_back(
+        equal_limits ? limit : 1 + static_cast<int>(rng.next_u64() % 68));
+  }
+  const int streams = 1 + static_cast<int>(rng.next_u64() % 4);
+  for (int s = 0; s <= streams; ++s) {  // one extra: the probe stream
+    p.streams.push_back(
+        {static_cast<int>(rng.next_u64() % contexts),
+         rng.next_double() < 0.5 ? StreamPriority::kHigh
+                                 : StreamPriority::kLow});
+  }
+  const int programs = 1 + static_cast<int>(rng.next_u64() % 3);
+  for (int i = 0; i < programs; ++i) {
+    std::vector<KernelDesc> kernels;
+    const int n = 1 + static_cast<int>(rng.next_u64() % 10);
+    for (int k = 0; k < n; ++k) kernels.push_back(random_kernel(rng, 0));
+    p.programs.push_back(std::move(kernels));
+  }
+  std::uint64_t tag = 0;
+  const auto make_batch = [&](std::int64_t at_ns) {
+    Batch b;
+    b.at_ns = at_ns;
+    b.stream = static_cast<int>(rng.next_u64() % streams);
+    const double kind = rng.next_double();
+    if (kind < 0.6) {
+      const int run = 1 + static_cast<int>(rng.next_u64() % 3);
+      for (int i = 0; i < run; ++i) {
+        b.programs.push_back(static_cast<int>(rng.next_u64() % programs));
+      }
+      b.tag = ++tag;
+      b.callback = rng.next_double() < 0.9;
+    } else {
+      const int n = 1 + static_cast<int>(rng.next_u64() % 6);
+      for (int k = 0; k < n; ++k) {
+        b.kernels.push_back(random_kernel(rng, ++tag));
+      }
+      b.callback = kind < 0.85;
+    }
+    p.batches.push_back(std::move(b));
+    return static_cast<int>(p.batches.size() - 1);
+  };
+  const int roots = 3 + static_cast<int>(rng.next_u64() % 12);
+  for (int i = 0; i < roots; ++i) {
+    make_batch(static_cast<std::int64_t>(rng.uniform(0.0, 2e7)));  // 20 ms
+  }
+  for (std::size_t i = 0; i < p.batches.size() && p.batches.size() < 48;
+       ++i) {
+    if (p.batches[i].callback && rng.next_double() < 0.6) {
+      const int child = make_batch(-1);
+      p.batches[i].children.push_back(child);
+    }
+  }
+  const int snaps = static_cast<int>(rng.next_u64() % 8);
+  for (int i = 0; i < snaps; ++i) {
+    p.snapshots_ns.push_back(static_cast<std::int64_t>(rng.uniform(0.0, 3e7)));
+  }
+  return p;
+}
+
+/// Whether two streams of `plan` submit the same program.
+bool program_shared(const Plan& plan) {
+  std::vector<std::vector<int>> users(plan.programs.size());
+  for (const Batch& b : plan.batches) {
+    for (int prog : b.programs) {
+      auto& u = users[prog];
+      if (std::find(u.begin(), u.end(), b.stream) == u.end()) {
+        u.push_back(b.stream);
+      }
+    }
+  }
+  return std::any_of(users.begin(), users.end(),
+                     [](const auto& u) { return u.size() >= 2; });
+}
+
+TEST(StageProgramDifferential, TwoHundredSeedsMatchThePerKernelOracle) {
+  std::size_t chain_events = 0;
+  std::size_t oracle_events = 0;
+  int shared = 0;
+  int purged = 0;
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const Plan plan = program_plan(seed);
+    shared += program_shared(plan) ? 1 : 0;
+    const Outcome base = Harness<ReferenceExecutor>(plan).run();
+    const Outcome chain = Harness<Executor>(plan).run();
+    expect_identical(chain, base);
+    chain_events += chain.events;
+    oracle_events += base.events;
+    {
+      SCOPED_TRACE("no trace sink");
+      expect_identical(Harness<Executor>(plan, /*traced=*/false).run(),
+                       Harness<ReferenceExecutor>(plan, false).run());
+    }
+
+    // A device crash mid-chain: on a skipped kernel boundary, and inside
+    // a skipped kernel.
+    common::Rng rng(seed ^ 0x9e3779b97f4a7c15ULL);
+    const auto ends = solo_boundaries(base.trace);
+    if (ends.empty()) continue;
+    const std::int64_t at = ends[rng.next_u64() % ends.size()];
+    const std::int64_t mid =
+        at - 1 - static_cast<std::int64_t>(rng.next_u64() % 1000);
+    for (const std::int64_t t : {at, mid}) {
+      if (t <= 0) continue;
+      for (const bool traced : {true, false}) {
+        SCOPED_TRACE("purge at " + std::to_string(t) +
+                     (traced ? " traced" : " untraced"));
+        expect_identical(
+            Harness<Executor>(plan, traced).run(Probe::kPurge, t),
+            Harness<ReferenceExecutor>(plan, traced).run(Probe::kPurge, t));
+      }
+    }
+    ++purged;
+  }
+  EXPECT_GT(shared, 100);
+  EXPECT_GT(purged, 100);
   EXPECT_LT(chain_events, oracle_events);
 }
 
@@ -498,6 +674,51 @@ TEST(SoloChain, LoneResnet18JobFiresOneEventPerStage) {
   EXPECT_EQ(engine.processed_count(), 6u);
   EXPECT_EQ(oracle_engine.processed_count(), kernels);
   EXPECT_GT(kernels, 6u * 3);
+  EXPECT_EQ(exec.total_work_done(), oracle.total_work_done());
+  EXPECT_EQ(exec.busy_sm_seconds(), oracle.busy_sm_seconds());
+}
+
+TEST(SoloChain, BackToBackProgramsRunAsOneChain) {
+  // The naive scheduler submits a job's six stage programs at once, the
+  // callback on the last: on a lone stream each submission extends the
+  // armed chain, so the whole job is one event, at the oracle's time.
+  const dnn::Network net = dnn::resnet18();
+  const dnn::CostModel cost = dnn::CostModel::calibrated();
+  const dnn::StagePlan plan = dnn::partition_into_stages(net, cost, 6);
+  std::vector<KernelProgram> programs;
+  for (const auto& st : plan.stages) {
+    programs.emplace_back(dnn::stage_kernels(net, cost, st));
+  }
+
+  sim::Engine engine;
+  Executor exec(engine, rtx2080ti(), SpeedupModel::rtx2080ti(),
+                SharingParams{});
+  const auto s = exec.create_stream(exec.create_context(34),
+                                    StreamPriority::kLow);
+  std::int64_t done = -1;
+  for (std::size_t i = 0; i < programs.size(); ++i) {
+    CompletionFn fn;
+    if (i + 1 == programs.size()) fn = [&done](SimTime t) { done = t.ns; };
+    exec.enqueue_program(s, programs[i], /*tag=*/5, std::move(fn));
+  }
+  engine.run();
+
+  sim::Engine oracle_engine;
+  ReferenceExecutor oracle(oracle_engine, rtx2080ti(),
+                           SpeedupModel::rtx2080ti(), SharingParams{});
+  const auto os = oracle.create_stream(oracle.create_context(34),
+                                       StreamPriority::kLow);
+  std::vector<KernelDesc> whole;
+  for (const auto& p : programs) {
+    whole.insert(whole.end(), p.kernels().begin(), p.kernels().end());
+  }
+  std::int64_t oracle_done = -1;
+  oracle.enqueue_batch(os, whole,
+                       [&oracle_done](SimTime t) { oracle_done = t.ns; });
+  oracle_engine.run();
+
+  EXPECT_EQ(done, oracle_done);
+  EXPECT_EQ(engine.processed_count(), 1u);
   EXPECT_EQ(exec.total_work_done(), oracle.total_work_done());
   EXPECT_EQ(exec.busy_sm_seconds(), oracle.busy_sm_seconds());
 }

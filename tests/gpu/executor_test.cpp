@@ -169,6 +169,19 @@ TEST_F(ExecutorTest, EmptyBatchThrows) {
   EXPECT_THROW(exec_.enqueue_batch(s, {}, {}), common::CheckError);
 }
 
+TEST_F(ExecutorTest, ProgramsRejectEmptyAndNegativeKernels) {
+  EXPECT_THROW(KernelProgram({}), common::CheckError);
+  EXPECT_THROW(KernelProgram({kernel(OpClass::kConv, -1.0)}),
+               common::CheckError);
+  EXPECT_THROW(KernelProgram({kernel(OpClass::kConv, 1.0, -1e-6)}),
+               common::CheckError);
+  const auto s = exec_.create_stream(exec_.create_context(68),
+                                     StreamPriority::kHigh);
+  EXPECT_THROW(exec_.enqueue(s, kernel(OpClass::kConv, -1.0), {}),
+               common::CheckError);
+  EXPECT_FALSE(exec_.stream_busy(s));
+}
+
 TEST_F(ExecutorTest, CompletionCallbackCanEnqueue) {
   const auto ctx = exec_.create_context(68);
   const auto s = exec_.create_stream(ctx, StreamPriority::kHigh);

@@ -119,6 +119,32 @@ TEST_F(TaskBuildTest, SingleStageTask) {
   EXPECT_EQ(t.stages[0].virtual_deadline_offset, t.deadline);
 }
 
+TEST_F(TaskBuildTest, EachStageCompilesToOneSharedProgram) {
+  const auto t = build();
+  const auto cost = dnn::CostModel::calibrated();
+  for (const auto& st : t.stages) {
+    ASSERT_NE(st.program, nullptr);
+    const auto expected = dnn::stage_kernels(*network_, cost, st.nodes);
+    ASSERT_EQ(st.program->size(), expected.size());
+    for (std::size_t k = 0; k < expected.size(); ++k) {
+      const auto& got = st.program->kernels()[k];
+      EXPECT_EQ(got.op, expected[k].op);
+      EXPECT_EQ(got.work_sm_seconds, expected[k].work_sm_seconds);
+      EXPECT_EQ(got.overhead_seconds, expected[k].overhead_seconds);
+      EXPECT_EQ(got.label, expected[k].label);
+      EXPECT_EQ(got.tag, 0u) << "the dispatch supplies the tag";
+    }
+  }
+  // A clone (a spec replica, a fleet admission) shares the programs; a
+  // fresh build gets programs with their own ids.
+  const Task clone = t;
+  const Task rebuilt = build();
+  for (int s = 0; s < t.stage_count(); ++s) {
+    EXPECT_EQ(clone.stages[s].program, t.stages[s].program);
+    EXPECT_NE(rebuilt.stages[s].program->id(), t.stages[s].program->id());
+  }
+}
+
 TEST_F(TaskBuildTest, InvalidConfigsThrow) {
   TaskConfig bad;
   bad.fps = 0.0;

@@ -1,11 +1,14 @@
-// Allocation gate for gpu::Executor's contended completion path.
+// Allocation gate for gpu::Executor's completion paths.
 //
 // The executor memoises the grants of contended running sets and keeps the
 // completion path's buffers as members, so once a device's running sets
 // have been seen, a completion event with several kernels running touches
-// no allocator. This binary replaces the global operator new to count every
-// allocation in its process, which is why it is its own executable rather
-// than part of sgprs_tests.
+// no allocator. A lone stream running shared stage programs replays them
+// from the solo-step memo, so once each program has run, dispatching a
+// stage and its chain event touch no allocator either. This binary
+// replaces the global operator new to count every allocation in its
+// process, which is why it is its own executable rather than part of
+// sgprs_tests.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -137,6 +140,58 @@ TEST(ContendedCompletionAllocations, SteadyStateAllocatesNothing) {
   EXPECT_LE(50 * w.misses, w.hits);
   // Stage-end callbacks fired inside the window too.
   EXPECT_GT(stage_ends, stage_ends_before);
+}
+
+/// A job loop on one stream: each stage's completion dispatches the next
+/// stage program, wrapping around, as the SGPRS scheduler does for a task
+/// whose stages keep landing on the same idle stream.
+struct LoneStream {
+  Executor& exec;
+  StreamId stream;
+  const std::vector<KernelProgram>& stages;
+  int stage_ends = 0;
+
+  void dispatch(int stage) {
+    exec.enqueue_program(stream, stages[stage], /*tag=*/7,
+                         [this, stage](SimTime) {
+                           ++stage_ends;
+                           const int n = static_cast<int>(stages.size());
+                           dispatch((stage + 1) % n);
+                         });
+  }
+};
+
+TEST(SoloChainAllocations, ProgramStagesOnALoneStreamAllocateNothing) {
+  sim::Engine engine;
+  Executor exec(engine, rtx2080ti(), SpeedupModel::rtx2080ti(),
+                SharingParams{});
+  ContextPoolConfig cfg;
+  cfg.num_contexts = 2;
+  cfg.oversubscription = 1.5;
+  const ContextPool pool(exec, cfg);
+
+  const dnn::Network net = dnn::resnet18();
+  const dnn::CostModel cost = dnn::CostModel::calibrated();
+  const dnn::StagePlan plan = dnn::partition_into_stages(net, cost, 6);
+  std::vector<KernelProgram> stages;
+  for (const auto& stage : plan.stages) {
+    stages.emplace_back(dnn::stage_kernels(net, cost, stage));
+  }
+  LoneStream job{exec, pool.at(0).low_streams.front(), stages};
+  job.dispatch(0);
+
+  // Warm-up: two frames fill the memo, the queue and the calendar slab.
+  for (int i = 0; i < 12; ++i) ASSERT_TRUE(engine.step());
+  const int ends_before = job.stage_ends;
+  const std::size_t events_before = engine.processed_count();
+  const std::size_t before = g_allocations;
+  constexpr int kStages = 600;  // 100 frames
+  for (int i = 0; i < kStages; ++i) ASSERT_TRUE(engine.step());
+  EXPECT_EQ(g_allocations - before, 0u) << "over " << kStages << " stages";
+  // One chain event per stage, each dispatching the next stage.
+  EXPECT_EQ(job.stage_ends - ends_before, kStages);
+  EXPECT_EQ(engine.processed_count() - events_before,
+            static_cast<std::size_t>(kStages));
 }
 
 }  // namespace
