@@ -39,6 +39,7 @@ Cluster::Cluster(sim::Engine& engine, metrics::Collector& collector,
   if (cfg_.shards > 1) {
     pool_ = std::make_unique<common::ThreadPool>(cfg_.shards - 1);
   }
+  memos_.resize(static_cast<std::size_t>(cfg_.shards));
 
   std::vector<PlacerDevice> placer_devices;
   for (const auto& spec : cfg_.devices) {
@@ -60,6 +61,7 @@ Cluster::Device Cluster::make_device(const gpu::DeviceSpec& spec, int index) {
   dev.exec = std::make_unique<gpu::Executor>(
       engine, spec, gpu::SpeedupModel::rtx2080ti(), cfg_.sharing);
   dev.pool = std::make_unique<gpu::ContextPool>(*dev.exec, cfg_.pool);
+  dev.exec->attach_memo(class_memo(index, *dev.exec));
   std::unique_ptr<rt::Scheduler> scheduler;
   switch (cfg_.scheduler) {
     case rt::SchedulerKind::kSgprs:
@@ -81,6 +83,16 @@ Cluster::Device Cluster::make_device(const gpu::DeviceSpec& spec, int index) {
     }
   }
   return dev;
+}
+
+gpu::DeviceClassMemo& Cluster::class_memo(int index,
+                                         const gpu::Executor& exec) {
+  auto& memos = memos_[shard_of(index, cfg_.shards)];
+  for (const auto& memo : memos) {
+    if (memo->device_class() == exec.device_class()) return *memo;
+  }
+  return *memos.emplace_back(
+      std::make_unique<gpu::DeviceClassMemo>(exec.device_class()));
 }
 
 PlacerDevice Cluster::placer_device_for(const gpu::DeviceSpec& spec,
@@ -202,6 +214,12 @@ metrics::TaskCounters Cluster::total_counts() const {
 std::size_t Cluster::events_processed() const {
   std::size_t total = 0;
   for (const sim::Engine* e : engines_) total += e->processed_count();
+  return total;
+}
+
+std::size_t Cluster::memo_count() const {
+  std::size_t total = 0;
+  for (const auto& memos : memos_) total += memos.size();
   return total;
 }
 

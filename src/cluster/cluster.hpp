@@ -7,7 +7,10 @@
 // event calendar of its own, and records into a collector of its own.
 // reduce() folds the per-device collectors, in device-index order, into
 // the constructor's collector, so per-device metrics are subset
-// aggregations and the fleet aggregate is exact at any shard count.
+// aggregations and the fleet aggregate is exact at any shard count. Each
+// shard also keeps one gpu::DeviceClassMemo per device class, attached to
+// every executor of that class on the shard as its context pool is built,
+// so identical devices share their solo-step and share-grant memos.
 //
 // Closed-world lifecycle: construct → place(tasks) → start(cfg) →
 // run_until(T) → reduce() → fleet_report(T).
@@ -172,6 +175,9 @@ class Cluster {
   /// Events fired on every shard calendar.
   std::size_t events_processed() const;
 
+  /// Device-class memos held, one per (shard, device class) in use.
+  std::size_t memo_count() const;
+
   // --- Open-world (fleet runtime) surface ---
 
   /// Adds a device mid-run (or before start). Its scheduler/pool/executor
@@ -228,6 +234,9 @@ class Cluster {
   PlacerDevice placer_device_for(const gpu::DeviceSpec& spec,
                                  const Device& dev) const;
   Device make_device(const gpu::DeviceSpec& spec, int index);
+  /// The memo of `exec`'s class on device `index`'s shard, created on
+  /// first use.
+  gpu::DeviceClassMemo& class_memo(int index, const gpu::Executor& exec);
   /// Shard calendar owning device `index`.
   sim::Engine& device_engine(int index) {
     return *engines_[shard_of(index, cfg_.shards)];
@@ -240,6 +249,9 @@ class Cluster {
   std::vector<std::unique_ptr<sim::Engine>> owned_engines_;
   std::unique_ptr<common::ThreadPool> pool_;  // shards 1..N-1; null at 1
   std::deque<metrics::Collector> collectors_;  // one per device
+  /// memos_[s]: shard s's device-class memos. Declared before devices_,
+  /// so they outlive the executors they are attached to.
+  std::vector<std::vector<std::unique_ptr<gpu::DeviceClassMemo>>> memos_;
   std::deque<Device> devices_;  // stable addresses under add_device
   std::unique_ptr<Placer> placer_;
   std::vector<rt::Task> rejected_;

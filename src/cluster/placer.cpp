@@ -117,47 +117,68 @@ bool Placer::order_ascending() const {
   return policy_ != PlacementPolicy::kWorstFit;
 }
 
-std::vector<int> Placer::candidate_order(const rt::Task& task) const {
-  const int n = num_devices();
-  std::vector<int> order(n);
-  std::iota(order.begin(), order.end(), 0);
-
+int Placer::cyclic_start(const rt::Task& task) const {
   switch (policy_) {
     case PlacementPolicy::kRoundRobin:
-      for (int i = 0; i < n; ++i) order[i] = (rr_next_ + i) % n;
-      break;
-    case PlacementPolicy::kHashAffinity: {
-      const int home = static_cast<int>(fnv1a(task.name) % n);
-      for (int i = 0; i < n; ++i) order[i] = (home + i) % n;
-      break;
-    }
+      return rr_next_;
+    case PlacementPolicy::kHashAffinity:
+      return static_cast<int>(fnv1a(task.name) % num_devices());
     case PlacementPolicy::kLeastLoaded:
     case PlacementPolicy::kBinPackUtilization:
     case PlacementPolicy::kBinPackMemory:
-    case PlacementPolicy::kWorstFit: {
-      std::vector<double> key(n);
-      for (int i = 0; i < n; ++i) key[i] = order_key(i);
-      const bool asc = order_ascending();
-      std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
-        return asc ? key[a] < key[b] : key[a] > key[b];
-      });
+    case PlacementPolicy::kWorstFit:
       break;
-    }
   }
+  return -1;
+}
+
+std::vector<int> Placer::candidate_order() const {
+  const int n = num_devices();
+  std::vector<int> order(n);
+  std::iota(order.begin(), order.end(), 0);
+  std::vector<double> key(n);
+  for (int i = 0; i < n; ++i) key[i] = order_key(i);
+  const bool asc = order_ascending();
+  std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
+    return asc ? key[a] < key[b] : key[a] > key[b];
+  });
   return order;
 }
 
-std::optional<int> Placer::force_place(const rt::Task& task) {
-  for (int d : candidate_order(task)) {
-    if (!devices_[d].active) continue;
-    devices_[d].controller.force_admit(task);
-    if (policy_ == PlacementPolicy::kRoundRobin) {
-      rr_next_ = (d + 1) % num_devices();
+template <typename Admit>
+std::optional<int> Placer::first_admitting(const rt::Task& task,
+                                           Admit admit) {
+  const int n = num_devices();
+  std::optional<int> chosen;
+  if (const int start = cyclic_start(task); start >= 0) {
+    // Expected O(1) to the first admitting device, not O(devices).
+    for (int i = 0, d = start; i < n; ++i, d = d + 1 == n ? 0 : d + 1) {
+      if (devices_[d].active && admit(d)) {
+        chosen = d;
+        break;
+      }
     }
-    return d;
+  } else {
+    for (int d : candidate_order()) {
+      if (devices_[d].active && admit(d)) {
+        chosen = d;
+        break;
+      }
+    }
   }
-  ++rejected_;
-  return std::nullopt;
+  if (chosen && policy_ == PlacementPolicy::kRoundRobin) {
+    rr_next_ = (*chosen + 1) % n;
+  }
+  return chosen;
+}
+
+std::optional<int> Placer::force_place(const rt::Task& task) {
+  const auto chosen = first_admitting(task, [&](int d) {
+    devices_[d].controller.force_admit(task);
+    return true;
+  });
+  if (!chosen) ++rejected_;
+  return chosen;
 }
 
 std::optional<int> Placer::place(const rt::Task& task) {
@@ -166,23 +187,17 @@ std::optional<int> Placer::place(const rt::Task& task) {
 
 PlaceResult Placer::place_ex(const rt::Task& task) {
   bool saw_oom = false;
-  for (int d : candidate_order(task)) {
-    if (!devices_[d].active) continue;
+  const auto chosen = first_admitting(task, [&](int d) {
     auto& controller = devices_[d].controller;
     if (margin_ <= 0.0) {
       controller.force_admit(task);  // admission control disabled
-    } else {
-      const rt::AdmitOutcome out = controller.try_admit_ex(task);
-      if (out != rt::AdmitOutcome::kAdmitted) {
-        saw_oom = saw_oom || out == rt::AdmitOutcome::kRejectedMemory;
-        continue;
-      }
+      return true;
     }
-    if (policy_ == PlacementPolicy::kRoundRobin) {
-      rr_next_ = (d + 1) % num_devices();
-    }
-    return PlaceResult{d, false};
-  }
+    const rt::AdmitOutcome out = controller.try_admit_ex(task);
+    saw_oom = saw_oom || out == rt::AdmitOutcome::kRejectedMemory;
+    return out == rt::AdmitOutcome::kAdmitted;
+  });
+  if (chosen) return PlaceResult{chosen, false};
   ++rejected_;
   if (saw_oom) ++oom_rejected_;
   return PlaceResult{std::nullopt, saw_oom};

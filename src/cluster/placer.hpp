@@ -7,6 +7,8 @@
 // and lands on the first one whose augmented task set still passes every
 // admission test; when no device passes, the task is rejected — and when
 // memory was the sole blocker anywhere, the rejection is classified OOM.
+// Round-robin and hash placement walk cyclically from their start device,
+// one device at a time; the load-keyed policies sort every device first.
 #pragma once
 
 #include <cstdint>
@@ -121,8 +123,17 @@ class Placer {
   /// True when the policy sorts candidates by order_key ascending
   /// (best-fit family); false for worst-fit's descending order.
   bool order_ascending() const;
-  /// Device indices in the order this policy wants them tried.
-  std::vector<int> candidate_order(const rt::Task& task) const;
+  /// Where round-robin and hash placement start their cyclic walk over
+  /// the devices, or -1 for the key-ordered policies.
+  int cyclic_start(const rt::Task& task) const;
+  /// Device indices in the order a key-ordered policy wants them tried.
+  std::vector<int> candidate_order() const;
+  /// Offers `task` to each active device in policy order until
+  /// `admit(device)` takes it; returns that device (advancing round-robin
+  /// past it), or std::nullopt. Round-robin and hash visit
+  /// (start + i) % n on demand instead of materialising the order.
+  template <typename Admit>
+  std::optional<int> first_admitting(const rt::Task& task, Admit admit);
 
   std::vector<DeviceState> devices_;
   PlacementPolicy policy_;

@@ -15,16 +15,16 @@ namespace {
 constexpr double kWorkEpsilon = 1e-12;
 
 // Running sets the share memo holds before it starts over. A curated pool
-// sees a few hundred per device; the cap only bounds memory when a device
-// runs many more streams than that.
+// sees a few hundred per device class; the cap only bounds memory when a
+// device runs many more streams than that.
 constexpr std::size_t kShareMemoCap = 4096;
 // The memo index's first size, allocated at the first contended lookup (a
 // power of two; it doubles to stay at most half full).
 constexpr std::size_t kShareMemoSlots = 16;
 
 // Solo steps the solo memo holds before it starts over. Stage programs
-// keep it to a few hundred per device; the cap bounds memory for an
-// executor fed one-off batches (enqueue_batch programs are never reused).
+// keep it to a few hundred per device class; the cap bounds memory for
+// executors fed one-off batches (enqueue_batch programs are never reused).
 constexpr std::size_t kSoloMemoCap = 16384;
 // The solo memo index's first size (a power of two; it doubles to stay at
 // most half full).
@@ -82,32 +82,50 @@ Executor::Executor(sim::Engine& engine, DeviceSpec device,
                    SpeedupModel speedup, SharingParams sharing)
     : engine_(engine),
       device_(std::move(device)),
-      speedup_(std::move(speedup)),
-      sharing_(sharing),
-      last_update_(engine.now()) {}
+      last_update_(engine.now()),
+      own_memo_(std::make_unique<DeviceClassMemo>(DeviceClass{
+          device_.total_sms, std::move(speedup), sharing, {}, {}})) {
+  memo_ = own_memo_.get();
+}
 
 ContextId Executor::create_context(int sm_limit) {
+  SGPRS_CHECK_MSG(own_memo_, "a context created after attach_memo");
   SGPRS_CHECK_MSG(sm_limit > 0 && sm_limit <= device_.total_sms,
                   "context SM limit must be in [1, total_sms]");
   contexts_.push_back(Context{});
-  context_sms_.push_back(sm_limit);
+  own_memo_->cls_.context_sms.push_back(sm_limit);
   return static_cast<ContextId>(contexts_.size() - 1);
 }
 
 StreamId Executor::create_stream(ContextId ctx, StreamPriority priority) {
+  SGPRS_CHECK_MSG(own_memo_, "a stream created after attach_memo");
   SGPRS_CHECK(ctx >= 0 && ctx < context_count());
   Stream s;
   s.ctx = ctx;
   s.priority = priority;
   streams_.push_back(std::move(s));
+  own_memo_->cls_.streams.push_back(DeviceClass::Stream{ctx, priority});
   // A memo key has one byte per stream: the new width starts afresh.
-  clear_share_memo();
+  own_memo_->clear_shares();
   return static_cast<StreamId>(streams_.size() - 1);
+}
+
+void Executor::attach_memo(DeviceClassMemo& memo) {
+  SGPRS_CHECK_MSG(memo.device_class() == device_class(),
+                  "a device-class memo attached to an executor of another "
+                  "class");
+  memo_ = &memo;
+  own_memo_.reset();
+  // The stream count is fixed from here on, so the completion path's
+  // scratch buffers take their size now: an executor joining a memo that
+  // others warmed allocates nothing at its first events either.
+  key_.resize(streams_.size());
+  callbacks_.reserve(streams_.size());
 }
 
 int Executor::context_sm_limit(ContextId c) const {
   SGPRS_CHECK(c >= 0 && c < context_count());
-  return context_sms_[c];
+  return device_class().context_sms[c];
 }
 
 ContextId Executor::stream_context(StreamId s) const {
@@ -243,8 +261,9 @@ void Executor::purge_all() {
 }
 
 double Executor::priority_weight(StreamPriority p) const {
-  return p == StreamPriority::kHigh ? sharing_.high_priority_weight
-                                    : sharing_.low_priority_weight;
+  const SharingParams& sharing = memo_->cls_.sharing;
+  return p == StreamPriority::kHigh ? sharing.high_priority_weight
+                                    : sharing.low_priority_weight;
 }
 
 void Executor::advance_progress() {
@@ -313,17 +332,19 @@ const KernelDesc& Executor::traced(const KernelDesc& k, std::uint64_t tag) {
 }
 
 ShareGrant Executor::solo_grant(const Stream& s, OpClass op) {
+  DeviceClassMemo& m = *memo_;
   const std::size_t row = static_cast<std::size_t>(s.ctx) * 2 +
                           static_cast<std::size_t>(s.priority);
   const std::size_t key = row * kOpClassCount + static_cast<std::size_t>(op);
-  if (key >= solo_grants_.size()) {
-    solo_grants_.resize((row + 1) * kOpClassCount);
+  if (key >= m.solo_grants_.size()) {
+    m.solo_grants_.resize((row + 1) * kOpClassCount);
   }
-  ShareGrant& g = solo_grants_[key];
+  ShareGrant& g = m.solo_grants_[key];
   if (g.rate == 0.0) {
-    g = compute_shares(speedup_, device_.total_sms, context_sms_,
+    const DeviceClass& cls = m.cls_;
+    g = compute_shares(cls.speedup, cls.total_sms, cls.context_sms,
                        {ShareRequest{s.ctx, priority_weight(s.priority), op}},
-                       sharing_)
+                       cls.sharing)
             .front();
     SGPRS_CHECK(g.rate > 0.0);
   }
@@ -362,6 +383,7 @@ void Executor::reschedule() {
 }
 
 const ShareGrant* Executor::contended_grants() {
+  DeviceClassMemo& m = *memo_;
   const std::size_t width = streams_.size();
   key_.resize(width);
   for (std::size_t sid = 0; sid < width; ++sid) {
@@ -371,20 +393,21 @@ const ShareGrant* Executor::contended_grants() {
                     : 0;
   }
   const std::uint64_t hash = hash_key(key_.data(), width);
-  if (memo_slots_.empty()) memo_slots_.resize(kShareMemoSlots);
-  std::size_t mask = memo_slots_.size() - 1;
+  if (m.share_slots_.empty()) m.share_slots_.resize(kShareMemoSlots);
+  std::size_t mask = m.share_slots_.size() - 1;
   std::size_t i = hash & mask;
-  for (; memo_slots_[i] != 0; i = (i + 1) & mask) {
-    const std::size_t e = memo_slots_[i] - 1;
-    if (std::memcmp(key_.data(), memo_keys_.data() + e * width, width) == 0) {
-      return memo_grants_.data() + e * width;
+  for (; m.share_slots_[i] != 0; i = (i + 1) & mask) {
+    const std::size_t e = m.share_slots_[i] - 1;
+    if (std::memcmp(key_.data(), m.share_keys_.data() + e * width, width) ==
+        0) {
+      return m.share_grants_.data() + e * width;
     }
   }
 
   // Miss: ask compute_shares, which stays the single source of grants. It
   // allocates, so the requests are built here rather than kept.
-  if (memo_keys_.size() == kShareMemoCap * width) {
-    clear_share_memo();
+  if (m.share_keys_.size() == kShareMemoCap * width) {
+    m.clear_shares();
     i = hash & mask;
   }
   std::vector<ShareRequest> reqs;
@@ -394,34 +417,29 @@ const ShareGrant* Executor::contended_grants() {
     reqs.push_back(
         ShareRequest{s.ctx, priority_weight(s.priority), s.running->desc->op});
   }
-  const auto grants = compute_shares(speedup_, device_.total_sms,
-                                     context_sms_, reqs, sharing_);
-  const std::size_t base = memo_keys_.size();
-  memo_keys_.insert(memo_keys_.end(), key_.begin(), key_.end());
-  memo_grants_.resize(base + width);
+  const DeviceClass& cls = m.cls_;
+  const auto grants = compute_shares(cls.speedup, cls.total_sms,
+                                     cls.context_sms, reqs, cls.sharing);
+  const std::size_t base = m.share_keys_.size();
+  m.share_keys_.insert(m.share_keys_.end(), key_.begin(), key_.end());
+  m.share_grants_.resize(base + width);
   for (std::size_t sid = 0, k = 0; sid < width; ++sid) {
-    if (key_[sid] != 0) memo_grants_[base + sid] = grants[k++];
+    if (key_[sid] != 0) m.share_grants_[base + sid] = grants[k++];
   }
   const std::size_t entries = base / width + 1;
-  memo_slots_[i] = static_cast<std::uint32_t>(entries);
+  m.share_slots_[i] = static_cast<std::uint32_t>(entries);
 
   // Keep the index at most half full.
-  if (2 * entries > memo_slots_.size()) {
-    memo_slots_.assign(2 * memo_slots_.size(), 0);
-    mask = memo_slots_.size() - 1;
+  if (2 * entries > m.share_slots_.size()) {
+    m.share_slots_.assign(2 * m.share_slots_.size(), 0);
+    mask = m.share_slots_.size() - 1;
     for (std::size_t e = 0; e < entries; ++e) {
-      std::size_t j = hash_key(memo_keys_.data() + e * width, width) & mask;
-      while (memo_slots_[j] != 0) j = (j + 1) & mask;
-      memo_slots_[j] = static_cast<std::uint32_t>(e + 1);
+      std::size_t j = hash_key(m.share_keys_.data() + e * width, width) & mask;
+      while (m.share_slots_[j] != 0) j = (j + 1) & mask;
+      m.share_slots_[j] = static_cast<std::uint32_t>(e + 1);
     }
   }
-  return memo_grants_.data() + base;
-}
-
-void Executor::clear_share_memo() {
-  memo_keys_.clear();
-  memo_grants_.clear();
-  std::fill(memo_slots_.begin(), memo_slots_.end(), 0);
+  return m.share_grants_.data() + base;
 }
 
 void Executor::arm_solo_chain(StreamId sid) {
@@ -459,34 +477,35 @@ const Executor::SoloStep* Executor::solo_steps(const Stream& s,
   // The solo class: a lone kernel's grant depends on its context only
   // through the context's SM limit, so the first context with the same
   // limit stands for all of them.
-  const auto same_limit =
-      std::find(context_sms_.begin(), context_sms_.end(), context_sms_[s.ctx]);
+  DeviceClassMemo& m = *memo_;
+  const std::vector<int>& sms = m.cls_.context_sms;
+  const auto same_limit = std::find(sms.begin(), sms.end(), sms[s.ctx]);
   const std::uint32_t cls =
-      static_cast<std::uint32_t>(same_limit - context_sms_.begin()) * 2 +
+      static_cast<std::uint32_t>(same_limit - sms.begin()) * 2 +
       static_cast<std::uint32_t>(s.priority);
   const std::uint64_t h = hash_solo(program.id(), cls);
-  if (solo_slots_.empty()) solo_slots_.resize(kSoloMemoSlots);
-  std::size_t mask = solo_slots_.size() - 1;
+  if (m.solo_slots_.empty()) m.solo_slots_.resize(kSoloMemoSlots);
+  std::size_t mask = m.solo_slots_.size() - 1;
   std::size_t i = h & mask;
-  for (; solo_slots_[i] != 0; i = (i + 1) & mask) {
-    const SoloRow& row = solo_rows_[solo_slots_[i] - 1];
+  for (; m.solo_slots_[i] != 0; i = (i + 1) & mask) {
+    const SoloRow& row = m.solo_rows_[m.solo_slots_[i] - 1];
     if (row.program == program.id() && row.solo_class == cls) {
-      return solo_steps_.data() + row.first;
+      return m.solo_steps_.data() + row.first;
     }
   }
 
   // Miss: run each kernel alone from a cold start, with the per-kernel
   // path's arithmetic (catch_up's retirement of one kernel).
   const std::size_t n = program.size();
-  if (solo_steps_.size() + n > kSoloMemoCap && !solo_rows_.empty()) {
-    solo_rows_.clear();
-    solo_steps_.clear();
-    std::fill(solo_slots_.begin(), solo_slots_.end(), 0);
+  if (m.solo_steps_.size() + n > kSoloMemoCap && !m.solo_rows_.empty()) {
+    m.solo_rows_.clear();
+    m.solo_steps_.clear();
+    std::fill(m.solo_slots_.begin(), m.solo_slots_.end(), 0);
     i = h & mask;
   }
-  const std::size_t first = solo_steps_.size();
-  solo_steps_.resize(first + n);
-  SoloStep* steps = solo_steps_.data() + first;
+  const std::size_t first = m.solo_steps_.size();
+  m.solo_steps_.resize(first + n);
+  SoloStep* steps = m.solo_steps_.data() + first;
   for (std::size_t j = 0; j < n; ++j) {
     const KernelDesc& k = program.kernels()[j];
     const ShareGrant g = solo_grant(s, k.op);
@@ -511,20 +530,20 @@ const Executor::SoloStep* Executor::solo_steps(const Stream& s,
     tail += steps[j].ns;
     steps[j].tail_ns = tail;
   }
-  solo_rows_.push_back(
+  m.solo_rows_.push_back(
       SoloRow{program.id(), cls, static_cast<std::uint32_t>(first)});
-  const std::size_t rows = solo_rows_.size();
-  solo_slots_[i] = static_cast<std::uint32_t>(rows);
+  const std::size_t rows = m.solo_rows_.size();
+  m.solo_slots_[i] = static_cast<std::uint32_t>(rows);
 
   // Keep the index at most half full.
-  if (2 * rows > solo_slots_.size()) {
-    solo_slots_.assign(2 * solo_slots_.size(), 0);
-    mask = solo_slots_.size() - 1;
+  if (2 * rows > m.solo_slots_.size()) {
+    m.solo_slots_.assign(2 * m.solo_slots_.size(), 0);
+    mask = m.solo_slots_.size() - 1;
     for (std::size_t r = 0; r < rows; ++r) {
       std::size_t j =
-          hash_solo(solo_rows_[r].program, solo_rows_[r].solo_class) & mask;
-      while (solo_slots_[j] != 0) j = (j + 1) & mask;
-      solo_slots_[j] = static_cast<std::uint32_t>(r + 1);
+          hash_solo(m.solo_rows_[r].program, m.solo_rows_[r].solo_class) & mask;
+      while (m.solo_slots_[j] != 0) j = (j + 1) & mask;
+      m.solo_slots_[j] = static_cast<std::uint32_t>(r + 1);
     }
   }
   return steps;

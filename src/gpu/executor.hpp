@@ -42,11 +42,19 @@
 // set — each stream's running op class, since a stream's context and
 // priority, the context SM limits and the sharing parameters are fixed.
 // The executor memoises its grants keyed by that set, so a repeated set
-// costs one lookup and returns the exact doubles a fresh call would. The
-// memo, like every scratch buffer of the completion path, belongs to this
-// executor (shards run executors on separate threads), and after warm-up a
-// contended completion touches no allocator. docs/ARCHITECTURE.md
+// costs one lookup and returns the exact doubles a fresh call would. Every
+// scratch buffer of the completion path belongs to this executor, and after
+// warm-up a contended completion touches no allocator. docs/ARCHITECTURE.md
 // § "Contended shares" is the design note.
+//
+// Device-class memos: the solo-grant, solo-step and share memos live in a
+// gpu::DeviceClassMemo (device_class_memo.hpp), not in the executor. Every
+// entry is a pure function of the device class — SM count, speedup model,
+// sharing parameters, context SM limits, each stream's (context, priority)
+// — so cluster::Cluster attaches one memo per (shard, class) to all its
+// executors of that class, and an executor built elsewhere owns one. The
+// pointer is bound once, at attach_memo; a hit returns the same doubles
+// whichever executor of the class computed it.
 #pragma once
 
 #include <cstdint>
@@ -57,6 +65,7 @@
 #include "common/inplace_function.hpp"
 #include "common/time.hpp"
 #include "gpu/device.hpp"
+#include "gpu/device_class_memo.hpp"
 #include "gpu/kernel.hpp"
 #include "gpu/sharing.hpp"
 #include "gpu/speedup.hpp"
@@ -66,11 +75,6 @@
 namespace sgprs::gpu {
 
 using common::SimTime;
-
-using ContextId = int;
-using StreamId = int;
-
-enum class StreamPriority : std::uint8_t { kHigh = 0, kLow = 1 };
 
 /// Invoked in simulation time when a kernel (or batch) fully completes.
 /// Inline capacity covers every capture the callers create (the largest
@@ -89,10 +93,20 @@ class Executor {
 
   /// Creates a context limited to `sm_limit` SMs. The pool may be
   /// over-subscribed: no check against the device total (that is the point).
+  /// Not after attach_memo (checked): that would change the class.
   ContextId create_context(int sm_limit);
 
-  /// Creates a stream in `ctx` with the given priority.
+  /// Creates a stream in `ctx` with the given priority. Not after
+  /// attach_memo (checked).
   StreamId create_stream(ContextId ctx, StreamPriority priority);
+
+  /// Replaces this executor's own memo with `memo`, shared with the other
+  /// executors of its class; `memo` must be of this executor's class
+  /// (checked) and outlive the executor.
+  void attach_memo(DeviceClassMemo& memo);
+
+  /// The class this executor's memo entries are a function of.
+  const DeviceClass& device_class() const { return memo_->device_class(); }
 
   /// Enqueues every kernel of `program` in order; `on_done` (optional)
   /// fires when the last one completes. The trace sink sees the kernels
@@ -142,17 +156,18 @@ class Executor {
   SimTime running_remaining(StreamId s);
 
   const DeviceSpec& device() const { return device_; }
-  const SpeedupModel& speedup_model() const { return speedup_; }
-  const SharingParams& sharing_params() const { return sharing_; }
+  const SpeedupModel& speedup_model() const { return device_class().speedup; }
+  const SharingParams& sharing_params() const {
+    return device_class().sharing;
+  }
   sim::Engine& engine() { return engine_; }
 
   void set_trace_sink(TraceSink* sink) { trace_ = sink; }
 
-  /// Distinct running sets whose contended grants are memoised (tests use
-  /// it to see that the memo was hit).
-  std::size_t share_memo_size() const {
-    return streams_.empty() ? 0 : memo_keys_.size() / streams_.size();
-  }
+  /// Distinct running sets whose contended grants are memoised, by every
+  /// executor sharing this one's memo (tests use it to see that the memo
+  /// was hit).
+  std::size_t share_memo_size() const { return memo_->share_sets(); }
 
  private:
   // One submission: a program, the index of its next kernel to start, the
@@ -218,25 +233,8 @@ class Executor {
     int running_count = 0;
   };
 
-  // One kernel run alone from a cold start in a given solo class:
-  // its duration, the nanoseconds from its start to its program's end, and
-  // what its retirement adds to work_done_ (work phase, then the residue
-  // below kWorkEpsilon) and to busy_sm_seconds_.
-  struct SoloStep {
-    std::int64_t ns = 0;
-    std::int64_t tail_ns = 0;
-    double work = 0.0;
-    double residue = 0.0;
-    double busy = 0.0;
-  };
-
-  // A solo-step memo row: `program`'s steps in one solo class start at
-  // solo_steps_[first].
-  struct SoloRow {
-    std::uint64_t program = 0;
-    std::uint32_t solo_class = 0;
-    std::uint32_t first = 0;
-  };
+  using SoloStep = DeviceClassMemo::SoloStep;
+  using SoloRow = DeviceClassMemo::SoloRow;
 
   // Queues a submission, then starts the stream or extends its open solo
   // chain.
@@ -257,8 +255,6 @@ class Executor {
   // The grants of the current running set (two or more kernels), indexed
   // by stream, from the memo or, on a miss, from compute_shares.
   const ShareGrant* contended_grants();
-  // Empties the share memo, keeping its storage.
-  void clear_share_memo();
   void arm_solo_chain(StreamId sid);
   // Retires the armed solo chain's callback-free kernels that end by `now`;
   // returns how many it retired.
@@ -284,15 +280,12 @@ class Executor {
 
   sim::Engine& engine_;
   DeviceSpec device_;
-  SpeedupModel speedup_;
-  SharingParams sharing_;
   TraceSink* trace_ = nullptr;
+  // The memo every lookup goes through: own_memo_ until attach_memo.
+  DeviceClassMemo* memo_ = nullptr;
 
   std::vector<Context> contexts_;
   std::vector<Stream> streams_;
-  // solo_grant's memo, indexed by (context, priority, op); a zero rate
-  // marks an entry not computed yet. Grown only as contexts run solo.
-  std::vector<ShareGrant> solo_grants_;
 
   SimTime last_update_ = SimTime::zero();
   sim::EventId completion_event_ = sim::kInvalidEvent;
@@ -311,24 +304,8 @@ class Executor {
   int defer_depth_ = 0;
   bool needs_reschedule_ = false;
 
-  // Declared last, so the scalars above keep their cache lines.
-  // Context SM limits, as compute_shares takes them.
-  std::vector<int> context_sms_;
-
-  // contended_grants' memo. A key is stream_count() bytes: each stream's
-  // running op class + 1, or 0 for an idle stream. Entry i's key and its
-  // grants, indexed by stream (an idle stream's left zero), start at
-  // i * stream_count() in memo_keys_ and memo_grants_. memo_slots_ is an
-  // open-addressing index (entry + 1, 0 = empty).
-  std::vector<std::uint8_t> memo_keys_;
-  std::vector<ShareGrant> memo_grants_;
-  std::vector<std::uint32_t> memo_slots_;
-
-  // solo_steps' memo, allocated at the first solo chain: rows, their
-  // steps, and an open-addressing index over the rows (row + 1, 0 = empty).
-  std::vector<SoloRow> solo_rows_;
-  std::vector<SoloStep> solo_steps_;
-  std::vector<std::uint32_t> solo_slots_;
+  // This executor's own memo; null once attach_memo shares another.
+  std::unique_ptr<DeviceClassMemo> own_memo_;
 
   // Scratch buffers reused by every reschedule and completion event.
   std::vector<std::uint8_t> key_;

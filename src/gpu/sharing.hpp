@@ -36,6 +36,8 @@ struct SharingParams {
   /// over-subscribed; models MPS context-switch thrash. Applied as
   /// 1/(1 + kappa * (active_contexts - 1) * max(0, oversub - 1)).
   double oversub_thrash_kappa = 0.12;
+
+  bool operator==(const SharingParams&) const = default;
 };
 
 /// One concurrently-running kernel, as seen by the allocator.

@@ -35,6 +35,8 @@ class SpeedupModel {
 
   int reference_sms() const { return reference_sms_; }
 
+  bool operator==(const SpeedupModel&) const = default;
+
  private:
   std::array<double, kOpClassCount> f_{};
   int reference_sms_;

@@ -326,5 +326,98 @@ TEST(PlacerProperty, DisabledAdmissionNeverRejects) {
   }
 }
 
+/// The placer's affinity hash (FNV-1a over the task name), so the test can
+/// materialise the order hash placement walks.
+std::uint64_t affinity_hash(const std::string& name) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (unsigned char c : name) {
+    h ^= c;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+TEST(PlacerProperty, CyclicWalkChoosesAsTheMaterialisedOrder) {
+  // Round-robin and hash placement walk (start + i) % n on demand. Over
+  // 1000 devices, some inactive, some with too little memory and many
+  // filling up, every placement must land where the materialised order
+  // lands: the first active device in it that admits the task. Whether a
+  // device admits is asked of a one-device placer mirroring it, which the
+  // oracle then keeps in step.
+  constexpr int kDevices = 1000;
+  PlacerDevice base = small_device();
+  for (const auto policy :
+       {PlacementPolicy::kRoundRobin, PlacementPolicy::kHashAffinity}) {
+    SCOPED_TRACE(to_string(policy));
+    common::Rng rng(static_cast<std::uint64_t>(policy) + 77);
+    std::vector<PlacerDevice> devices;
+    std::vector<Placer> mirror;
+    for (int d = 0; d < kDevices; ++d) {
+      PlacerDevice dev = base;
+      if (rng.next_double() < 0.1) dev.spec.mem_bytes = 1ll << 28;  // 256 MiB
+      devices.push_back(dev);
+      mirror.emplace_back(std::vector<PlacerDevice>{dev}, policy, kMargin);
+    }
+    Placer placer(devices, policy, kMargin);
+    std::vector<bool> active(kDevices, true);
+    int rr = 0;
+    int placed = 0;
+    int probed_past_start = 0;
+    for (int i = 0; i < 2400; ++i) {
+      if (i % 100 == 0) {
+        for (int d = 0; d < kDevices; ++d) {
+          active[d] = rng.next_double() >= 0.1;
+          placer.set_device_active(d, active[d]);
+        }
+      }
+      rt::Task t = make_task(i, "t" + std::to_string(rng.uniform_int(0, 39)),
+                             rng.uniform(0.1, 0.6));
+      t.mem_bytes = static_cast<std::int64_t>(rng.uniform(0.0, 1.0) *
+                                              static_cast<double>(1ll << 30));
+      const bool force = i % 10 == 9;
+
+      const int start =
+          policy == PlacementPolicy::kRoundRobin
+              ? rr
+              : static_cast<int>(affinity_hash(t.name) % kDevices);
+      std::vector<int> order(kDevices);
+      for (int k = 0; k < kDevices; ++k) order[k] = (start + k) % kDevices;
+      PlaceResult want;
+      for (int d : order) {
+        if (!active[d]) continue;
+        if (force) {
+          mirror[d].force_place(t);
+          want.device = d;
+          break;
+        }
+        const PlaceResult r = mirror[d].place_ex(t);
+        if (r.device) {
+          want.device = d;
+          break;
+        }
+        want.oom = want.oom || r.oom;
+      }
+      if (want.device) want.oom = false;  // oom classifies rejections only
+      if (want.device && policy == PlacementPolicy::kRoundRobin) {
+        rr = (*want.device + 1) % kDevices;
+      }
+
+      PlaceResult got;
+      if (force) {
+        got.device = placer.force_place(t);
+      } else {
+        got = placer.place_ex(t);
+      }
+      ASSERT_EQ(got.device, want.device) << "task " << i;
+      ASSERT_EQ(got.oom, want.oom) << "task " << i;
+      placed += got.device ? 1 : 0;
+      probed_past_start += got.device && *got.device != start ? 1 : 0;
+    }
+    // The walk really had to skip inactive and full devices.
+    EXPECT_GT(probed_past_start, 500);
+    EXPECT_GT(placed, 2000);
+  }
+}
+
 }  // namespace
 }  // namespace sgprs::cluster

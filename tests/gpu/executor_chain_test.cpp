@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <ostream>
 #include <sstream>
 #include <string>
@@ -175,12 +176,16 @@ struct Outcome {
 
 /// Drives one executor type through a plan. Both executors share the API,
 /// so the same code runs the oracle and the chain executor; only program
-/// submissions differ, the oracle taking their kernels as batches.
+/// submissions differ, the oracle taking their kernels as batches. The
+/// harness runs on an engine of its own, or on `shared` next to others.
 template <typename Exec>
 class Harness {
  public:
-  explicit Harness(const Plan& plan, bool traced = true)
+  explicit Harness(const Plan& plan, bool traced = true,
+                   sim::Engine* shared = nullptr)
       : plan_(plan),
+        own_engine_(shared ? nullptr : std::make_unique<sim::Engine>()),
+        engine_(shared ? *shared : *own_engine_),
         exec_(engine_, rtx2080ti(), SpeedupModel::rtx2080ti(), plan.sharing) {
     if (traced) exec_.set_trace_sink(&trace_);
     for (const auto& kernels : plan.programs) programs_.emplace_back(kernels);
@@ -195,6 +200,16 @@ class Harness {
   /// event already pending for that instant fires before it.
   Outcome run(Probe probe = Probe::kNone, std::int64_t probe_ns = -1,
               bool two_step = true) {
+    arm(probe, probe_ns, two_step);
+    engine_.run();
+    return finish();
+  }
+
+  Exec& exec() { return exec_; }
+
+  /// Schedules the plan (and `probe`) on the engine.
+  void arm(Probe probe = Probe::kNone, std::int64_t probe_ns = -1,
+           bool two_step = true) {
     for (std::size_t i = 0; i < plan_.batches.size(); ++i) {
       if (plan_.batches[i].at_ns < 0) continue;
       const int b = static_cast<int>(i);
@@ -218,7 +233,10 @@ class Harness {
         engine_.schedule_at(at, [this, probe] { fire(probe); });
       }
     }
-    engine_.run();
+  }
+
+  /// What the plan did, once the engine has run it.
+  Outcome finish() {
     out_.trace = trace_.events;
     out_.work = exec_.total_work_done();
     out_.busy = exec_.busy_sm_seconds();
@@ -304,7 +322,8 @@ class Harness {
   }
 
   const Plan& plan_;
-  sim::Engine engine_;
+  std::unique_ptr<sim::Engine> own_engine_;
+  sim::Engine& engine_;
   Exec exec_;
   std::vector<KernelProgram> programs_;
   TraceLog trace_;
@@ -635,6 +654,111 @@ TEST(ShareMemoDifferential, TwoHundredSeedsMatchThePerKernelOracle) {
   // they must dominate.
   EXPECT_GT(memo_entries, 0u);
   EXPECT_LT(3 * memo_entries, lookups);
+}
+
+/// contended_plan(seed)'s jobs on `cls`'s device class: its sharing
+/// parameters, contexts and streams, with every job's stream folded onto
+/// them.
+Plan plan_of_class(const Plan& cls, std::uint64_t seed) {
+  Plan p = contended_plan(seed);
+  p.sharing = cls.sharing;
+  p.context_sms = cls.context_sms;
+  p.streams = cls.streams;
+  for (Batch& b : p.batches) b.stream %= static_cast<int>(p.streams.size());
+  return p;
+}
+
+/// Overflows `memo` from one more executor of `cls`'s class, on an engine
+/// of its own, until its solo-step table has started over and, when the
+/// class has streams enough to hold that many running sets, its share
+/// table too. Returns whether the share table started over.
+bool overflow_memo(const Plan& cls, DeviceClassMemo& memo,
+                   std::uint64_t seed) {
+  sim::Engine side;
+  Executor filler(side, rtx2080ti(), SpeedupModel::rtx2080ti(), cls.sharing);
+  for (int sms : cls.context_sms) filler.create_context(sms);
+  for (const auto& s : cls.streams) filler.create_stream(s.ctx, s.priority);
+  filler.attach_memo(memo);
+  common::Rng rng(seed);
+
+  // Each one-off batch queued behind a lone running kernel with no
+  // callback extends its solo chain, adding one solo-step row.
+  KernelDesc lone;
+  lone.work_sm_seconds = 1.0;
+  filler.enqueue(0, lone, {});
+  for (std::size_t held = 0, i = 0;; ++i) {
+    EXPECT_LT(i, 10000u) << "the solo-step table never started over";
+    if (i == 10000) return false;
+    std::vector<KernelDesc> batch;
+    for (int k = 0; k < 8; ++k) batch.push_back(random_kernel(rng, 0));
+    filler.enqueue_batch(0, std::move(batch), {});
+    if (memo.solo_step_count() < held) break;
+    held = memo.solo_step_count();
+  }
+  filler.purge_all();
+
+  // Kernels of every op class on every stream: nearly every boundary is a
+  // running set not seen before. Five streams give 10^5 possible sets.
+  const int streams = filler.stream_count();
+  if (streams < 5) return false;
+  for (StreamId s = 0; s < streams; ++s) {
+    for (int k = 0; k < 2 * 8192 / streams; ++k) {
+      filler.enqueue(s, random_kernel(rng, 0), {});
+    }
+  }
+  for (std::size_t held = memo.share_sets(); side.step();) {
+    if (memo.share_sets() < held) return true;
+    held = memo.share_sets();
+  }
+  return false;
+}
+
+TEST(ShareMemoDifferential, SharedMemoExecutorsMatchTheirOracles) {
+  // Two or three executors of one class run interleaved plans on one
+  // engine, sharing one memo that another executor of the class overflows
+  // mid-run. Each must match its own plan's per-kernel oracle.
+  int share_resets = 0;
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const Plan cls = contended_plan(seed);
+    std::vector<Plan> plans;
+    const int executors = 2 + static_cast<int>(seed % 2);
+    for (int i = 0; i < executors; ++i) {
+      plans.push_back(plan_of_class(cls, seed * 7919 + i));
+    }
+
+    sim::Engine engine;
+    std::vector<std::unique_ptr<Harness<Executor>>> shared;
+    for (const Plan& plan : plans) {
+      shared.push_back(
+          std::make_unique<Harness<Executor>>(plan, true, &engine));
+    }
+    DeviceClassMemo memo(shared.front()->exec().device_class());
+    for (auto& h : shared) {
+      h->exec().attach_memo(memo);
+      h->arm();
+    }
+    common::Rng rng(seed);
+    const auto overflow_ns = static_cast<std::int64_t>(rng.uniform(0.0, 3e6));
+    engine.schedule_at(SimTime::from_ns(overflow_ns), [&] {
+      share_resets += overflow_memo(cls, memo, seed) ? 1 : 0;
+    });
+    engine.run();
+
+    for (std::size_t i = 0; i < plans.size(); ++i) {
+      SCOPED_TRACE("executor " + std::to_string(i));
+      const Outcome got = shared[i]->finish();
+      const Outcome want = Harness<ReferenceExecutor>(plans[i]).run();
+      // The engine is shared, so its event count and end time are not
+      // this executor's.
+      EXPECT_EQ(got.callbacks, want.callbacks);
+      EXPECT_EQ(got.trace, want.trace);
+      EXPECT_EQ(got.snapshots, want.snapshots);
+      EXPECT_EQ(got.work, want.work);
+      EXPECT_EQ(got.busy, want.busy);
+    }
+  }
+  EXPECT_GT(share_resets, 100);
 }
 
 TEST(SoloChain, LoneResnet18JobFiresOneEventPerStage) {

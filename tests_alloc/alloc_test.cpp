@@ -5,7 +5,9 @@
 // have been seen, a completion event with several kernels running touches
 // no allocator. A lone stream running shared stage programs replays them
 // from the solo-step memo, so once each program has run, dispatching a
-// stage and its chain event touch no allocator either. This binary
+// stage and its chain event touch no allocator either. Both memos belong
+// to the device class, so an executor attached to a memo another executor
+// of its class warmed allocates nothing from its first event on. This binary
 // replaces the global operator new to count every allocation in its
 // process, which is why it is its own executable rather than part of
 // sgprs_tests.
@@ -14,6 +16,7 @@
 #include <cstddef>
 #include <cstdlib>
 #include <new>
+#include <vector>
 
 #include "dnn/builders.hpp"
 #include "dnn/partition.hpp"
@@ -192,6 +195,82 @@ TEST(SoloChainAllocations, ProgramStagesOnALoneStreamAllocateNothing) {
   EXPECT_EQ(job.stage_ends - ends_before, kStages);
   EXPECT_EQ(engine.processed_count() - events_before,
             static_cast<std::size_t>(kStages));
+}
+
+/// The paper's pool on `exec`: 2 contexts at over-subscription 1.5, two
+/// high- and two low-priority streams each.
+ContextPool paper_pool(Executor& exec) {
+  ContextPoolConfig cfg;
+  cfg.num_contexts = 2;
+  cfg.oversubscription = 1.5;
+  return ContextPool(exec, cfg);
+}
+
+/// One frame of `stages` on every stream in `streams`, queued up front;
+/// each stage end counts into `stage_ends`.
+void queue_frame(Executor& exec, const std::vector<StreamId>& streams,
+                 const std::vector<KernelProgram>& stages, int& stage_ends) {
+  for (StreamId s : streams) {
+    for (const auto& stage : stages) {
+      exec.enqueue_program(s, stage, /*tag=*/7,
+                           [&stage_ends](SimTime) { ++stage_ends; });
+    }
+  }
+}
+
+TEST(DeviceClassMemoAllocations, ExecutorJoiningAWarmMemoAllocatesNothing) {
+  // Executor `a` warms a shared memo with one frame on a lone stream (solo
+  // chains), then one frame on all eight streams (contended completions).
+  // Executor `b`, of the same class and attached to the same memo, then
+  // replays both: every lookup hits, and its events allocate nothing.
+  const dnn::Network net = dnn::resnet18();
+  const dnn::CostModel cost = dnn::CostModel::calibrated();
+  const dnn::StagePlan plan = dnn::partition_into_stages(net, cost, 6);
+  std::vector<KernelProgram> stages;
+  for (const auto& stage : plan.stages) {
+    stages.emplace_back(dnn::stage_kernels(net, cost, stage));
+  }
+
+  sim::Engine engine;
+  Executor a(engine, rtx2080ti(), SpeedupModel::rtx2080ti(), SharingParams{});
+  Executor b(engine, rtx2080ti(), SpeedupModel::rtx2080ti(), SharingParams{});
+  const ContextPool pool_a = paper_pool(a);
+  const ContextPool pool_b = paper_pool(b);
+  DeviceClassMemo memo(a.device_class());
+  a.attach_memo(memo);
+  b.attach_memo(memo);
+  const std::vector<StreamId> lone = {pool_a.at(0).low_streams.front()};
+  std::vector<StreamId> every;
+  for (StreamId s = 0; s < a.stream_count(); ++s) every.push_back(s);
+  const std::vector<StreamId>& all = every;
+
+  int stage_ends = 0;
+  for (Executor* exec : {&a, &b}) {
+    const bool warm = exec == &b;
+    SCOPED_TRACE(warm ? "joining executor" : "warming executor");
+    const std::size_t share_sets = memo.share_sets();
+    const std::size_t solo_steps = memo.solo_step_count();
+    for (const auto* streams : {&lone, &all}) {
+      queue_frame(*exec, *streams, stages, stage_ends);
+      const int ends_before = stage_ends;
+      const std::size_t before = g_allocations;
+      engine.run();
+      const int ends = static_cast<int>(streams->size() * stages.size());
+      EXPECT_EQ(stage_ends - ends_before, ends);
+      if (warm) {
+        EXPECT_EQ(g_allocations - before, 0u)
+            << "over " << ends << " stages on " << streams->size()
+            << " streams";
+      }
+    }
+    if (warm) {
+      EXPECT_EQ(memo.share_sets(), share_sets);
+      EXPECT_EQ(memo.solo_step_count(), solo_steps);
+    } else {
+      EXPECT_GT(memo.share_sets(), 0u);
+      EXPECT_GT(memo.solo_step_count(), 0u);
+    }
+  }
 }
 
 }  // namespace
