@@ -62,6 +62,7 @@ Cluster::Device Cluster::make_device(const gpu::DeviceSpec& spec, int index) {
       engine, spec, gpu::SpeedupModel::rtx2080ti(), cfg_.sharing);
   dev.pool = std::make_unique<gpu::ContextPool>(*dev.exec, cfg_.pool);
   dev.exec->attach_memo(class_memo(index, *dev.exec));
+  dev.exec->set_input_bound([this, index] { return input_bound(index); });
   std::unique_ptr<rt::Scheduler> scheduler;
   switch (cfg_.scheduler) {
     case rt::SchedulerKind::kSgprs:
@@ -83,6 +84,14 @@ Cluster::Device Cluster::make_device(const gpu::DeviceSpec& spec, int index) {
     }
   }
   return dev;
+}
+
+SimTime Cluster::input_bound(int index) const {
+  const Device& dev = devices_[index];
+  const SimTime bound =
+      std::min(dev.scheduler->next_timer(),
+               engines_[shard_of(index, cfg_.shards)]->horizon());
+  return dev.runner ? std::min(bound, dev.runner->next_release()) : bound;
 }
 
 gpu::DeviceClassMemo& Cluster::class_memo(int index,

@@ -234,6 +234,12 @@ class Cluster {
   PlacerDevice placer_device_for(const gpu::DeviceSpec& spec,
                                  const Device& dev) const;
   Device make_device(const gpu::DeviceSpec& spec, int index);
+  /// The earliest instant an input can reach device `index`'s executor:
+  /// its runner's next release, its scheduler's next timer, or the end of
+  /// the shard's run_until — where the control plane acts. A function of
+  /// the device and the epoch instants alone, so the same at any shard
+  /// count.
+  SimTime input_bound(int index) const;
   /// The memo of `exec`'s class on device `index`'s shard, created on
   /// first use.
   gpu::DeviceClassMemo& class_memo(int index, const gpu::Executor& exec);

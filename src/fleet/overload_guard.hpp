@@ -164,6 +164,7 @@ class OverloadGuard final : public rt::Scheduler {
   int jobs_in_flight() const override { return inner_->jobs_in_flight(); }
   int abort_in_flight() override { return inner_->abort_in_flight(); }
   std::string name() const override { return inner_->name(); }
+  common::SimTime next_timer() const override { return inner_->next_timer(); }
   const rt::Scheduler* unwrap() const override { return inner_->unwrap(); }
 
   /// Forward so the wrapped scheduler records release/dispatch/complete

@@ -123,24 +123,40 @@ void Executor::attach_memo(DeviceClassMemo& memo) {
   callbacks_.reserve(streams_.size());
 }
 
+void Executor::check_not_ahead() const {
+  SGPRS_CHECK_MSG(last_update_ <= engine_.now(),
+                  "executor entered at " << engine_.now().ns
+                      << " ns with its contended chain stepped to "
+                      << last_update_.ns << " ns: an input arrived before "
+                      << "the input bound");
+}
+
+void Executor::settle() {
+  check_not_ahead();
+  catch_up(engine_.now());
+}
+
 int Executor::context_sm_limit(ContextId c) const {
   SGPRS_CHECK(c >= 0 && c < context_count());
+  check_not_ahead();
   return device_class().context_sms[c];
 }
 
 ContextId Executor::stream_context(StreamId s) const {
   SGPRS_CHECK(s >= 0 && s < stream_count());
+  check_not_ahead();
   return streams_[s].ctx;
 }
 
 StreamPriority Executor::stream_priority(StreamId s) const {
   SGPRS_CHECK(s >= 0 && s < stream_count());
+  check_not_ahead();
   return streams_[s].priority;
 }
 
 std::size_t Executor::stream_queue_length(StreamId s) {
   SGPRS_CHECK(s >= 0 && s < stream_count());
-  catch_up(engine_.now());
+  settle();
   std::size_t queued = 0;
   for (const Entry& e : streams_[s].queue) queued += e.program->size() - e.next;
   return queued;
@@ -148,35 +164,35 @@ std::size_t Executor::stream_queue_length(StreamId s) {
 
 bool Executor::stream_busy(StreamId s) {
   SGPRS_CHECK(s >= 0 && s < stream_count());
-  catch_up(engine_.now());
+  settle();
   return streams_[s].running.has_value() || !streams_[s].queue.empty();
 }
 
 int Executor::running_kernel_count() {
-  catch_up(engine_.now());
+  settle();
   return running_count_;
 }
 
 int Executor::context_running_count(ContextId c) {
   SGPRS_CHECK(c >= 0 && c < context_count());
-  catch_up(engine_.now());
+  settle();
   return contexts_[c].running_count;
 }
 
 double Executor::total_work_done() {
-  catch_up(engine_.now());
+  settle();
   return work_done_;
 }
 
 double Executor::busy_sm_seconds() {
   // Up to date only as of last_update_; good enough for end-of-run stats.
-  catch_up(engine_.now());
+  settle();
   return busy_sm_seconds_;
 }
 
 SimTime Executor::running_remaining(StreamId s) {
   SGPRS_CHECK(s >= 0 && s < stream_count());
-  catch_up(engine_.now());
+  settle();
   const auto& run = streams_[s].running;
   if (!run) return SimTime::max();
   const double elapsed = (engine_.now() - last_update_).to_sec();
@@ -211,6 +227,7 @@ void Executor::submit(StreamId stream, const KernelProgram* program,
                       std::unique_ptr<const KernelProgram> owned,
                       std::uint64_t tag, CompletionFn on_done) {
   SGPRS_CHECK(stream >= 0 && stream < stream_count());
+  check_not_ahead();
   Stream& s = streams_[stream];
   Entry& e = s.queue.push_back();
   e.program = program;
@@ -236,7 +253,7 @@ void Executor::start_if_idle(StreamId stream) {
   if (streams_[stream].running) return;
   // Starting a second stream ends any solo chain: settle it up to now.
   catch_up(engine_.now());
-  advance_progress();
+  advance_progress(engine_.now());
   start_next(stream, engine_.now());
   reschedule();
 }
@@ -245,8 +262,8 @@ void Executor::purge_all() {
   // Credit busy-SM time and work completed up to the crash instant, then
   // drop everything in flight on the floor: no callbacks, no trace end
   // events, no work_done_ for the unfinished residue.
-  catch_up(engine_.now());
-  advance_progress();
+  settle();
+  advance_progress(engine_.now());
   for (auto& s : streams_) {
     s.queue.clear();
     if (s.running) {
@@ -257,6 +274,7 @@ void Executor::purge_all() {
   }
   SGPRS_CHECK(running_count_ == 0);
   cancel_completion();
+  callbacks_.clear();
   needs_reschedule_ = false;
 }
 
@@ -266,10 +284,9 @@ double Executor::priority_weight(StreamPriority p) const {
                                     : sharing.low_priority_weight;
 }
 
-void Executor::advance_progress() {
-  const SimTime now = engine_.now();
-  const double elapsed = (now - last_update_).to_sec();
-  last_update_ = now;
+void Executor::advance_progress(SimTime to) {
+  const double elapsed = (to - last_update_).to_sec();
+  last_update_ = to;
   if (elapsed <= 0.0 || running_count_ == 0) return;
   for (auto& s : streams_) {
     if (s.running) advance_kernel(*s.running, elapsed);
@@ -366,6 +383,11 @@ void Executor::reschedule() {
     }
   }
 
+  completion_event_ = engine_.schedule_at(
+      contended_boundary(), [this] { on_completion_event(); });
+}
+
+SimTime Executor::contended_boundary() {
   const ShareGrant* grants = contended_grants();
   double min_finish = std::numeric_limits<double>::infinity();
   for (StreamId sid = 0; sid < stream_count(); ++sid) {
@@ -377,9 +399,38 @@ void Executor::reschedule() {
     const double finish = r.rem_overhead + r.rem_work / r.rate;
     min_finish = std::min(min_finish, finish);
   }
+  return last_update_ + finish_delay(min_finish);
+}
 
-  completion_event_ = engine_.schedule_after(
-      finish_delay(min_finish), [this] { on_completion_event(); });
+void Executor::step_contended() {
+  // Between this event and the input bound nothing but the running set
+  // itself changes the device, so each boundary before the bound is
+  // stepped here exactly as its own event would run it. A boundary at the
+  // bound stays an event: the calendar's FIFO order then settles the tie
+  // with the input as it would for the per-kernel path.
+  cancel_completion();
+  std::optional<SimTime> bound;
+  for (;;) {
+    if (running_count_ < 2 || !input_bound_) {
+      reschedule();
+      return;
+    }
+    const SimTime next = contended_boundary();
+    if (!bound) bound = input_bound_();
+    if (next >= *bound) {
+      completion_event_ =
+          engine_.schedule_at(next, [this] { on_completion_event(); });
+      return;
+    }
+    advance_progress(next);
+    SGPRS_CHECK_MSG(retire_finished(next) > 0,
+                    "completion event fired with no finished kernel");
+    if (!callbacks_.empty()) {
+      completion_event_ =
+          engine_.schedule_at(next, [this] { on_held_callbacks(); });
+      return;
+    }
+  }
 }
 
 const ShareGrant* Executor::contended_grants() {
@@ -454,7 +505,7 @@ void Executor::arm_solo_chain(StreamId sid) {
   r.rate = g.rate;
   r.granted_sms = g.sms;
   SimTime end =
-      engine_.now() + finish_delay(r.rem_overhead + r.rem_work / r.rate);
+      last_update_ + finish_delay(r.rem_overhead + r.rem_work / r.rate);
   bool open = !r.on_done;
   if (open) {
     for (const Entry& e : s.queue) {
@@ -644,15 +695,32 @@ void Executor::on_completion_event() {
   const int skipped = catch_up(now);
   const bool started_now = skipped > 0 && last_update_ == now;
   solo_ = -1;
-  advance_progress();
+  advance_progress(now);
 
   // Retire every kernel that has finished (several can tie) and start its
   // stream's successor before firing callbacks, so that callbacks observe a
-  // consistent executor state. start_next touches only its own stream, so
-  // one pass in stream order retires what a collect-then-retire pass would.
-  int finished = 0;
+  // consistent executor state.
   callbacks_.clear();
-  for (StreamId sid = 0; sid < stream_count() && !started_now; ++sid) {
+  const int finished = started_now ? 0 : retire_finished(now);
+  SGPRS_CHECK_MSG(finished > 0 || skipped > 0,
+                  "completion event fired with no finished kernel");
+  fire_callbacks(now);
+  step_contended();
+}
+
+void Executor::on_held_callbacks() {
+  // step_contended already retired this boundary's kernels and started
+  // their successors at this instant.
+  completion_event_ = sim::kInvalidEvent;
+  fire_callbacks(engine_.now());
+  step_contended();
+}
+
+int Executor::retire_finished(SimTime at) {
+  // start_next touches only its own stream, so one pass in stream order
+  // retires what a collect-then-retire pass would.
+  int finished = 0;
+  for (StreamId sid = 0; sid < stream_count(); ++sid) {
     Stream& s = streams_[sid];
     const bool done = s.running && s.running->rem_overhead <= 0.0 &&
                       s.running->rem_work <= kWorkEpsilon;
@@ -660,22 +728,22 @@ void Executor::on_completion_event() {
     ++finished;
     Running& r = *s.running;
     work_done_ += r.rem_work;  // residue below epsilon
-    if (trace_) trace_->on_kernel_end(now, s.ctx, sid, traced(*r.desc, r.tag));
+    if (trace_) trace_->on_kernel_end(at, s.ctx, sid, traced(*r.desc, r.tag));
     if (r.on_done) callbacks_.push_back(std::move(r.on_done));
     s.running.reset();
     --running_count_;
     --contexts_[s.ctx].running_count;
-    start_next(sid, now);
+    start_next(sid, at);
   }
-  SGPRS_CHECK_MSG(finished > 0 || skipped > 0,
-                  "completion event fired with no finished kernel");
+  return finished;
+}
 
+void Executor::fire_callbacks(SimTime now) {
   ++defer_depth_;
   for (auto& fn : callbacks_) fn(now);
   callbacks_.clear();
   --defer_depth_;
   needs_reschedule_ = false;
-  reschedule();
 }
 
 }  // namespace sgprs::gpu

@@ -47,6 +47,19 @@
 // warm-up a contended completion touches no allocator. docs/ARCHITECTURE.md
 // § "Contended shares" is the design note.
 //
+// Contended chains: with two or more kernels running, a completion event
+// that has fired its callbacks does not post an event for every following
+// boundary. It steps each boundary in place — advance_progress, the retire
+// loop, start_next and contended_grants, the per-kernel path's operations
+// in its order — while the boundary lies strictly before the input bound
+// (set_input_bound): the earliest instant anything from outside can reach
+// the executor. A stepped boundary that retires a kernel with a callback
+// holds the callbacks and posts one event at that instant, which fires
+// them and steps on. Nothing foreign arrives before the bound, so stepped
+// state never runs ahead of an input and no rollback is needed; an entry
+// point reached while last_update_ is past now() is a CHECK failure.
+// docs/ARCHITECTURE.md § "Contended chains" is the design note.
+//
 // Device-class memos: the solo-grant, solo-step and share memos live in a
 // gpu::DeviceClassMemo (device_class_memo.hpp), not in the executor. Every
 // entry is a pure function of the device class — SM count, speedup model,
@@ -82,6 +95,9 @@ using common::SimTime;
 /// static_assert at the enqueue call site, never a heap allocation.
 using CompletionFn =
     common::InplaceFunction<void(SimTime), 32, alignof(std::uint64_t)>;
+
+/// The earliest instant an input from outside can reach an executor.
+using InputBound = common::InplaceFunction<SimTime(), 16, alignof(void*)>;
 
 class Executor {
  public:
@@ -125,6 +141,18 @@ class Executor {
   void enqueue_batch(StreamId stream, std::vector<KernelDesc> kernels,
                      CompletionFn on_all_done);
 
+  /// Lets completion events step the contended boundaries that lie
+  /// strictly before `bound()`, read once an event's callbacks have fired.
+  /// `bound` must answer no later than the first submit, purge_all or
+  /// getter call that anything but this executor's own callbacks makes
+  /// (cluster::Cluster passes the runner's next release, the scheduler's
+  /// next timer and the engine's horizon). Without one, every boundary is
+  /// an event. There is no default bound: an owner may drive the engine
+  /// with step() and submit or read getters between events, and nothing
+  /// in the calendar reveals those inputs, so only the owner knows a safe
+  /// bound.
+  void set_input_bound(InputBound bound) { input_bound_ = std::move(bound); }
+
   /// Device crash: drops every queued and running kernel without firing
   /// completion callbacks or crediting the lost residue to work_done_.
   /// Progress up to now is integrated first, so utilization accounting
@@ -134,7 +162,8 @@ class Executor {
 
   // --- Introspection (used by schedulers and tests) ---
   // The getters that read kernel state first retire the solo-chain kernels
-  // that ended by now, so they see what a per-kernel executor would.
+  // that ended by now, so they see what a per-kernel executor would. They
+  // CHECK that no contended chain was stepped past now.
   int context_count() const { return static_cast<int>(contexts_.size()); }
   int stream_count() const { return static_cast<int>(streams_.size()); }
   int context_sm_limit(ContextId c) const;
@@ -243,8 +272,14 @@ class Executor {
               CompletionFn on_done);
   // Starts the stream's first queued kernel unless it is already running.
   void start_if_idle(StreamId stream);
-  // Consumes elapsed time since the last update against stored rates.
-  void advance_progress();
+  // CHECKs that no contended chain was stepped past the engine's clock.
+  void check_not_ahead() const;
+  // check_not_ahead, then retires the solo-chain kernels that ended by
+  // now: what every entry point that reads or changes kernel state does
+  // first.
+  void settle();
+  // Consumes the time from the last update to `to` against stored rates.
+  void advance_progress(SimTime to);
   // One kernel's share of advance_progress over `elapsed` seconds.
   void advance_kernel(Running& r, double elapsed);
   // Advances `r` by `elapsed` seconds at its stored rate.
@@ -252,9 +287,16 @@ class Executor {
   // Recomputes all shares/rates and schedules the next completion event;
   // with one kernel running, arms a solo chain instead.
   void reschedule();
+  // Sets every running kernel's contended rate (two or more running) and
+  // returns the instant the first of them ends.
+  SimTime contended_boundary();
   // The grants of the current running set (two or more kernels), indexed
   // by stream, from the memo or, on a miss, from compute_shares.
   const ShareGrant* contended_grants();
+  // An event's reschedule once its callbacks have fired: steps the
+  // contended boundaries before the input bound in place, until one holds
+  // callbacks or the next lies at or past the bound.
+  void step_contended();
   void arm_solo_chain(StreamId sid);
   // Retires the armed solo chain's callback-free kernels that end by `now`;
   // returns how many it retired.
@@ -273,6 +315,14 @@ class Executor {
   // Drops the pending completion event, solo chain or not.
   void cancel_completion();
   void on_completion_event();
+  // The event a stepped boundary posts for the callbacks it holds.
+  void on_held_callbacks();
+  // Retires every running kernel that has finished at `at` and starts its
+  // stream's successor, collecting callbacks into callbacks_; returns how
+  // many it retired.
+  int retire_finished(SimTime at);
+  // Fires callbacks_ at `now`, deferring the reschedules they cause.
+  void fire_callbacks(SimTime now);
   double priority_weight(StreamPriority p) const;
   // The grant a kernel of class `op` gets running alone on stream `s`,
   // memoised from compute_shares on that one request.
@@ -304,10 +354,13 @@ class Executor {
   int defer_depth_ = 0;
   bool needs_reschedule_ = false;
 
+  InputBound input_bound_;
+
   // This executor's own memo; null once attach_memo shares another.
   std::unique_ptr<DeviceClassMemo> own_memo_;
 
-  // Scratch buffers reused by every reschedule and completion event.
+  // Scratch buffers reused by every reschedule and completion event;
+  // callbacks_ also holds a stepped boundary's callbacks until its event.
   std::vector<std::uint8_t> key_;
   std::vector<CompletionFn> callbacks_;
   KernelDesc trace_desc_;

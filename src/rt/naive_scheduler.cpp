@@ -24,6 +24,7 @@ NaiveScheduler::NaiveScheduler(gpu::Executor& exec,
     contexts_.push_back(cs);
   }
   SGPRS_CHECK(!contexts_.empty());
+  sync_timers_.reserve(contexts_.size());
 }
 
 void NaiveScheduler::admit(const Task& task) {
@@ -98,7 +99,14 @@ void NaiveScheduler::on_job_complete(Job& job, int ctx_idx, SimTime now) {
   // The context frees only after the host round-trip (synchronize + frame
   // handling); the next job cannot be dispatched into that gap.
   if (cfg_.host_sync_gap > SimTime::zero()) {
-    exec_.engine().schedule_after(cfg_.host_sync_gap, [this, ctx_idx] {
+    if (sync_timers_.size() == sync_timers_.capacity()) {
+      sync_timers_.erase(sync_timers_.begin(),
+                         sync_timers_.begin() + sync_head_);
+      sync_head_ = 0;
+    }
+    sync_timers_.push_back(exec_.engine().now() + cfg_.host_sync_gap);
+    exec_.engine().schedule_at(sync_timers_.back(), [this, ctx_idx] {
+      ++sync_head_;
       contexts_[ctx_idx].busy = false;
       try_dispatch(ctx_idx, exec_.engine().now());
     });

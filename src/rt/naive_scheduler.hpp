@@ -45,6 +45,11 @@ class NaiveScheduler final : public Scheduler {
   }
   int abort_in_flight() override;
   std::string name() const override { return "naive"; }
+  /// The earliest pending host_sync_gap event.
+  SimTime next_timer() const override {
+    return sync_head_ == sync_timers_.size() ? SimTime::max()
+                                              : sync_timers_[sync_head_];
+  }
 
   /// Context a task was pinned to (introspection for tests).
   int task_context(int task_id) const;
@@ -67,6 +72,13 @@ class NaiveScheduler final : public Scheduler {
   std::vector<int> task_ctx_;    // task id -> pinned context index
   std::vector<int> in_flight_;   // per task id
   JobPool jobs_;                 // stable addresses; O(1) retire
+  // Fire times of the pending host_sync_gap events, stale ones included,
+  // from sync_head_ on. Every one is scheduled a fixed gap after its
+  // completion, so they fire in push order. A vector compacted in place
+  // rather than a deque, so the job loop allocates nothing once it holds
+  // as many timers as ever pend at once.
+  std::vector<SimTime> sync_timers_;
+  std::size_t sync_head_ = 0;
   int rr_next_ = 0;
   std::int64_t job_counter_ = 0;
 };

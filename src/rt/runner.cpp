@@ -1,5 +1,7 @@
 #include "rt/runner.hpp"
 
+#include <algorithm>
+
 #include "common/check.hpp"
 
 namespace sgprs::rt {
@@ -86,6 +88,7 @@ bool Runner::retire_task(int task_id) {
     if (ts.pending != sim::kInvalidEvent) {
       engine_.cancel(ts.pending);  // stale-safe: generation-tagged
       ts.pending = sim::kInvalidEvent;
+      ts.pending_at = SimTime::max();
     }
     return true;
   }
@@ -105,9 +108,16 @@ SimTime Runner::next_interarrival(TaskState& ts) {
                   static_cast<double>((hi - lo).ns)));
 }
 
+SimTime Runner::next_release() const {
+  SimTime next = SimTime::max();
+  for (const TaskState& ts : states_) next = std::min(next, ts.pending_at);
+  return next;
+}
+
 void Runner::arm_release(std::size_t idx, SimTime at) {
   TaskState& ts = states_[idx];
   ts.pending = sim::kInvalidEvent;
+  ts.pending_at = SimTime::max();
   if (at >= cfg_.duration) return;  // stop releasing at the horizon
   SimTime fire = at;
   if (cfg_.release_jitter > SimTime::zero()) {
@@ -115,9 +125,11 @@ void Runner::arm_release(std::size_t idx, SimTime at) {
                               cfg_.release_jitter.to_sec());
     if (fire >= cfg_.duration) fire = at;  // keep the final release inside
   }
+  ts.pending_at = fire;
   ts.pending = engine_.schedule_at(fire, [this, idx, at, fire] {
     TaskState& s = states_[idx];
     s.pending = sim::kInvalidEvent;
+    s.pending_at = SimTime::max();
     if (!s.active) return;  // retired between schedule and fire
     ++releases_;
     scheduler_.release_job(*s.task, fire);

@@ -61,6 +61,11 @@ class Runner {
   /// clock exactly there.
   void run();
 
+  /// Time of the earliest pending release, or SimTime::max() when none is
+  /// armed. Nothing this runner does reaches its scheduler before then;
+  /// cluster::Cluster bounds its device's contended chains by it.
+  SimTime next_release() const;
+
   std::int64_t releases_issued() const { return releases_; }
   /// Admitted minus retired (streams still releasing).
   int active_tasks() const { return active_; }
@@ -74,6 +79,7 @@ class Runner {
     const Task* task = nullptr;
     common::Rng arrival_rng;  // sporadic draws only; periodic never touches
     sim::EventId pending = sim::kInvalidEvent;
+    SimTime pending_at = SimTime::max();  // fire time of `pending`
     bool active = true;
   };
 

@@ -39,6 +39,14 @@ class Scheduler {
 
   virtual std::string name() const = 0;
 
+  /// Time of the earliest event this scheduler has scheduled for itself and
+  /// not yet seen fire, or SimTime::max() when none is pending. Apart from
+  /// these timers, the runner's releases and the control plane's epochs,
+  /// nothing makes a scheduler submit or purge, so the cluster bounds its
+  /// device's contended chains by the three (docs/ARCHITECTURE.md
+  /// § "Contended chains"). Decorators forward it.
+  virtual SimTime next_timer() const { return SimTime::max(); }
+
   /// The scheduler that actually owns queues and jobs. Decorators (the
   /// fleet overload guard) forward to the wrapped instance so counter
   /// introspection (dynamic_cast to SgprsScheduler) keeps working.

@@ -95,6 +95,22 @@ void Engine::run() {
 
 void Engine::run_until(SimTime t) {
   SGPRS_CHECK(t >= now_);
+  horizon_ = t;
+  try {
+    fire_until(t);
+  } catch (...) {
+    horizon_ = SimTime::max();
+    throw;
+  }
+  horizon_ = SimTime::max();
+  if (live_ == 0) {
+    heap_.clear();
+    staging_.clear();
+  }
+  now_ = t;
+}
+
+void Engine::fire_until(SimTime t) {
   // Locate each event exactly once: prune stale tops in passing, stop at
   // the first live entry past the horizon, fire everything before it.
   while (live_ > 0) {
@@ -106,11 +122,6 @@ void Engine::run_until(SimTime t) {
     if (heap_.top().t > t) break;
     fire(heap_.pop());
   }
-  if (live_ == 0) {
-    heap_.clear();
-    staging_.clear();
-  }
-  now_ = t;
 }
 
 }  // namespace sgprs::sim

@@ -52,6 +52,12 @@ class Engine {
 
   SimTime now() const { return now_; }
 
+  /// The target of the run_until() in progress, or SimTime::max() when none
+  /// is (under step() and run(), and between runs). An event handler can
+  /// rely on no event of this calendar firing past it before the call
+  /// returns; gpu::Executor bounds its contended chains by it.
+  SimTime horizon() const { return horizon_; }
+
   /// Schedules `fn` (any void() callable fitting EventFn's inline buffer)
   /// to run at absolute time `t` (must be >= now()). Templated so the
   /// capture is constructed directly in the slab node — no temporary
@@ -159,6 +165,8 @@ class Engine {
   void release_slot(std::uint32_t slot);
   /// Pops + runs the (already pruned, already popped) heap entry.
   void fire(const HeapEntry& e);
+  /// run_until's loop: fires every live event with time <= `t`.
+  void fire_until(SimTime t);
   /// Drains the staging buffer into the heap (bulk-heapify when large).
   /// Must run before any top()/pop(); pop paths call it once per loop.
   void flush_staging() {
@@ -166,6 +174,7 @@ class Engine {
   }
 
   SimTime now_ = SimTime::zero();
+  SimTime horizon_ = SimTime::max();
   std::uint64_t next_seq_ = 1;
   std::size_t processed_ = 0;
   std::size_t scheduled_ = 0;

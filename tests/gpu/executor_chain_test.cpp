@@ -1,14 +1,15 @@
-// Solo chains, stage programs and the share memo against the per-kernel
-// oracle (reference_executor.hpp).
+// Solo chains, stage programs, the share memo and contended chains against
+// the per-kernel oracle (reference_executor.hpp).
 //
 // gpu::Executor advances a kernel that runs alone on its device through its
 // stream's queue analytically, with one event per stage instead of one per
-// kernel, replays shared stage programs from a per-program memo, and
-// memoises the grants of contended running sets instead of calling
-// compute_shares at every boundary. These tests require all three to be
-// invisible: the same callback times and order, the same work and busy-SM
-// integrals bit for bit, the same getter answers and the same trace-sink
-// sequence as the per-kernel path.
+// kernel, replays shared stage programs from a per-program memo, memoises
+// the grants of contended running sets instead of calling compute_shares at
+// every boundary, and, given an input bound, steps contended boundaries in
+// place instead of posting an event for each. These tests require all four
+// to be invisible: the same callback times and order, the same work and
+// busy-SM integrals bit for bit, the same getter answers and the same
+// trace-sink sequence as the per-kernel path.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,6 +17,7 @@
 #include <functional>
 #include <memory>
 #include <ostream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <tuple>
@@ -67,7 +69,9 @@ struct TraceLog : TraceSink {
 
 /// One kernel batch of a randomized plan. A root batch arrives at `at_ns`;
 /// a child (at_ns < 0) is enqueued by its parent's completion callback, the
-/// way a scheduler dispatches a job's next stage.
+/// way a scheduler dispatches a job's next stage, or, when it has a
+/// `gap_ns`, by a timer that callback sets, the way the naive scheduler
+/// waits out its host round-trip.
 /// A batch that names `programs` submits those shared programs back to
 /// back under `tag`, the callback on the last (the oracle gets their
 /// kernels as plain batches with that tag).
@@ -79,6 +83,7 @@ struct Batch {
   std::vector<int> children;
   std::vector<int> programs;  // indices into Plan::programs
   std::uint64_t tag = 0;
+  std::int64_t gap_ns = -1;  // >= 0: enqueued by a timer, this long after
 };
 
 struct StreamSpec {
@@ -178,16 +183,23 @@ struct Outcome {
 /// so the same code runs the oracle and the chain executor; only program
 /// submissions differ, the oracle taking their kernels as batches. The
 /// harness runs on an engine of its own, or on `shared` next to others.
+/// A `bounded` gpu::Executor steps contended chains: its input bound is the
+/// earliest event the harness itself has pending (arrivals, timers,
+/// snapshots, purges, probes) or the engine's horizon, as the cluster
+/// bounds a device by its runner, scheduler and epoch.
 template <typename Exec>
 class Harness {
  public:
   explicit Harness(const Plan& plan, bool traced = true,
-                   sim::Engine* shared = nullptr)
+                   sim::Engine* shared = nullptr, bool bounded = false)
       : plan_(plan),
         own_engine_(shared ? nullptr : std::make_unique<sim::Engine>()),
         engine_(shared ? *shared : *own_engine_),
         exec_(engine_, rtx2080ti(), SpeedupModel::rtx2080ti(), plan.sharing) {
     if (traced) exec_.set_trace_sink(&trace_);
+    if constexpr (std::is_same_v<Exec, Executor>) {
+      if (bounded) exec_.set_input_bound([this] { return input_bound(); });
+    }
     for (const auto& kernels : plan.programs) programs_.emplace_back(kernels);
     for (int sms : plan.context_sms) exec_.create_context(sms);
     for (const auto& s : plan.streams) {
@@ -205,6 +217,18 @@ class Harness {
     return finish();
   }
 
+  /// Runs the plan until `horizon_ns`, then, outside any event as the
+  /// fleet's control plane acts between epochs, snapshots the getters and
+  /// fires `action`, then runs the rest.
+  Outcome run_to(std::int64_t horizon_ns, Probe action) {
+    arm();
+    engine_.run_until(SimTime::from_ns(horizon_ns));
+    snapshot();
+    fire(action);
+    engine_.run();
+    return finish();
+  }
+
   Exec& exec() { return exec_; }
 
   /// Schedules the plan (and `probe`) on the engine.
@@ -213,24 +237,21 @@ class Harness {
     for (std::size_t i = 0; i < plan_.batches.size(); ++i) {
       if (plan_.batches[i].at_ns < 0) continue;
       const int b = static_cast<int>(i);
-      engine_.schedule_at(SimTime::from_ns(plan_.batches[i].at_ns),
-                          [this, b] { enqueue(b); });
+      at(plan_.batches[i].at_ns, [this, b] { enqueue(b); });
     }
     for (std::int64_t t : plan_.snapshots_ns) {
-      engine_.schedule_at(SimTime::from_ns(t), [this] { snapshot(); });
+      at(t, [this] { snapshot(); });
     }
     if (plan_.purge_ns >= 0) {
-      engine_.schedule_at(SimTime::from_ns(plan_.purge_ns),
-                          [this] { exec_.purge_all(); });
+      at(plan_.purge_ns, [this] { exec_.purge_all(); });
     }
     if (probe != Probe::kNone) {
-      const SimTime at = SimTime::from_ns(probe_ns);
       if (two_step) {
-        engine_.schedule_at(at, [this, at, probe] {
-          engine_.schedule_at(at, [this, probe] { fire(probe); });
+        at(probe_ns, [this, probe_ns, probe] {
+          at(probe_ns, [this, probe] { fire(probe); });
         });
       } else {
-        engine_.schedule_at(at, [this, probe] { fire(probe); });
+        at(probe_ns, [this, probe] { fire(probe); });
       }
     }
   }
@@ -249,6 +270,35 @@ class Harness {
   }
 
  private:
+  /// Schedules `fn` at `t_ns`, pending for the input bound until it fires.
+  template <typename F>
+  void at(std::int64_t t_ns, F fn) {
+    pending_.insert(t_ns);
+    engine_.schedule_at(SimTime::from_ns(t_ns), [this, t_ns, fn] {
+      pending_.erase(pending_.find(t_ns));
+      fn();
+    });
+  }
+
+  SimTime input_bound() const {
+    const SimTime next = pending_.empty() ? SimTime::max()
+                                          : SimTime::from_ns(*pending_.begin());
+    return std::min(next, engine_.horizon());
+  }
+
+  /// A completion callback: records it and dispatches the batch's children.
+  void done(int b, SimTime t) {
+    out_.callbacks.emplace_back(t.ns, b);
+    for (int child : plan_.batches[b].children) {
+      const std::int64_t gap = plan_.batches[child].gap_ns;
+      if (gap < 0) {
+        enqueue(child);
+      } else {
+        at(t.ns + gap, [this, child] { enqueue(child); });
+      }
+    }
+  }
+
   void enqueue(int b) {
     const Batch& batch = plan_.batches[b];
     const StreamId s = streams_[batch.stream];
@@ -257,10 +307,8 @@ class Harness {
       return;
     }
     if (batch.callback) {
-      exec_.enqueue_batch(s, batch.kernels, [this, b](SimTime t) {
-        out_.callbacks.emplace_back(t.ns, b);
-        for (int child : plan_.batches[b].children) enqueue(child);
-      });
+      exec_.enqueue_batch(s, batch.kernels,
+                          [this, b](SimTime t) { done(b, t); });
     } else {
       for (const auto& k : batch.kernels) exec_.enqueue(s, k, {});
     }
@@ -274,19 +322,16 @@ class Harness {
                            ReferenceExecutor::CompletionFn>;
     for (std::size_t i = 0; i < batch.programs.size(); ++i) {
       const int p = batch.programs[i];
-      Fn done;
+      Fn on_done;
       if (i + 1 == batch.programs.size() && batch.callback) {
-        done = [this, b](SimTime t) {
-          out_.callbacks.emplace_back(t.ns, b);
-          for (int child : plan_.batches[b].children) enqueue(child);
-        };
+        on_done = [this, b](SimTime t) { done(b, t); };
       }
       if constexpr (std::is_same_v<Exec, Executor>) {
-        exec_.enqueue_program(s, programs_[p], batch.tag, std::move(done));
+        exec_.enqueue_program(s, programs_[p], batch.tag, std::move(on_done));
       } else {
         std::vector<KernelDesc> kernels = plan_.programs[p];
         for (auto& k : kernels) k.tag = batch.tag;
-        exec_.enqueue_batch(s, std::move(kernels), std::move(done));
+        exec_.enqueue_batch(s, std::move(kernels), std::move(on_done));
       }
     }
   }
@@ -329,6 +374,7 @@ class Harness {
   TraceLog trace_;
   std::vector<StreamId> streams_;
   Outcome out_;
+  std::multiset<std::int64_t> pending_;  // times of the harness's events
 };
 
 void expect_identical(const Outcome& chain, const Outcome& oracle) {
@@ -706,11 +752,24 @@ bool overflow_memo(const Plan& cls, DeviceClassMemo& memo,
       filler.enqueue(s, random_kernel(rng, 0), {});
     }
   }
-  for (std::size_t held = memo.share_sets(); side.step();) {
-    if (memo.share_sets() < held) return true;
-    held = memo.share_sets();
+  // Watched per kernel completion, not per engine event, so the reset is
+  // seen however many boundaries one event covers.
+  struct ResetWatch final : TraceSink {
+    const DeviceClassMemo& memo;
+    std::size_t held;
+    bool reset = false;
+    explicit ResetWatch(const DeviceClassMemo& m)
+        : memo(m), held(m.share_sets()) {}
+    void on_kernel_start(SimTime, int, int, const KernelDesc&) override {}
+    void on_kernel_end(SimTime, int, int, const KernelDesc&) override {
+      reset = reset || memo.share_sets() < held;
+      held = memo.share_sets();
+    }
+  } watch(memo);
+  filler.set_trace_sink(&watch);
+  while (!watch.reset && side.step()) {
   }
-  return false;
+  return watch.reset;
 }
 
 TEST(ShareMemoDifferential, SharedMemoExecutorsMatchTheirOracles) {
@@ -729,9 +788,11 @@ TEST(ShareMemoDifferential, SharedMemoExecutorsMatchTheirOracles) {
 
     sim::Engine engine;
     std::vector<std::unique_ptr<Harness<Executor>>> shared;
+    // Half the seeds step contended chains, each bounded by its own
+    // harness's inputs.
     for (const Plan& plan : plans) {
-      shared.push_back(
-          std::make_unique<Harness<Executor>>(plan, true, &engine));
+      shared.push_back(std::make_unique<Harness<Executor>>(
+          plan, true, &engine, /*bounded=*/seed % 2 == 0));
     }
     DeviceClassMemo memo(shared.front()->exec().device_class());
     for (auto& h : shared) {
@@ -759,6 +820,174 @@ TEST(ShareMemoDifferential, SharedMemoExecutorsMatchTheirOracles) {
     }
   }
   EXPECT_GT(share_resets, 100);
+}
+
+/// A contended plan whose inputs keep arriving while chains run: jobs over
+/// 2-12 streams whose stages are kernel batches or shared programs, child
+/// stages dispatched from the callback or by a timer 0-200 us after it,
+/// late arrivals landing mid-chain, getter snapshots and, in some plans, a
+/// purge.
+Plan chain_plan(std::uint64_t seed) {
+  common::Rng rng(seed);
+  Plan p;
+  if (rng.next_double() < 0.5) {
+    p.sharing.interference_gamma = 0.0;
+    p.sharing.oversub_thrash_kappa = 0.0;
+    p.sharing.contention_exponent = 1.0;
+  }
+  const int contexts = 1 + static_cast<int>(rng.next_u64() % 3);
+  const double oversub = rng.uniform(1.0, 2.0);
+  for (int c = 0; c < contexts; ++c) {
+    const int sms = static_cast<int>(68.0 * oversub / contexts);
+    p.context_sms.push_back(std::clamp(sms, 1, 68));
+  }
+  const int streams = 2 + static_cast<int>(rng.next_u64() % 11);
+  for (int s = 0; s <= streams; ++s) {  // one extra: the probe stream
+    p.streams.push_back(
+        {static_cast<int>(rng.next_u64() % contexts),
+         rng.next_double() < 0.5 ? StreamPriority::kHigh
+                                 : StreamPriority::kLow});
+  }
+  const OpClass palette[] = {OpClass::kConv, OpClass::kReLU};
+  const auto kernel = [&](std::uint64_t tag) {
+    KernelDesc d = random_kernel(rng, tag);
+    d.op = palette[rng.next_u64() % 2];
+    return d;
+  };
+  const int programs = 1 + static_cast<int>(rng.next_u64() % 3);
+  for (int i = 0; i < programs; ++i) {
+    std::vector<KernelDesc> kernels;
+    const int n = 1 + static_cast<int>(rng.next_u64() % 6);
+    for (int k = 0; k < n; ++k) kernels.push_back(kernel(0));
+    p.programs.push_back(std::move(kernels));
+  }
+  std::uint64_t tag = 0;
+  const auto make_batch = [&](std::int64_t at_ns, int stream) {
+    Batch b;
+    b.at_ns = at_ns;
+    b.stream = stream;
+    if (rng.next_double() < 0.5) {
+      const int run = 1 + static_cast<int>(rng.next_u64() % 2);
+      for (int i = 0; i < run; ++i) {
+        b.programs.push_back(static_cast<int>(rng.next_u64() % programs));
+      }
+      b.tag = ++tag;
+    } else {
+      const int n = 1 + static_cast<int>(rng.next_u64() % 6);
+      for (int k = 0; k < n; ++k) b.kernels.push_back(kernel(++tag));
+    }
+    b.callback = rng.next_double() < 0.95;
+    if (at_ns < 0 && rng.next_double() < 0.5) {
+      // A few zero gaps: a timer due at the callback's own instant.
+      b.gap_ns = rng.next_double() < 0.1
+                     ? 0
+                     : static_cast<std::int64_t>(rng.uniform(0.0, 2e5));
+    }
+    p.batches.push_back(std::move(b));
+    return static_cast<int>(p.batches.size() - 1);
+  };
+  const int jobs = 4 + static_cast<int>(rng.next_u64() % 10);
+  for (int j = 0; j < jobs; ++j) {
+    // Most jobs start together; the rest arrive while chains run.
+    const double window = rng.next_double() < 0.7 ? 2e6 : 1e7;
+    const int stream = static_cast<int>(rng.next_u64() % streams);
+    int parent = make_batch(
+        static_cast<std::int64_t>(rng.uniform(0.0, window)), stream);
+    const int stages = static_cast<int>(rng.next_u64() % 8);
+    for (int st = 0; st < stages && p.batches[parent].callback; ++st) {
+      const int child = make_batch(-1, stream);
+      p.batches[parent].children.push_back(child);
+      parent = child;
+    }
+  }
+  const int snaps = static_cast<int>(rng.next_u64() % 8);
+  for (int i = 0; i < snaps; ++i) {
+    p.snapshots_ns.push_back(static_cast<std::int64_t>(rng.uniform(0.0, 1e7)));
+  }
+  if (rng.next_double() < 0.3) {
+    p.purge_ns = static_cast<std::int64_t>(rng.uniform(1e5, 6e6));
+  }
+  return p;
+}
+
+/// Instants in a trace where a kernel ends with at least one other still
+/// running: the boundaries a contended chain steps unless an input or a
+/// callback is due there. A purge ends kernels without trace events, so
+/// counting stops there.
+std::vector<std::int64_t> contended_boundaries(
+    const std::vector<TraceEvent>& t, std::int64_t purge_ns) {
+  std::vector<std::int64_t> ends;
+  int running = 0;
+  for (const TraceEvent& e : t) {
+    if (purge_ns >= 0 && e.t_ns >= purge_ns) break;
+    if (e.kind == 'e' && running >= 2) ends.push_back(e.t_ns);
+    running += e.kind == 's' ? 1 : -1;
+  }
+  return ends;
+}
+
+TEST(ContendedChainDifferential, TwoHundredSeedsMatchThePerKernelOracle) {
+  std::size_t chain_events = 0;
+  std::size_t unbounded_events = 0;
+  std::size_t oracle_events = 0;
+  int horizons = 0;
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const Plan plan = chain_plan(seed);
+    const Outcome base = Harness<ReferenceExecutor>(plan).run();
+    const Outcome chain =
+        Harness<Executor>(plan, true, nullptr, /*bounded=*/true).run();
+    expect_identical(chain, base);
+    chain_events += chain.events;
+    oracle_events += base.events;
+    unbounded_events += Harness<Executor>(plan).run().events;
+    {
+      SCOPED_TRACE("no trace sink");
+      expect_identical(
+          Harness<Executor>(plan, false, nullptr, true).run(),
+          Harness<ReferenceExecutor>(plan, false).run());
+    }
+
+    // A run_until horizon on a contended boundary, 1 ns before it and 1 ns
+    // after it, with a foreign enqueue or a purge at the horizon.
+    common::Rng rng(seed ^ 0x9e3779b97f4a7c15ULL);
+    const auto ends = contended_boundaries(base.trace, plan.purge_ns);
+    if (ends.empty()) continue;
+    const std::int64_t at = ends[rng.next_u64() % ends.size()];
+    // A foreign enqueue or purge due exactly on that boundary: scheduled
+    // ahead of the oracle's completion event, the input comes first;
+    // scheduled from an event at that instant, the boundary does.
+    for (const Probe probe : {Probe::kEnqueue, Probe::kPurge}) {
+      for (const bool two_step : {true, false}) {
+        SCOPED_TRACE(std::string(probe == Probe::kPurge ? "purge" : "enqueue") +
+                     " due on the boundary" +
+                     (two_step ? ", behind it" : ", ahead of it"));
+        expect_identical(Harness<Executor>(plan, true, nullptr, true)
+                             .run(probe, at, two_step),
+                         Harness<ReferenceExecutor>(plan).run(probe, at,
+                                                              two_step));
+      }
+    }
+    for (const std::int64_t h : {at - 1, at, at + 1}) {
+      if (h < 0) continue;
+      for (const Probe action : {Probe::kEnqueue, Probe::kPurge}) {
+        for (const bool traced : {true, false}) {
+          SCOPED_TRACE(std::string(action == Probe::kPurge ? "purge"
+                                                            : "enqueue") +
+                       " at boundary " + std::to_string(h - at) + " ns" +
+                       (traced ? " traced" : " untraced"));
+          expect_identical(
+              Harness<Executor>(plan, traced, nullptr, true).run_to(h, action),
+              Harness<ReferenceExecutor>(plan, traced).run_to(h, action));
+        }
+      }
+    }
+    ++horizons;
+  }
+  EXPECT_GT(horizons, 150);
+  // Stepping must actually skip events, beyond what solo chains skip.
+  EXPECT_LT(chain_events, unbounded_events);
+  EXPECT_LT(2 * chain_events, oracle_events);
 }
 
 TEST(SoloChain, LoneResnet18JobFiresOneEventPerStage) {

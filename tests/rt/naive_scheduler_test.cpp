@@ -79,6 +79,76 @@ TEST_F(NaiveTest, SingleFrameBufferDropsWhileBusy) {
   EXPECT_EQ(s.counts.completed(), 1);
 }
 
+TEST_F(NaiveTest, NextTimerIsTheEarliestPendingHostSyncGap) {
+  // A gap long enough that both jobs end before either context frees.
+  NaiveConfig cfg;
+  cfg.host_sync_gap = SimTime::from_ms(50.0);
+  NaiveScheduler sched(*exec_, *pool_, *collector_, cfg);
+  EXPECT_TRUE(sched.next_timer().is_max());
+  const Task a = make_task(0);
+  const Task b = make_task(1);  // pinned to the other context
+  sched.admit(a);
+  sched.admit(b);
+  sched.release_job(a, SimTime::zero());
+  engine_->run_until(SimTime::from_ms(0.5));
+  sched.release_job(b, engine_->now());
+
+  std::vector<SimTime> ends;
+  while (ends.size() < 2 && engine_->step()) {
+    const auto s = collector_->aggregate(SimTime::from_sec(1.0));
+    while (s.counts.completed() > static_cast<int>(ends.size())) {
+      ends.push_back(engine_->now());
+    }
+    // Each job end arms one gap; the earliest pending one bounds.
+    if (!ends.empty()) {
+      EXPECT_EQ(sched.next_timer(), ends.front() + cfg.host_sync_gap);
+    }
+  }
+  ASSERT_EQ(ends.size(), 2u);
+  ASSERT_LT(ends[1], ends[0] + cfg.host_sync_gap);
+  engine_->run_until(ends[0] + cfg.host_sync_gap);
+  EXPECT_EQ(sched.next_timer(), ends[1] + cfg.host_sync_gap);
+  engine_->run();
+  EXPECT_TRUE(sched.next_timer().is_max());
+}
+
+TEST_F(NaiveTest, NextTimerKeepsStaleGapsInFireOrder) {
+  // Each round a job ends and the device crashes inside its gap, which
+  // frees the context at once: the next job runs while the stale gap still
+  // pends, so gaps of one context pile up past the timers' reserved room.
+  NaiveConfig cfg;
+  cfg.host_sync_gap = SimTime::from_ms(50.0);
+  NaiveScheduler sched(*exec_, *pool_, *collector_, cfg);
+  const Task a = make_task(0);
+  sched.admit(a);
+  const auto completed = [&] {
+    return collector_->aggregate(SimTime::from_sec(1.0)).counts.completed();
+  };
+  std::vector<SimTime> gaps;
+  for (int round = 0; round < 5; ++round) {
+    sched.release_job(a, engine_->now());
+    while (completed() == round) ASSERT_TRUE(engine_->step());
+    gaps.push_back(engine_->now() + cfg.host_sync_gap);
+    EXPECT_EQ(sched.next_timer(), gaps.front());
+    sched.abort_in_flight();
+  }
+  for (const SimTime gap : gaps) {
+    EXPECT_EQ(sched.next_timer(), gap);
+    engine_->run_until(gap);
+  }
+  EXPECT_TRUE(sched.next_timer().is_max());
+
+  // Drained, the timers reuse their room: one job, one gap, round after
+  // round.
+  for (int round = 5; round < 25; ++round) {
+    sched.release_job(a, engine_->now());
+    while (completed() == round) ASSERT_TRUE(engine_->step());
+    EXPECT_EQ(sched.next_timer(), engine_->now() + cfg.host_sync_gap);
+    engine_->run();
+    EXPECT_TRUE(sched.next_timer().is_max());
+  }
+}
+
 TEST_F(NaiveTest, NoMigrationEver) {
   NaiveScheduler sched(*exec_, *pool_, *collector_);
   std::vector<Task> tasks;

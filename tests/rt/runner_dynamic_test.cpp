@@ -145,6 +145,46 @@ TEST(RunnerDynamicTest, SporadicRngKeyedOnTaskIdNotAdmissionOrder) {
   EXPECT_EQ(a, c);
 }
 
+TEST(RunnerDynamicTest, NextReleaseTracksAddRetireAndFire) {
+  sim::Engine engine;
+  RecordingScheduler sched;
+  RunnerConfig cfg;
+  cfg.duration = SimTime::from_ms(100.0);
+  Runner runner(engine, sched, cfg);
+  EXPECT_TRUE(runner.next_release().is_max());
+
+  const Task a = make_task(0, 10.0, /*phase_ms=*/4.0);
+  const Task b = make_task(1, 10.0, /*phase_ms=*/7.0);
+  runner.add_task(a);
+  runner.add_task(b);
+  // Admitted but not started: nothing is armed yet.
+  EXPECT_TRUE(runner.next_release().is_max());
+  runner.start();
+  EXPECT_EQ(runner.next_release(), SimTime::from_ms(4.0));
+
+  // Each fire re-arms its task a period on.
+  engine.run_until(SimTime::from_ms(4.0));
+  EXPECT_EQ(runner.next_release(), SimTime::from_ms(7.0));
+  engine.run_until(SimTime::from_ms(7.0));
+  EXPECT_EQ(runner.next_release(), SimTime::from_ms(14.0));
+
+  // Retiring the earliest pending release hands the bound to the other.
+  EXPECT_TRUE(runner.retire_task(0));
+  EXPECT_EQ(runner.next_release(), SimTime::from_ms(17.0));
+
+  // A task added mid-run arms at now + phase.
+  const Task c = make_task(2, 10.0, /*phase_ms=*/1.0);
+  engine.run_until(SimTime::from_ms(12.0));
+  runner.add_task(c);
+  EXPECT_EQ(runner.next_release(), SimTime::from_ms(13.0));
+
+  // Past the last release nothing is pending.
+  engine.run_until(SimTime::from_ms(100.0));
+  EXPECT_TRUE(runner.next_release().is_max());
+  EXPECT_TRUE(runner.retire_task(1));
+  EXPECT_TRUE(runner.next_release().is_max());
+}
+
 TEST(RunnerDynamicTest, DuplicateTaskIdRejected) {
   sim::Engine engine;
   RecordingScheduler sched;

@@ -112,6 +112,39 @@ TEST(Engine, RunUntilIncludesEventsAtBoundary) {
   EXPECT_TRUE(ran);
 }
 
+TEST(Engine, HorizonIsTheRunUntilTargetWhileItRuns) {
+  Engine e;
+  EXPECT_TRUE(e.horizon().is_max());
+  std::vector<SimTime> seen;
+  const auto record = [&] { seen.push_back(e.horizon()); };
+  e.schedule_at(SimTime::from_ms(1), record);
+  e.schedule_at(SimTime::from_ms(5), record);  // at the target: still in
+  e.schedule_at(SimTime::from_ms(8), record);
+  e.run_until(SimTime::from_ms(5));
+  EXPECT_EQ(seen, (std::vector<SimTime>{SimTime::from_ms(5),
+                                        SimTime::from_ms(5)}));
+  // Between runs, and under step() and run(), there is no target.
+  EXPECT_TRUE(e.horizon().is_max());
+  e.schedule_at(SimTime::from_ms(9), record);
+  EXPECT_TRUE(e.step());
+  e.run();
+  ASSERT_EQ(seen.size(), 4u);
+  EXPECT_TRUE(seen[2].is_max());
+  EXPECT_TRUE(seen[3].is_max());
+  EXPECT_TRUE(e.horizon().is_max());
+}
+
+TEST(Engine, HorizonResetsWhenAHandlerThrows) {
+  Engine e;
+  e.schedule_at(SimTime::from_ms(1), [] { SGPRS_CHECK(false); });
+  EXPECT_THROW(e.run_until(SimTime::from_ms(3)), common::CheckError);
+  EXPECT_TRUE(e.horizon().is_max());
+  // An empty run still sets it for its duration only.
+  e.run_until(SimTime::from_ms(4));
+  EXPECT_EQ(e.now(), SimTime::from_ms(4));
+  EXPECT_TRUE(e.horizon().is_max());
+}
+
 TEST(Engine, NextEventTimeSkipsCancelled) {
   Engine e;
   const auto id = e.schedule_at(SimTime::from_ms(1), [] {});

@@ -40,11 +40,22 @@ TEST(GoldenTraceDeterminism, PaperScenario1MatchesPinnedDigest) {
   // A literal golden value, not a second code path: any change to what
   // paper_scenario1 computes — task building, scheduling, executor timing,
   // metrics — moves this hash. Update it only for an intended change of
-  // simulated behaviour, and say so in the change log.
-  constexpr std::uint64_t kPaperScenario1Fnv = 0xd7045efc4cde6548ULL;
+  // simulated behaviour, and say so in the change log. Engine event counts
+  // are work, not behaviour: PaperScenario1EventCount pins them apart.
+  constexpr std::uint64_t kPaperScenario1Fnv = 0x84bc38d3a53a3638ULL;
   const std::string d = digest(run_spec(load_scenario_spec(
       paper_scenario1_path())));
   EXPECT_EQ(fnv1a64(d), kPaperScenario1Fnv) << "full digest: " << d;
+}
+
+TEST(GoldenTraceDeterminism, PaperScenario1EventCount) {
+  // The engine events paper_scenario1 fires. It falls when the executor
+  // fires fewer events for the same behaviour (docs/ARCHITECTURE.md
+  // § "Contended chains"); update it only for such a change, and say so in
+  // the change log.
+  constexpr std::size_t kPaperScenario1Events = 7497;
+  const SpecResult r = run_spec(load_scenario_spec(paper_scenario1_path()));
+  EXPECT_EQ(r.single.sim_events, kPaperScenario1Events);
 }
 
 TEST(GoldenTraceDeterminism, PaperScenario1SerialRerunsAreBitIdentical) {

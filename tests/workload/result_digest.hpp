@@ -37,8 +37,7 @@ inline std::string digest(const SpecResult& r) {
     os << "rejected=" << r.cluster.rejected_task_ids.size() << "|";
   } else {
     for (const auto& t : r.single.per_task) digest_snapshot(os, t);
-    os << "events=" << r.single.sim_events
-       << "|busy=" << r.single.gpu_busy_sm_seconds << "|";
+    os << "busy=" << r.single.gpu_busy_sm_seconds << "|";
   }
   os << "releases=" << r.releases() << "|migrations=" << r.migrations();
   return os.str();

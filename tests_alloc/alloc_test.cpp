@@ -2,8 +2,8 @@
 //
 // The executor memoises the grants of contended running sets and keeps the
 // completion path's buffers as members, so once a device's running sets
-// have been seen, a completion event with several kernels running touches
-// no allocator. A lone stream running shared stage programs replays them
+// have been seen, a contended completion — an event or a step of a
+// contended chain — touches no allocator. A lone stream running shared stage programs replays them
 // from the solo-step memo, so once each program has run, dispatching a
 // stage and its chain event touch no allocator either. Both memos belong
 // to the device class, so an executor attached to a memo another executor
@@ -77,10 +77,78 @@ void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
 namespace sgprs::gpu {
 namespace {
 
-TEST(ContendedCompletionAllocations, SteadyStateAllocatesNothing) {
-  // The paper's pool: 2 contexts at over-subscription 1.5, two high- and
-  // two low-priority streams each, every queue preloaded with ResNet18
-  // stage kernels so no enqueue happens while allocations are counted.
+/// Watches contended boundary instants through the trace sink: an instant
+/// is a time at which at least one kernel ends, and it lasts until the
+/// next such time. An instant in which the share memo grew held a miss (a
+/// running set not seen before, whose compute_shares call allocates its
+/// result); any other is a hit, and the allocations in it are the hit's.
+/// Without a bound each instant is one engine event; a contended chain
+/// steps many instants inside one event, and they count the same.
+class BoundaryInstants final : public TraceSink {
+ public:
+  struct Window {
+    int hits = 0;
+    int misses = 0;
+    int solo = 0;  // instants with fewer than two kernels running
+    std::size_t hit_allocations = 0;
+  };
+
+  explicit BoundaryInstants(const Executor& exec) : exec_(exec) {}
+
+  /// Counts the next `hits` hit instants (and the misses among them). An
+  /// instant already under way counts in the new window.
+  void open(int hits) {
+    w_ = Window{};
+    target_ = hits;
+  }
+  bool full() const { return w_.hits >= target_; }
+  const Window& window() const { return w_; }
+
+  void on_kernel_start(SimTime, int, int, const KernelDesc&) override {
+    ++running_;
+  }
+  void on_kernel_end(SimTime t, int, int, const KernelDesc&) override {
+    if (!in_instant_ || t != instant_) {
+      close_instant();
+      in_instant_ = true;
+      instant_ = t;
+      solo_ = running_ < 2;
+      memo_ = exec_.share_memo_size();
+      allocations_ = g_allocations;
+    }
+    --running_;
+  }
+
+ private:
+  void close_instant() {
+    if (!in_instant_ || full()) return;
+    if (solo_) ++w_.solo;
+    if (exec_.share_memo_size() != memo_) {
+      ++w_.misses;
+    } else {
+      ++w_.hits;
+      w_.hit_allocations += g_allocations - allocations_;
+    }
+  }
+
+  const Executor& exec_;
+  Window w_;
+  int target_ = 0;
+  int running_ = 0;
+  bool in_instant_ = false;
+  SimTime instant_;
+  bool solo_ = false;
+  std::size_t memo_ = 0;
+  std::size_t allocations_ = 0;
+};
+
+/// The paper's pool: 2 contexts at over-subscription 1.5, two high- and two
+/// low-priority streams each, every queue preloaded with ResNet18 stage
+/// kernels so no enqueue happens while allocations are counted. With
+/// `stepped`, the executor steps its contended boundaries up to the next
+/// stage end (no input ever arrives), so most instants are chain steps
+/// inside one event.
+void expect_contended_completions_allocate_nothing(bool stepped) {
   sim::Engine engine;
   Executor exec(engine, rtx2080ti(), SpeedupModel::rtx2080ti(),
                 SharingParams{});
@@ -89,6 +157,9 @@ TEST(ContendedCompletionAllocations, SteadyStateAllocatesNothing) {
   cfg.oversubscription = 1.5;
   const ContextPool pool(exec, cfg);
   ASSERT_EQ(exec.stream_count(), 8);
+  if (stepped) exec.set_input_bound([&engine] { return engine.horizon(); });
+  BoundaryInstants windows(exec);
+  exec.set_trace_sink(&windows);
 
   const dnn::Network net = dnn::resnet18();
   const dnn::CostModel cost = dnn::CostModel::calibrated();
@@ -104,45 +175,45 @@ TEST(ContendedCompletionAllocations, SteadyStateAllocatesNothing) {
     }
   }
 
-  // Steps completion events until `hits` of them found their running set
-  // memoised. A miss (a running set not seen before) calls compute_shares,
-  // which allocates its result; hits must allocate nothing.
-  struct Window {
-    int hits = 0;
-    int misses = 0;
-    int solo = 0;  // events fired with fewer than two kernels running
-    std::size_t hit_allocations = 0;
-  };
+  // Steps events until `hits` boundary instants found their running set
+  // memoised; hits must allocate nothing.
   const auto step_until = [&](int hits) {
-    Window w;
-    while (w.hits < hits && engine.has_pending()) {
-      if (exec.running_kernel_count() < 2) ++w.solo;
-      const std::size_t memo = exec.share_memo_size();
-      const std::size_t before = g_allocations;
-      engine.step();
-      if (exec.share_memo_size() != memo) {
-        ++w.misses;
-        continue;
-      }
-      ++w.hits;
-      w.hit_allocations += g_allocations - before;
-    }
-    return w;
+    windows.open(hits);
+    while (!windows.full() && engine.has_pending()) engine.step();
+    return windows.window();
   };
 
-  const Window warmup = step_until(200);
+  const auto warmup = step_until(200);
   EXPECT_EQ(warmup.solo, 0);
   const int stage_ends_before = stage_ends;
-  const Window w = step_until(1000);
+  const std::size_t events_before = engine.processed_count();
+  const auto w = step_until(1000);
+  const std::size_t events = engine.processed_count() - events_before;
   EXPECT_EQ(w.hits, 1000);
   EXPECT_EQ(w.solo, 0);
   EXPECT_EQ(w.hit_allocations, 0u)
-      << "over " << w.hits << " contended completion events";
+      << "over " << w.hits << " contended boundary instants";
   // Streams drift against each other, so a new running set still turns up
   // now and then; it must stay rare.
   EXPECT_LE(50 * w.misses, w.hits);
   // Stage-end callbacks fired inside the window too.
-  EXPECT_GT(stage_ends, stage_ends_before);
+  const int window_stage_ends = stage_ends - stage_ends_before;
+  EXPECT_GT(window_stage_ends, 0);
+  if (stepped) {
+    // At most one event per stage end (each holds its callbacks), none
+    // for the boundaries between.
+    EXPECT_LE(events, static_cast<std::size_t>(window_stage_ends) + 1);
+  } else {
+    EXPECT_GE(events, 1000u);
+  }
+}
+
+TEST(ContendedCompletionAllocations, SteadyStateAllocatesNothing) {
+  expect_contended_completions_allocate_nothing(/*stepped=*/false);
+}
+
+TEST(ContendedCompletionAllocations, SteppedBoundariesAllocateNothing) {
+  expect_contended_completions_allocate_nothing(/*stepped=*/true);
 }
 
 /// A job loop on one stream: each stage's completion dispatches the next
