@@ -13,9 +13,10 @@
 //                       pattern, several reschedules per actual fire.
 //   * parallel_sweep:   4 engines running whole burst workloads
 //                       concurrently — the Monte-Carlo layer's shape.
-// Callbacks capture what the runner really captures (4 words), so the
-// comparison isolates engine overhead at the true capture size instead of
-// benchmarking std::function copies of synthetic tiny lambdas.
+// Callbacks capture 4 words. Like the runner's 3-word release callback,
+// that is past std::function's inline buffer, so the comparison isolates
+// engine overhead at a real capture size instead of benchmarking
+// std::function copies of synthetic tiny lambdas.
 //
 // Each workload runs `kReps` times per engine and reports the best run
 // (allocation warm-up lands in rep 1; steady state is what we measure).
@@ -57,11 +58,10 @@ constexpr std::size_t kStreams = 16;
 constexpr std::size_t kRearmsPerFire = 4;
 constexpr std::size_t kRearmEvents = 400000;
 
-// Every callback carries the payload rt::Runner::arm_release actually
-// captures (this, &task, at, fire — four words). This is what pushes the
-// seed engine's std::function past its 16-byte SBO into one heap
-// allocation per scheduled event, exactly as in real runs; the inplace
-// buffer absorbs it.
+// Every callback carries a four-word payload. Like rt::Runner::arm_release's
+// three-word capture (this, idx, at), that pushes the seed engine's
+// std::function past its 16-byte SBO into one heap allocation per
+// scheduled event, exactly as in real runs; the inplace buffer absorbs it.
 struct Payload {
   std::uint64_t a = 1, b = 2, c = 3;
 };

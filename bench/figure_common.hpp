@@ -1,8 +1,8 @@
 // The paper workload as a spec (figure_base) and the sweep driver for the
 // Fig. 3 / Fig. 4 reproductions, shared with the tables and ablations,
-// plus the machine-readable benchmark reporter every bench_* binary uses
-// to leave a BENCH_<name>.json trajectory behind (schema:
-// docs/benchmarks.md).
+// plus the machine-readable reporter with which bench_engine_micro,
+// bench_placer and bench_shard_scaling each write one BENCH_<name>.json
+// (schema: docs/benchmarks.md).
 #pragma once
 
 #include <cstdlib>
@@ -12,7 +12,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/json.hpp"
 #include "common/json_writer.hpp"
 #include "metrics/report.hpp"
 #include "workload/spec.hpp"
@@ -31,43 +30,6 @@ class BenchReport {
 
   void add(const std::string& metric, double value, const std::string& unit) {
     metrics_.push_back(Metric{metric, value, unit});
-  }
-
-  /// Folds metrics from an existing BENCH_<name>.json in `dir` into this
-  /// report, keeping them ahead of this run's metrics; a metric this run
-  /// re-added wins over the file's copy. Lets several bench binaries
-  /// cooperate on one report file (bench_fleet_churn and
-  /// bench_shard_scaling both feed BENCH_fleet.json) independent of run
-  /// order — call before write(). Schema v2, docs/benchmarks.md.
-  void merge_existing(const std::string& dir = ".") {
-    const std::string path = dir + "/BENCH_" + name_ + ".json";
-    if (!std::ifstream(path)) return;  // first writer: nothing to merge
-    common::JsonValue doc;
-    try {
-      doc = common::parse_json_file(path);
-    } catch (const std::exception& e) {
-      std::cerr << "WARNING: not merging unparsable " << path << ": "
-                << e.what() << "\n";
-      return;
-    }
-    const common::JsonValue* metrics = doc.find("metrics");
-    if (!metrics || !metrics->is_array()) return;
-    std::vector<Metric> kept;
-    for (const auto& m : metrics->items()) {
-      const auto* name = m.find("name");
-      const auto* value = m.find("value");
-      const auto* unit = m.find("unit");
-      if (!name || !value || !unit) continue;
-      bool shadowed = false;
-      for (const auto& mine : metrics_) {
-        shadowed = shadowed || mine.name == name->as_string();
-      }
-      if (!shadowed) {
-        kept.push_back(
-            Metric{name->as_string(), value->as_number(), unit->as_string()});
-      }
-    }
-    metrics_.insert(metrics_.begin(), kept.begin(), kept.end());
   }
 
   /// Writes BENCH_<name>.json into `dir` (default: the working directory,

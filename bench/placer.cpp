@@ -10,7 +10,7 @@
 // re-sort per task. Also reports the admitted/oom split of each mode —
 // BFD admits what sequential best-fit strands, and that quality gap is as
 // much the point as the speed.
-// Merges into BENCH_fleet.json (schema: docs/benchmarks.md).
+// Writes BENCH_placer.json (schema: docs/benchmarks.md).
 #include <chrono>
 #include <cstdint>
 #include <iostream>
@@ -168,7 +168,7 @@ int main() {
             << batched.placed_bigs / kTrials << "/16 heavy), "
             << batched.oom / kTrials << " oom per trial\n";
 
-  bench::BenchReport report("fleet");
+  bench::BenchReport report("placer");
   report.add("placer_per_event_wall_s", per_event.wall_s, "s");
   report.add("placer_batched_wall_s", batched.wall_s, "s");
   report.add("placer_per_event_placements_per_s", per_event_rate,
@@ -195,8 +195,6 @@ int main() {
              static_cast<double>(per_event.placed_bigs) / kTrials, "tasks");
   report.add("placer_batched_heavy_placed_per_trial",
              static_cast<double>(batched.placed_bigs) / kTrials, "tasks");
-  // BENCH_fleet.json is shared with bench_fleet_churn / bench_shard_scaling.
-  report.merge_existing();
   report.write();
   return 0;
 }

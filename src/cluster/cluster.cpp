@@ -158,8 +158,7 @@ void Cluster::place(std::vector<rt::Task> tasks) {
     if (results[i].device) {
       devices_[*results[i].device].tasks.push_back(std::move(tasks[i]));
     } else {
-      rejected_.push_back(std::move(tasks[i]));
-      rejected_oom_.push_back(results[i].oom);
+      rejected_.push_back(Rejected{tasks[i].id, results[i].oom});
     }
   }
 }
@@ -289,7 +288,7 @@ metrics::FleetReport Cluster::fleet_report(SimTime end) const {
     reports.push_back(device_report(i, end));
   }
   int oom = 0;
-  for (const bool b : rejected_oom_) oom += b ? 1 : 0;
+  for (const Rejected& r : rejected_) oom += r.oom ? 1 : 0;
   return metrics::roll_up(std::move(reports),
                           static_cast<int>(rejected_.size()), oom);
 }

@@ -145,13 +145,17 @@ class Cluster {
   /// task WCETs at exactly these sizes before placing.
   std::vector<int> pool_sm_sizes() const;
 
-  /// Places each task as one batch (Placer::place_batch); rejected tasks
-  /// are retained for reporting, with their OOM classification alongside.
-  void place(std::vector<rt::Task> tasks);
-  const std::vector<rt::Task>& rejected_tasks() const { return rejected_; }
-  /// rejected_oom()[k] is true when rejected_tasks()[k] failed on memory
+  /// A task place() rejected: its id, and whether it failed on memory
   /// alone (cluster::PlaceResult::oom).
-  const std::vector<bool>& rejected_oom() const { return rejected_oom_; }
+  struct Rejected {
+    int id = -1;
+    bool oom = false;
+  };
+
+  /// Places each task as one batch (Placer::place_batch); rejected tasks
+  /// are kept for reporting as ids, in task order.
+  void place(std::vector<rt::Task> tasks);
+  const std::vector<Rejected>& rejected() const { return rejected_; }
 
   /// Arms periodic releases on every device (admits tasks into the
   /// per-device schedulers). Call once after place(); then run_until().
@@ -260,8 +264,7 @@ class Cluster {
   std::vector<std::vector<std::unique_ptr<gpu::DeviceClassMemo>>> memos_;
   std::deque<Device> devices_;  // stable addresses under add_device
   std::unique_ptr<Placer> placer_;
-  std::vector<rt::Task> rejected_;
-  std::vector<bool> rejected_oom_;
+  std::vector<Rejected> rejected_;
   bool started_ = false;
   rt::RunnerConfig rcfg_;
 };

@@ -121,7 +121,7 @@ class FleetRuntime {
       build_prototypes();
       place_initial_tasks();
     }
-    if (capture_) {
+    if (capture_ && spec_.dynamic()) {
       capture_->set_templates(effective_templates());
     }
     start();
@@ -249,6 +249,7 @@ class FleetRuntime {
     for (const auto& t : tasks) {
       next_task_id_ = std::max(next_task_id_, t.id + 1);
     }
+    if (capture_ && !spec_.dynamic()) capture_initial_tasks(tasks);
     cluster_->place(std::move(tasks));
     for (int d = 0; d < cluster_->num_devices(); ++d) {
       for (const auto& t : cluster_->device(d).tasks) {
@@ -272,21 +273,48 @@ class FleetRuntime {
                                s.tmpl.empty() ? "task" : s.tmpl);
       }
     }
-    const std::vector<bool>& oom = cluster_->rejected_oom();
-    std::size_t reject_index = 0;
-    for (const auto& t : cluster_->rejected_tasks()) {
+    for (const cluster::Cluster::Rejected& r : cluster_->rejected()) {
       ++result_.streams_rejected;
-      const bool was_oom =
-          reject_index < oom.size() && oom[reject_index];
-      ++reject_index;
-      if (was_oom) {
+      if (r.oom) {
         ++result_.streams_oom_rejected;
-        record({SimTime::zero(), DecisionKind::kStreamOomRejected, t.id, -1,
+        record({SimTime::zero(), DecisionKind::kStreamOomRejected, r.id, -1,
                 "initial placement ran out of device memory"});
       } else {
-        record({SimTime::zero(), DecisionKind::kStreamRejected, t.id, -1,
+        record({SimTime::zero(), DecisionKind::kStreamRejected, r.id, -1,
                 "initial placement failed admission"});
       }
+    }
+  }
+
+  /// --record-trace on a static spec: its workload is the initial task
+  /// set this run places, so the trace is one template per task (its
+  /// entry's shape, a default entry's for generator tasks, with the built
+  /// task's name, network and resolved times) plus one t=0 admission each.
+  /// Approximate by design: replaying it goes through the dynamic path,
+  /// whose report format differs from the closed-world one.
+  void capture_initial_tasks(const std::vector<rt::Task>& tasks) {
+    std::vector<StreamTemplate> templates;
+    templates.reserve(tasks.size());
+    for (const auto& t : tasks) {
+      const workload::TaskEntrySpec* e =
+          workload::task_entry_for(spec_, t.id);
+      StreamTemplate& st =
+          templates.emplace_back(e ? *e : workload::TaskEntrySpec{});
+      const bool sporadic = t.arrival == rt::ArrivalModel::kSporadic;
+      st.name = t.name;
+      st.network = t.network->name();
+      st.num_stages = t.stage_count();
+      st.deadline_ms = t.deadline.to_ms();
+      st.phase_ms = t.phase.to_ms();
+      st.fps = 1000.0 / (sporadic ? t.min_separation : t.period).to_ms();
+      if (sporadic) {
+        st.min_separation_ms = t.min_separation.to_ms();
+        st.max_separation_ms = t.max_separation.to_ms();
+      }
+    }
+    capture_->set_templates(std::move(templates));
+    for (const auto& t : tasks) {
+      capture_->record_admit(SimTime::zero(), t.name, t.id, -1, "initial");
     }
   }
 
@@ -1190,8 +1218,8 @@ class FleetRuntime {
   void fill_cluster(workload::ClusterScenarioResult& r) const {
     fill_counters(r, 0);
     r.fleet = cluster_->fleet_report(cfg_.duration);
-    for (const auto& t : cluster_->rejected_tasks()) {
-      r.rejected_task_ids.push_back(t.id);
+    for (const cluster::Cluster::Rejected& rej : cluster_->rejected()) {
+      r.rejected_task_ids.push_back(rej.id);
     }
   }
 

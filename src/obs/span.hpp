@@ -138,7 +138,8 @@ class SpanSink {
   void set_device_name(int index, std::string name);
 
   int num_devices() const { return static_cast<int>(devices_.size()); }
-  /// Total recorded events across every track (bench_span_overhead).
+  /// Total recorded events across every track (the CLI's "wrote spans"
+  /// line).
   std::int64_t total_events() const;
 
   /// Chrome/Perfetto trace-event JSON ({"traceEvents": [...]}); see the

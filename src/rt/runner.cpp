@@ -7,12 +7,8 @@
 namespace sgprs::rt {
 
 Runner::Runner(sim::Engine& engine, Scheduler& scheduler, RunnerConfig cfg)
-    : engine_(engine),
-      scheduler_(scheduler),
-      cfg_(cfg),
-      jitter_rng_(cfg.jitter_seed) {
+    : engine_(engine), scheduler_(scheduler), cfg_(cfg) {
   SGPRS_CHECK(cfg_.duration > SimTime::zero());
-  SGPRS_CHECK(cfg_.release_jitter >= SimTime::zero());
 }
 
 Runner::Runner(sim::Engine& engine, Scheduler& scheduler,
@@ -22,20 +18,12 @@ Runner::Runner(sim::Engine& engine, Scheduler& scheduler,
 }
 
 std::size_t Runner::admit_checked(const Task& t) {
-  // Jitter must not reorder a task's releases: bound it by the shortest
-  // guaranteed inter-arrival gap (the period, or a sporadic task's
-  // effective minimum separation).
-  const SimTime min_gap =
-      t.arrival == ArrivalModel::kSporadic && t.min_separation > SimTime::zero()
-          ? t.min_separation
-          : t.period;
-  SGPRS_CHECK_MSG(cfg_.release_jitter < min_gap ||
-                      cfg_.release_jitter == SimTime::zero(),
-                  "release jitter must stay below every task's minimum "
-                  "inter-arrival gap");
   if (t.arrival == ArrivalModel::kSporadic) {
-    // Compare against the *effective* minimum so a max below the
-    // defaulted min (the period) is rejected, not silently dropped.
+    // Compare against the *effective* minimum (the period when unset) so
+    // a max below the defaulted min is rejected, not silently dropped.
+    const SimTime min_gap = t.min_separation > SimTime::zero()
+                                ? t.min_separation
+                                : t.period;
     SGPRS_CHECK_MSG(t.max_separation == SimTime::zero() ||
                         min_gap <= t.max_separation,
                     "sporadic min_separation must not exceed "
@@ -119,20 +107,14 @@ void Runner::arm_release(std::size_t idx, SimTime at) {
   ts.pending = sim::kInvalidEvent;
   ts.pending_at = SimTime::max();
   if (at >= cfg_.duration) return;  // stop releasing at the horizon
-  SimTime fire = at;
-  if (cfg_.release_jitter > SimTime::zero()) {
-    fire += SimTime::from_sec(jitter_rng_.next_double() *
-                              cfg_.release_jitter.to_sec());
-    if (fire >= cfg_.duration) fire = at;  // keep the final release inside
-  }
-  ts.pending_at = fire;
-  ts.pending = engine_.schedule_at(fire, [this, idx, at, fire] {
+  ts.pending_at = at;
+  ts.pending = engine_.schedule_at(at, [this, idx, at] {
     TaskState& s = states_[idx];
     s.pending = sim::kInvalidEvent;
     s.pending_at = SimTime::max();
     if (!s.active) return;  // retired between schedule and fire
     ++releases_;
-    scheduler_.release_job(*s.task, fire);
+    scheduler_.release_job(*s.task, at);
     arm_release(idx, at + next_interarrival(s));
   });
 }

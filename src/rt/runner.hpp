@@ -20,11 +20,7 @@ namespace sgprs::rt {
 
 struct RunnerConfig {
   SimTime duration = SimTime::from_sec(3.0);
-  /// Bounded release jitter: each release is delayed by a uniform random
-  /// amount in [0, release_jitter] (camera frames do not arrive on a
-  /// perfect clock). Zero disables. Jitter is deterministic per seed and
-  /// never reorders a task's own releases.
-  SimTime release_jitter = SimTime::zero();
+  /// Seeds each sporadic task's arrival rng, with the task id.
   std::uint64_t jitter_seed = 99;
 };
 
@@ -98,7 +94,6 @@ class Runner {
   sim::Engine& engine_;
   Scheduler& scheduler_;
   RunnerConfig cfg_;
-  common::Rng jitter_rng_;
   std::vector<TaskState> states_;
   std::int64_t releases_ = 0;
   int active_ = 0;

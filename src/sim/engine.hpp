@@ -33,7 +33,8 @@ using EventId = std::uint64_t;
 inline constexpr EventId kInvalidEvent = 0;
 
 /// Event callback. Inline capacity covers every capture the schedulers and
-/// runner create (the largest today: 4 words in rt::Runner::arm_release);
+/// runner create (the largest today: 3 words, in rt::Runner::arm_release
+/// and the fleet runtime's recovery timer);
 /// outgrowing it is a static_assert at the schedule_at call site, never a
 /// silent heap allocation. 40 bytes keeps the whole EventNode at exactly
 /// one cache line.

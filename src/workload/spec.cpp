@@ -472,48 +472,6 @@ std::vector<rt::Task> build_spec_tasks(const ScenarioSpec& spec,
   return tasks;
 }
 
-/// Static-path capture (--record-trace on a closed-world spec): the run's
-/// workload is its initial task set, so the trace is one template plus one
-/// t=0 admission per task. Approximate by design — replaying it goes
-/// through the fleet runtime, whose report format differs from the
-/// closed-world one — but it turns any static scenario into an open-world
-/// workload artifact (and a seed for trace_scale).
-void capture_static_run(const ScenarioSpec& spec, const RunSeeds& seeds,
-                        trace::TraceRecorder& capture) {
-  ScenarioConfig cfg = spec.base;
-  cfg.seed = seeds.sim;
-  const std::vector<int> pool_sizes = cluster::pool_sm_sizes_for(
-      cfg.device, pool_config_for(cfg), cfg.sharing);
-  const std::vector<rt::Task> tasks =
-      build_spec_tasks(spec, seeds.generator, cfg, pool_sizes);
-
-  std::vector<fleet::StreamTemplate> templates;
-  templates.reserve(tasks.size());
-  for (const auto& t : tasks) {
-    // The entry's shape (a default entry's for generator tasks), with the
-    // built task's name, phase and resolved times.
-    const TaskEntrySpec* e = task_entry_for(spec, t.id);
-    fleet::StreamTemplate& st =
-        templates.emplace_back(e ? *e : TaskEntrySpec{});
-    const bool sporadic = t.arrival == rt::ArrivalModel::kSporadic;
-    st.name = t.name;
-    st.network = t.network->name();
-    st.num_stages = t.stage_count();
-    st.deadline_ms = t.deadline.to_ms();
-    st.phase_ms = t.phase.to_ms();
-    st.fps = 1000.0 / (sporadic ? t.min_separation : t.period).to_ms();
-    if (sporadic) {
-      st.min_separation_ms = t.min_separation.to_ms();
-      st.max_separation_ms = t.max_separation.to_ms();
-    }
-  }
-  capture.set_templates(std::move(templates));
-  for (const auto& t : tasks) {
-    capture.record_admit(common::SimTime::zero(), t.name, t.id, -1,
-                         "initial");
-  }
-}
-
 }  // namespace
 
 RunSeeds spec_seeds(const ScenarioSpec& spec) {
@@ -531,13 +489,7 @@ SpecResult run_spec(const ScenarioSpec& spec, trace::TraceRecorder* capture) {
 SpecResult run_spec(const ScenarioSpec& spec, const RunSeeds& seeds,
                     trace::TraceRecorder* capture,
                     const obs::Instruments& instruments) {
-  // The runtime records a dynamic spec's churn as it happens; a static
-  // spec's workload is its initial task set, captured on the side.
-  const bool dynamic = spec.dynamic();
-  SpecResult result = fleet::run_fleet_scenario(
-      spec, seeds, dynamic ? capture : nullptr, instruments);
-  if (capture && !dynamic) capture_static_run(spec, seeds, *capture);
-  return result;
+  return fleet::run_fleet_scenario(spec, seeds, capture, instruments);
 }
 
 TaskSetBuilder task_builder_for(const ScenarioSpec& spec) {

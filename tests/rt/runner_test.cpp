@@ -186,19 +186,6 @@ TEST_F(RunnerTest, SporadicMinAboveMaxRejected) {
   EXPECT_THROW(Runner(engine, sched, tasks2, {}), common::CheckError);
 }
 
-TEST_F(RunnerTest, ReleaseJitterBoundedBySporadicMinSeparation) {
-  sim::Engine engine;
-  RecordingScheduler sched;
-  Task t = make_task(0, 100);  // 10 ms period
-  t.arrival = ArrivalModel::kSporadic;
-  t.min_separation = SimTime::from_ms(2);
-  t.max_separation = SimTime::from_ms(20);
-  std::vector<Task> tasks = {t};
-  RunnerConfig rc;
-  rc.release_jitter = SimTime::from_ms(5);  // < period but > min separation
-  EXPECT_THROW(Runner(engine, sched, tasks, rc), common::CheckError);
-}
-
 TEST_F(RunnerTest, ZeroDurationRejected) {
   sim::Engine engine;
   RecordingScheduler sched;

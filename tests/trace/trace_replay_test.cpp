@@ -7,8 +7,8 @@
 //    fixed point);
 //  * a trace-driven spec inside a parallel experiment fan-out is
 //    byte-identical for --jobs 1 and --jobs 4;
-//  * closed-world specs capture their initial task set as t=0 admissions
-//    and replay as an open-world run serving the same streams.
+//  * closed-world specs capture the initial task set the run placed as t=0
+//    admissions and replay as an open-world run serving the same streams.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -16,6 +16,7 @@
 #include <string>
 
 #include "fleet/report.hpp"
+#include "gpu/device.hpp"
 #include "metrics/timeseries.hpp"
 #include "trace/trace.hpp"
 #include "workload/experiment.hpp"
@@ -161,6 +162,42 @@ TEST(TraceReplayTest, StaticRunCapturesInitialTasksAndReplays) {
   ASSERT_TRUE(open.dynamic);
   EXPECT_EQ(open.dyn.streams_admitted, 6);
   EXPECT_EQ(open.dyn.releases, closed.cluster.releases);
+}
+
+TEST(TraceReplayTest, StaticCaptureRecordsTheTasksTheRunPlaced) {
+  // One RTX 3090 described two ways: as the base device, and as a
+  // one-device fleet over the default 2080 Ti base device with admission
+  // off. Both runs profile the generated tasks at the 3090's pool sizes
+  // and serve them identically, so both captures must be identical too.
+  auto generated = [] {
+    workload::ScenarioSpec spec;
+    spec.name = "generated";
+    spec.base.num_contexts = 3;
+    spec.base.duration = common::SimTime::from_sec(1.0);
+    spec.base.warmup = common::SimTime::from_sec(0.2);
+    workload::GeneratorSpec g;
+    g.count = 6;
+    g.networks = {"resnet18", "mobilenet"};
+    spec.generator = g;
+    return spec;
+  };
+  workload::ScenarioSpec on_device = generated();
+  on_device.base.device = gpu::rtx3090();
+  workload::ScenarioSpec in_fleet = generated();
+  in_fleet.fleet_mode = true;
+  in_fleet.base.fleet = {gpu::rtx3090()};
+  in_fleet.base.admission_margin = 0.0;
+
+  TraceRecorder device_capture(on_device.name, "capture");
+  const auto device_run = workload::run_spec(on_device, &device_capture);
+  TraceRecorder fleet_capture(in_fleet.name, "capture");
+  const auto fleet_run = workload::run_spec(in_fleet, &fleet_capture);
+  ASSERT_TRUE(fleet_run.fleet);
+  EXPECT_EQ(fleet_run.fps(), device_run.fps());
+  EXPECT_EQ(fleet_run.migrations(), device_run.migrations());
+  ASSERT_EQ(fleet_capture.trace().templates.size(), 6u);
+  EXPECT_EQ(trace_bytes(fleet_capture.trace()),
+            trace_bytes(device_capture.trace()));
 }
 
 TEST(TraceReplayTest, TraceDrivenTimelineRejectsOtherSections) {
