@@ -106,7 +106,7 @@ double bench_schedule_fire() {
     for (std::size_t round = 0; round < kRounds; ++round) {
       const SimTime base = e.now();
       for (std::size_t i = 0; i < kBurst; ++i) {
-        e.schedule_at(base + scattered(i), CountFire{&sink});
+        e.schedule_at(base + scattered(i), CountFire{&sink, Payload{}});
       }
       e.run();
     }
@@ -163,12 +163,12 @@ struct Rearm {
     std::size_t scheduled = 0;
     std::size_t s = 0;
     for (std::size_t i = 0; i < kStreams; ++i) {
-      ev[i] = e.schedule_after(dt(scheduled++), OnFire{this});
+      ev[i] = e.schedule_after(dt(scheduled++), OnFire{this, Payload{}});
     }
     while (scheduled < kRearmEvents) {
       for (std::size_t r = 0; r < kRearmsPerFire; ++r) {
         e.cancel(ev[s]);  // stale if this stream's completion already fired
-        ev[s] = e.schedule_after(dt(scheduled++), OnFire{this});
+        ev[s] = e.schedule_after(dt(scheduled++), OnFire{this, Payload{}});
         s = (s + 1) % kStreams;
       }
       e.step();
@@ -203,7 +203,7 @@ double bench_parallel_sweep() {
         for (std::size_t round = 0; round < kRounds; ++round) {
           const SimTime base = e.now();
           for (std::size_t i = 0; i < kBurst; ++i) {
-            e.schedule_at(base + scattered(i), CountFire{&sink});
+            e.schedule_at(base + scattered(i), CountFire{&sink, Payload{}});
           }
           e.run();
         }

@@ -10,7 +10,7 @@ namespace sgprs::common {
 void FlagParser::define(const std::string& name, const std::string& help,
                         const std::string& default_value) {
   SGPRS_CHECK_MSG(!flags_.contains(name), "duplicate flag --" << name);
-  flags_[name] = Flag{help, default_value, false, false};
+  flags_[name] = Flag{help, default_value, false, false, false, {}};
   order_.push_back(name);
 }
 

@@ -30,12 +30,23 @@ constexpr std::size_t kSoloMemoCap = 16384;
 // most half full).
 constexpr std::size_t kSoloMemoSlots = 16;
 
-// FNV-1a over a share-memo key.
-std::uint64_t hash_key(const std::uint8_t* key, std::size_t n) {
-  std::uint64_t h = 14695981039346656037ULL;
+// A share-memo key's hash term for stream `sid` holding key byte `b`
+// (nonzero: the stream runs): splitmix64's finaliser of the pair. A key
+// hashes to the XOR of its running streams' terms, so a change of one
+// stream updates the hash in place.
+std::uint64_t share_term(std::size_t sid, std::uint8_t b) {
+  std::uint64_t z = ((static_cast<std::uint64_t>(sid) << 8) | b) +
+                    0x9e3779b97f4a7c15ULL;
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
+
+// The hash of a stored share-memo key: what the executor keeps in place.
+std::uint64_t stored_key_hash(const std::uint8_t* key, std::size_t n) {
+  std::uint64_t h = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    h ^= key[i];
-    h *= 1099511628211ULL;
+    if (key[i] != 0) h ^= share_term(i, key[i]);
   }
   return h;
 }
@@ -107,6 +118,8 @@ StreamId Executor::create_stream(ContextId ctx, StreamPriority priority) {
   own_memo_->cls_.streams.push_back(DeviceClass::Stream{ctx, priority});
   // A memo key has one byte per stream: the new width starts afresh.
   own_memo_->clear_shares();
+  // A stream added after the first submit widens the set and key too.
+  if (!running_.empty()) size_scratch();
   return static_cast<StreamId>(streams_.size() - 1);
 }
 
@@ -119,8 +132,19 @@ void Executor::attach_memo(DeviceClassMemo& memo) {
   // The stream count is fixed from here on, so the completion path's
   // scratch buffers take their size now: an executor joining a memo that
   // others warmed allocates nothing at its first events either.
-  key_.resize(streams_.size());
-  callbacks_.reserve(streams_.size());
+  size_scratch();
+}
+
+void Executor::size_scratch() {
+  const std::size_t n = streams_.size();
+  running_words_ = static_cast<std::uint32_t>((n + 63) / 64);
+  running_.assign(running_words_ + (n + 7) / 8, 0);
+  key_hash_ = 0;
+  for (StreamId sid = 0; sid < stream_count(); ++sid) {
+    const auto& run = streams_[sid].running;
+    if (run) mark_running(sid, run->desc->op);
+  }
+  callbacks_.reserve(n);
 }
 
 void Executor::check_not_ahead() const {
@@ -228,6 +252,8 @@ void Executor::submit(StreamId stream, const KernelProgram* program,
                       std::uint64_t tag, CompletionFn on_done) {
   SGPRS_CHECK(stream >= 0 && stream < stream_count());
   check_not_ahead();
+  // An executor that no memo was attached to sizes its buffers here.
+  if (running_.empty()) size_scratch();
   Stream& s = streams_[stream];
   Entry& e = s.queue.push_back();
   e.program = program;
@@ -264,14 +290,8 @@ void Executor::purge_all() {
   // events, no work_done_ for the unfinished residue.
   settle();
   advance_progress(engine_.now());
-  for (auto& s : streams_) {
-    s.queue.clear();
-    if (s.running) {
-      s.running.reset();
-      --running_count_;
-      --contexts_[s.ctx].running_count;
-    }
-  }
+  for (auto& s : streams_) s.queue.clear();
+  for_each_running([this](StreamId sid) { stop_running(sid); });
   SGPRS_CHECK(running_count_ == 0);
   cancel_completion();
   callbacks_.clear();
@@ -285,12 +305,14 @@ double Executor::priority_weight(StreamPriority p) const {
 }
 
 void Executor::advance_progress(SimTime to) {
+  // The work and busy increments go in stream by stream, in the order a
+  // pass over every stream adds them (an idle stream adds nothing);
+  // retire_finished adds the residues only after all of them.
   const double elapsed = (to - last_update_).to_sec();
   last_update_ = to;
-  if (elapsed <= 0.0 || running_count_ == 0) return;
-  for (auto& s : streams_) {
-    if (s.running) advance_kernel(*s.running, elapsed);
-  }
+  if (elapsed <= 0.0) return;
+  for_each_running(
+      [&](StreamId sid) { advance_kernel(*streams_[sid].running, elapsed); });
 }
 
 Executor::Progress Executor::progress(Running& r, double elapsed) {
@@ -334,7 +356,26 @@ void Executor::start_next(StreamId sid, SimTime at) {
   }
   ++running_count_;
   ++contexts_[s.ctx].running_count;
+  mark_running(sid, k.op);
   if (trace_) trace_->on_kernel_start(at, s.ctx, sid, traced(k, r.tag));
+}
+
+void Executor::mark_running(StreamId sid, OpClass op) {
+  running_[sid / 64] |= std::uint64_t{1} << (sid % 64);
+  std::uint8_t& b = key()[sid];
+  b = static_cast<std::uint8_t>(static_cast<unsigned>(op) + 1);
+  key_hash_ ^= share_term(sid, b);
+}
+
+void Executor::stop_running(StreamId sid) {
+  Stream& s = streams_[sid];
+  s.running.reset();
+  --running_count_;
+  --contexts_[s.ctx].running_count;
+  running_[sid / 64] &= ~(std::uint64_t{1} << (sid % 64));
+  std::uint8_t& b = key()[sid];
+  key_hash_ ^= share_term(sid, b);
+  b = 0;
 }
 
 const KernelDesc& Executor::traced(const KernelDesc& k, std::uint64_t tag) {
@@ -376,11 +417,8 @@ void Executor::reschedule() {
   cancel_completion();
   if (running_count_ == 0) return;
   if (running_count_ == 1) {
-    for (StreamId sid = 0; sid < stream_count(); ++sid) {
-      if (!streams_[sid].running) continue;
-      arm_solo_chain(sid);
-      return;
-    }
+    for_each_running([this](StreamId sid) { arm_solo_chain(sid); });
+    return;
   }
 
   completion_event_ = engine_.schedule_at(
@@ -390,15 +428,14 @@ void Executor::reschedule() {
 SimTime Executor::contended_boundary() {
   const ShareGrant* grants = contended_grants();
   double min_finish = std::numeric_limits<double>::infinity();
-  for (StreamId sid = 0; sid < stream_count(); ++sid) {
-    if (!streams_[sid].running) continue;
+  for_each_running([&](StreamId sid) {
     Running& r = *streams_[sid].running;
     r.rate = grants[sid].rate;
     r.granted_sms = grants[sid].sms;
     SGPRS_CHECK(r.rate > 0.0);
     const double finish = r.rem_overhead + r.rem_work / r.rate;
     min_finish = std::min(min_finish, finish);
-  }
+  });
   return last_update_ + finish_delay(min_finish);
 }
 
@@ -434,23 +471,17 @@ void Executor::step_contended() {
 }
 
 const ShareGrant* Executor::contended_grants() {
+  // The key and its hash already describe the running set.
   DeviceClassMemo& m = *memo_;
   const std::size_t width = streams_.size();
-  key_.resize(width);
-  for (std::size_t sid = 0; sid < width; ++sid) {
-    const auto& run = streams_[sid].running;
-    key_[sid] = run ? static_cast<std::uint8_t>(
-                          static_cast<unsigned>(run->desc->op) + 1)
-                    : 0;
-  }
-  const std::uint64_t hash = hash_key(key_.data(), width);
+  const std::uint8_t* key = this->key();
+  const std::uint64_t hash = key_hash_;
   if (m.share_slots_.empty()) m.share_slots_.resize(kShareMemoSlots);
   std::size_t mask = m.share_slots_.size() - 1;
   std::size_t i = hash & mask;
   for (; m.share_slots_[i] != 0; i = (i + 1) & mask) {
     const std::size_t e = m.share_slots_[i] - 1;
-    if (std::memcmp(key_.data(), m.share_keys_.data() + e * width, width) ==
-        0) {
+    if (std::memcmp(key, m.share_keys_.data() + e * width, width) == 0) {
       return m.share_grants_.data() + e * width;
     }
   }
@@ -463,20 +494,20 @@ const ShareGrant* Executor::contended_grants() {
   }
   std::vector<ShareRequest> reqs;
   reqs.reserve(static_cast<std::size_t>(running_count_));
-  for (const auto& s : streams_) {
-    if (!s.running) continue;
+  for_each_running([&](StreamId sid) {
+    const Stream& s = streams_[sid];
     reqs.push_back(
         ShareRequest{s.ctx, priority_weight(s.priority), s.running->desc->op});
-  }
+  });
   const DeviceClass& cls = m.cls_;
   const auto grants = compute_shares(cls.speedup, cls.total_sms,
                                      cls.context_sms, reqs, cls.sharing);
   const std::size_t base = m.share_keys_.size();
-  m.share_keys_.insert(m.share_keys_.end(), key_.begin(), key_.end());
+  m.share_keys_.insert(m.share_keys_.end(), key, key + width);
   m.share_grants_.resize(base + width);
-  for (std::size_t sid = 0, k = 0; sid < width; ++sid) {
-    if (key_[sid] != 0) m.share_grants_[base + sid] = grants[k++];
-  }
+  std::size_t k = 0;
+  for_each_running(
+      [&](StreamId sid) { m.share_grants_[base + sid] = grants[k++]; });
   const std::size_t entries = base / width + 1;
   m.share_slots_[i] = static_cast<std::uint32_t>(entries);
 
@@ -485,7 +516,8 @@ const ShareGrant* Executor::contended_grants() {
     m.share_slots_.assign(2 * m.share_slots_.size(), 0);
     mask = m.share_slots_.size() - 1;
     for (std::size_t e = 0; e < entries; ++e) {
-      std::size_t j = hash_key(m.share_keys_.data() + e * width, width) & mask;
+      std::size_t j =
+          stored_key_hash(m.share_keys_.data() + e * width, width) & mask;
       while (m.share_slots_[j] != 0) j = (j + 1) & mask;
       m.share_slots_[j] = static_cast<std::uint32_t>(e + 1);
     }
@@ -626,9 +658,7 @@ int Executor::catch_up(SimTime now) {
                     "completion event fired with no finished kernel");
     work_done_ += r.rem_work;  // residue below epsilon
     if (trace_) trace_->on_kernel_end(end, s.ctx, sid, traced(*r.desc, r.tag));
-    s.running.reset();
-    --running_count_;
-    --contexts_[s.ctx].running_count;
+    stop_running(sid);
     ++retired;
     // Its successors start cold: the memo retires those that end by now,
     // and start_next materialises the one the chain stops at.
@@ -720,21 +750,17 @@ int Executor::retire_finished(SimTime at) {
   // start_next touches only its own stream, so one pass in stream order
   // retires what a collect-then-retire pass would.
   int finished = 0;
-  for (StreamId sid = 0; sid < stream_count(); ++sid) {
+  for_each_running([&](StreamId sid) {
     Stream& s = streams_[sid];
-    const bool done = s.running && s.running->rem_overhead <= 0.0 &&
-                      s.running->rem_work <= kWorkEpsilon;
-    if (!done) continue;
-    ++finished;
     Running& r = *s.running;
+    if (r.rem_overhead > 0.0 || r.rem_work > kWorkEpsilon) return;
     work_done_ += r.rem_work;  // residue below epsilon
     if (trace_) trace_->on_kernel_end(at, s.ctx, sid, traced(*r.desc, r.tag));
     if (r.on_done) callbacks_.push_back(std::move(r.on_done));
-    s.running.reset();
-    --running_count_;
-    --contexts_[s.ctx].running_count;
+    stop_running(sid);
     start_next(sid, at);
-  }
+    ++finished;
+  });
   return finished;
 }
 

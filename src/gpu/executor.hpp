@@ -42,10 +42,15 @@
 // set — each stream's running op class, since a stream's context and
 // priority, the context SM limits and the sharing parameters are fixed.
 // The executor memoises its grants keyed by that set, so a repeated set
-// costs one lookup and returns the exact doubles a fresh call would. Every
-// scratch buffer of the completion path belongs to this executor, and after
-// warm-up a contended completion touches no allocator. docs/ARCHITECTURE.md
-// § "Contended shares" is the design note.
+// costs one lookup and returns the exact doubles a fresh call would. The
+// running set is a bitset of streams, walked in stream order, and the memo
+// key (one byte per stream) is kept in place with an XOR hash of its
+// running streams' terms: start_next and each retirement update both, so a
+// lookup neither rebuilds nor rehashes the key, and every per-boundary
+// pass visits only the running kernels. Every scratch buffer of the
+// completion path belongs to this executor, and after warm-up a contended
+// completion touches no allocator. docs/ARCHITECTURE.md § "Contended
+// shares" is the design note.
 //
 // Contended chains: with two or more kernels running, a completion event
 // that has fired its callbacks does not post an event for every following
@@ -70,6 +75,7 @@
 // whichever executor of the class computed it.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -278,7 +284,8 @@ class Executor {
   // now: what every entry point that reads or changes kernel state does
   // first.
   void settle();
-  // Consumes the time from the last update to `to` against stored rates.
+  // Consumes the time from the last update to `to` against stored rates,
+  // one running kernel at a time, in stream order.
   void advance_progress(SimTime to);
   // One kernel's share of advance_progress over `elapsed` seconds.
   void advance_kernel(Running& r, double elapsed);
@@ -321,6 +328,28 @@ class Executor {
   // stream's successor, collecting callbacks into callbacks_; returns how
   // many it retired.
   int retire_finished(SimTime at);
+  // Sizes running_ and callbacks_ to the stream count and fills the set
+  // and key from the streams' running kernels.
+  void size_scratch();
+  // Adds a stream running a kernel of class `op` to the running set and
+  // the key.
+  void mark_running(StreamId sid, OpClass op);
+  // Drops the stream's running kernel from the running set and the key.
+  void stop_running(StreamId sid);
+  // Calls f(sid) for every stream in the running set, in stream order. A
+  // word is read once, so f may retire and restart the stream it is given.
+  template <class F>
+  void for_each_running(F&& f) const {
+    for (std::uint32_t w = 0; w < running_words_; ++w) {
+      for (std::uint64_t bits = running_[w]; bits != 0; bits &= bits - 1) {
+        f(static_cast<StreamId>(w * 64 + std::countr_zero(bits)));
+      }
+    }
+  }
+  // The share-memo key of the running set, inside running_.
+  std::uint8_t* key() {
+    return reinterpret_cast<std::uint8_t*>(running_.data() + running_words_);
+  }
   // Fires callbacks_ at `now`, deferring the reschedules they cause.
   void fire_callbacks(SimTime now);
   double priority_weight(StreamPriority p) const;
@@ -353,15 +382,23 @@ class Executor {
   // until the outermost mutation finishes.
   int defer_depth_ = 0;
   bool needs_reschedule_ = false;
+  // ⌈streams / 64⌉ once running_ is laid out.
+  std::uint32_t running_words_ = 0;
 
   InputBound input_bound_;
 
   // This executor's own memo; null once attach_memo shares another.
   std::unique_ptr<DeviceClassMemo> own_memo_;
 
-  // Scratch buffers reused by every reschedule and completion event;
-  // callbacks_ also holds a stepped boundary's callbacks until its event.
-  std::vector<std::uint8_t> key_;
+  // The running set and the share-memo key in one buffer, so that a device
+  // pays one allocation for both: words [0, running_words_) are the set
+  // (bit s % 64 of word s / 64 is set while stream s runs a kernel), and
+  // the bytes after them the key, one per stream (see DeviceClassMemo).
+  std::vector<std::uint64_t> running_;
+  // The key's hash: the XOR of its running streams' terms.
+  std::uint64_t key_hash_ = 0;
+  // Reused by every completion event; also holds a stepped boundary's
+  // callbacks until its event.
   std::vector<CompletionFn> callbacks_;
   KernelDesc trace_desc_;
 };

@@ -123,6 +123,8 @@ ResponseTimeReport response_time_estimate(const std::vector<Task>& tasks,
 }
 
 AdmitOutcome AdmissionController::try_admit_ex(const Task& task) {
+  // Dropped on every path, admit or reject: each one modifies admitted_.
+  utilization_.reset();
   admitted_.push_back(task);
   const auto util = utilization_test(admitted_, capacity_, margin_);
   if (!util.schedulable_by_utilization) {
@@ -159,6 +161,7 @@ bool AdmissionController::remove(int task_id) {
       mem_used_ -= it->mem_bytes;
       warps_used_ -= it->warps;
       admitted_.erase(it);
+      utilization_.reset();
       return true;
     }
   }
@@ -167,7 +170,10 @@ bool AdmissionController::remove(int task_id) {
 
 double AdmissionController::current_utilization() const {
   if (admitted_.empty()) return 0.0;
-  return utilization_test(admitted_, capacity_, 1.0).utilization;
+  if (!utilization_) {
+    utilization_ = utilization_test(admitted_, capacity_, 1.0).utilization;
+  }
+  return *utilization_;
 }
 
 }  // namespace sgprs::rt

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "gpu/context_pool.hpp"
@@ -133,6 +134,7 @@ class AdmissionController {
     mem_used_ += task.mem_bytes;
     warps_used_ += task.warps;
     admitted_.push_back(task);
+    utilization_.reset();
   }
 
   /// Releases the capacity held by task `task_id` (stream retired or
@@ -140,6 +142,8 @@ class AdmissionController {
   bool remove(int task_id);
 
   const std::vector<Task>& admitted() const { return admitted_; }
+  /// utilization_test's utilization of the admitted set, recomputed only
+  /// after the set changes.
   double current_utilization() const;
   std::int64_t mem_used() const { return mem_used_; }
   std::int64_t warps_used() const { return warps_used_; }
@@ -151,6 +155,8 @@ class AdmissionController {
   double margin_;
   ResourceBudget budget_;
   std::vector<Task> admitted_;
+  /// current_utilization's value; empty once admitted_ has changed since.
+  mutable std::optional<double> utilization_;
   /// Integer resource accounting: exact under any admit/remove order, so
   /// sharded and replayed runs see identical budgets.
   std::int64_t mem_used_ = 0;

@@ -17,8 +17,12 @@ SgprsScheduler::SgprsScheduler(gpu::Executor& exec,
     CtxState cs;
     cs.ctx = pc.ctx;
     cs.sm_limit = pc.sm_limit;
-    for (auto s : pc.high_streams) cs.high_slots.push_back(Slot{s});
-    for (auto s : pc.low_streams) cs.low_slots.push_back(Slot{s});
+    for (auto s : pc.high_streams) {
+      cs.high_slots.push_back(Slot{s, false, SimTime{}});
+    }
+    for (auto s : pc.low_streams) {
+      cs.low_slots.push_back(Slot{s, false, SimTime{}});
+    }
     contexts_.push_back(std::move(cs));
   }
   SGPRS_CHECK_MSG(!contexts_.empty(), "SGPRS needs a context pool");

@@ -590,12 +590,13 @@ TEST(StageProgramDifferential, TwoHundredSeedsMatchThePerKernelOracle) {
   EXPECT_LT(chain_events, oracle_events);
 }
 
-/// A plan that keeps many kernels running at once: 2-16 streams over 1-4
+/// A plan that keeps many kernels running at once: 2-16 streams (65-140
+/// when `wide`, a running set over two or three words) over 1-4
 /// over-subscribed contexts, kernels from a small op-class palette, and
 /// jobs whose follow-up batches repeat their first batch's op sequence on
 /// the same stream, the way a periodic task re-runs its stages. Running
 /// sets recur, so most contended reschedules hit the share memo.
-Plan contended_plan(std::uint64_t seed) {
+Plan contended_plan(std::uint64_t seed, bool wide = false) {
   common::Rng rng(seed);
   Plan p;
   if (rng.next_double() < 0.5) {
@@ -609,7 +610,8 @@ Plan contended_plan(std::uint64_t seed) {
     const int sms = static_cast<int>(68.0 * oversub / contexts);
     p.context_sms.push_back(std::clamp(sms, 1, 68));
   }
-  const int streams = 2 + static_cast<int>(rng.next_u64() % 15);
+  const int streams = wide ? 65 + static_cast<int>(rng.next_u64() % 76)
+                           : 2 + static_cast<int>(rng.next_u64() % 15);
   for (int s = 0; s < streams; ++s) {
     p.streams.push_back(
         {static_cast<int>(rng.next_u64() % contexts),
@@ -669,6 +671,18 @@ std::size_t contended_instants(const std::vector<TraceEvent>& t,
   return instants;
 }
 
+/// Kernel starts in a trace on a stream past the first 64 while another
+/// kernel runs: contended sets beyond the running set's first word.
+std::size_t wide_contended_starts(const std::vector<TraceEvent>& t) {
+  std::size_t starts = 0;
+  int running = 0;
+  for (const TraceEvent& e : t) {
+    if (e.kind == 's' && e.stream >= 64 && running >= 1) ++starts;
+    running += e.kind == 's' ? 1 : -1;
+  }
+  return starts;
+}
+
 /// Kernels running just before `at_ns`, from a trace.
 int running_before(const std::vector<TraceEvent>& t, std::int64_t at_ns) {
   int running = 0;
@@ -700,6 +714,18 @@ TEST(ShareMemoDifferential, TwoHundredSeedsMatchThePerKernelOracle) {
   // they must dominate.
   EXPECT_GT(memo_entries, 0u);
   EXPECT_LT(3 * memo_entries, lookups);
+
+  // Wide pools, as a 68-context pool of four streams each gives.
+  std::size_t wide_starts = 0;
+  for (std::uint64_t seed = 201; seed <= 216; ++seed) {
+    SCOPED_TRACE("wide seed " + std::to_string(seed));
+    const Plan plan = contended_plan(seed, /*wide=*/true);
+    const Outcome base = Harness<ReferenceExecutor>(plan).run();
+    const Outcome memo = Harness<Executor>(plan).run();
+    expect_identical(memo, base);
+    wide_starts += wide_contended_starts(base.trace);
+  }
+  EXPECT_GT(wide_starts, 50u);
 }
 
 /// contended_plan(seed)'s jobs on `cls`'s device class: its sharing
@@ -823,11 +849,11 @@ TEST(ShareMemoDifferential, SharedMemoExecutorsMatchTheirOracles) {
 }
 
 /// A contended plan whose inputs keep arriving while chains run: jobs over
-/// 2-12 streams whose stages are kernel batches or shared programs, child
-/// stages dispatched from the callback or by a timer 0-200 us after it,
-/// late arrivals landing mid-chain, getter snapshots and, in some plans, a
-/// purge.
-Plan chain_plan(std::uint64_t seed) {
+/// 2-12 streams (64-139 when `wide`) whose stages are kernel batches or
+/// shared programs, child stages dispatched from the callback or by a
+/// timer 0-200 us after it, late arrivals landing mid-chain, getter
+/// snapshots and, in some plans, a purge.
+Plan chain_plan(std::uint64_t seed, bool wide = false) {
   common::Rng rng(seed);
   Plan p;
   if (rng.next_double() < 0.5) {
@@ -841,7 +867,8 @@ Plan chain_plan(std::uint64_t seed) {
     const int sms = static_cast<int>(68.0 * oversub / contexts);
     p.context_sms.push_back(std::clamp(sms, 1, 68));
   }
-  const int streams = 2 + static_cast<int>(rng.next_u64() % 11);
+  const int streams = wide ? 64 + static_cast<int>(rng.next_u64() % 76)
+                           : 2 + static_cast<int>(rng.next_u64() % 11);
   for (int s = 0; s <= streams; ++s) {  // one extra: the probe stream
     p.streams.push_back(
         {static_cast<int>(rng.next_u64() % contexts),
@@ -926,6 +953,72 @@ std::vector<std::int64_t> contended_boundaries(
   return ends;
 }
 
+/// What one chain_plan seed's runs fired.
+struct ChainCounts {
+  std::size_t chain_events = 0;
+  std::size_t unbounded_events = 0;
+  std::size_t oracle_events = 0;
+  bool horizon = false;  // whether a contended boundary was probed
+  std::vector<TraceEvent> trace;  // the oracle's
+};
+
+/// Runs `plan` bounded, unbounded and untraced against the oracle, then
+/// with a foreign enqueue or purge due on one of its contended boundaries
+/// and at run_until horizons around it.
+ChainCounts check_chain_plan(const Plan& plan, std::uint64_t seed) {
+  ChainCounts n;
+  const Outcome base = Harness<ReferenceExecutor>(plan).run();
+  const Outcome chain =
+      Harness<Executor>(plan, true, nullptr, /*bounded=*/true).run();
+  expect_identical(chain, base);
+  n.chain_events = chain.events;
+  n.oracle_events = base.events;
+  n.unbounded_events = Harness<Executor>(plan).run().events;
+  n.trace = base.trace;
+  {
+    SCOPED_TRACE("no trace sink");
+    expect_identical(Harness<Executor>(plan, false, nullptr, true).run(),
+                     Harness<ReferenceExecutor>(plan, false).run());
+  }
+
+  // A run_until horizon on a contended boundary, 1 ns before it and 1 ns
+  // after it, with a foreign enqueue or a purge at the horizon.
+  common::Rng rng(seed ^ 0x9e3779b97f4a7c15ULL);
+  const auto ends = contended_boundaries(base.trace, plan.purge_ns);
+  if (ends.empty()) return n;
+  const std::int64_t at = ends[rng.next_u64() % ends.size()];
+  // A foreign enqueue or purge due exactly on that boundary: scheduled
+  // ahead of the oracle's completion event, the input comes first;
+  // scheduled from an event at that instant, the boundary does.
+  for (const Probe probe : {Probe::kEnqueue, Probe::kPurge}) {
+    for (const bool two_step : {true, false}) {
+      SCOPED_TRACE(std::string(probe == Probe::kPurge ? "purge" : "enqueue") +
+                   " due on the boundary" +
+                   (two_step ? ", behind it" : ", ahead of it"));
+      expect_identical(
+          Harness<Executor>(plan, true, nullptr, true)
+              .run(probe, at, two_step),
+          Harness<ReferenceExecutor>(plan).run(probe, at, two_step));
+    }
+  }
+  for (const std::int64_t h : {at - 1, at, at + 1}) {
+    if (h < 0) continue;
+    for (const Probe action : {Probe::kEnqueue, Probe::kPurge}) {
+      for (const bool traced : {true, false}) {
+        SCOPED_TRACE(std::string(action == Probe::kPurge ? "purge"
+                                                          : "enqueue") +
+                     " at boundary " + std::to_string(h - at) + " ns" +
+                     (traced ? " traced" : " untraced"));
+        expect_identical(
+            Harness<Executor>(plan, traced, nullptr, true).run_to(h, action),
+            Harness<ReferenceExecutor>(plan, traced).run_to(h, action));
+      }
+    }
+  }
+  n.horizon = true;
+  return n;
+}
+
 TEST(ContendedChainDifferential, TwoHundredSeedsMatchThePerKernelOracle) {
   std::size_t chain_events = 0;
   std::size_t unbounded_events = 0;
@@ -933,61 +1026,26 @@ TEST(ContendedChainDifferential, TwoHundredSeedsMatchThePerKernelOracle) {
   int horizons = 0;
   for (std::uint64_t seed = 1; seed <= 200; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
-    const Plan plan = chain_plan(seed);
-    const Outcome base = Harness<ReferenceExecutor>(plan).run();
-    const Outcome chain =
-        Harness<Executor>(plan, true, nullptr, /*bounded=*/true).run();
-    expect_identical(chain, base);
-    chain_events += chain.events;
-    oracle_events += base.events;
-    unbounded_events += Harness<Executor>(plan).run().events;
-    {
-      SCOPED_TRACE("no trace sink");
-      expect_identical(
-          Harness<Executor>(plan, false, nullptr, true).run(),
-          Harness<ReferenceExecutor>(plan, false).run());
-    }
-
-    // A run_until horizon on a contended boundary, 1 ns before it and 1 ns
-    // after it, with a foreign enqueue or a purge at the horizon.
-    common::Rng rng(seed ^ 0x9e3779b97f4a7c15ULL);
-    const auto ends = contended_boundaries(base.trace, plan.purge_ns);
-    if (ends.empty()) continue;
-    const std::int64_t at = ends[rng.next_u64() % ends.size()];
-    // A foreign enqueue or purge due exactly on that boundary: scheduled
-    // ahead of the oracle's completion event, the input comes first;
-    // scheduled from an event at that instant, the boundary does.
-    for (const Probe probe : {Probe::kEnqueue, Probe::kPurge}) {
-      for (const bool two_step : {true, false}) {
-        SCOPED_TRACE(std::string(probe == Probe::kPurge ? "purge" : "enqueue") +
-                     " due on the boundary" +
-                     (two_step ? ", behind it" : ", ahead of it"));
-        expect_identical(Harness<Executor>(plan, true, nullptr, true)
-                             .run(probe, at, two_step),
-                         Harness<ReferenceExecutor>(plan).run(probe, at,
-                                                              two_step));
-      }
-    }
-    for (const std::int64_t h : {at - 1, at, at + 1}) {
-      if (h < 0) continue;
-      for (const Probe action : {Probe::kEnqueue, Probe::kPurge}) {
-        for (const bool traced : {true, false}) {
-          SCOPED_TRACE(std::string(action == Probe::kPurge ? "purge"
-                                                            : "enqueue") +
-                       " at boundary " + std::to_string(h - at) + " ns" +
-                       (traced ? " traced" : " untraced"));
-          expect_identical(
-              Harness<Executor>(plan, traced, nullptr, true).run_to(h, action),
-              Harness<ReferenceExecutor>(plan, traced).run_to(h, action));
-        }
-      }
-    }
-    ++horizons;
+    const ChainCounts n = check_chain_plan(chain_plan(seed), seed);
+    chain_events += n.chain_events;
+    unbounded_events += n.unbounded_events;
+    oracle_events += n.oracle_events;
+    horizons += n.horizon ? 1 : 0;
   }
   EXPECT_GT(horizons, 150);
   // Stepping must actually skip events, beyond what solo chains skip.
   EXPECT_LT(chain_events, unbounded_events);
   EXPECT_LT(2 * chain_events, oracle_events);
+
+  // Wide pools, as a 68-context pool of four streams each gives.
+  std::size_t wide_starts = 0;
+  for (std::uint64_t seed = 201; seed <= 216; ++seed) {
+    SCOPED_TRACE("wide seed " + std::to_string(seed));
+    wide_starts +=
+        wide_contended_starts(check_chain_plan(chain_plan(seed, true), seed)
+                                  .trace);
+  }
+  EXPECT_GT(wide_starts, 50u);
 }
 
 TEST(SoloChain, LoneResnet18JobFiresOneEventPerStage) {

@@ -4,6 +4,7 @@
 
 #include <memory>
 
+#include "common/rng.hpp"
 #include "dnn/builders.hpp"
 
 namespace sgprs::rt {
@@ -123,6 +124,45 @@ TEST_F(AnalysisTest, AdmissionRejectionLeavesStateUnchanged) {
   const auto more = make_tasks(1, 60.0);  // heavy task: must be rejected
   EXPECT_FALSE(ac.try_admit(more[0]));
   EXPECT_DOUBLE_EQ(ac.current_utilization(), before);
+}
+
+TEST_F(AnalysisTest, CachedUtilizationMatchesAFreshTest) {
+  // current_utilization caches its value between changes of the admitted
+  // set: after every step of a random admit/remove sequence it must equal
+  // a fresh utilization_test of that set, bit for bit.
+  if (!net_) net_ = std::make_shared<const dnn::Network>(dnn::resnet18());
+  std::vector<Task> pool;
+  common::Rng rng(7);
+  for (int i = 0; i < 24; ++i) {
+    TaskConfig cfg;
+    cfg.fps = rng.uniform(5.0, 60.0);
+    pool.push_back(build_task(i, net_, cfg, profiler_, {51}));
+  }
+  AdmissionController ac(capacity_, 51, 0.95);
+  int admitted = 0;
+  int rejected = 0;
+  int removed = 0;
+  for (int step = 0; step < 400; ++step) {
+    const Task& t = pool[rng.next_u64() % pool.size()];
+    const double roll = rng.next_double();
+    if (roll < 0.45) {
+      (ac.try_admit(t) ? admitted : rejected) += 1;
+    } else if (roll < 0.55) {
+      ac.force_admit(t);
+    } else {
+      removed += ac.remove(t.id) ? 1 : 0;
+    }
+    const double fresh =
+        ac.admitted().empty()
+            ? 0.0
+            : utilization_test(ac.admitted(), capacity_, 1.0).utilization;
+    ASSERT_EQ(ac.current_utilization(), fresh) << "step " << step;
+    // A second read hits the cache.
+    ASSERT_EQ(ac.current_utilization(), fresh) << "step " << step;
+  }
+  EXPECT_GT(admitted, 10);
+  EXPECT_GT(rejected, 10);
+  EXPECT_GT(removed, 10);
 }
 
 TEST_F(AnalysisTest, InvalidInputsThrow) {

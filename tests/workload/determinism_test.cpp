@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <future>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/thread_pool.hpp"
@@ -46,6 +47,22 @@ TEST(GoldenTraceDeterminism, PaperScenario1MatchesPinnedDigest) {
   const std::string d = digest(run_spec(load_scenario_spec(
       paper_scenario1_path())));
   EXPECT_EQ(fnv1a64(d), kPaperScenario1Fnv) << "full digest: " << d;
+}
+
+TEST(GoldenTraceDeterminism, PaperScenario1WidePoolMatchesPinnedDigest) {
+  // paper_scenario1 on the widest pool a spec allows, 68 contexts of four
+  // streams: the executor's running set spans five 64-stream words. The
+  // paper's 16 tasks never run past the first word's streams, so 64 tasks
+  // are pinned as well. Pinned like the digest above.
+  for (const auto& [tasks, fnv] : {std::pair{16, 0x7479bf9fdcee55a0ULL},
+                                   std::pair{64, 0x9d99cbe512da0dc2ULL}}) {
+    SCOPED_TRACE(std::to_string(tasks) + " tasks");
+    ScenarioSpec spec = load_scenario_spec(paper_scenario1_path());
+    spec.base.num_contexts = 68;
+    spec.tasks[0].count = tasks;
+    const std::string d = digest(run_spec(spec));
+    EXPECT_EQ(fnv1a64(d), fnv) << "full digest: " << d;
+  }
 }
 
 TEST(GoldenTraceDeterminism, PaperScenario1EventCount) {

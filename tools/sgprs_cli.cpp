@@ -1,7 +1,7 @@
 // sgprs_cli — run any scheduler/pool/workload combination from the command
 // line and print (or CSV-export) the paper's metrics.
 //
-// Examples:
+// Examples (an indented line continues the command above it):
 //   sgprs_cli --scheduler=sgprs --contexts=3 --oversub=1.5 --tasks=24
 //   sgprs_cli --scheduler=naive --tasks=20 --duration=5
 //   sgprs_cli --sweep=1:30 --csv=fig3.csv --contexts=2 --oversub=2.0
@@ -10,11 +10,11 @@
 //   sgprs_cli --devices=2080ti,3090 --placement=hash --tasks=24
 //   sgprs_cli --scenario=scenarios/paper_scenario1.json
 //   sgprs_cli --suite=scenarios --report=suite_report
-//   sgprs_cli --experiment=scenarios/experiments/dmr_vs_utilization.json \
+//   sgprs_cli --experiment=scenarios/experiments/dmr_vs_utilization.json
 //             --jobs=4 --report=experiment_report
 //   sgprs_cli --scenario=scenarios/flash_crowd.json --record-trace=day.json
 //   sgprs_cli --trace=day.json
-//   sgprs_cli --scenario=scenarios/diurnal_wave.json \
+//   sgprs_cli --scenario=scenarios/diurnal_wave.json
 //             --trace-spans=spans.json --profile
 #include <algorithm>
 #include <cstdlib>

@@ -1,8 +1,8 @@
 // trace_scale — synthesize a scaled workload trace from a recorded one
 // (src/trace/scale.hpp has the semantics; docs/traces.md the workflow).
 //
-// Examples:
-//   trace_scale --in=day.json --out=day_100x.json --clone=100 \
+// Examples (an indented line continues the command above it):
+//   trace_scale --in=day.json --out=day_100x.json --clone=100
 //               --jitter-ms=250 --seed=7
 //   trace_scale --in=day.json --out=day_fast.json --time-warp=0.01
 //
