@@ -14,6 +14,7 @@
 #include <chrono>
 #include <cstdint>
 #include <iostream>
+#include <memory>
 #include <random>
 #include <string>
 #include <vector>
@@ -73,9 +74,11 @@ std::vector<rt::Task> make_tasks(const rt::PoolCapacityModel& cap) {
     t.deadline = t.period;
     const double wcet_sec = frac(rng) * cap.work_rate * period_sec /
                             speedup.speedup(gpu::OpClass::kConv, 34.0);
-    t.wcet.per_stage.resize(1);
-    t.wcet.per_stage[0][34] = SimTime::from_sec(wcet_sec);
-    t.wcet.total[34] = SimTime::from_sec(wcet_sec);
+    auto cls = std::make_shared<rt::TaskClass>();
+    cls->wcet.sm_sizes = {34};
+    cls->wcet.stage_times = {SimTime::from_sec(wcet_sec)};
+    cls->wcet.totals = cls->wcet.stage_times;
+    t.task_class = std::move(cls);
     const double gib = (i % 16 == 0) ? mem_big(rng) : mem_small(rng);
     t.mem_bytes = static_cast<std::int64_t>(gib * (1ll << 30));
     t.warps = 32 + (i % 5) * 16;

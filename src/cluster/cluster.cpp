@@ -105,23 +105,32 @@ gpu::DeviceClassMemo& Cluster::class_memo(int index,
 }
 
 PlacerDevice Cluster::placer_device_for(const gpu::DeviceSpec& spec,
-                                        const Device& dev) const {
-  const int streams_per_context =
-      cfg_.pool.high_streams_per_context + cfg_.pool.low_streams_per_context;
+                                        const Device& dev) {
   PlacerDevice pd;
   pd.spec = spec;
   // Reference size for WCET lookups; profiles cover every pool size, so
   // any context works — use the first.
   pd.pool_sms = dev.pool->at(0).sm_limit;
-  // Capacity from the actual (possibly heterogeneous) context layout.
-  std::vector<int> ctx_sms;
-  ctx_sms.reserve(dev.pool->contexts().size());
-  for (const auto& pc : dev.pool->contexts()) {
-    ctx_sms.push_back(pc.sm_limit);
+  // Capacity from the actual (possibly heterogeneous) context layout. The
+  // device class holds every input (SM count, speedup, sharing, context
+  // SM limits, streams per context), so one computation serves the class.
+  const gpu::DeviceClass& cls = dev.exec->device_class();
+  auto known = std::find_if(capacities_.begin(), capacities_.end(),
+                            [&cls](const auto& c) { return c.first == cls; });
+  if (known == capacities_.end()) {
+    const int streams_per_context = cfg_.pool.high_streams_per_context +
+                                    cfg_.pool.low_streams_per_context;
+    std::vector<int> ctx_sms;
+    ctx_sms.reserve(dev.pool->contexts().size());
+    for (const auto& pc : dev.pool->contexts()) {
+      ctx_sms.push_back(pc.sm_limit);
+    }
+    known = capacities_.emplace(
+        capacities_.end(), cls,
+        rt::pool_capacity(gpu::SpeedupModel::rtx2080ti(), cfg_.sharing,
+                          spec.total_sms, ctx_sms, streams_per_context));
   }
-  pd.capacity =
-      rt::pool_capacity(gpu::SpeedupModel::rtx2080ti(), cfg_.sharing,
-                        spec.total_sms, ctx_sms, streams_per_context);
+  pd.capacity = known->second;
   return pd;
 }
 

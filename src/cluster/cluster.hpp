@@ -27,6 +27,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "cluster/placer.hpp"
@@ -236,7 +237,7 @@ class Cluster {
 
  private:
   PlacerDevice placer_device_for(const gpu::DeviceSpec& spec,
-                                 const Device& dev) const;
+                                 const Device& dev);
   Device make_device(const gpu::DeviceSpec& spec, int index);
   /// The earliest instant an input can reach device `index`'s executor:
   /// its runner's next release, its scheduler's next timer, or the end of
@@ -263,6 +264,10 @@ class Cluster {
   /// so they outlive the executors they are attached to.
   std::vector<std::vector<std::unique_ptr<gpu::DeviceClassMemo>>> memos_;
   std::deque<Device> devices_;  // stable addresses under add_device
+  /// Pool capacity of each device class in use: a function of the class
+  /// alone, so placer_device_for computes it once per class.
+  std::vector<std::pair<gpu::DeviceClass, rt::PoolCapacityModel>>
+      capacities_;
   std::unique_ptr<Placer> placer_;
   std::vector<Rejected> rejected_;
   bool started_ = false;

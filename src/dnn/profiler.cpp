@@ -9,19 +9,19 @@
 
 namespace sgprs::dnn {
 
-SimTime WcetTable::stage_at(int stage, int sms) const {
-  SGPRS_CHECK(stage >= 0 && stage < stage_count());
-  const auto& m = per_stage[stage];
-  auto it = m.find(sms);
-  SGPRS_CHECK_MSG(it != m.end(), "no WCET profiled for " << sms << " SMs");
-  return it->second;
+std::size_t WcetTable::size_index(int sms) const {
+  const auto it = std::find(sm_sizes.begin(), sm_sizes.end(), sms);
+  SGPRS_CHECK_MSG(it != sm_sizes.end(),
+                  "no WCET profiled for " << sms << " SMs");
+  return static_cast<std::size_t>(it - sm_sizes.begin());
 }
 
-SimTime WcetTable::total_at(int sms) const {
-  auto it = total.find(sms);
-  SGPRS_CHECK_MSG(it != total.end(), "no WCET profiled for " << sms << " SMs");
-  return it->second;
+SimTime WcetTable::stage_at(int stage, int sms) const {
+  SGPRS_CHECK(stage >= 0 && stage < stage_count());
+  return stage_times[stage * sm_sizes.size() + size_index(sms)];
 }
+
+SimTime WcetTable::total_at(int sms) const { return totals[size_index(sms)]; }
 
 SimTime Profiler::layer_time(const Layer& layer, int sms) const {
   SGPRS_CHECK(sms >= 1);
@@ -41,15 +41,21 @@ SimTime Profiler::stage_time(const Network& net,
 WcetTable Profiler::profile(const Network& net, const StagePlan& plan,
                             const std::vector<int>& sm_sizes) const {
   WcetTable table;
-  table.per_stage.resize(plan.stages.size());
   for (int sms : sm_sizes) {
-    SimTime whole = SimTime::zero();
-    for (int s = 0; s < plan.stage_count(); ++s) {
-      const SimTime t = stage_time(net, plan.stages[s], sms);
-      table.per_stage[s][sms] = t;
-      whole += t;
+    auto& seen = table.sm_sizes;
+    if (std::find(seen.begin(), seen.end(), sms) == seen.end()) {
+      seen.push_back(sms);
     }
-    table.total[sms] = whole;
+  }
+  const std::size_t sizes = table.sm_sizes.size();
+  table.stage_times.resize(plan.stages.size() * sizes);
+  table.totals.assign(sizes, SimTime::zero());
+  for (std::size_t k = 0; k < sizes; ++k) {
+    for (int s = 0; s < plan.stage_count(); ++s) {
+      const SimTime t = stage_time(net, plan.stages[s], table.sm_sizes[k]);
+      table.stage_times[s * sizes + k] = t;
+      table.totals[k] += t;
+    }
   }
   return table;
 }

@@ -8,8 +8,8 @@
 //    exactly like profiling on real hardware in isolation.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "common/time.hpp"
@@ -31,16 +31,26 @@ struct TaskFootprint {
   std::int64_t warps = 0;
 };
 
-/// Per-stage WCETs of one task at every SM size in the context pool.
+/// Per-stage WCETs of one task at every SM size in the context pool, flat:
+/// a lookup scans the few profiled sizes.
 struct WcetTable {
-  /// wcet[stage][sm_limit] = isolated stage execution time.
-  std::vector<std::map<int, SimTime>> per_stage;
-  /// Whole-network time at each SM size (sum over stages).
-  std::map<int, SimTime> total;
+  std::vector<int> sm_sizes;  // distinct, in profile (first-seen) order
+  /// [stage × size]: isolated time of stage s at sm_sizes[k] is
+  /// stage_times[s * sm_sizes.size() + k].
+  std::vector<SimTime> stage_times;
+  std::vector<SimTime> totals;  // whole network (sum over stages) per size
 
   SimTime stage_at(int stage, int sms) const;
   SimTime total_at(int sms) const;
-  int stage_count() const { return static_cast<int>(per_stage.size()); }
+  int stage_count() const {
+    return sm_sizes.empty()
+               ? 0
+               : static_cast<int>(stage_times.size() / sm_sizes.size());
+  }
+
+ private:
+  /// Index of `sms` in sm_sizes; CHECK-fails when it was not profiled.
+  std::size_t size_index(int sms) const;
 };
 
 class Profiler {

@@ -19,7 +19,8 @@
 // control-plane decision is appended. The flush points (record() of a
 // control decision, flush_all() at the end of the run) land at epoch
 // barriers, so staging is also what keeps the parallel shard phase free of
-// writes to shared audit state.
+// writes to shared audit state. Each shard also counts the records its
+// devices staged, so a flush with nothing staged skips the device walk.
 #pragma once
 
 #include <algorithm>
@@ -47,6 +48,14 @@ struct DeviceOverload {
   /// Shed audit records awaiting canonical flush, in this device's event
   /// order (time-sorted by construction).
   std::vector<FleetDecision> staged;
+  /// Staged records of every device on this device's shard.
+  std::int64_t* shard_staged = nullptr;
+};
+
+/// One shard's staged-record count, on a cache line of its own: only that
+/// shard's guards write it during the parallel phase.
+struct alignas(64) ShardStaged {
+  std::int64_t count = 0;
 };
 
 /// State shared by every device's guard (one fleet run = one instance).
@@ -56,6 +65,7 @@ struct OverloadState {
   /// control plane at barriers, read by guards during the parallel phase.
   std::vector<int> tier_by_task;
   std::deque<DeviceOverload> devices;  // index = device index; stable addrs
+  std::deque<ShardStaged> shards;      // index = shard; stable addrs
   std::vector<FleetDecision>* audit = nullptr;
   std::int64_t* audit_truncated = nullptr;
 
@@ -71,10 +81,13 @@ struct OverloadState {
     tier_by_task[task_id] = tier;
   }
 
-  DeviceOverload& device(int index) {
+  /// Device `index`'s state, counting its staged records on `shard`.
+  DeviceOverload& device(int index, int shard) {
     while (static_cast<int>(devices.size()) <= index) {
       devices.emplace_back();
     }
+    while (static_cast<int>(shards.size()) <= shard) shards.emplace_back();
+    devices[index].shard_staged = &shards[shard].count;
     return devices[index];
   }
 
@@ -102,11 +115,15 @@ struct OverloadState {
   /// the sort is stable, so equal-time sheds land in device order — the
   /// same order at every shard count.
   void flush_staged(common::SimTime upto) {
+    std::int64_t pending = 0;
+    for (const auto& shard : shards) pending += shard.count;
+    if (pending == 0) return;
     std::vector<FleetDecision> batch;
     for (auto& dev : devices) {
       auto split = dev.staged.begin();
       while (split != dev.staged.end() && split->at < upto) ++split;
       if (split == dev.staged.begin()) continue;
+      *dev.shard_staged -= split - dev.staged.begin();
       std::move(dev.staged.begin(), split, std::back_inserter(batch));
       dev.staged.erase(dev.staged.begin(), split);
     }
@@ -156,6 +173,7 @@ class OverloadGuard final : public rt::Scheduler {
       dev_->staged.push_back({now, DecisionKind::kJobShed, task.id, device_,
                               "in-flight at limit " +
                                   std::to_string(cfg.queue_limit)});
+      ++*dev_->shard_staged;
       return;
     }
     inner_->release_job(task, now);

@@ -182,10 +182,12 @@ class FleetRuntime {
 
   void build_cluster() {
     cluster::ClusterConfig ccfg = workload::cluster_config_for(cfg_);
-    ccfg.wrap_scheduler = [this](std::unique_ptr<rt::Scheduler> inner,
-                                 int device_index,
-                                 metrics::Collector& collector) {
-      DeviceOverload& dev = overload_.device(device_index);
+    ccfg.wrap_scheduler = [this, shards = ccfg.shards](
+                              std::unique_ptr<rt::Scheduler> inner,
+                              int device_index,
+                              metrics::Collector& collector) {
+      DeviceOverload& dev = overload_.device(
+          device_index, cluster::shard_of(device_index, shards));
       dev.collector = &collector;
       return std::make_unique<OverloadGuard>(std::move(inner), device_index,
                                              &overload_, &dev);

@@ -45,26 +45,18 @@ PoolCapacityModel pool_capacity(const gpu::SpeedupModel& speedup,
   return model;
 }
 
-namespace {
-
-/// Task's demanded 1-SM work per second: whole-network WCET at 1 SM is not
-/// stored, so reconstruct from the profiled pool-SM WCET times the speedup
-/// — instead we integrate stage WCETs at the profiled size and scale by
-/// the representative-op speedup, which is exact when one op dominates.
-double task_work_rate_at(const Task& task, int pool_sms,
-                         const gpu::SpeedupModel& speedup, gpu::OpClass rep) {
-  const double wcet = task.wcet.total_at(pool_sms).to_sec();
-  const double s = speedup.speedup(rep, static_cast<double>(pool_sms));
-  return wcet * s / task.period.to_sec();
-}
-
-}  // namespace
-
+// Task's demanded 1-SM work per second: whole-network WCET at 1 SM is not
+// stored, so we take the whole-network WCET at the reference size — the
+// smallest profiled one, whatever order the pool listed its sizes in — and
+// scale by the representative-op speedup, exact when one op dominates.
 double task_work_rate(const Task& task) {
-  SGPRS_CHECK(!task.wcet.per_stage.empty());
-  const int pool_sms = task.wcet.total.begin()->first;
-  return task_work_rate_at(task, pool_sms, gpu::SpeedupModel::rtx2080ti(),
-                           gpu::OpClass::kConv);
+  const std::vector<int>& sizes = task.wcet().sm_sizes;
+  SGPRS_CHECK(!sizes.empty());
+  const int ref = *std::min_element(sizes.begin(), sizes.end());
+  const double wcet = task.wcet().total_at(ref).to_sec();
+  const double s = gpu::SpeedupModel::rtx2080ti().speedup(
+      gpu::OpClass::kConv, static_cast<double>(ref));
+  return wcet * s / task.period.to_sec();
 }
 
 UtilizationReport utilization_test(const std::vector<Task>& tasks,
@@ -73,52 +65,57 @@ UtilizationReport utilization_test(const std::vector<Task>& tasks,
   SGPRS_CHECK(capacity.work_rate > 0.0);
   SGPRS_CHECK(safety_margin > 0.0 && safety_margin <= 1.0);
   UtilizationReport rep;
-  const auto speedup = gpu::SpeedupModel::rtx2080ti();
-  for (const auto& t : tasks) {
-    SGPRS_CHECK(!t.wcet.per_stage.empty());
-    // Use the first profiled SM size as the reference.
-    const int pool_sms = t.wcet.total.begin()->first;
-    rep.offered_work_rate +=
-        task_work_rate_at(t, pool_sms, speedup, gpu::OpClass::kConv);
-  }
+  for (const auto& t : tasks) rep.offered_work_rate += task_work_rate(t);
   rep.capacity_work_rate = capacity.work_rate;
   rep.utilization = rep.offered_work_rate / rep.capacity_work_rate;
   rep.schedulable_by_utilization = rep.utilization <= safety_margin;
   return rep;
 }
 
-ResponseTimeReport response_time_estimate(const std::vector<Task>& tasks,
-                                          const PoolCapacityModel& capacity,
-                                          int pool_sms) {
+namespace {
+
+/// response_time_estimate for a set whose utilization_test gave
+/// `utilization`: passes each task's response (seconds) to `on_response`
+/// and returns all_deadlines_met, allocating nothing itself.
+template <typename OnResponse>
+bool estimate_responses(const std::vector<Task>& tasks,
+                        const PoolCapacityModel& capacity, int pool_sms,
+                        double utilization, OnResponse&& on_response) {
   SGPRS_CHECK(capacity.per_slot_rate > 0.0);
-  ResponseTimeReport rep;
-  const auto util = utilization_test(tasks, capacity, 1.0);
   // Queueing inflation via the Sakasegawa M/M/c approximation: with c
   // parallel slots the queueing delay is service * rho^(sqrt(2(c+1))-1) /
   // (c (1 - rho)) — far gentler than single-server 1/(1-rho) until the
   // pool is genuinely close to saturation.
-  const double rho = std::min(util.utilization, 0.999);
+  const double rho = std::min(utilization, 0.999);
   const double c = static_cast<double>(capacity.total_slots);
   const double exponent = std::sqrt(2.0 * (c + 1.0)) - 1.0;
   const double inflation =
       1.0 + std::pow(rho, exponent) / (c * (1.0 - rho));
-  const auto speedup = gpu::SpeedupModel::rtx2080ti();
-  const double slot_speedup =
-      capacity.per_slot_rate;  // work/sec for the representative op
-  (void)speedup;
-  rep.all_deadlines_met = util.utilization < 1.0;
+  const double conv_speedup = gpu::SpeedupModel::rtx2080ti().speedup(
+      gpu::OpClass::kConv, static_cast<double>(pool_sms));
+  bool all_met = utilization < 1.0;
   for (const auto& t : tasks) {
     // Stages run sequentially; each executes on one slot at the saturated
     // per-slot rate. Convert the pool-SM WCET into 1-SM work first.
-    const double work =
-        t.wcet.total_at(pool_sms).to_sec() *
-        gpu::SpeedupModel::rtx2080ti().speedup(gpu::OpClass::kConv,
-                                               static_cast<double>(pool_sms));
-    const double service = work / slot_speedup;
-    const double response = service * inflation;
-    rep.response_sec.push_back(response);
-    if (response > t.deadline.to_sec()) rep.all_deadlines_met = false;
+    const double work = t.wcet().total_at(pool_sms).to_sec() * conv_speedup;
+    const double response = work / capacity.per_slot_rate * inflation;
+    on_response(response);
+    if (response > t.deadline.to_sec()) all_met = false;
   }
+  return all_met;
+}
+
+}  // namespace
+
+ResponseTimeReport response_time_estimate(const std::vector<Task>& tasks,
+                                          const PoolCapacityModel& capacity,
+                                          int pool_sms) {
+  ResponseTimeReport rep;
+  rep.response_sec.reserve(tasks.size());
+  rep.all_deadlines_met = estimate_responses(
+      tasks, capacity, pool_sms,
+      utilization_test(tasks, capacity, 1.0).utilization,
+      [&rep](double response) { rep.response_sec.push_back(response); });
   return rep;
 }
 
@@ -131,8 +128,10 @@ AdmitOutcome AdmissionController::try_admit_ex(const Task& task) {
     admitted_.pop_back();
     return AdmitOutcome::kRejectedUtilization;
   }
-  const auto rta = response_time_estimate(admitted_, capacity_, pool_sms_);
-  if (!rta.all_deadlines_met) {
+  // The same utilization as utilization_test(admitted_, capacity_, 1.0):
+  // the margin only moves the verdict.
+  if (!estimate_responses(admitted_, capacity_, pool_sms_, util.utilization,
+                          [](double) {})) {
     admitted_.pop_back();
     return AdmitOutcome::kRejectedUtilization;
   }

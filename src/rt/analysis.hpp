@@ -68,8 +68,8 @@ UtilizationReport utilization_test(const std::vector<Task>& tasks,
                                    double safety_margin = 1.0);
 
 /// One task's demanded 1-SM work per second, evaluated exactly as the
-/// utilization test sees it (first profiled SM size, representative conv
-/// speedup). Exposed so placement policies can order candidates by the
+/// utilization test sees it (smallest profiled SM size, representative
+/// conv speedup). Exposed so placement policies can order candidates by the
 /// same load metric admission uses.
 double task_work_rate(const Task& task);
 

@@ -80,7 +80,7 @@ void NaiveScheduler::try_dispatch(int ctx_idx, SimTime now) {
   // program of the job in order on the single stream, the callback on the
   // last. The submissions queue back to back, so a lone stream still runs
   // the whole job as one solo chain.
-  const auto& stages = job->task->stages;
+  const auto& stages = job->task->stages();
   for (std::size_t i = 0; i + 1 < stages.size(); ++i) {
     exec_.enqueue_program(cs.stream, *stages[i].program, job->tag(), {});
   }

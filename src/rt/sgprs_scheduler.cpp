@@ -34,13 +34,13 @@ void SgprsScheduler::admit(const Task& task) {
   }
   // Verify the WCET table covers every pool SM size we will estimate with.
   for (const auto& cs : contexts_) {
-    (void)task.wcet.stage_at(0, cs.sm_limit);
+    (void)task.wcet().stage_at(0, cs.sm_limit);
   }
 }
 
 double SgprsScheduler::stage_wcet_sec(const Job& job, int stage,
                                       int sm_limit) const {
-  return job.task->wcet.stage_at(stage, sm_limit).to_sec();
+  return job.task->wcet().stage_at(stage, sm_limit).to_sec();
 }
 
 void SgprsScheduler::release_job(const Task& task, SimTime now) {
@@ -59,7 +59,7 @@ void SgprsScheduler::release_job(const Task& task, SimTime now) {
   job.release = now;
   job.abs_deadline = now + task.deadline;
   job.stage_deadlines.reserve(task.stage_count());
-  for (const auto& st : task.stages) {
+  for (const auto& st : task.stages()) {
     job.stage_deadlines.push_back(now + st.virtual_deadline_offset);
   }
   release_stage(job, now);
@@ -67,7 +67,7 @@ void SgprsScheduler::release_job(const Task& task, SimTime now) {
 
 StagePriority SgprsScheduler::effective_priority(const Job& job,
                                                  int stage) const {
-  const StagePriority base = job.task->stages[stage].base_priority;
+  const StagePriority base = job.task->stages()[stage].base_priority;
   if (base == StagePriority::kLow && job.predecessor_missed &&
       cfg_.medium_boost) {
     return StagePriority::kMedium;
@@ -270,7 +270,7 @@ void SgprsScheduler::dispatch(CtxState& cs, Slot& slot, QueuedStage qs,
       &slot - (high_slot ? cs.high_slots.data() : cs.low_slots.data()));
 
   Job* job_ptr = &job;
-  exec_.enqueue_program(slot.stream, *job.task->stages[stage].program,
+  exec_.enqueue_program(slot.stream, *job.task->stages()[stage].program,
                         job.tag(),
                         [this, job_ptr, stage, ctx_idx, slot_idx,
                          high_slot](SimTime t) {

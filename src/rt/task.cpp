@@ -22,24 +22,26 @@ Task build_task(int id, std::shared_ptr<const dnn::Network> network,
 
   const auto plan = dnn::partition_into_stages(
       *network, profiler.cost_model(), cfg.num_stages);
-  task.wcet = profiler.profile(*network, plan, pool_sm_sizes);
+  auto cls = std::make_shared<TaskClass>();
+  cls->wcet = profiler.profile(*network, plan, pool_sm_sizes);
 
   // Virtual deadlines: split D_i across stages proportional to their WCET
   // share, measured at the pool's SM size (Section IV-A2). Offsets are
   // cumulative so the last stage's offset is exactly D_i.
   const int ref_sms = pool_sm_sizes.front();
-  const double total_wcet = task.wcet.total_at(ref_sms).to_sec();
+  const double total_wcet = cls->wcet.total_at(ref_sms).to_sec();
   SGPRS_CHECK_MSG(total_wcet > 0.0, "task has zero WCET");
 
   const dnn::CostModel dispatch_cost = dnn::CostModel::calibrated();
   double cumulative = 0.0;
+  cls->stages.reserve(plan.stages.size());
   for (int s = 0; s < plan.stage_count(); ++s) {
     StageInfo info;
     info.index = s;
     info.nodes = plan.stages[s];
     info.program = std::make_shared<const gpu::KernelProgram>(
         dnn::stage_kernels(*network, dispatch_cost, info.nodes));
-    cumulative += task.wcet.stage_at(s, ref_sms).to_sec();
+    cumulative += cls->wcet.stage_at(s, ref_sms).to_sec();
     const double fraction = cumulative / total_wcet;
     info.virtual_deadline_offset = SimTime::from_sec(
         task.deadline.to_sec() * fraction);
@@ -56,10 +58,11 @@ Task build_task(int id, std::shared_ptr<const dnn::Network> network,
         info.base_priority = StagePriority::kHigh;
         break;
     }
-    task.stages.push_back(std::move(info));
+    cls->stages.push_back(std::move(info));
   }
   // Guard against rounding: the final stage deadline must equal D_i.
-  task.stages.back().virtual_deadline_offset = task.deadline;
+  cls->stages.back().virtual_deadline_offset = task.deadline;
+  task.task_class = std::move(cls);
 
   // Placement footprint from the same profile pass (every construction
   // path — identical-task, spec, fleet prototypes — flows through here).

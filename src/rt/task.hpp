@@ -26,15 +26,6 @@ using common::SimTime;
 /// Base (offline) priority of a stage.
 enum class StagePriority : int { kHigh = 0, kMedium = 1, kLow = 2 };
 
-inline const char* to_string(StagePriority p) {
-  switch (p) {
-    case StagePriority::kHigh: return "high";
-    case StagePriority::kMedium: return "medium";
-    case StagePriority::kLow: return "low";
-  }
-  return "?";
-}
-
 /// Offline priority assignment policy (paper uses kLastStageHigh; the
 /// others exist for the ablation study).
 enum class PriorityPolicy {
@@ -63,8 +54,7 @@ struct StageInfo {
   int index = 0;
   std::vector<dnn::NodeId> nodes;
   /// The stage's kernels (dnn::CostModel::calibrated()), built once by
-  /// build_task and shared by every copy of the task; schedulers submit it
-  /// with Executor::enqueue_program.
+  /// build_task; schedulers submit it with Executor::enqueue_program.
   std::shared_ptr<const gpu::KernelProgram> program;
   StagePriority base_priority = StagePriority::kLow;
   /// Cumulative virtual-deadline offset from job release: the stage's
@@ -73,6 +63,17 @@ struct StageInfo {
   SimTime virtual_deadline_offset;
 };
 
+/// What the offline phase (Section IV-A) derives once per task: the stage
+/// list and the WCET table. build_task builds it, and every clone of the
+/// task (spec replicas, fleet admissions, placer and admission copies)
+/// shares it read-only, so a copy costs a name and two pointers.
+struct TaskClass {
+  std::vector<StageInfo> stages;
+  /// Isolated per-stage WCETs at each pool SM size (offline measurement).
+  dnn::WcetTable wcet;
+};
+
+/// One stream: the per-stream fields plus its shared TaskClass.
 struct Task {
   int id = 0;
   std::string name;
@@ -87,9 +88,9 @@ struct Task {
   ArrivalModel arrival = ArrivalModel::kPeriodic;
   SimTime min_separation;
   SimTime max_separation;
-  std::vector<StageInfo> stages;
-  /// Isolated per-stage WCETs at each pool SM size (offline measurement).
-  dnn::WcetTable wcet;
+  /// Stages and WCETs; its virtual deadlines were split from `deadline`.
+  /// A task built by hand has none unless it sets one.
+  std::shared_ptr<const TaskClass> task_class;
   /// Placement footprint (dnn::Profiler::footprint, or spec overrides):
   /// device memory held while the stream is admitted, and time-averaged
   /// resident warps. Zero means unconstrained — raw tasks built without
@@ -97,7 +98,9 @@ struct Task {
   std::int64_t mem_bytes = 0;
   std::int64_t warps = 0;
 
-  int stage_count() const { return static_cast<int>(stages.size()); }
+  const std::vector<StageInfo>& stages() const { return task_class->stages; }
+  const dnn::WcetTable& wcet() const { return task_class->wcet; }
+  int stage_count() const { return static_cast<int>(stages().size()); }
 };
 
 struct TaskConfig {
@@ -112,7 +115,8 @@ struct TaskConfig {
 
 /// Runs the offline phase for one task: partition, WCET profiling at each
 /// pool SM size, two-level priorities, and proportional virtual deadlines
-/// (proportions use the WCET at `pool_sm_sizes.front()`).
+/// (proportions use the WCET at `pool_sm_sizes.front()`). Copies of the
+/// result share its TaskClass.
 Task build_task(int id, std::shared_ptr<const dnn::Network> network,
                 const TaskConfig& cfg, const dnn::Profiler& profiler,
                 const std::vector<int>& pool_sm_sizes);

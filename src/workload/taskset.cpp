@@ -61,7 +61,7 @@ std::vector<rt::Task> build_random_taskset(const RandomTaskSetConfig& cfg,
     tc.fps = 30.0;
     const rt::Task probe =
         rt::build_task(i, built[pick], tc, profiler, pool_sms);
-    const double wcet = probe.wcet.total_at(pool_sms.front()).to_sec();
+    const double wcet = probe.wcet().total_at(pool_sms.front()).to_sec();
     double fps = utils[i] / wcet;
     fps = std::clamp(fps, cfg.min_fps, cfg.max_fps);
     tc.fps = fps;

@@ -54,11 +54,11 @@ rt::Task make_task(int id, const std::string& name, double frac,
   // with ref = smallest profiled SM size (34 here).
   const double wcet_sec = frac * capacity.work_rate * period_sec /
                           speedup.speedup(gpu::OpClass::kConv, 34.0);
-  t.wcet.per_stage.resize(1);
-  for (int sms : {34, 41}) {
-    t.wcet.per_stage[0][sms] = SimTime::from_sec(wcet_sec);
-    t.wcet.total[sms] = SimTime::from_sec(wcet_sec);
-  }
+  auto cls = std::make_shared<rt::TaskClass>();
+  cls->wcet.sm_sizes = {34, 41};  // one stage
+  cls->wcet.stage_times.assign(2, SimTime::from_sec(wcet_sec));
+  cls->wcet.totals = cls->wcet.stage_times;
+  t.task_class = std::move(cls);
   return t;
 }
 

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "dnn/builders.hpp"
 
 namespace sgprs::dnn {
@@ -60,6 +63,39 @@ TEST_F(ProfilerTest, UnprofiledSmSizeThrows) {
   const auto table = prof_.profile(net, plan, {34});
   EXPECT_THROW(table.stage_at(0, 17), common::CheckError);
   EXPECT_THROW(table.total_at(68), common::CheckError);
+}
+
+TEST_F(ProfilerTest, FlatTableMatchesStageTimeAtEveryListedSize) {
+  // Pool sizes arrive in first-seen order and may repeat (one entry per
+  // context); the table keeps each size once, in that order, and every
+  // (stage, size) cell is the profiler's own stage time.
+  const auto net = resnet18();
+  const auto plan = partition_into_stages(net, prof_.cost_model(), 6);
+  const std::vector<int> listed = {45, 23, 45, 68, 23};
+  const auto table = prof_.profile(net, plan, listed);
+  EXPECT_EQ(table.sm_sizes, (std::vector<int>{45, 23, 68}));
+  EXPECT_EQ(table.stage_count(), plan.stage_count());
+  EXPECT_EQ(table.stage_times.size(), 6u * 3u);
+  for (int sms : listed) {
+    common::SimTime sum = common::SimTime::zero();
+    for (int s = 0; s < plan.stage_count(); ++s) {
+      const auto expected = prof_.stage_time(net, plan.stages[s], sms);
+      EXPECT_EQ(table.stage_at(s, sms), expected)
+          << "stage " << s << " at " << sms << " SMs";
+      sum += expected;
+    }
+    EXPECT_EQ(table.total_at(sms), sum) << sms << " SMs";
+  }
+  EXPECT_THROW(table.stage_at(0, 34), common::CheckError);
+  EXPECT_THROW(table.total_at(34), common::CheckError);
+  EXPECT_THROW(table.stage_at(6, 45), common::CheckError);
+  try {
+    (void)table.stage_at(0, 34);
+  } catch (const common::CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("no WCET profiled for 34 SMs"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST_F(ProfilerTest, AnalyticMatchesSimulatedIsolation) {

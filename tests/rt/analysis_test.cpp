@@ -58,6 +58,24 @@ TEST_F(AnalysisTest, MoreContextsMoreCapacityUntilContention) {
   EXPECT_NEAR(three.work_rate / two.work_rate, 1.0, 0.35);
 }
 
+TEST_F(AnalysisTest, ReferenceSizeIsTheSmallestProfiledNotTheFirst) {
+  // Admission reads a task's WCET at its smallest profiled SM size. A pool
+  // whose larger contexts come first must not move that reference.
+  const auto net = std::make_shared<const dnn::Network>(dnn::resnet18());
+  const auto with_sizes = [&](std::vector<int> sizes) {
+    return build_task(0, net, TaskConfig{}, profiler_, sizes);
+  };
+  const Task larger_first = with_sizes({51, 34});
+  const Task smaller_first = with_sizes({34, 51});
+  const Task only_small = with_sizes({34});
+  const Task only_large = with_sizes({51});
+  EXPECT_EQ(task_work_rate(larger_first), task_work_rate(only_small));
+  EXPECT_EQ(task_work_rate(smaller_first), task_work_rate(only_small));
+  EXPECT_NE(task_work_rate(larger_first), task_work_rate(only_large));
+  EXPECT_EQ(utilization_test({larger_first}, capacity_).offered_work_rate,
+            utilization_test({only_small}, capacity_).offered_work_rate);
+}
+
 TEST_F(AnalysisTest, UtilizationScalesLinearlyWithTasks) {
   const auto u8 = utilization_test(make_tasks(8), capacity_);
   const auto u16 = utilization_test(make_tasks(16), capacity_);

@@ -42,7 +42,7 @@ TEST_F(TaskBuildTest, ExplicitDeadlineRespected) {
 TEST_F(TaskBuildTest, SixStagesByDefault) {
   const auto t = build();
   EXPECT_EQ(t.stage_count(), 6);
-  EXPECT_EQ(t.wcet.stage_count(), 6);
+  EXPECT_EQ(t.wcet().stage_count(), 6);
 }
 
 TEST_F(TaskBuildTest, TwoLevelPriorities) {
@@ -50,18 +50,20 @@ TEST_F(TaskBuildTest, TwoLevelPriorities) {
   for (int s = 0; s < t.stage_count(); ++s) {
     const auto expected = s == t.stage_count() - 1 ? StagePriority::kHigh
                                                    : StagePriority::kLow;
-    EXPECT_EQ(t.stages[s].base_priority, expected) << "stage " << s;
+    EXPECT_EQ(t.stages()[s].base_priority, expected) << "stage " << s;
   }
 }
 
 TEST_F(TaskBuildTest, PriorityPolicyAblations) {
   TaskConfig cfg;
   cfg.priority_policy = PriorityPolicy::kAllLow;
-  for (const auto& st : build(cfg).stages) {
+  const Task all_low = build(cfg);
+  for (const auto& st : all_low.stages()) {
     EXPECT_EQ(st.base_priority, StagePriority::kLow);
   }
   cfg.priority_policy = PriorityPolicy::kAllHigh;
-  for (const auto& st : build(cfg).stages) {
+  const Task all_high = build(cfg);
+  for (const auto& st : all_high.stages()) {
     EXPECT_EQ(st.base_priority, StagePriority::kHigh);
   }
 }
@@ -69,11 +71,11 @@ TEST_F(TaskBuildTest, PriorityPolicyAblations) {
 TEST_F(TaskBuildTest, VirtualDeadlinesAreCumulativeAndMonotone) {
   const auto t = build();
   common::SimTime prev = common::SimTime::zero();
-  for (const auto& st : t.stages) {
+  for (const auto& st : t.stages()) {
     EXPECT_GT(st.virtual_deadline_offset, prev);
     prev = st.virtual_deadline_offset;
   }
-  EXPECT_EQ(t.stages.back().virtual_deadline_offset, t.deadline)
+  EXPECT_EQ(t.stages().back().virtual_deadline_offset, t.deadline)
       << "last stage virtual deadline equals the task deadline";
 }
 
@@ -82,22 +84,22 @@ TEST_F(TaskBuildTest, VirtualDeadlinesProportionalToWcet) {
   // share. Verify the increments against the profiled stage WCETs at the
   // reference SM size.
   const auto t = build();
-  const double total = t.wcet.total_at(34).to_sec();
+  const double total = t.wcet().total_at(34).to_sec();
   common::SimTime prev = common::SimTime::zero();
   for (int s = 0; s < t.stage_count() - 1; ++s) {
     const double slice =
-        (t.stages[s].virtual_deadline_offset - prev).to_sec();
+        (t.stages()[s].virtual_deadline_offset - prev).to_sec();
     const double expected =
-        t.deadline.to_sec() * t.wcet.stage_at(s, 34).to_sec() / total;
+        t.deadline.to_sec() * t.wcet().stage_at(s, 34).to_sec() / total;
     EXPECT_NEAR(slice, expected, 1e-9) << "stage " << s;
-    prev = t.stages[s].virtual_deadline_offset;
+    prev = t.stages()[s].virtual_deadline_offset;
   }
 }
 
 TEST_F(TaskBuildTest, WcetProfiledAtEveryPoolSize) {
   const auto t = build({}, {23, 34, 45});
   for (int s = 0; s < t.stage_count(); ++s) {
-    EXPECT_GT(t.wcet.stage_at(s, 23), t.wcet.stage_at(s, 45))
+    EXPECT_GT(t.wcet().stage_at(s, 23), t.wcet().stage_at(s, 45))
         << "more SMs means shorter WCET";
   }
 }
@@ -105,7 +107,9 @@ TEST_F(TaskBuildTest, WcetProfiledAtEveryPoolSize) {
 TEST_F(TaskBuildTest, StagesTileTheNetwork) {
   const auto t = build();
   int covered = 0;
-  for (const auto& st : t.stages) covered += static_cast<int>(st.nodes.size());
+  for (const auto& st : t.stages()) {
+    covered += static_cast<int>(st.nodes.size());
+  }
   EXPECT_EQ(covered, network_->node_count());
 }
 
@@ -114,15 +118,15 @@ TEST_F(TaskBuildTest, SingleStageTask) {
   cfg.num_stages = 1;
   const auto t = build(cfg);
   EXPECT_EQ(t.stage_count(), 1);
-  EXPECT_EQ(t.stages[0].base_priority, StagePriority::kHigh)
+  EXPECT_EQ(t.stages()[0].base_priority, StagePriority::kHigh)
       << "the only stage is also the last stage";
-  EXPECT_EQ(t.stages[0].virtual_deadline_offset, t.deadline);
+  EXPECT_EQ(t.stages()[0].virtual_deadline_offset, t.deadline);
 }
 
 TEST_F(TaskBuildTest, EachStageCompilesToOneSharedProgram) {
   const auto t = build();
   const auto cost = dnn::CostModel::calibrated();
-  for (const auto& st : t.stages) {
+  for (const auto& st : t.stages()) {
     ASSERT_NE(st.program, nullptr);
     const auto expected = dnn::stage_kernels(*network_, cost, st.nodes);
     ASSERT_EQ(st.program->size(), expected.size());
@@ -140,9 +144,25 @@ TEST_F(TaskBuildTest, EachStageCompilesToOneSharedProgram) {
   const Task clone = t;
   const Task rebuilt = build();
   for (int s = 0; s < t.stage_count(); ++s) {
-    EXPECT_EQ(clone.stages[s].program, t.stages[s].program);
-    EXPECT_NE(rebuilt.stages[s].program->id(), t.stages[s].program->id());
+    EXPECT_EQ(clone.stages()[s].program, t.stages()[s].program);
+    EXPECT_NE(rebuilt.stages()[s].program->id(), t.stages()[s].program->id());
   }
+}
+
+TEST_F(TaskBuildTest, ClonesShareOneTaskClass) {
+  // The offline phase runs once per build_task; a clone takes its own id,
+  // name and phase but points at the prototype's stages and WCET table.
+  const Task proto = build({}, {34, 45});
+  ASSERT_NE(proto.task_class, nullptr);
+  Task clone = proto;
+  clone.id = 8;
+  clone.name = "clone";
+  clone.phase = common::SimTime::from_ms(3);
+  EXPECT_EQ(clone.task_class, proto.task_class);
+  EXPECT_EQ(&clone.stages(), &proto.stages());
+  EXPECT_EQ(&clone.wcet(), &proto.wcet());
+  EXPECT_NE(build().task_class, proto.task_class)
+      << "a fresh build_task runs the offline phase again";
 }
 
 TEST_F(TaskBuildTest, InvalidConfigsThrow) {

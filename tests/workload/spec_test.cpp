@@ -616,14 +616,17 @@ TEST(SpecBuilder, TaskEntryAndTemplateBuildTheSameTask) {
     EXPECT_EQ(t.warps, 96);
     ASSERT_EQ(t.stage_count(), tmpl.stage_count());
     for (int i = 0; i < t.stage_count(); ++i) {
-      EXPECT_EQ(t.stages[i].nodes, tmpl.stages[i].nodes);
-      EXPECT_EQ(t.stages[i].base_priority, tmpl.stages[i].base_priority);
-      EXPECT_EQ(t.stages[i].virtual_deadline_offset,
-                tmpl.stages[i].virtual_deadline_offset);
+      EXPECT_EQ(t.stages()[i].nodes, tmpl.stages()[i].nodes);
+      EXPECT_EQ(t.stages()[i].base_priority, tmpl.stages()[i].base_priority);
+      EXPECT_EQ(t.stages()[i].virtual_deadline_offset,
+                tmpl.stages()[i].virtual_deadline_offset);
     }
-    EXPECT_EQ(t.wcet.per_stage, tmpl.wcet.per_stage);
-    EXPECT_EQ(t.wcet.total, tmpl.wcet.total);
+    EXPECT_EQ(t.wcet().sm_sizes, tmpl.wcet().sm_sizes);
+    EXPECT_EQ(t.wcet().stage_times, tmpl.wcet().stage_times);
+    EXPECT_EQ(t.wcet().totals, tmpl.wcet().totals);
   }
+  // The entry's replicas are clones of one prototype: one shared class.
+  EXPECT_EQ(entries[0].task_class, entries[1].task_class);
   EXPECT_EQ(entries[1].id, 1);
   EXPECT_EQ(entries[1].name, "cam1");
 }

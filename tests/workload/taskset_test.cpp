@@ -109,7 +109,7 @@ TEST_F(TasksetTest, UtilizationRoughlyTracksTarget) {
   const auto tasks = build_random_taskset(cfg, profiler_, {34});
   double total_u = 0.0;
   for (const auto& t : tasks) {
-    total_u += t.wcet.total_at(34).to_sec() / t.period.to_sec();
+    total_u += t.wcet().total_at(34).to_sec() / t.period.to_sec();
   }
   EXPECT_NEAR(total_u, 2.0, 0.05);
 }

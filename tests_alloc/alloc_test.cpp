@@ -1,4 +1,4 @@
-// Allocation gate for gpu::Executor's completion paths.
+// Allocation gate for gpu::Executor's completion paths and stream clones.
 //
 // The executor memoises the grants of contended running sets and keeps the
 // completion path's buffers as members, so once a device's running sets
@@ -7,21 +7,26 @@
 // from the solo-step memo, so once each program has run, dispatching a
 // stage and its chain event touch no allocator either. Both memos belong
 // to the device class, so an executor attached to a memo another executor
-// of its class warmed allocates nothing from its first event on. This binary
-// replaces the global operator new to count every allocation in its
-// process, which is why it is its own executable rather than part of
-// sgprs_tests.
+// of its class warmed allocates nothing from its first event on. A stream
+// cloned from a prototype shares its rt::TaskClass, so cloning one and
+// admitting it allocates only name buffers and admission-list growth.
+// This binary replaces the global operator new to count every allocation
+// in its process, which is why it is its own executable rather than part
+// of sgprs_tests.
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <cstdlib>
 #include <new>
+#include <string>
 #include <vector>
 
 #include "dnn/builders.hpp"
 #include "dnn/partition.hpp"
+#include "fleet/timeline.hpp"
 #include "gpu/context_pool.hpp"
 #include "gpu/executor.hpp"
+#include "rt/analysis.hpp"
 #include "sim/engine.hpp"
 
 namespace {
@@ -346,3 +351,62 @@ TEST(DeviceClassMemoAllocations, ExecutorJoiningAWarmMemoAllocatesNothing) {
 
 }  // namespace
 }  // namespace sgprs::gpu
+
+namespace sgprs::rt {
+namespace {
+
+/// Clones `proto` under each name and admits the clone through `admit`,
+/// expecting exactly two allocations per clone: the clone's name buffer and
+/// its stored copy's (the names are past the small-string buffer), plus
+/// one whenever the admitted list grows.
+template <typename Admit>
+void expect_clones_allocate_only_names(const Task& proto,
+                                       const AdmissionController& ctl,
+                                       const std::vector<std::string>& names,
+                                       Admit admit) {
+  for (int i = 0; i < static_cast<int>(names.size()); ++i) {
+    const std::size_t capacity = ctl.admitted().capacity();
+    const std::size_t before = g_allocations;
+    Task clone = proto;
+    clone.id = i;
+    clone.name = names[i];
+    admit(clone);
+    const std::size_t growth = ctl.admitted().capacity() != capacity ? 1 : 0;
+    EXPECT_EQ(g_allocations - before, 2 + growth) << "clone " << i;
+    ASSERT_EQ(ctl.admitted().size(), static_cast<std::size_t>(i) + 1);
+    EXPECT_EQ(ctl.admitted().back().task_class, proto.task_class);
+  }
+}
+
+TEST(TaskCloneAllocations, CloningAndAdmittingAStreamAllocatesOnlyItsName) {
+  // The paper's pool (2 contexts of 51 SMs, 4 streams each) and a 6-stage
+  // ResNet18 stream template at a rate the pool admits 32 times over.
+  fleet::StreamTemplate tmpl;
+  tmpl.name = "cam";
+  tmpl.fps = 2.0;
+  const Task proto = fleet::build_stream_task(tmpl, gpu::rtx2080ti(), {51});
+  const PoolCapacityModel capacity =
+      pool_capacity(gpu::SpeedupModel::rtx2080ti(), gpu::SharingParams{}, 68,
+                    2, 51, 4);
+  std::vector<std::string> names;
+  for (int i = 0; i < 32; ++i) {
+    names.push_back("camera-stream-with-a-long-name-" + std::to_string(i));
+  }
+
+  {
+    SCOPED_TRACE("try_admit_ex: utilization and response-time tests");
+    AdmissionController ctl(capacity, 51, 0.95);
+    expect_clones_allocate_only_names(proto, ctl, names, [&](const Task& t) {
+      EXPECT_EQ(ctl.try_admit_ex(t), AdmitOutcome::kAdmitted);
+    });
+  }
+  {
+    SCOPED_TRACE("force_admit: admission control off");
+    AdmissionController ctl(capacity, 51, 0.95);
+    expect_clones_allocate_only_names(
+        proto, ctl, names, [&](const Task& t) { ctl.force_admit(t); });
+  }
+}
+
+}  // namespace
+}  // namespace sgprs::rt
