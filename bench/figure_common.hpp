@@ -1,81 +1,17 @@
 // The paper workload as a spec (figure_base) and the sweep driver for the
-// Fig. 3 / Fig. 4 reproductions, shared with the tables and ablations,
-// plus the machine-readable reporter with which bench_engine_micro,
-// bench_placer and bench_shard_scaling each write one BENCH_<name>.json
-// (schema: docs/benchmarks.md).
+// Fig. 3 / Fig. 4 reproductions, shared with the tables and ablations.
 #pragma once
 
-#include <cstdlib>
-#include <fstream>
+#include <algorithm>
+#include <cstdio>
 #include <iostream>
 #include <string>
-#include <utility>
 #include <vector>
 
-#include "common/json_writer.hpp"
 #include "metrics/report.hpp"
 #include "workload/spec.hpp"
 
 namespace sgprs::bench {
-
-/// Collects named scalar metrics and writes one BENCH_<name>.json file.
-///
-/// The schema is deliberately flat so CI trend tooling needs no bench-
-/// specific knowledge: {"bench", "schema_version", "metrics": [{"name",
-/// "value", "unit"}]}. Values are doubles; anything structured belongs in a
-/// new metric name, not a nested object.
-class BenchReport {
- public:
-  explicit BenchReport(std::string name) : name_(std::move(name)) {}
-
-  void add(const std::string& metric, double value, const std::string& unit) {
-    metrics_.push_back(Metric{metric, value, unit});
-  }
-
-  /// Writes BENCH_<name>.json into `dir` (default: the working directory,
-  /// where CI picks the files up as artifacts). Returns the path written;
-  /// exits nonzero if the file cannot be written — a silently missing
-  /// report would make the perf trajectory lie by omission.
-  std::string write(const std::string& dir = ".") const {
-    const std::string path = dir + "/BENCH_" + name_ + ".json";
-    std::ofstream out(path);
-    if (!out) {
-      std::cerr << "ERROR: cannot open " << path << " for writing\n";
-      std::exit(1);
-    }
-    common::JsonWriter w(out);
-    w.begin_object();
-    w.field("bench", name_);
-    w.field("schema_version", 2);
-    w.key("metrics").begin_array();
-    for (const auto& m : metrics_) {
-      w.begin_object();
-      w.field("name", m.name);
-      w.field("value", m.value);
-      w.field("unit", m.unit);
-      w.end_object();
-    }
-    w.end_array();
-    w.end_object();
-    out << "\n";
-    out.flush();
-    if (!out) {
-      std::cerr << "ERROR: failed writing " << path << "\n";
-      std::exit(1);
-    }
-    std::cerr << "wrote " << path << "\n";
-    return path;
-  }
-
- private:
-  struct Metric {
-    std::string name;
-    double value;
-    std::string unit;
-  };
-  std::string name_;
-  std::vector<Metric> metrics_;
-};
 
 struct FigureSweep {
   std::string label;                 // e.g. "naive", "SGPRS 1.5"

@@ -1,6 +1,7 @@
 #include "workload/scenario.hpp"
 
 #include <cmath>
+#include <utility>
 
 #include "cluster/cluster.hpp"
 
@@ -38,7 +39,7 @@ cluster::ClusterConfig cluster_config_for(const ScenarioConfig& cfg) {
   ccfg.devices = cfg.fleet.empty() ? std::vector<gpu::DeviceSpec>(
                                          cfg.num_devices, cfg.device)
                                    : cfg.fleet;
-  for (auto& spec : ccfg.devices) spec = device_spec_for(cfg, spec);
+  for (auto& spec : ccfg.devices) spec = device_spec_for(cfg, std::move(spec));
   ccfg.placement = cfg.placement;
   ccfg.admission_margin = cfg.admission_margin;
   ccfg.occupancy_threshold = cfg.occupancy_threshold;

@@ -6,8 +6,8 @@
 // boundary recomputes every running kernel's share. The differential tests
 // in executor_chain_test.cpp run it beside gpu::Executor and require the same
 // callback times and order, the same work and busy-SM integrals bit for bit,
-// and the same trace-sink sequence — exactly as bench/baseline_engine.hpp
-// serves the event calendar.
+// and the same trace-sink sequence — exactly as engine_slab_test.cpp's
+// multimap reference serves the event calendar.
 //
 // Do not maintain this file: it is a measurement oracle, not a fallback.
 #pragma once

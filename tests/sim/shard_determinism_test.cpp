@@ -3,16 +3,18 @@
 // full report JSON (devices, series, audit trail), the series CSV, and the
 // recorded trace — to the classic single-calendar run at --shards 1.
 //
-// Pinned here for every curated dynamic scenario, for the trace-driven
-// replay spec, for every curated static (closed-world) scenario, and for
-// sharded runs inside a parallel experiment fan-out (--jobs and --shards
-// composed). These tests run under TSan in CI (the
-// ShardDeterminism filter), so they double as a race check on the
-// epoch-barrier handoff between the control plane and the shard engines.
+// Pinned here for every curated dynamic scenario, for a round-robin fleet
+// built in code, for the trace-driven replay spec, for every curated static
+// (closed-world) scenario, and for sharded runs inside a parallel
+// experiment fan-out (--jobs and --shards composed). These tests run under
+// TSan in CI (the ShardDeterminism filter), so they double as a race check
+// on the epoch-barrier handoff between the control plane and the shard
+// engines.
 #include <gtest/gtest.h>
 
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fleet/report.hpp"
@@ -46,20 +48,50 @@ std::string run_bytes(workload::ScenarioSpec spec, int shards,
   return os.str();
 }
 
+/// A device-dominated fleet with round-robin placement, which no curated
+/// scenario uses: 8 devices, 48 steady `cam` streams at oversubscription
+/// 1.5, admission off, and a policy-only dynamic section (no autoscaler or
+/// churn), so the only control-plane instants are the 500 ms series samples.
+workload::ScenarioSpec round_robin_spec() {
+  workload::ScenarioSpec spec;
+  spec.name = "round_robin_steady";
+  spec.base.num_contexts = 2;
+  spec.base.oversubscription = 1.5;
+  spec.base.duration = common::SimTime::from_sec(2.0);
+  spec.base.warmup = common::SimTime::from_sec(0.2);
+  spec.base.seed = 42;
+  spec.base.num_devices = 8;
+  spec.base.placement = cluster::PlacementPolicy::kRoundRobin;
+  spec.base.admission_margin = 0.0;
+  spec.fleet_mode = true;
+  workload::TaskEntrySpec cams;
+  cams.name = "cam";
+  cams.count = 48;
+  spec.tasks.push_back(cams);
+  FleetPolicySpec policy;
+  policy.series_window_ms = 500.0;
+  spec.fleet_policy = std::move(policy);
+  return spec;
+}
+
 TEST(ShardDeterminismTest, CuratedScenariosByteIdenticalAcrossShardCounts) {
-  const std::vector<std::string> scenarios = {
-      "scenarios/diurnal_wave.json",
-      "scenarios/flash_crowd.json",
-      "scenarios/tenant_churn.json",
-      "scenarios/scale_down_drain.json",
-      "scenarios/memory_constrained.json",
-      "scenarios/device_crash_failover.json",
-      "scenarios/flaky_fleet.json",
-      "scenarios/correlated_outage.json",
-  };
-  for (const auto& path : scenarios) {
-    SCOPED_TRACE(path);
-    const auto spec = load_spec(path);
+  std::vector<std::pair<std::string, workload::ScenarioSpec>> specs;
+  for (const char* path : {
+           "scenarios/diurnal_wave.json",
+           "scenarios/flash_crowd.json",
+           "scenarios/tenant_churn.json",
+           "scenarios/scale_down_drain.json",
+           "scenarios/memory_constrained.json",
+           "scenarios/device_crash_failover.json",
+           "scenarios/flaky_fleet.json",
+           "scenarios/correlated_outage.json",
+       }) {
+    specs.emplace_back(path, load_spec(path));
+  }
+  specs.emplace_back("round_robin_spec()", round_robin_spec());
+  for (const auto& [label, spec] : specs) {
+    SCOPED_TRACE(label);
+    ASSERT_TRUE(spec.dynamic());
     FleetRunResult classic;
     const std::string baseline = run_bytes(spec, 1, &classic);
     // The pin is only meaningful if the run exercises the open world.
