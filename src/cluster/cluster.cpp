@@ -27,8 +27,8 @@ std::vector<int> pool_sm_sizes_for(const gpu::DeviceSpec& spec,
 }
 
 Cluster::Cluster(sim::Engine& engine, metrics::Collector& collector,
-                 const ClusterConfig& cfg)
-    : collector_(collector), cfg_(cfg) {
+                 ClusterConfig cfg)
+    : collector_(collector), cfg_(std::move(cfg)) {
   SGPRS_CHECK_MSG(!cfg_.devices.empty(), "cluster needs at least one device");
   SGPRS_CHECK_MSG(cfg_.shards >= 1, "shards must be >= 1");
   engines_.push_back(&engine);
@@ -44,7 +44,7 @@ Cluster::Cluster(sim::Engine& engine, metrics::Collector& collector,
   std::vector<PlacerDevice> placer_devices;
   for (const auto& spec : cfg_.devices) {
     devices_.push_back(make_device(spec, num_devices()));
-    placer_devices.push_back(placer_device_for(spec, devices_.back()));
+    placer_devices.push_back(placer_device_for(devices_.back()));
   }
   placer_ = std::make_unique<Placer>(std::move(placer_devices),
                                      cfg_.placement, cfg_.admission_margin,
@@ -53,7 +53,6 @@ Cluster::Cluster(sim::Engine& engine, metrics::Collector& collector,
 
 Cluster::Device Cluster::make_device(const gpu::DeviceSpec& spec, int index) {
   Device dev;
-  dev.spec = spec;
   // The device's whole event surface (executor, runner) lives on its
   // shard's calendar, and its metrics on a collector of its own.
   sim::Engine& engine = device_engine(index);
@@ -104,10 +103,11 @@ gpu::DeviceClassMemo& Cluster::class_memo(int index,
       std::make_unique<gpu::DeviceClassMemo>(exec.device_class()));
 }
 
-PlacerDevice Cluster::placer_device_for(const gpu::DeviceSpec& spec,
-                                        const Device& dev) {
+PlacerDevice Cluster::placer_device_for(const Device& dev) {
+  const gpu::DeviceSpec& spec = dev.exec->device();
   PlacerDevice pd;
-  pd.spec = spec;
+  pd.mem_bytes = spec.mem_bytes;
+  pd.total_warps = spec.total_warps();
   // Reference size for WCET lookups; profiles cover every pool size, so
   // any context works — use the first.
   pd.pool_sms = dev.pool->at(0).sm_limit;
@@ -138,7 +138,7 @@ int Cluster::add_device(const gpu::DeviceSpec& spec, bool active) {
   const int index = num_devices();
   devices_.push_back(make_device(spec, index));
   Device& dev = devices_.back();
-  placer_->add_device(placer_device_for(spec, dev), active);
+  placer_->add_device(placer_device_for(dev), active);
   if (started_) {
     dev.runner = std::make_unique<rt::Runner>(device_engine(index),
                                               *dev.scheduler, rcfg_);
@@ -267,8 +267,9 @@ metrics::DeviceReport Cluster::device_report(int i, SimTime end) const {
   const Device& dev = devices_.at(i);
   metrics::DeviceReport report;
   report.device_index = i;
-  report.device_name = dev.spec.name;
-  report.total_sms = dev.spec.total_sms;
+  const gpu::DeviceSpec& spec = dev.exec->device();
+  report.device_name = spec.name;
+  report.total_sms = spec.total_sms;
   std::vector<int> ids;
   ids.reserve(dev.tasks.size());
   for (const auto& t : dev.tasks) {
@@ -283,7 +284,7 @@ metrics::DeviceReport Cluster::device_report(int i, SimTime end) const {
   // busy_sm_seconds integrates *granted* SMs, and an over-subscribed pool
   // grants up to its allocation (> the physical device). Normalise by the
   // larger of the two so utilization stays a 0..1-ish occupancy figure.
-  const int basis = std::max(dev.spec.total_sms,
+  const int basis = std::max(spec.total_sms,
                              dev.pool->total_allocated_sms());
   const double denom = static_cast<double>(basis) * end.to_sec();
   report.utilization = denom > 0.0 ? report.busy_sm_seconds / denom : 0.0;

@@ -118,8 +118,7 @@ std::vector<int> pool_sm_sizes_for(const gpu::DeviceSpec& spec,
 class Cluster {
  public:
   struct Device {
-    gpu::DeviceSpec spec;
-    std::unique_ptr<gpu::Executor> exec;
+    std::unique_ptr<gpu::Executor> exec;  // holds the device's spec
     std::unique_ptr<gpu::ContextPool> pool;
     std::unique_ptr<rt::Scheduler> scheduler;
     /// Tasks admitted here (deque: stable addresses under churn).
@@ -135,7 +134,7 @@ class Cluster {
   /// shard 0; `collector` receives the reduced metrics and sets the
   /// warm-up window of every per-device collector.
   Cluster(sim::Engine& engine, metrics::Collector& collector,
-          const ClusterConfig& cfg);
+          ClusterConfig cfg);
 
   int num_devices() const { return static_cast<int>(devices_.size()); }
   const Device& device(int i) const { return devices_.at(i); }
@@ -236,8 +235,7 @@ class Cluster {
   std::int64_t medium_promotions() const;
 
  private:
-  PlacerDevice placer_device_for(const gpu::DeviceSpec& spec,
-                                 const Device& dev);
+  PlacerDevice placer_device_for(const Device& dev);
   Device make_device(const gpu::DeviceSpec& spec, int index);
   /// The earliest instant an input can reach device `index`'s executor:
   /// its runner's next release, its scheduler's next timer, or the end of

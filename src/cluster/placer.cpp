@@ -41,8 +41,8 @@ Placer::Placer(std::vector<PlacerDevice> devices, PlacementPolicy policy,
 int Placer::add_device(PlacerDevice device, bool active) {
   SGPRS_CHECK(device.capacity.work_rate > 0.0);
   rt::ResourceBudget budget;
-  budget.mem_bytes = device.spec.mem_bytes;
-  budget.total_warps = device.spec.total_warps();
+  budget.mem_bytes = device.mem_bytes;
+  budget.total_warps = device.total_warps;
   budget.occupancy_threshold = occupancy_threshold_;
   // A disabled margin still needs a valid controller for load tracking.
   rt::AdmissionController controller(device.capacity, device.pool_sms,
@@ -84,7 +84,7 @@ double Placer::remaining_capacity(int d) const {
 std::int64_t Placer::remaining_mem_bytes(int d) const {
   const DeviceState& ds = devices_.at(d);
   return std::max<std::int64_t>(
-      0, ds.info.spec.mem_bytes - ds.controller.mem_used());
+      0, ds.info.mem_bytes - ds.controller.mem_used());
 }
 
 int Placer::task_count(int d) const {

@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "cluster/placement.hpp"
-#include "gpu/device.hpp"
 #include "rt/analysis.hpp"
 #include "rt/task.hpp"
 
@@ -24,7 +23,9 @@ namespace sgprs::cluster {
 
 /// Static per-device facts the placer reasons about.
 struct PlacerDevice {
-  gpu::DeviceSpec spec;
+  /// The device's memory and resident-warp budgets (gpu::DeviceSpec).
+  std::int64_t mem_bytes = 0;
+  std::int64_t total_warps = 0;
   rt::PoolCapacityModel capacity;
   /// Reference context SM size used for WCET lookups in the response-time
   /// estimate; tasks must be profiled at this size.

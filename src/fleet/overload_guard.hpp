@@ -157,9 +157,12 @@ class OverloadGuard final : public rt::Scheduler {
         state_(state),
         dev_(dev) {}
 
-  void admit(const rt::Task& task) override { inner_->admit(task); }
+  void admit(const rt::Task& task, int slot) override {
+    inner_->admit(task, slot);
+  }
 
-  void release_job(const rt::Task& task, common::SimTime now) override {
+  void release_job(const rt::Task& task, int slot,
+                   common::SimTime now) override {
     const OverloadConfig& cfg = state_->cfg;
     const bool sheddable =
         cfg.shed == ShedMode::kAll ||
@@ -176,7 +179,7 @@ class OverloadGuard final : public rt::Scheduler {
       ++*dev_->shard_staged;
       return;
     }
-    inner_->release_job(task, now);
+    inner_->release_job(task, slot, now);
   }
 
   int jobs_in_flight() const override { return inner_->jobs_in_flight(); }

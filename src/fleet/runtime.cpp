@@ -199,7 +199,8 @@ class FleetRuntime {
         return &sink_->device_tracer(device_index);
       };
     }
-    cluster_ = std::make_unique<cluster::Cluster>(shard0_, reduced_, ccfg);
+    cluster_ =
+        std::make_unique<cluster::Cluster>(shard0_, reduced_, std::move(ccfg));
 
     // The scenario-wide memory cap applies to autoscaled devices too, so a
     // memory-constrained fleet cannot scale its way past the budget.
@@ -211,8 +212,8 @@ class FleetRuntime {
     if (policy_.autoscaler.kind != AutoscalePolicyKind::kNone) {
       // Devices the autoscaler may add must already be covered by every
       // task's WCET profile — profile their pool sizes up front.
-      for (int sms : cluster::pool_sm_sizes_for(scale_spec_, ccfg.pool,
-                                                cfg_.sharing)) {
+      for (int sms : cluster::pool_sm_sizes_for(
+               scale_spec_, workload::pool_config_for(cfg_), cfg_.sharing)) {
         if (std::find(pool_sizes_.begin(), pool_sizes_.end(), sms) ==
             pool_sizes_.end()) {
           pool_sizes_.push_back(sms);
@@ -1173,7 +1174,7 @@ class FleetRuntime {
     if (sink_) {
       sink_->set_horizon(cfg_.duration);
       for (int d = 0; d < cluster_->num_devices(); ++d) {
-        sink_->set_device_name(d, cluster_->device(d).spec.name);
+        sink_->set_device_name(d, cluster_->device(d).exec->device().name);
       }
     }
     {

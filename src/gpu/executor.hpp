@@ -192,9 +192,6 @@ class Executor {
 
   const DeviceSpec& device() const { return device_; }
   const SpeedupModel& speedup_model() const { return device_class().speedup; }
-  const SharingParams& sharing_params() const {
-    return device_class().sharing;
-  }
   sim::Engine& engine() { return engine_; }
 
   void set_trace_sink(TraceSink* sink) { trace_ = sink; }

@@ -16,6 +16,7 @@ namespace sgprs::rt {
 
 struct Job {
   const Task* task = nullptr;
+  int slot = -1;  // the stream's slot on its device (Scheduler::admit)
   std::int64_t index = 0;  // job number within its task
   SimTime release;
   SimTime abs_deadline;
@@ -42,6 +43,7 @@ struct Job {
   /// its capacity — the point of pooling jobs instead of reallocating them.
   void reset() {
     task = nullptr;
+    slot = -1;
     index = 0;
     release = SimTime{};
     abs_deadline = SimTime{};

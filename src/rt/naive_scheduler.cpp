@@ -1,7 +1,5 @@
 #include "rt/naive_scheduler.hpp"
 
-#include <algorithm>
-
 #include "common/check.hpp"
 #include "obs/span.hpp"
 
@@ -27,42 +25,42 @@ NaiveScheduler::NaiveScheduler(gpu::Executor& exec,
   sync_timers_.reserve(contexts_.size());
 }
 
-void NaiveScheduler::admit(const Task& task) {
-  if (task.id >= static_cast<int>(task_ctx_.size())) {
-    task_ctx_.resize(task.id + 1, -1);
-    in_flight_.resize(task.id + 1, 0);
-  }
+void NaiveScheduler::admit(const Task& /*task*/, int slot) {
+  SGPRS_CHECK_MSG(slot >= 0 && slot <= static_cast<int>(streams_.size()),
+                  "stream slot " << slot << " is not dense");
+  // A returning stream keeps its slot's in-flight count.
+  if (slot == static_cast<int>(streams_.size())) streams_.emplace_back();
   // Static spatial assignment: round-robin, never revisited.
-  task_ctx_[task.id] = rr_next_;
+  streams_[slot].ctx = rr_next_;
   rr_next_ = (rr_next_ + 1) % static_cast<int>(contexts_.size());
 }
 
-int NaiveScheduler::task_context(int task_id) const {
-  SGPRS_CHECK(task_id >= 0 && task_id < static_cast<int>(task_ctx_.size()));
-  SGPRS_CHECK_MSG(task_ctx_[task_id] >= 0, "task was never admitted");
-  return task_ctx_[task_id];
+int NaiveScheduler::task_context(int slot) const {
+  SGPRS_CHECK_MSG(slot >= 0 && slot < static_cast<int>(streams_.size()),
+                  "slot was never admitted");
+  return streams_[slot].ctx;
 }
 
-void NaiveScheduler::release_job(const Task& task, SimTime now) {
-  SGPRS_CHECK_MSG(task.id < static_cast<int>(task_ctx_.size()) &&
-                      task_ctx_[task.id] >= 0,
+void NaiveScheduler::release_job(const Task& task, int slot, SimTime now) {
+  SGPRS_CHECK_MSG(slot >= 0 && slot < static_cast<int>(streams_.size()),
                   "release before admit");
+  StreamState& stream = streams_[slot];
   collector_.on_release(task.id, now);
   if (tracer_) tracer_->release(task.id, now);
-  if (in_flight_[task.id] >= cfg_.max_in_flight_per_task) {
+  if (stream.in_flight >= cfg_.max_in_flight_per_task) {
     collector_.on_drop(task.id, now);  // frame buffer still full
     if (tracer_) tracer_->drop(task.id, now, now);
     return;
   }
-  ++in_flight_[task.id];
+  ++stream.in_flight;
   Job& job = jobs_.acquire();
   job.task = &task;
+  job.slot = slot;
   job.index = job_counter_++;
   job.release = now;
   job.abs_deadline = now + task.deadline;
-  const int ctx_idx = task_ctx_[task.id];
-  contexts_[ctx_idx].fifo.push_back(&job);
-  try_dispatch(ctx_idx, now);
+  contexts_[stream.ctx].fifo.push_back(&job);
+  try_dispatch(stream.ctx, now);
 }
 
 void NaiveScheduler::try_dispatch(int ctx_idx, SimTime now) {
@@ -88,13 +86,12 @@ void NaiveScheduler::try_dispatch(int ctx_idx, SimTime now) {
                         [this, job, ctx_idx](SimTime t) {
                           on_job_complete(*job, ctx_idx, t);
                         });
-  (void)now;
 }
 
 void NaiveScheduler::on_job_complete(Job& job, int ctx_idx, SimTime now) {
   collector_.on_complete(job.task->id, job.release, job.abs_deadline, now);
   if (tracer_) tracer_->complete(job.task->id, job.release, now);
-  --in_flight_[job.task->id];
+  --streams_[job.slot].in_flight;
   jobs_.release(job);
   // The context frees only after the host round-trip (synchronize + frame
   // handling); the next job cannot be dispatched into that gap.
@@ -126,7 +123,7 @@ int NaiveScheduler::abort_in_flight() {
   }
   exec_.purge_all();
   const int killed = static_cast<int>(jobs_.release_all());
-  std::fill(in_flight_.begin(), in_flight_.end(), 0);
+  for (auto& stream : streams_) stream.in_flight = 0;
   return killed;
 }
 

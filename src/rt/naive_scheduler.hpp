@@ -38,8 +38,8 @@ class NaiveScheduler final : public Scheduler {
   NaiveScheduler(gpu::Executor& exec, const gpu::ContextPool& pool,
                  metrics::Collector& collector, NaiveConfig cfg = {});
 
-  void admit(const Task& task) override;
-  void release_job(const Task& task, SimTime now) override;
+  void admit(const Task& task, int slot) override;
+  void release_job(const Task& task, int slot, SimTime now) override;
   int jobs_in_flight() const override {
     return static_cast<int>(jobs_.live());
   }
@@ -51,8 +51,8 @@ class NaiveScheduler final : public Scheduler {
                                               : sync_timers_[sync_head_];
   }
 
-  /// Context a task was pinned to (introspection for tests).
-  int task_context(int task_id) const;
+  /// Context the stream in `slot` was pinned to (introspection for tests).
+  int task_context(int slot) const;
 
  private:
   struct CtxState {
@@ -62,6 +62,11 @@ class NaiveScheduler final : public Scheduler {
     std::deque<Job*> fifo;
   };
 
+  struct StreamState {
+    int ctx = -1;  // pinned context index
+    int in_flight = 0;
+  };
+
   void try_dispatch(int ctx_idx, SimTime now);
   void on_job_complete(Job& job, int ctx_idx, SimTime now);
 
@@ -69,9 +74,8 @@ class NaiveScheduler final : public Scheduler {
   metrics::Collector& collector_;
   NaiveConfig cfg_;
   std::vector<CtxState> contexts_;
-  std::vector<int> task_ctx_;    // task id -> pinned context index
-  std::vector<int> in_flight_;   // per task id
-  JobPool jobs_;                 // stable addresses; O(1) retire
+  std::vector<StreamState> streams_;  // per stream slot
+  JobPool jobs_;                      // stable addresses; O(1) retire
   // Fire times of the pending host_sync_gap events, stale ones included,
   // from sync_head_ on. Every one is scheduled a fixed gap after its
   // completion, so they fire in push order. A vector compacted in place

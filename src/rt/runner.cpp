@@ -29,24 +29,15 @@ std::size_t Runner::admit_checked(const Task& t) {
                     "sporadic min_separation must not exceed "
                     "max_separation for task " << t.name);
   }
-  for (std::size_t i = 0; i < states_.size(); ++i) {
-    TaskState& ts = states_[i];
-    if (ts.task->id != t.id) continue;
-    SGPRS_CHECK_MSG(!ts.active,
-                    "duplicate task id " << t.id << " admitted to runner");
-    // A retired id coming back (failover returned the stream to a device
-    // that hosted it before): reuse the slot in place. The arrival rng
-    // reseeds to the same (seed, id) stream it always draws from.
-    ts.task = &t;
-    if (t.arrival == ArrivalModel::kSporadic) {
-      ts.arrival_rng.reseed(common::stream_seed(cfg_.jitter_seed, t.id));
-    }
-    ts.active = true;
-    scheduler_.admit(t);
-    ++active_;
-    return i;
-  }
-  TaskState ts;
+  // A retired id coming back (failover returned the stream to a device
+  // that hosted it before) takes its old slot; any other id a new one.
+  std::size_t slot = 0;
+  while (slot < states_.size() && states_[slot].task->id != t.id) ++slot;
+  SGPRS_CHECK_MSG(slot == states_.size() || !states_[slot].active,
+                  "duplicate task id " << t.id << " admitted to runner");
+  scheduler_.admit(t, static_cast<int>(slot));
+  if (slot == states_.size()) states_.emplace_back();
+  TaskState& ts = states_[slot];
   ts.task = &t;
   if (t.arrival == ArrivalModel::kSporadic) {
     // Seed per task so the draw sequence is a function of (seed, task id)
@@ -54,10 +45,9 @@ std::size_t Runner::admit_checked(const Task& t) {
     // fleet runs) which shard the hosting device landed on.
     ts.arrival_rng.reseed(common::stream_seed(cfg_.jitter_seed, t.id));
   }
-  scheduler_.admit(t);
-  states_.push_back(std::move(ts));
+  ts.active = true;
   ++active_;
-  return states_.size() - 1;
+  return slot;
 }
 
 void Runner::add_task(const Task& task) {
@@ -114,7 +104,7 @@ void Runner::arm_release(std::size_t idx, SimTime at) {
     s.pending_at = SimTime::max();
     if (!s.active) return;  // retired between schedule and fire
     ++releases_;
-    scheduler_.release_job(*s.task, at);
+    scheduler_.release_job(*s.task, static_cast<int>(idx), at);
     arm_release(idx, at + next_interarrival(s));
   });
 }

@@ -68,9 +68,10 @@ class Runner {
 
  private:
   /// Per-task runner state, indexed by admission order (dense, hot-path
-  /// friendly). The sporadic arrival rng is seeded from (jitter_seed,
-  /// task id) — never from admission order — so a stream's draw sequence
-  /// is identical whether it was present at t=0 or churned in later.
+  /// friendly); the index is the stream's scheduler slot. The sporadic
+  /// arrival rng is seeded from (jitter_seed, task id) — never from
+  /// admission order — so a stream's draw sequence is identical whether it
+  /// was present at t=0 or churned in later.
   struct TaskState {
     const Task* task = nullptr;
     common::Rng arrival_rng;  // sporadic draws only; periodic never touches
@@ -83,7 +84,7 @@ class Runner {
   /// hard error; re-admitting a *retired* id (a failed-over stream coming
   /// back to an earlier home) reuses the old slot in place — pending
   /// release lambdas capture indices, so states_ never shrinks or
-  /// reorders.
+  /// reorders, and a scheduler slot always names the same stream.
   std::size_t admit_checked(const Task& task);
   void arm_release(std::size_t idx, SimTime at);
   /// Gap from this release to the next: the period for periodic tasks, a

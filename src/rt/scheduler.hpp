@@ -4,6 +4,10 @@
 // each period tick; the scheduler owns everything downstream: admission /
 // drop policy, context assignment, queueing, dispatch to executor streams,
 // and reporting to the metrics collector.
+// Each stream comes with a dense slot: its index in the runner (0, 1, ...
+// in first-admission order; a returning stream keeps its slot), so
+// per-stream state grows with the device's streams, not the fleet's task
+// ids. Task ids still key every collector, tracer and job tag record.
 #pragma once
 
 #include <string>
@@ -22,11 +26,12 @@ class Scheduler {
  public:
   virtual ~Scheduler() = default;
 
-  /// Offline registration (static assignment decisions live here).
-  virtual void admit(const Task& task) = 0;
+  /// Registers `task` in `slot`, a new one (one past the highest so far)
+  /// or its own from before a retirement. Static assignment lives here.
+  virtual void admit(const Task& task, int slot) = 0;
 
-  /// A new job of `task` is released at `now`.
-  virtual void release_job(const Task& task, SimTime now) = 0;
+  /// A new job of the stream in `slot` is released at `now`.
+  virtual void release_job(const Task& task, int slot, SimTime now) = 0;
 
   /// Jobs released but not yet completed or dropped.
   virtual int jobs_in_flight() const = 0;

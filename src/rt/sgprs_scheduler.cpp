@@ -28,14 +28,15 @@ SgprsScheduler::SgprsScheduler(gpu::Executor& exec,
   SGPRS_CHECK_MSG(!contexts_.empty(), "SGPRS needs a context pool");
 }
 
-void SgprsScheduler::admit(const Task& task) {
-  if (task.id >= static_cast<int>(in_flight_.size())) {
-    in_flight_.resize(task.id + 1, 0);
-  }
+void SgprsScheduler::admit(const Task& task, int slot) {
+  SGPRS_CHECK_MSG(slot >= 0 && slot <= static_cast<int>(in_flight_.size()),
+                  "stream slot " << slot << " is not dense");
   // Verify the WCET table covers every pool SM size we will estimate with.
   for (const auto& cs : contexts_) {
     (void)task.wcet().stage_at(0, cs.sm_limit);
   }
+  // A returning stream keeps its count: a frame it left in flight caps it.
+  if (slot == static_cast<int>(in_flight_.size())) in_flight_.push_back(0);
 }
 
 double SgprsScheduler::stage_wcet_sec(const Job& job, int stage,
@@ -43,18 +44,19 @@ double SgprsScheduler::stage_wcet_sec(const Job& job, int stage,
   return job.task->wcet().stage_at(stage, sm_limit).to_sec();
 }
 
-void SgprsScheduler::release_job(const Task& task, SimTime now) {
-  SGPRS_CHECK(task.id < static_cast<int>(in_flight_.size()));
+void SgprsScheduler::release_job(const Task& task, int slot, SimTime now) {
+  SGPRS_CHECK(slot >= 0 && slot < static_cast<int>(in_flight_.size()));
   collector_.on_release(task.id, now);
   if (tracer_) tracer_->release(task.id, now);
-  if (in_flight_[task.id] >= cfg_.max_in_flight_per_task) {
+  if (in_flight_[slot] >= cfg_.max_in_flight_per_task) {
     collector_.on_drop(task.id, now);
     if (tracer_) tracer_->drop(task.id, now, now);
     return;
   }
-  ++in_flight_[task.id];
+  ++in_flight_[slot];
   Job& job = jobs_.acquire();
   job.task = &task;
+  job.slot = slot;
   job.index = static_cast<std::int64_t>(next_seq_);
   job.release = now;
   job.abs_deadline = now + task.deadline;
@@ -190,8 +192,8 @@ void SgprsScheduler::release_stage(Job& job, SimTime now) {
     ++aborts_;
     collector_.on_drop(job.task->id, job.release);
     if (tracer_) tracer_->drop(job.task->id, job.release, now);
-    --in_flight_[job.task->id];
-    retire_job(job);
+    --in_flight_[job.slot];
+    jobs_.release(job);
     return;
   }
 
@@ -261,11 +263,11 @@ void SgprsScheduler::dispatch(CtxState& cs, Slot& slot, QueuedStage qs,
   if (tracer_ && job.last_ctx < 0) {
     tracer_->dispatch(job.task->id, job.release, now);
   }
-  job.last_ctx = static_cast<int>(&cs - contexts_.data());
+  const int ctx_idx = static_cast<int>(&cs - contexts_.data());
+  job.last_ctx = ctx_idx;
 
   const bool high_slot =
       exec_.stream_priority(slot.stream) == gpu::StreamPriority::kHigh;
-  const int ctx_idx = static_cast<int>(&cs - contexts_.data());
   const int slot_idx = static_cast<int>(
       &slot - (high_slot ? cs.high_slots.data() : cs.low_slots.data()));
 
@@ -292,8 +294,8 @@ void SgprsScheduler::on_stage_complete(Job& job, int stage, int ctx_idx,
   if (job.next_stage == job.task->stage_count()) {
     collector_.on_complete(job.task->id, job.release, job.abs_deadline, now);
     if (tracer_) tracer_->complete(job.task->id, job.release, now);
-    --in_flight_[job.task->id];
-    retire_job(job);
+    --in_flight_[job.slot];
+    jobs_.release(job);
   } else {
     // Seamless partition switch: the next stage is assigned afresh and may
     // land on any context with zero reconfiguration.
@@ -301,8 +303,6 @@ void SgprsScheduler::on_stage_complete(Job& job, int stage, int ctx_idx,
   }
   try_dispatch(ctx_idx, now);
 }
-
-void SgprsScheduler::retire_job(Job& job) { jobs_.release(job); }
 
 int SgprsScheduler::abort_in_flight() {
   // Device crash: every queued stage and every dispatched kernel dies with

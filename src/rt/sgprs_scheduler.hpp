@@ -70,8 +70,8 @@ class SgprsScheduler final : public Scheduler {
   SgprsScheduler(gpu::Executor& exec, const gpu::ContextPool& pool,
                  metrics::Collector& collector, SgprsConfig cfg = {});
 
-  void admit(const Task& task) override;
-  void release_job(const Task& task, SimTime now) override;
+  void admit(const Task& task, int slot) override;
+  void release_job(const Task& task, int slot, SimTime now) override;
   int jobs_in_flight() const override { return static_cast<int>(jobs_.live()); }
   int abort_in_flight() override;
   std::string name() const override { return "sgprs"; }
@@ -129,7 +129,6 @@ class SgprsScheduler final : public Scheduler {
   void dispatch(CtxState& cs, Slot& slot, QueuedStage qs, SimTime now);
   void on_stage_complete(Job& job, int stage, int ctx_idx, int slot_idx,
                          bool high_slot, SimTime now);
-  void retire_job(Job& job);
   StagePriority effective_priority(const Job& job, int stage) const;
   double stage_wcet_sec(const Job& job, int stage, int sm_limit) const;
 
@@ -138,7 +137,7 @@ class SgprsScheduler final : public Scheduler {
   SgprsConfig cfg_;
   std::vector<CtxState> contexts_;
   JobPool jobs_;  // stable addresses; O(1) retire, slots recycled
-  std::vector<int> in_flight_;  // per task id
+  std::vector<int> in_flight_;  // per stream slot
   std::uint64_t next_seq_ = 0;
   mutable common::Rng rng_;
   int rr_next_ = 0;

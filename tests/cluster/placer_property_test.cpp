@@ -12,6 +12,7 @@
 
 #include "cluster/placer.hpp"
 #include "common/rng.hpp"
+#include "gpu/device.hpp"
 #include "gpu/sharing.hpp"
 #include "gpu/speedup.hpp"
 
@@ -30,7 +31,8 @@ rt::PoolCapacityModel capacity_of(int total_sms, int sm_per_ctx) {
 
 PlacerDevice small_device() {
   PlacerDevice d;
-  d.spec = gpu::rtx2080ti();
+  d.mem_bytes = gpu::rtx2080ti().mem_bytes;
+  d.total_warps = gpu::rtx2080ti().total_warps();
   d.pool_sms = 34;
   d.capacity = capacity_of(68, 34);
   return d;
@@ -38,7 +40,8 @@ PlacerDevice small_device() {
 
 PlacerDevice big_device() {
   PlacerDevice d;
-  d.spec = gpu::rtx3090();
+  d.mem_bytes = gpu::rtx3090().mem_bytes;
+  d.total_warps = gpu::rtx3090().total_warps();
   d.pool_sms = 41;
   d.capacity = capacity_of(82, 41);
   return d;
@@ -142,11 +145,11 @@ TEST(PlacerProperty, MemoryAndOccupancyBudgetsHoldForEveryPolicy) {
         PlacerDevice dev =
             rng.next_double() < 0.5 ? small_device() : big_device();
         // Tight budgets (2-6 GiB) so memory actually binds.
-        dev.spec.mem_bytes =
+        dev.mem_bytes =
             static_cast<std::int64_t>(rng.uniform_int(2, 6)) * (1ll << 30);
         devices.push_back(dev);
-        mem_budget.push_back(dev.spec.mem_bytes);
-        warp_budget.push_back(dev.spec.total_warps());
+        mem_budget.push_back(dev.mem_bytes);
+        warp_budget.push_back(dev.total_warps);
       }
       Placer placer(devices, policy, kMargin, kOccupancy);
 
@@ -219,10 +222,10 @@ TEST(PlacerProperty, CrashRecoverCyclesKeepAccountingExact) {
     for (int d = 0; d < n; ++d) {
       PlacerDevice dev =
           rng.next_double() < 0.5 ? small_device() : big_device();
-      dev.spec.mem_bytes =
+      dev.mem_bytes =
           static_cast<std::int64_t>(rng.uniform_int(2, 6)) * (1ll << 30);
       devices.push_back(dev);
-      mem_budget.push_back(dev.spec.mem_bytes);
+      mem_budget.push_back(dev.mem_bytes);
     }
     Placer placer(devices, policy, kMargin);
 
@@ -354,7 +357,7 @@ TEST(PlacerProperty, CyclicWalkChoosesAsTheMaterialisedOrder) {
     std::vector<Placer> mirror;
     for (int d = 0; d < kDevices; ++d) {
       PlacerDevice dev = base;
-      if (rng.next_double() < 0.1) dev.spec.mem_bytes = 1ll << 28;  // 256 MiB
+      if (rng.next_double() < 0.1) dev.mem_bytes = 1ll << 28;  // 256 MiB
       devices.push_back(dev);
       mirror.emplace_back(std::vector<PlacerDevice>{dev}, policy, kMargin);
     }

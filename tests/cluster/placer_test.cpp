@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "gpu/device.hpp"
 #include "gpu/sharing.hpp"
 #include "gpu/speedup.hpp"
 
@@ -20,7 +21,8 @@ rt::PoolCapacityModel capacity_of(int total_sms, int sm_per_ctx) {
 
 PlacerDevice small_device() {
   PlacerDevice d;
-  d.spec = gpu::rtx2080ti();
+  d.mem_bytes = gpu::rtx2080ti().mem_bytes;
+  d.total_warps = gpu::rtx2080ti().total_warps();
   d.pool_sms = 34;
   d.capacity = capacity_of(68, 34);
   return d;
@@ -28,7 +30,8 @@ PlacerDevice small_device() {
 
 PlacerDevice big_device() {
   PlacerDevice d;
-  d.spec = gpu::rtx3090();
+  d.mem_bytes = gpu::rtx3090().mem_bytes;
+  d.total_warps = gpu::rtx3090().total_warps();
   d.pool_sms = 41;
   d.capacity = capacity_of(82, 41);
   return d;
@@ -253,7 +256,7 @@ rt::Task make_mem_task(int id, const std::string& name, double frac,
 
 PlacerDevice small_device_with_mem(double mem_gib) {
   PlacerDevice d = small_device();
-  d.spec.mem_bytes = static_cast<std::int64_t>(mem_gib * (1ll << 30));
+  d.mem_bytes = static_cast<std::int64_t>(mem_gib * (1ll << 30));
   return d;
 }
 

@@ -48,7 +48,7 @@ TEST_F(NaiveTest, RoundRobinPinning) {
   NaiveScheduler sched(*exec_, *pool_, *collector_);
   std::vector<Task> tasks;
   for (int i = 0; i < 5; ++i) tasks.push_back(make_task(i));
-  for (auto& t : tasks) sched.admit(t);
+  for (auto& t : tasks) sched.admit(t, t.id);
   EXPECT_EQ(sched.task_context(0), 0);
   EXPECT_EQ(sched.task_context(1), 1);
   EXPECT_EQ(sched.task_context(2), 0);
@@ -59,8 +59,8 @@ TEST_F(NaiveTest, RoundRobinPinning) {
 TEST_F(NaiveTest, SingleJobCompletes) {
   NaiveScheduler sched(*exec_, *pool_, *collector_);
   const Task task = make_task(0);
-  sched.admit(task);
-  sched.release_job(task, SimTime::zero());
+  sched.admit(task, task.id);
+  sched.release_job(task, task.id, SimTime::zero());
   engine_->run();
   const auto s = collector_->aggregate(SimTime::from_ms(100));
   EXPECT_EQ(s.counts.on_time, 1);
@@ -70,9 +70,10 @@ TEST_F(NaiveTest, SingleJobCompletes) {
 TEST_F(NaiveTest, SingleFrameBufferDropsWhileBusy) {
   NaiveScheduler sched(*exec_, *pool_, *collector_);
   const Task task = make_task(0);
-  sched.admit(task);
-  sched.release_job(task, SimTime::zero());
-  sched.release_job(task, SimTime::zero());  // previous frame still pending
+  sched.admit(task, task.id);
+  sched.release_job(task, task.id, SimTime::zero());
+  // The previous frame is still pending.
+  sched.release_job(task, task.id, SimTime::zero());
   engine_->run();
   const auto s = collector_->aggregate(SimTime::from_ms(200));
   EXPECT_EQ(s.counts.dropped, 1);
@@ -87,11 +88,11 @@ TEST_F(NaiveTest, NextTimerIsTheEarliestPendingHostSyncGap) {
   EXPECT_TRUE(sched.next_timer().is_max());
   const Task a = make_task(0);
   const Task b = make_task(1);  // pinned to the other context
-  sched.admit(a);
-  sched.admit(b);
-  sched.release_job(a, SimTime::zero());
+  sched.admit(a, a.id);
+  sched.admit(b, b.id);
+  sched.release_job(a, a.id, SimTime::zero());
   engine_->run_until(SimTime::from_ms(0.5));
-  sched.release_job(b, engine_->now());
+  sched.release_job(b, b.id, engine_->now());
 
   std::vector<SimTime> ends;
   while (ends.size() < 2 && engine_->step()) {
@@ -120,13 +121,13 @@ TEST_F(NaiveTest, NextTimerKeepsStaleGapsInFireOrder) {
   cfg.host_sync_gap = SimTime::from_ms(50.0);
   NaiveScheduler sched(*exec_, *pool_, *collector_, cfg);
   const Task a = make_task(0);
-  sched.admit(a);
+  sched.admit(a, a.id);
   const auto completed = [&] {
     return collector_->aggregate(SimTime::from_sec(1.0)).counts.completed();
   };
   std::vector<SimTime> gaps;
   for (int round = 0; round < 5; ++round) {
-    sched.release_job(a, engine_->now());
+    sched.release_job(a, a.id, engine_->now());
     while (completed() == round) ASSERT_TRUE(engine_->step());
     gaps.push_back(engine_->now() + cfg.host_sync_gap);
     EXPECT_EQ(sched.next_timer(), gaps.front());
@@ -141,7 +142,7 @@ TEST_F(NaiveTest, NextTimerKeepsStaleGapsInFireOrder) {
   // Drained, the timers reuse their room: one job, one gap, round after
   // round.
   for (int round = 5; round < 25; ++round) {
-    sched.release_job(a, engine_->now());
+    sched.release_job(a, a.id, engine_->now());
     while (completed() == round) ASSERT_TRUE(engine_->step());
     EXPECT_EQ(sched.next_timer(), engine_->now() + cfg.host_sync_gap);
     engine_->run();
@@ -203,10 +204,10 @@ TEST_F(NaiveTest, LateJobsRunToCompletion) {
   NaiveScheduler sched(*exec_, *pool_, *collector_);
   std::vector<Task> tasks;
   for (int i = 0; i < 24; ++i) tasks.push_back(make_task(i));
-  for (auto& t : tasks) sched.admit(t);
+  for (auto& t : tasks) sched.admit(t, t.id);
   // All 24 released at once on 2 contexts: 12 sequential jobs per context
   // at ~3.3 ms each + 1 ms gaps -> the tail jobs are far past 33 ms.
-  for (auto& t : tasks) sched.release_job(t, SimTime::zero());
+  for (auto& t : tasks) sched.release_job(t, t.id, SimTime::zero());
   engine_->run();
   const auto s = collector_->aggregate(SimTime::from_sec(1));
   EXPECT_EQ(s.counts.completed(), 24) << "nothing is aborted";
@@ -216,7 +217,7 @@ TEST_F(NaiveTest, LateJobsRunToCompletion) {
 TEST_F(NaiveTest, ReleaseBeforeAdmitThrows) {
   NaiveScheduler sched(*exec_, *pool_, *collector_);
   const Task task = make_task(0);
-  EXPECT_THROW(sched.release_job(task, SimTime::zero()),
+  EXPECT_THROW(sched.release_job(task, task.id, SimTime::zero()),
                common::CheckError);
 }
 

@@ -75,7 +75,7 @@ TEST_F(PolicyExtTest, AdmitWithoutHeterogeneousWcetThrows) {
   // Task profiled only at 45 SMs: the scheduler must refuse it because it
   // cannot estimate work on the 23-SM context.
   const Task bad = make_task(0, {45});
-  EXPECT_THROW(sched.admit(bad), common::CheckError);
+  EXPECT_THROW(sched.admit(bad, bad.id), common::CheckError);
 }
 
 TEST_F(PolicyExtTest, FifoOrderDispatchesByArrival) {
@@ -102,15 +102,15 @@ TEST_F(PolicyExtTest, FifoOrderDispatchesByArrival) {
   tight.deadline = SimTime::from_ms(5);
   const Task a = make_task(0, {pool_->at(0).sm_limit}, loose);
   const Task b = make_task(1, {pool_->at(0).sm_limit}, tight);
-  fifo_sched.admit(a);
-  fifo_sched.admit(b);
+  fifo_sched.admit(a, a.id);
+  fifo_sched.admit(b, b.id);
   // Occupy the lane so both stages queue rather than dispatch instantly.
   gpu::KernelDesc blocker;
   blocker.op = gpu::OpClass::kConv;
   blocker.work_sm_seconds = 0.5;
   exec_->enqueue(pool_->at(0).low_streams[0], blocker, {});
-  fifo_sched.release_job(a, SimTime::zero());
-  fifo_sched.release_job(b, SimTime::zero());
+  fifo_sched.release_job(a, a.id, SimTime::zero());
+  fifo_sched.release_job(b, b.id, SimTime::zero());
   engine_->run();
   // Under FIFO, A (released first) finishes before B despite B's earlier
   // deadline; B therefore goes (very) late.
@@ -139,14 +139,14 @@ TEST_F(PolicyExtTest, EdfOrderRescuesTightDeadline) {
   tight.deadline = SimTime::from_ms(40);
   const Task a = make_task(0, {pool_->at(0).sm_limit}, loose);
   const Task b = make_task(1, {pool_->at(0).sm_limit}, tight);
-  sched.admit(a);
-  sched.admit(b);
+  sched.admit(a, a.id);
+  sched.admit(b, b.id);
   gpu::KernelDesc blocker;
   blocker.op = gpu::OpClass::kConv;
   blocker.work_sm_seconds = 0.2;  // ~9 ms on the 68-SM context
   exec_->enqueue(pool_->at(0).low_streams[0], blocker, {});
-  sched.release_job(a, SimTime::zero());
-  sched.release_job(b, SimTime::zero());
+  sched.release_job(a, a.id, SimTime::zero());
+  sched.release_job(b, b.id, SimTime::zero());
   engine_->run();
   const auto sb = collector_->per_task(1, SimTime::from_sec(2));
   EXPECT_EQ(sb.counts.on_time, 1) << "EDF must serve B before A";
@@ -162,10 +162,10 @@ TEST_F(PolicyExtTest, AbortHopelessShedsDoomedJobs) {
   SgprsScheduler sched(*exec_, *pool_, *collector_, cfg);
   std::vector<Task> tasks;
   for (int i = 0; i < 30; ++i) tasks.push_back(make_task(i, {34}));
-  for (auto& t : tasks) sched.admit(t);
+  for (auto& t : tasks) sched.admit(t, t.id);
   // Burst far beyond capacity: the tail is unsavable.
   for (int round = 0; round < 3; ++round) {
-    for (auto& t : tasks) sched.release_job(t, engine_->now());
+    for (auto& t : tasks) sched.release_job(t, t.id, engine_->now());
   }
   engine_->run();
   EXPECT_GT(sched.jobs_aborted(), 0);
@@ -184,8 +184,8 @@ TEST_F(PolicyExtTest, AbortDisabledRunsEverythingToCompletion) {
   SgprsScheduler sched(*exec_, *pool_, *collector_, cfg);
   std::vector<Task> tasks;
   for (int i = 0; i < 30; ++i) tasks.push_back(make_task(i, {34}));
-  for (auto& t : tasks) sched.admit(t);
-  for (auto& t : tasks) sched.release_job(t, engine_->now());
+  for (auto& t : tasks) sched.admit(t, t.id);
+  for (auto& t : tasks) sched.release_job(t, t.id, engine_->now());
   engine_->run();
   EXPECT_EQ(sched.jobs_aborted(), 0);
   const auto s = collector_->aggregate(SimTime::from_sec(5));

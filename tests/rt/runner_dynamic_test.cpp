@@ -23,14 +23,19 @@ using common::SimTime;
 /// Records every release instant per task id.
 class RecordingScheduler final : public Scheduler {
  public:
-  void admit(const Task& task) override { admitted_.push_back(task.id); }
-  void release_job(const Task& task, SimTime now) override {
+  void admit(const Task& task, int slot) override {
+    admitted_.push_back(task.id);
+    slot_of_[task.id] = slot;
+  }
+  void release_job(const Task& task, int slot, SimTime now) override {
+    EXPECT_EQ(slot, slot_of_.at(task.id)) << "task " << task.id;
     releases_[task.id].push_back(now);
   }
   int jobs_in_flight() const override { return 0; }
   std::string name() const override { return "recording"; }
 
   std::vector<int> admitted_;
+  std::map<int, int> slot_of_;  // task id -> slot it was last admitted in
   std::map<int, std::vector<SimTime>> releases_;
 };
 

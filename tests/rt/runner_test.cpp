@@ -16,14 +16,18 @@ using common::SimTime;
 // A scheduler stub that records release instants.
 class RecordingScheduler final : public Scheduler {
  public:
-  void admit(const Task& task) override { admitted.push_back(task.id); }
-  void release_job(const Task& task, SimTime now) override {
+  void admit(const Task& task, int slot) override {
+    admitted.push_back(task.id);
+    slots.push_back(slot);
+  }
+  void release_job(const Task& task, int /*slot*/, SimTime now) override {
     releases.emplace_back(task.id, now);
   }
   int jobs_in_flight() const override { return 0; }
   std::string name() const override { return "recording"; }
 
   std::vector<int> admitted;
+  std::vector<int> slots;  // per admit, in call order
   std::vector<std::pair<int, SimTime>> releases;
 };
 
@@ -51,6 +55,7 @@ TEST_F(RunnerTest, AdmitsEveryTaskUpFront) {
   std::vector<Task> tasks = {make_task(0, 30), make_task(1, 30)};
   Runner runner(engine, sched, tasks, {});
   EXPECT_EQ(sched.admitted, (std::vector<int>{0, 1}));
+  EXPECT_EQ(sched.slots, (std::vector<int>{0, 1}));
 }
 
 TEST_F(RunnerTest, PeriodicReleasesAtExactInstants) {

@@ -48,8 +48,8 @@ class SgprsTest : public ::testing::Test {
 TEST_F(SgprsTest, SingleJobCompletesOnTime) {
   SgprsScheduler sched(*exec_, *pool_, *collector_);
   const Task task = make_task(0);
-  sched.admit(task);
-  sched.release_job(task, SimTime::zero());
+  sched.admit(task, task.id);
+  sched.release_job(task, task.id, SimTime::zero());
   EXPECT_EQ(sched.jobs_in_flight(), 1);
   engine_->run();
   EXPECT_EQ(sched.jobs_in_flight(), 0);
@@ -66,9 +66,9 @@ TEST_F(SgprsTest, InFlightCapDropsExcessReleases) {
   cfg.max_in_flight_per_task = 1;
   SgprsScheduler sched(*exec_, *pool_, *collector_, cfg);
   const Task task = make_task(0);
-  sched.admit(task);
-  sched.release_job(task, SimTime::zero());
-  sched.release_job(task, SimTime::zero());  // same instant: must drop
+  sched.admit(task, task.id);
+  sched.release_job(task, task.id, SimTime::zero());
+  sched.release_job(task, task.id, SimTime::zero());  // same instant: must drop
   EXPECT_EQ(sched.jobs_in_flight(), 1);
   engine_->run();
   const auto s = collector_->aggregate(SimTime::from_ms(100));
@@ -79,8 +79,8 @@ TEST_F(SgprsTest, InFlightCapDropsExcessReleases) {
 TEST_F(SgprsTest, AllStagesExecuteExactlyOnce) {
   SgprsScheduler sched(*exec_, *pool_, *collector_);
   const Task task = make_task(0);
-  sched.admit(task);
-  sched.release_job(task, SimTime::zero());
+  sched.admit(task, task.id);
+  sched.release_job(task, task.id, SimTime::zero());
   engine_->run();
   // Work conservation through the whole stack: total kernel work equals
   // one full network traversal.
@@ -99,8 +99,8 @@ TEST_F(SgprsTest, SeamlessMigrationAcrossContexts) {
   SgprsScheduler sched(*exec_, *pool_, *collector_);
   std::vector<Task> tasks;
   for (int i = 0; i < 6; ++i) tasks.push_back(make_task(i));
-  for (auto& t : tasks) sched.admit(t);
-  for (auto& t : tasks) sched.release_job(t, SimTime::zero());
+  for (auto& t : tasks) sched.admit(t, t.id);
+  for (auto& t : tasks) sched.release_job(t, t.id, SimTime::zero());
   engine_->run();
   EXPECT_GT(sched.stage_migrations(), 0);
 }
@@ -110,9 +110,9 @@ TEST_F(SgprsTest, MediumPromotionsHappenUnderOverload) {
   SgprsScheduler sched(*exec_, *pool_, *collector_);
   std::vector<Task> tasks;
   for (int i = 0; i < 26; ++i) tasks.push_back(make_task(i));
-  for (auto& t : tasks) sched.admit(t);
+  for (auto& t : tasks) sched.admit(t, t.id);
   // Release everything at once: a worst-case burst.
-  for (auto& t : tasks) sched.release_job(t, SimTime::zero());
+  for (auto& t : tasks) sched.release_job(t, t.id, SimTime::zero());
   engine_->run();
   EXPECT_GT(sched.medium_promotions(), 0);
 }
@@ -123,8 +123,8 @@ TEST_F(SgprsTest, MediumBoostCanBeDisabled) {
   SgprsScheduler sched(*exec_, *pool_, *collector_, cfg);
   std::vector<Task> tasks;
   for (int i = 0; i < 26; ++i) tasks.push_back(make_task(i));
-  for (auto& t : tasks) sched.admit(t);
-  for (auto& t : tasks) sched.release_job(t, SimTime::zero());
+  for (auto& t : tasks) sched.admit(t, t.id);
+  for (auto& t : tasks) sched.release_job(t, t.id, SimTime::zero());
   engine_->run();
   EXPECT_EQ(sched.medium_promotions(), 0);
 }
@@ -134,8 +134,8 @@ TEST_F(SgprsTest, BurstCompletesEverythingEventually) {
   SgprsScheduler sched(*exec_, *pool_, *collector_);
   std::vector<Task> tasks;
   for (int i = 0; i < 20; ++i) tasks.push_back(make_task(i));
-  for (auto& t : tasks) sched.admit(t);
-  for (auto& t : tasks) sched.release_job(t, SimTime::zero());
+  for (auto& t : tasks) sched.admit(t, t.id);
+  for (auto& t : tasks) sched.release_job(t, t.id, SimTime::zero());
   engine_->run();
   EXPECT_EQ(sched.jobs_in_flight(), 0);
   const auto s = collector_->aggregate(SimTime::from_sec(1));
@@ -150,10 +150,10 @@ TEST_F(SgprsTest, EmptyQueueCriterionSpreadsBurst) {
   SgprsScheduler sched(*exec_, *pool_, *collector_);
   Task t0 = make_task(0);
   Task t1 = make_task(1);
-  sched.admit(t0);
-  sched.admit(t1);
-  sched.release_job(t0, SimTime::zero());
-  sched.release_job(t1, SimTime::zero());
+  sched.admit(t0, t0.id);
+  sched.admit(t1, t1.id);
+  sched.release_job(t0, t0.id, SimTime::zero());
+  sched.release_job(t1, t1.id, SimTime::zero());
   // Both contexts should be executing something right now.
   EXPECT_EQ(exec_->context_running_count(0) > 0, true);
   EXPECT_EQ(exec_->context_running_count(1) > 0, true);
@@ -165,8 +165,8 @@ TEST_F(SgprsTest, RoundRobinPolicyAlternates) {
   cfg.assign_policy = ContextAssignPolicy::kRoundRobin;
   SgprsScheduler sched(*exec_, *pool_, *collector_, cfg);
   Task t0 = make_task(0);
-  sched.admit(t0);
-  sched.release_job(t0, SimTime::zero());
+  sched.admit(t0, t0.id);
+  sched.release_job(t0, t0.id, SimTime::zero());
   engine_->run();
   // 6 stages round-robin over 2 contexts -> 5 hops alternate contexts.
   EXPECT_EQ(sched.stage_migrations(), 5);
@@ -180,8 +180,8 @@ TEST_F(SgprsTest, RandomPolicyIsSeedDeterministic) {
     cfg.rng_seed = seed;
     SgprsScheduler sched(*exec_, *pool_, *collector_, cfg);
     Task t0 = make_task(0);
-    sched.admit(t0);
-    sched.release_job(t0, SimTime::zero());
+    sched.admit(t0, t0.id);
+    sched.release_job(t0, t0.id, SimTime::zero());
     engine_->run();
     return sched.stage_migrations();
   };
@@ -197,7 +197,7 @@ TEST_F(SgprsTest, HighPriorityLastStageUsesHighStream) {
   TaskConfig tcfg;
   tcfg.num_stages = 1;
   const Task task = make_task(0, tcfg);
-  sched.admit(task);
+  sched.admit(task, task.id);
   // Fill all four low streams directly at the executor level.
   gpu::KernelDesc blocker;
   blocker.op = gpu::OpClass::kConv;
@@ -205,7 +205,7 @@ TEST_F(SgprsTest, HighPriorityLastStageUsesHighStream) {
   for (const auto& pc : pool_->contexts()) {
     for (auto s : pc.low_streams) exec_->enqueue(s, blocker, {});
   }
-  sched.release_job(task, SimTime::zero());
+  sched.release_job(task, task.id, SimTime::zero());
   engine_->run_until(SimTime::from_ms(200));
   const auto s = collector_->aggregate(SimTime::from_ms(200));
   EXPECT_EQ(s.counts.completed(), 1)

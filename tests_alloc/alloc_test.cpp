@@ -10,6 +10,9 @@
 // of its class warmed allocates nothing from its first event on. A stream
 // cloned from a prototype shares its rt::TaskClass, so cloning one and
 // admitting it allocates only name buffers and admission-list growth.
+// Schedulers keep per-stream state by the runner's dense stream slot, so
+// admitting streams allocates bytes in proportion to the streams, however
+// far apart their task ids are.
 // This binary replaces the global operator new to count every allocation
 // in its process, which is why it is its own executable rather than part
 // of sgprs_tests.
@@ -26,15 +29,20 @@
 #include "fleet/timeline.hpp"
 #include "gpu/context_pool.hpp"
 #include "gpu/executor.hpp"
+#include "metrics/collector.hpp"
 #include "rt/analysis.hpp"
+#include "rt/naive_scheduler.hpp"
+#include "rt/sgprs_scheduler.hpp"
 #include "sim/engine.hpp"
 
 namespace {
 
 std::size_t g_allocations = 0;
+std::size_t g_allocated_bytes = 0;  // requested sizes, summed
 
 void* counted_alloc(std::size_t n) {
   ++g_allocations;
+  g_allocated_bytes += n;
   return std::malloc(n == 0 ? 1 : n);
 }
 
@@ -45,6 +53,7 @@ void* counted_alloc_or_throw(std::size_t n) {
 
 void* counted_aligned_alloc(std::size_t n, std::align_val_t al) {
   ++g_allocations;
+  g_allocated_bytes += n;
   const auto a = static_cast<std::size_t>(al);
   if (void* p = std::aligned_alloc(a, (n + a - 1) / a * a)) return p;
   throw std::bad_alloc();
@@ -405,6 +414,41 @@ TEST(TaskCloneAllocations, CloningAndAdmittingAStreamAllocatesOnlyItsName) {
     AdmissionController ctl(capacity, 51, 0.95);
     expect_clones_allocate_only_names(
         proto, ctl, names, [&](const Task& t) { ctl.force_admit(t); });
+  }
+}
+
+TEST(SchedulerAdmitAllocations, SparseTaskIdsAllocateBySlotNotById) {
+  // 64 streams whose ids lie 100,000 apart, as on a device of a large
+  // hash-placed fleet. Per-stream state is one small entry per slot, so
+  // admitting them all takes about 1 KiB; vectors indexed by task id
+  // would allocate some 50 MB per scheduler here.
+  constexpr int kStreams = 64;
+  constexpr int kIdStride = 100000;
+  constexpr std::size_t kMaxBytes = 16 * 1024;
+  fleet::StreamTemplate tmpl;
+  tmpl.name = "cam";
+  const Task proto = fleet::build_stream_task(tmpl, gpu::rtx2080ti(), {51});
+  std::vector<Task> streams(kStreams, proto);
+  for (int i = 0; i < kStreams; ++i) streams[i].id = i * kIdStride;
+
+  sim::Engine engine;
+  gpu::Executor exec(engine, gpu::rtx2080ti(), gpu::SpeedupModel::rtx2080ti(),
+                     gpu::SharingParams{});
+  gpu::ContextPoolConfig pc;
+  pc.oversubscription = 1.5;  // 2 contexts of 51 SMs, as `proto` profiles
+  gpu::ContextPool pool(exec, pc);
+  metrics::Collector collector;
+  SgprsScheduler sgprs(exec, pool, collector);
+  NaiveScheduler naive(exec, pool, collector);
+  for (Scheduler* sched : {static_cast<Scheduler*>(&sgprs),
+                           static_cast<Scheduler*>(&naive)}) {
+    SCOPED_TRACE(sched->name());
+    const std::size_t before = g_allocated_bytes;
+    for (int slot = 0; slot < kStreams; ++slot) {
+      sched->admit(streams[slot], slot);
+    }
+    EXPECT_LE(g_allocated_bytes - before, kMaxBytes)
+        << "bytes allocated admitting " << kStreams << " streams";
   }
 }
 
