@@ -12,9 +12,6 @@ namespace sgprs::gpu {
 struct DeviceSpec {
   std::string name = "RTX 2080 Ti (simulated)";
   int total_sms = 68;
-  /// Maximum concurrent kernels the device will execute (hardware queue
-  /// limit; generous, the per-context stream limit binds first).
-  int max_concurrent_kernels = 128;
   /// Usable device memory for stream working sets. Placement treats this
   /// as a hard budget: a stream whose footprint does not fit is rejected
   /// as OOM rather than admitted.

@@ -1,9 +1,7 @@
-// Observer interface for kernel lifecycle events (tracing / accounting).
-//
-// The Executor emits kernel start/end callbacks; obs::KernelTracer (a
-// SpanSink's per-device kernel track) turns them into Chrome/Perfetto
-// spans, and tests use them to assert on exact kernel interleavings
-// without touching executor internals.
+// Observer interface for the Executor's kernel start/end callbacks. Only
+// tests attach one — the reference-executor differentials, ExecutorTest and
+// sgprs_alloc_tests' boundary windows — to assert on exact kernel
+// interleavings without touching executor internals.
 #pragma once
 
 #include <cstdint>
@@ -15,7 +13,7 @@ namespace sgprs::gpu {
 
 using common::SimTime;
 
-/// Implemented by trace recorders; all callbacks are invoked from the
+/// Implemented by test recorders; all callbacks are invoked from the
 /// simulation loop (single-threaded, in simulation-time order).
 class TraceSink {
  public:

@@ -97,42 +97,12 @@ void emit_job_spans(EventStream& es, int pid, std::int32_t task,
 
 }  // namespace
 
-void KernelTracer::on_kernel_start(SimTime t, int context, int stream,
-                                   const gpu::KernelDesc& k) {
-  const auto [it, opened] = open_.try_emplace({context, stream});
-  SGPRS_CHECK_MSG(opened, "two kernels running on one stream (ctx "
-                              << context << ", stream " << stream << ")");
-  Record& r = it->second;
-  r.start_ns = t.ns;
-  r.context = context;
-  r.stream = stream;
-  r.tag = k.tag;
-  r.name = k.label.empty() ? std::string(gpu::to_string(k.op)) : k.label;
-}
-
-void KernelTracer::on_kernel_end(SimTime t, int context, int stream,
-                                 const gpu::KernelDesc&) {
-  const auto it = open_.find({context, stream});
-  SGPRS_CHECK_MSG(it != open_.end(), "kernel end without start (ctx "
-                                         << context << ", stream " << stream
-                                         << ")");
-  it->second.end_ns = t.ns;
-  records_.push_back(std::move(it->second));
-  open_.erase(it);
-}
-
-SpanSink::DeviceTracks& SpanSink::device(int index) {
+JobTracer& SpanSink::device_tracer(int index) {
   SGPRS_CHECK(index >= 0);
   while (static_cast<int>(devices_.size()) <= index) {
     devices_.emplace_back();
   }
   return devices_[index];
-}
-
-JobTracer& SpanSink::device_tracer(int index) { return device(index).jobs; }
-
-KernelTracer& SpanSink::kernel_tracer(int index) {
-  return device(index).kernels;
 }
 
 void SpanSink::control(SimTime t, std::string kind, int task_id, int device,
@@ -174,8 +144,7 @@ std::int64_t SpanSink::total_events() const {
   std::int64_t n = static_cast<std::int64_t>(control_.size()) +
                    static_cast<std::int64_t>(streams_.size());
   for (const auto& d : devices_) {
-    n += static_cast<std::int64_t>(d.jobs.records().size() +
-                                   d.kernels.records().size());
+    n += static_cast<std::int64_t>(d.records().size());
   }
   return n;
 }
@@ -264,12 +233,12 @@ void SpanSink::write_perfetto(std::ostream& out) const {
     close_segment(id, seg, horizon_ns_);
   }
 
-  // Job spans then kernel spans, device by device in index order. Each
-  // device's buffers are already in event order (its shard pushed them).
+  // Job spans, device by device in index order. Each device's buffer is
+  // already in event order (its shard pushed it).
   for (int d = 0; d < num_devices(); ++d) {
     const int pid = d + 1;
     PendingMap pending;
-    for (const auto& r : devices_[d].jobs.records()) {
+    for (const auto& r : devices_[d].records()) {
       const auto key = std::make_pair(r.task_id, r.release_ns);
       switch (r.kind) {
         case JobTracer::Event::kRelease:
@@ -321,12 +290,6 @@ void SpanSink::write_perfetto(std::ostream& out) const {
     for (const auto& [k, pj] : pending) {
       emit_job_spans(es, pid, k.first, k.second, pj.dispatch_ns,
                      horizon_ns_);
-    }
-    for (const auto& k : devices_[d].kernels.records()) {
-      emit_complete(es, k.name, "kernel", pid, k.stream, k.start_ns,
-                    k.end_ns,
-                    "\"context\":" + std::to_string(k.context) +
-                        ",\"job\":" + std::to_string(k.tag));
     }
   }
 

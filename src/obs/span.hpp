@@ -1,6 +1,6 @@
 // Sim-time span tracing (--trace-spans, docs/observability.md).
 //
-// Three write surfaces, one canonical export:
+// Two write surfaces, one canonical export:
 //  * JobTracer — a per-device flat event buffer fed by that device's
 //    scheduler stack (release / first dispatch / complete / drop / shed /
 //    crash abort). During a run each buffer is written only by the
@@ -8,31 +8,25 @@
 //    barriers, where the shards are parked), so the parallel phase needs
 //    no locks — the same partition-then-reduce discipline the per-device
 //    collectors and the overload guard's staged audit records use.
-//  * KernelTracer — a per-device kernel track: a gpu::TraceSink that pairs
-//    the executor's kernel start/end callbacks into spans. Attach it with
-//    exec.set_trace_sink(&sink.kernel_tracer(d)).
 //  * SpanSink — owns the device tracers plus the control-plane and
 //    stream-lifetime record streams, which only the (serial) control
 //    plane writes.
 //
 // write_perfetto() renders Chrome/Perfetto trace-event JSON: pid 0 is the
 // control plane, pid d+1 is device d; job spans land on tid = task id,
-// stream-lifetime spans on tid = stream id, kernel spans on tid = the
-// executor's stream id. Export walks devices in index order and renders
-// times from integer nanoseconds, so the span file is byte-identical at
-// any --shards count (pinned by tests/obs/span_test.cpp and CI).
+// stream-lifetime spans on tid = stream id. Export walks devices in index
+// order and renders times from integer nanoseconds, so the span file is
+// byte-identical at any --shards count (pinned by tests/obs/span_test.cpp
+// and CI).
 #pragma once
 
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <ostream>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/time.hpp"
-#include "gpu/trace.hpp"
 
 namespace sgprs::obs {
 
@@ -84,42 +78,11 @@ class JobTracer {
   std::vector<Record> records_;
 };
 
-/// Per-device kernel track. Each (context, stream) runs one kernel at a
-/// time, so a start opens that stream's span and the next end closes it;
-/// a second start or an end without a start throws common::CheckError.
-/// A span is named by the kernel's label, or its op class when unlabelled.
-class KernelTracer final : public gpu::TraceSink {
- public:
-  struct Record {
-    std::int64_t start_ns = 0;
-    std::int64_t end_ns = 0;
-    std::int32_t context = 0;
-    std::int32_t stream = 0;
-    std::uint64_t tag = 0;  // the kernel's job tag
-    std::string name;
-  };
-
-  void on_kernel_start(SimTime t, int context, int stream,
-                       const gpu::KernelDesc& k) override;
-  void on_kernel_end(SimTime t, int context, int stream,
-                     const gpu::KernelDesc& k) override;
-
-  /// Closed spans, in completion order.
-  const std::vector<Record>& records() const { return records_; }
-
- private:
-  std::map<std::pair<int, int>, Record> open_;  // keyed by (context, stream)
-  std::vector<Record> records_;
-};
-
 class SpanSink {
  public:
   /// The job tracer for device `index`, grown on demand (deque: stable
   /// addresses while the autoscaler adds devices).
   JobTracer& device_tracer(int index);
-  /// The kernel track for device `index`, grown on demand like
-  /// device_tracer.
-  KernelTracer& kernel_tracer(int index);
 
   /// Control-plane instant (decision kinds, autoscaler ticks). Serial
   /// callers only.
@@ -163,13 +126,7 @@ class SpanSink {
     std::string tmpl;
   };
 
-  struct DeviceTracks {
-    JobTracer jobs;
-    KernelTracer kernels;
-  };
-  DeviceTracks& device(int index);
-
-  std::deque<DeviceTracks> devices_;
+  std::deque<JobTracer> devices_;
   std::vector<std::string> device_names_;
   std::vector<ControlRecord> control_;
   std::vector<StreamRecord> streams_;

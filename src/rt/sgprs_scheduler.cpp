@@ -220,21 +220,12 @@ void SgprsScheduler::release_stage(Job& job, SimTime now) {
 
 void SgprsScheduler::try_dispatch(int ctx_idx, SimTime now) {
   CtxState& cs = contexts_[ctx_idx];
-  // High streams serve the high queue (optionally stealing medium/low).
+  // High streams serve only the high queue: the paper keeps priority
+  // levels separate.
   for (auto& slot : cs.high_slots) {
     if (slot.busy) continue;
-    StageQueue* src = nullptr;
-    if (!cs.high.empty()) {
-      src = &cs.high;
-    } else if (cfg_.high_streams_steal) {
-      if (!cs.medium.empty()) {
-        src = &cs.medium;
-      } else if (!cs.low.empty()) {
-        src = &cs.low;
-      }
-    }
-    if (!src) break;
-    dispatch(cs, slot, src->pop(), now);
+    if (cs.high.empty()) break;
+    dispatch(cs, slot, cs.high.pop(), now);
   }
   // Low streams serve medium first, then low (EDF inside each level).
   for (auto& slot : cs.low_slots) {

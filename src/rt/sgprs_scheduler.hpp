@@ -52,9 +52,6 @@ struct SgprsConfig {
   int max_in_flight_per_task = 1;
   /// Promote a low stage to medium when its predecessor missed (IV-B3).
   bool medium_boost = true;
-  /// Let idle high-priority streams serve medium/low queues. The paper's
-  /// description keeps levels separate; enabling this is an ablation.
-  bool high_streams_steal = false;
   ContextAssignPolicy assign_policy = ContextAssignPolicy::kPaper;
   QueueOrder queue_order = QueueOrder::kEdf;
   /// Extension beyond the paper: when a stage is about to be released for

@@ -4,10 +4,12 @@
 #include <cmath>
 #include <cstdio>
 #include <map>
+#include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "common/json.hpp"
 #include "common/rng.hpp"
 #include "workload/spec_error.hpp"
 
@@ -30,16 +32,64 @@ std::int64_t warp(std::int64_t t_ns, double time_warp) {
   return std::llround(static_cast<double>(t_ns) * time_warp);
 }
 
+bool is_fault(const TraceEvent& e) {
+  return e.kind == TraceEvent::Kind::kCrash ||
+         e.kind == TraceEvent::Kind::kRecover;
+}
+
+/// The most events a loadable trace holds: the shortest event line
+/// write_trace emits, with its separator, under common::kMaxJsonFileBytes.
+constexpr std::size_t kMaxLoadableEvents =
+    common::kMaxJsonFileBytes / (sizeof(R"({"t_ns":0,"retire":0},)") - 1);
+
+/// Throws workload::SpecError naming the first field that is out of range,
+/// would push an output t_ns past SimTime, or would write a trace too large
+/// to load, before anything is allocated. Returns the projected event count.
+std::size_t checked_output_events(const Trace& in,
+                                  const TraceScaleConfig& cfg) {
+  const auto require = [](bool ok, const char* path, const std::string& msg) {
+    if (!ok) throw workload::SpecError(path, msg);
+  };
+  require(std::isfinite(cfg.time_warp) && cfg.time_warp > 0.0,
+          "scale.time_warp", "must be finite and > 0");
+  require(cfg.clone >= 1, "scale.clone", "must be >= 1");
+  require(std::isfinite(cfg.rate) && cfg.rate > 0.0, "scale.rate",
+          "must be finite and > 0");
+  require(std::isfinite(cfg.jitter_ms) && cfg.jitter_ms >= 0.0,
+          "scale.jitter_ms", "must be finite and >= 0");
+
+  // Each admit and retire is copied up to ceil(clone * rate) times, each
+  // fault once. At least one stream event counts, so the copy count stays
+  // bounded on a trace without streams.
+  const auto faults = static_cast<double>(
+      std::count_if(in.events.begin(), in.events.end(), is_fault));
+  const double per_copy =
+      std::max(static_cast<double>(in.events.size()) - faults, 1.0);
+  const double events = per_copy * std::ceil(cfg.clone * cfg.rate) + faults;
+  const auto limit = static_cast<double>(kMaxLoadableEvents);
+  const std::string too_many = "clone x rate projects more than " +
+                               std::to_string(kMaxLoadableEvents) +
+                               " events, past what a trace file can hold";
+  const bool fits = events <= limit;
+  require(fits || per_copy * cfg.clone + faults <= limit, "scale.clone",
+          too_many);
+  require(fits, "scale.rate", too_many);
+
+  // warp() is monotone and events are time-ordered, so the last event
+  // bounds every output time; jitter adds at most jitter_ms.
+  // Below 2^63 in double, the rounded sum stays below it in int64 too.
+  const double last = static_cast<double>(in.horizon().ns) * cfg.time_warp;
+  require(last < 0x1p63, "scale.time_warp",
+          "puts the last event past the simulator clock's range");
+  require(last + cfg.jitter_ms * 1e6 < 0x1p63, "scale.jitter_ms",
+          "puts a jittered copy past the simulator clock's range");
+  return static_cast<std::size_t>(events);
+}
+
 }  // namespace
 
 Trace scale_trace(const Trace& in, const TraceScaleConfig& cfg) {
-  using workload::SpecError;
-  if (!(cfg.time_warp > 0.0)) {
-    throw SpecError("scale.time_warp", "must be > 0");
-  }
-  if (cfg.clone < 1) throw SpecError("scale.clone", "must be >= 1");
-  if (!(cfg.rate > 0.0)) throw SpecError("scale.rate", "must be > 0");
-  if (cfg.jitter_ms < 0.0) throw SpecError("scale.jitter_ms", "must be >= 0");
+  const std::size_t max_events = checked_output_events(in, cfg);
 
   // Group the recorded events into streams: one admit, at most one retire.
   struct Stream {
@@ -79,8 +129,7 @@ Trace scale_trace(const Trace& in, const TraceScaleConfig& cfg) {
   const int whole = static_cast<int>(std::floor(factor));
   const double frac = factor - static_cast<double>(whole);
   std::vector<Generated> gen;
-  gen.reserve(in.events.size() *
-              static_cast<std::size_t>(std::ceil(factor)));
+  gen.reserve(max_events);
   for (std::size_t s = 0; s < streams.size(); ++s) {
     int copies = whole;
     if (frac > 0.0 && rng_for(cfg.seed, s, 0).next_double() < frac) {
@@ -137,8 +186,7 @@ Trace scale_trace(const Trace& in, const TraceScaleConfig& cfg) {
   for (const Generated& g : gen) {
     TraceEvent e = in.events[g.orig];
     e.t_ns = g.t_ns;
-    if (e.kind == TraceEvent::Kind::kCrash ||
-        e.kind == TraceEvent::Kind::kRecover) {
+    if (is_fault(e)) {
       out.events.push_back(std::move(e));
       continue;
     }

@@ -58,7 +58,7 @@ void parse_sgprs(const JsonValue& v, ScenarioConfig& cfg,
   require_object(v, path);
   check_keys(v,
              {"medium_boost", "abort_hopeless", "max_in_flight",
-              "high_streams_steal", "queue_order"},
+              "queue_order"},
              path);
   cfg.sgprs.medium_boost =
       bool_or(v, "medium_boost", cfg.sgprs.medium_boost, path);
@@ -66,8 +66,6 @@ void parse_sgprs(const JsonValue& v, ScenarioConfig& cfg,
       bool_or(v, "abort_hopeless", cfg.sgprs.abort_hopeless, path);
   cfg.sgprs.max_in_flight_per_task =
       int_or(v, "max_in_flight", cfg.sgprs.max_in_flight_per_task, path);
-  cfg.sgprs.high_streams_steal =
-      bool_or(v, "high_streams_steal", cfg.sgprs.high_streams_steal, path);
   cfg.sgprs.queue_order = enum_or(v, "queue_order", rt::kQueueOrderNames,
                                   cfg.sgprs.queue_order, "order", path);
 }

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "../workload/result_digest.hpp"
-#include "common/check.hpp"
 #include "common/json.hpp"
 #include "obs/instruments.hpp"
 #include "obs/profiler.hpp"
@@ -224,89 +223,6 @@ TEST(SpanSinkUnit, EmptySinkExportsValidDocument) {
   const auto root = common::parse_json(os.str());
   // Just the control-plane track metadata.
   ASSERT_EQ(root.at("traceEvents").size(), 1u);
-}
-
-// --- Kernel track: the executor's kernel start/end callbacks as spans on
-// the device's pid, tid = stream. ---
-
-gpu::KernelDesc kernel(const std::string& label, std::uint64_t tag = 0) {
-  gpu::KernelDesc k;
-  k.op = gpu::OpClass::kConv;
-  k.label = label;
-  k.tag = tag;
-  return k;
-}
-
-TEST(SpanSinkKernelTrack, PairsStartEnd) {
-  SpanSink sink;
-  KernelTracer& kt = sink.kernel_tracer(0);
-  kt.on_kernel_start(SimTime::from_us(10), 0, 0, kernel("conv1"));
-  kt.on_kernel_end(SimTime::from_us(25), 0, 0, kernel("conv1"));
-  ASSERT_EQ(kt.records().size(), 1u);
-  EXPECT_EQ(kt.records()[0].start_ns, 10'000);
-  EXPECT_EQ(kt.records()[0].end_ns, 25'000);
-  EXPECT_EQ(sink.total_events(), 1);
-}
-
-TEST(SpanSinkKernelTrack, JsonContainsCompleteEvent) {
-  SpanSink sink;
-  KernelTracer& kt = sink.kernel_tracer(1);
-  kt.on_kernel_start(SimTime::from_us(10), 1, 2, kernel("conv1", 7));
-  kt.on_kernel_end(SimTime::from_us(30), 1, 2, kernel("conv1", 7));
-  std::ostringstream os;
-  sink.write_perfetto(os);
-  const auto root = common::parse_json(os.str());
-  const auto spans = events_named(root, "conv1");
-  ASSERT_EQ(spans.size(), 1u);
-  const auto& e = *spans[0];
-  EXPECT_EQ(e.at("cat").as_string(), "kernel");
-  EXPECT_EQ(e.at("ph").as_string(), "X");
-  EXPECT_DOUBLE_EQ(e.at("ts").as_number(), 10.0);
-  EXPECT_DOUBLE_EQ(e.at("dur").as_number(), 20.0);
-  EXPECT_EQ(e.at("pid").as_int(), 2);  // device 1
-  EXPECT_EQ(e.at("tid").as_int(), 2);  // stream 2
-  EXPECT_EQ(e.at("args").at("context").as_int(), 1);
-  EXPECT_EQ(e.at("args").at("job").as_int(), 7);
-}
-
-TEST(SpanSinkKernelTrack, ConcurrentStreamsTrackedIndependently) {
-  SpanSink sink;
-  KernelTracer& kt = sink.kernel_tracer(0);
-  kt.on_kernel_start(SimTime::from_us(0), 0, 0, kernel("a"));
-  kt.on_kernel_start(SimTime::from_us(5), 0, 1, kernel("b"));
-  kt.on_kernel_end(SimTime::from_us(20), 0, 1, kernel("b"));
-  kt.on_kernel_end(SimTime::from_us(30), 0, 0, kernel("a"));
-  ASSERT_EQ(kt.records().size(), 2u);
-  EXPECT_EQ(kt.records()[0].name, "b");
-  EXPECT_EQ(kt.records()[1].name, "a");
-  EXPECT_EQ(kt.records()[1].end_ns - kt.records()[1].start_ns, 30'000);
-}
-
-TEST(SpanSinkKernelTrack, DoubleStartOnStreamThrows) {
-  SpanSink sink;
-  KernelTracer& kt = sink.kernel_tracer(0);
-  kt.on_kernel_start(SimTime::zero(), 0, 0, kernel("a"));
-  EXPECT_THROW(kt.on_kernel_start(SimTime::zero(), 0, 0, kernel("b")),
-               common::CheckError);
-}
-
-TEST(SpanSinkKernelTrack, EndWithoutStartThrows) {
-  SpanSink sink;
-  EXPECT_THROW(
-      sink.kernel_tracer(0).on_kernel_end(SimTime::zero(), 0, 0, kernel("a")),
-      common::CheckError);
-}
-
-TEST(SpanSinkKernelTrack, UnlabelledKernelFallsBackToOpName) {
-  SpanSink sink;
-  KernelTracer& kt = sink.kernel_tracer(0);
-  gpu::KernelDesc k;
-  k.op = gpu::OpClass::kMaxPool;
-  kt.on_kernel_start(SimTime::zero(), 0, 0, k);
-  kt.on_kernel_end(SimTime::from_us(1), 0, 0, k);
-  std::ostringstream os;
-  sink.write_perfetto(os);
-  EXPECT_EQ(events_named(common::parse_json(os.str()), "maxpool").size(), 1u);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <unordered_map>
@@ -174,6 +175,38 @@ TEST(TraceScaleTest, RejectsBadConfigWithFieldPaths) {
   TraceScaleConfig jitter;
   jitter.jitter_ms = -0.5;
   EXPECT_EQ(path_of(jitter), "scale.jitter_ms");
+
+  // Hostile values fail before anything is allocated: no out-of-range
+  // timestamp, undefined float-to-int cast or bad_alloc.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  TraceScaleConfig bad;
+  bad.time_warp = 1e308;  // the last event lands past SimTime's range
+  EXPECT_EQ(path_of(bad), "scale.time_warp");
+  bad = {};
+  bad.time_warp = inf;
+  EXPECT_EQ(path_of(bad), "scale.time_warp");
+  bad = {};
+  bad.clone = 2;
+  bad.jitter_ms = 1e308;
+  EXPECT_EQ(path_of(bad), "scale.jitter_ms");
+  bad = {};
+  bad.jitter_ms = nan;
+  EXPECT_EQ(path_of(bad), "scale.jitter_ms");
+  bad = {};
+  bad.rate = inf;
+  EXPECT_EQ(path_of(bad), "scale.rate");
+  bad = {};
+  bad.rate = 1e9;  // more events than a trace file can hold
+  EXPECT_EQ(path_of(bad), "scale.rate");
+  bad = {};
+  bad.clone = std::numeric_limits<int>::max();
+  EXPECT_EQ(path_of(bad), "scale.clone");
+  // Jitter well inside the clock's range still scales.
+  TraceScaleConfig wide;
+  wide.clone = 2;
+  wide.jitter_ms = 1e12;
+  EXPECT_EQ(scale_trace(in, wide).events.size(), 2 * in.events.size());
 }
 
 }  // namespace

@@ -169,6 +169,13 @@ TEST(SpecParse, UnknownKeysAreErrors) {
     EXPECT_NE(msg.find("contxts"), std::string::npos) << msg;
     EXPECT_NE(msg.find("allowed"), std::string::npos) << msg;
   }
+  // The retired steal ablation is an unknown key like any other.
+  try {
+    parse(R"({"tasks":[{}],"sgprs":{"high_streams_steal":true}})");
+    ADD_FAILURE() << "sgprs.high_streams_steal was accepted";
+  } catch (const SpecError& e) {
+    EXPECT_EQ(e.path(), "spec.sgprs") << e.what();
+  }
 }
 
 TEST(SpecParse, SporadicFpsAndMinSeparationConflict) {
