@@ -3,26 +3,30 @@
 #include <algorithm>
 #include <exception>
 #include <future>
+#include <numeric>
 
 #include "common/check.hpp"
 #include "rt/analysis.hpp"
 
 namespace sgprs::cluster {
 
-std::vector<int> pool_sm_sizes_for(const gpu::DeviceSpec& spec,
-                                   const gpu::ContextPoolConfig& pool,
-                                   const gpu::SharingParams& sharing) {
-  // A scratch engine/executor/pool answers exactly what a real device of
-  // this spec would expose — no duplicated sizing arithmetic to drift.
-  sim::Engine scratch;
-  gpu::Executor exec(scratch, spec, gpu::SpeedupModel::rtx2080ti(), sharing);
-  gpu::ContextPool p(exec, pool);
-  std::vector<int> sizes;
-  for (const auto& pc : p.contexts()) {
-    if (std::find(sizes.begin(), sizes.end(), pc.sm_limit) == sizes.end()) {
-      sizes.push_back(pc.sm_limit);
+namespace {
+
+/// Appends each of `sms` not in `sizes` yet, in order.
+void add_distinct(std::vector<int>& sizes, const std::vector<int>& sms) {
+  for (int s : sms) {
+    if (std::find(sizes.begin(), sizes.end(), s) == sizes.end()) {
+      sizes.push_back(s);
     }
   }
+}
+
+}  // namespace
+
+std::vector<int> pool_sm_sizes_for(const gpu::DeviceSpec& spec,
+                                   const gpu::ContextPoolConfig& pool) {
+  std::vector<int> sizes;
+  add_distinct(sizes, gpu::ContextPool::sm_limits(spec.total_sms, pool));
   return sizes;
 }
 
@@ -43,24 +47,59 @@ Cluster::Cluster(sim::Engine& engine, metrics::Collector& collector,
 
   std::vector<PlacerDevice> placer_devices;
   for (const auto& spec : cfg_.devices) {
-    devices_.push_back(make_device(spec, num_devices()));
-    placer_devices.push_back(placer_device_for(devices_.back()));
+    const int type = type_of(spec);
+    devices_.push_back(make_device(type, num_devices()));
+    placer_devices.push_back(types_[type].placer);
   }
   placer_ = std::make_unique<Placer>(std::move(placer_devices),
                                      cfg_.placement, cfg_.admission_margin,
                                      cfg_.occupancy_threshold);
 }
 
-Cluster::Device Cluster::make_device(const gpu::DeviceSpec& spec, int index) {
+int Cluster::type_of(const gpu::DeviceSpec& spec) {
+  for (std::size_t t = 0; t < types_.size(); ++t) {
+    if (types_[t].spec == spec) return static_cast<int>(t);
+  }
+  // Sized first: a spec the pool cannot be carved from adds no type.
+  std::vector<int> sms = gpu::ContextPool::sm_limits(spec.total_sms, cfg_.pool);
+  for (auto& memos : memos_) memos.emplace_back();
+  DeviceType& type = types_.emplace_back();
+  type.spec = spec;
+  type.context_sms = std::move(sms);
+  type.placer.mem_bytes = spec.mem_bytes;
+  type.placer.total_warps = spec.total_warps();
+  // Reference size for WCET lookups; profiles cover every pool size, so
+  // any context works — use the first.
+  type.placer.pool_sms = type.context_sms.front();
+  type.placer.capacity = rt::pool_capacity(
+      gpu::SpeedupModel::rtx2080ti(), cfg_.sharing, spec.total_sms,
+      type.context_sms,
+      cfg_.pool.high_streams_per_context + cfg_.pool.low_streams_per_context);
+  // busy_sm_seconds integrates granted SMs, and an over-subscribed pool
+  // grants up to its allocation (> the physical device).
+  type.utilization_basis = std::max(
+      spec.total_sms,
+      std::accumulate(type.context_sms.begin(), type.context_sms.end(), 0));
+  return static_cast<int>(types_.size() - 1);
+}
+
+Cluster::Device Cluster::make_device(int type, int index) {
   Device dev;
+  dev.type = type;
   // The device's whole event surface (executor, runner) lives on its
   // shard's calendar, and its metrics on a collector of its own.
   sim::Engine& engine = device_engine(index);
   metrics::Collector& collector = collectors_.emplace_back(collector_.warmup());
   dev.exec = std::make_unique<gpu::Executor>(
-      engine, spec, gpu::SpeedupModel::rtx2080ti(), cfg_.sharing);
+      engine, types_[type].spec, gpu::SpeedupModel::rtx2080ti(),
+      cfg_.sharing);
   dev.pool = std::make_unique<gpu::ContextPool>(*dev.exec, cfg_.pool);
-  dev.exec->attach_memo(class_memo(index, *dev.exec));
+  // Built from the type's first executor here; attach_memo checks the rest.
+  auto& memo = memos_[shard_of(index, cfg_.shards)][type];
+  if (!memo) {
+    memo = std::make_unique<gpu::DeviceClassMemo>(dev.exec->device_class());
+  }
+  dev.exec->attach_memo(*memo);
   dev.exec->set_input_bound([this, index] { return input_bound(index); });
   std::unique_ptr<rt::Scheduler> scheduler;
   switch (cfg_.scheduler) {
@@ -93,52 +132,12 @@ SimTime Cluster::input_bound(int index) const {
   return dev.runner ? std::min(bound, dev.runner->next_release()) : bound;
 }
 
-gpu::DeviceClassMemo& Cluster::class_memo(int index,
-                                         const gpu::Executor& exec) {
-  auto& memos = memos_[shard_of(index, cfg_.shards)];
-  for (const auto& memo : memos) {
-    if (memo->device_class() == exec.device_class()) return *memo;
-  }
-  return *memos.emplace_back(
-      std::make_unique<gpu::DeviceClassMemo>(exec.device_class()));
-}
-
-PlacerDevice Cluster::placer_device_for(const Device& dev) {
-  const gpu::DeviceSpec& spec = dev.exec->device();
-  PlacerDevice pd;
-  pd.mem_bytes = spec.mem_bytes;
-  pd.total_warps = spec.total_warps();
-  // Reference size for WCET lookups; profiles cover every pool size, so
-  // any context works — use the first.
-  pd.pool_sms = dev.pool->at(0).sm_limit;
-  // Capacity from the actual (possibly heterogeneous) context layout. The
-  // device class holds every input (SM count, speedup, sharing, context
-  // SM limits, streams per context), so one computation serves the class.
-  const gpu::DeviceClass& cls = dev.exec->device_class();
-  auto known = std::find_if(capacities_.begin(), capacities_.end(),
-                            [&cls](const auto& c) { return c.first == cls; });
-  if (known == capacities_.end()) {
-    const int streams_per_context = cfg_.pool.high_streams_per_context +
-                                    cfg_.pool.low_streams_per_context;
-    std::vector<int> ctx_sms;
-    ctx_sms.reserve(dev.pool->contexts().size());
-    for (const auto& pc : dev.pool->contexts()) {
-      ctx_sms.push_back(pc.sm_limit);
-    }
-    known = capacities_.emplace(
-        capacities_.end(), cls,
-        rt::pool_capacity(gpu::SpeedupModel::rtx2080ti(), cfg_.sharing,
-                          spec.total_sms, ctx_sms, streams_per_context));
-  }
-  pd.capacity = known->second;
-  return pd;
-}
-
 int Cluster::add_device(const gpu::DeviceSpec& spec, bool active) {
   const int index = num_devices();
-  devices_.push_back(make_device(spec, index));
+  const int type = type_of(spec);
+  devices_.push_back(make_device(type, index));
   Device& dev = devices_.back();
-  placer_->add_device(placer_device_for(dev), active);
+  placer_->add_device(types_[type].placer, active);
   if (started_) {
     dev.runner = std::make_unique<rt::Runner>(device_engine(index),
                                               *dev.scheduler, rcfg_);
@@ -148,15 +147,8 @@ int Cluster::add_device(const gpu::DeviceSpec& spec, bool active) {
 }
 
 std::vector<int> Cluster::pool_sm_sizes() const {
-  std::vector<int> sizes;
-  for (const auto& dev : devices_) {
-    for (const auto& pc : dev.pool->contexts()) {
-      if (std::find(sizes.begin(), sizes.end(), pc.sm_limit) ==
-          sizes.end()) {
-        sizes.push_back(pc.sm_limit);
-      }
-    }
-  }
+  std::vector<int> sizes;  // types are in first-seen device order
+  for (const auto& type : types_) add_distinct(sizes, type.context_sms);
   return sizes;
 }
 
@@ -236,7 +228,9 @@ std::size_t Cluster::events_processed() const {
 
 std::size_t Cluster::memo_count() const {
   std::size_t total = 0;
-  for (const auto& memos : memos_) total += memos.size();
+  for (const auto& memos : memos_) {
+    for (const auto& memo : memos) total += memo != nullptr;
+  }
   return total;
 }
 
@@ -265,11 +259,11 @@ bool Cluster::retire_task(int i, int task_id, bool forget_metrics) {
 
 metrics::DeviceReport Cluster::device_report(int i, SimTime end) const {
   const Device& dev = devices_.at(i);
+  const DeviceType& type = types_[dev.type];
   metrics::DeviceReport report;
   report.device_index = i;
-  const gpu::DeviceSpec& spec = dev.exec->device();
-  report.device_name = spec.name;
-  report.total_sms = spec.total_sms;
+  report.device_name = type.spec.name;
+  report.total_sms = type.spec.total_sms;
   std::vector<int> ids;
   ids.reserve(dev.tasks.size());
   for (const auto& t : dev.tasks) {
@@ -281,12 +275,8 @@ metrics::DeviceReport Cluster::device_report(int i, SimTime end) const {
   report.tasks_assigned = static_cast<int>(ids.size());
   report.snapshot = collector_.aggregate_tasks(ids, end);
   report.busy_sm_seconds = dev.exec->busy_sm_seconds();
-  // busy_sm_seconds integrates *granted* SMs, and an over-subscribed pool
-  // grants up to its allocation (> the physical device). Normalise by the
-  // larger of the two so utilization stays a 0..1-ish occupancy figure.
-  const int basis = std::max(spec.total_sms,
-                             dev.pool->total_allocated_sms());
-  const double denom = static_cast<double>(basis) * end.to_sec();
+  const double denom =
+      static_cast<double>(type.utilization_basis) * end.to_sec();
   report.utilization = denom > 0.0 ? report.busy_sm_seconds / denom : 0.0;
   return report;
 }

@@ -7,10 +7,11 @@
 // event calendar of its own, and records into a collector of its own.
 // reduce() folds the per-device collectors, in device-index order, into
 // the constructor's collector, so per-device metrics are subset
-// aggregations and the fleet aggregate is exact at any shard count. Each
-// shard also keeps one gpu::DeviceClassMemo per device class, attached to
-// every executor of that class on the shard as its context pool is built,
-// so identical devices share their solo-step and share-grant memos.
+// aggregations and the fleet aggregate is exact at any shard count. All
+// devices of one spec are identical (pools are built once, offline), so
+// what the cluster derives from a spec is computed once, in a record per
+// distinct spec (a device type), and each shard keeps one
+// gpu::DeviceClassMemo per type, attached to its executors of that type.
 //
 // Closed-world lifecycle: construct → place(tasks) → start(cfg) →
 // run_until(T) → reduce() → fleet_report(T).
@@ -27,7 +28,6 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <utility>
 #include <vector>
 
 #include "cluster/placer.hpp"
@@ -112,13 +112,13 @@ inline int shard_of(int device_index, int num_shards) {
 /// first-seen order — so task WCETs can be profiled for devices the
 /// autoscaler may add before any such device exists.
 std::vector<int> pool_sm_sizes_for(const gpu::DeviceSpec& spec,
-                                   const gpu::ContextPoolConfig& pool,
-                                   const gpu::SharingParams& sharing);
+                                   const gpu::ContextPoolConfig& pool);
 
 class Cluster {
  public:
   struct Device {
-    std::unique_ptr<gpu::Executor> exec;  // holds the device's spec
+    int type = 0;  // index of the device's spec in the cluster's types
+    std::unique_ptr<gpu::Executor> exec;
     std::unique_ptr<gpu::ContextPool> pool;
     std::unique_ptr<rt::Scheduler> scheduler;
     /// Tasks admitted here (deque: stable addresses under churn).
@@ -138,6 +138,10 @@ class Cluster {
 
   int num_devices() const { return static_cast<int>(devices_.size()); }
   const Device& device(int i) const { return devices_.at(i); }
+  /// Device `i`'s spec, one copy shared by every device of its type.
+  const gpu::DeviceSpec& device_spec(int i) const {
+    return types_[devices_.at(i).type].spec;
+  }
   Placer& placer() { return *placer_; }
   const Placer& placer() const { return *placer_; }
 
@@ -179,7 +183,7 @@ class Cluster {
   /// Events fired on every shard calendar.
   std::size_t events_processed() const;
 
-  /// Device-class memos held, one per (shard, device class) in use.
+  /// Device-class memos held, one per (shard, device type) in use.
   std::size_t memo_count() const;
 
   // --- Open-world (fleet runtime) surface ---
@@ -235,17 +239,22 @@ class Cluster {
   std::int64_t medium_promotions() const;
 
  private:
-  PlacerDevice placer_device_for(const Device& dev);
-  Device make_device(const gpu::DeviceSpec& spec, int index);
+  /// What the cluster derives from one distinct spec, once.
+  struct DeviceType {
+    gpu::DeviceSpec spec;
+    std::vector<int> context_sms;  // the pool's, in creation order
+    PlacerDevice placer;
+    int utilization_basis = 0;  // max(total SMs, summed context SMs)
+  };
+  /// Index of `spec`'s type, added on first sight.
+  int type_of(const gpu::DeviceSpec& spec);
+  Device make_device(int type, int index);
   /// The earliest instant an input can reach device `index`'s executor:
   /// its runner's next release, its scheduler's next timer, or the end of
   /// the shard's run_until — where the control plane acts. A function of
   /// the device and the epoch instants alone, so the same at any shard
   /// count.
   SimTime input_bound(int index) const;
-  /// The memo of `exec`'s class on device `index`'s shard, created on
-  /// first use.
-  gpu::DeviceClassMemo& class_memo(int index, const gpu::Executor& exec);
   /// Shard calendar owning device `index`.
   sim::Engine& device_engine(int index) {
     return *engines_[shard_of(index, cfg_.shards)];
@@ -258,14 +267,11 @@ class Cluster {
   std::vector<std::unique_ptr<sim::Engine>> owned_engines_;
   std::unique_ptr<common::ThreadPool> pool_;  // shards 1..N-1; null at 1
   std::deque<metrics::Collector> collectors_;  // one per device
-  /// memos_[s]: shard s's device-class memos. Declared before devices_,
-  /// so they outlive the executors they are attached to.
+  std::vector<DeviceType> types_;  // first-seen order
+  /// memos_[s][type], null until a device of the type runs on shard s.
+  /// Declared before devices_, so they outlive the executors.
   std::vector<std::vector<std::unique_ptr<gpu::DeviceClassMemo>>> memos_;
   std::deque<Device> devices_;  // stable addresses under add_device
-  /// Pool capacity of each device class in use: a function of the class
-  /// alone, so placer_device_for computes it once per class.
-  std::vector<std::pair<gpu::DeviceClass, rt::PoolCapacityModel>>
-      capacities_;
   std::unique_ptr<Placer> placer_;
   std::vector<Rejected> rejected_;
   bool started_ = false;

@@ -213,7 +213,7 @@ class FleetRuntime {
       // Devices the autoscaler may add must already be covered by every
       // task's WCET profile — profile their pool sizes up front.
       for (int sms : cluster::pool_sm_sizes_for(
-               scale_spec_, workload::pool_config_for(cfg_), cfg_.sharing)) {
+               scale_spec_, workload::pool_config_for(cfg_))) {
         if (std::find(pool_sizes_.begin(), pool_sizes_.end(), sms) ==
             pool_sizes_.end()) {
           pool_sizes_.push_back(sms);
@@ -1174,7 +1174,7 @@ class FleetRuntime {
     if (sink_) {
       sink_->set_horizon(cfg_.duration);
       for (int d = 0; d < cluster_->num_devices(); ++d) {
-        sink_->set_device_name(d, cluster_->device(d).exec->device().name);
+        sink_->set_device_name(d, cluster_->device_spec(d).name);
       }
     }
     {

@@ -19,18 +19,24 @@ int ContextPool::sms_per_context(int device_total_sms, int num_contexts,
       std::clamp(raw, 1.0, static_cast<double>(device_total_sms))));
 }
 
+std::vector<int> ContextPool::sm_limits(int device_total_sms,
+                                        const ContextPoolConfig& cfg) {
+  for (int sms : cfg.explicit_sm_limits) {
+    SGPRS_CHECK_MSG(sms > 0 && sms <= device_total_sms,
+                    "context SM limit must be in [1, total_sms]");
+  }
+  if (!cfg.explicit_sm_limits.empty()) return cfg.explicit_sm_limits;
+  SGPRS_CHECK(cfg.num_contexts > 0);
+  return std::vector<int>(
+      cfg.num_contexts, sms_per_context(device_total_sms, cfg.num_contexts,
+                                        cfg.oversubscription));
+}
+
 ContextPool::ContextPool(Executor& exec, const ContextPoolConfig& cfg) {
   SGPRS_CHECK(cfg.high_streams_per_context >= 0);
   SGPRS_CHECK(cfg.low_streams_per_context >= 0);
   SGPRS_CHECK(cfg.high_streams_per_context + cfg.low_streams_per_context > 0);
-  std::vector<int> sizes = cfg.explicit_sm_limits;
-  if (sizes.empty()) {
-    SGPRS_CHECK(cfg.num_contexts > 0);
-    sizes.assign(cfg.num_contexts,
-                 sms_per_context(exec.device().total_sms, cfg.num_contexts,
-                                 cfg.oversubscription));
-  }
-  for (int sms : sizes) {
+  for (int sms : sm_limits(exec.device_class().total_sms, cfg)) {
     PooledContext pc;
     pc.ctx = exec.create_context(sms);
     pc.sm_limit = sms;
@@ -44,12 +50,6 @@ ContextPool::ContextPool(Executor& exec, const ContextPoolConfig& cfg) {
     }
     contexts_.push_back(std::move(pc));
   }
-}
-
-int ContextPool::total_allocated_sms() const {
-  int total = 0;
-  for (const auto& c : contexts_) total += c.sm_limit;
-  return total;
 }
 
 }  // namespace sgprs::gpu

@@ -44,13 +44,14 @@ class ContextPool {
   int size() const { return static_cast<int>(contexts_.size()); }
   const PooledContext& at(int i) const { return contexts_.at(i); }
 
-  /// Sum of SM allocations across the pool (> device total when
-  /// over-subscribed).
-  int total_allocated_sms() const;
-
   /// SMs per context for a device/pool combination (exposed for tests).
   static int sms_per_context(int device_total_sms, int num_contexts,
                              double oversubscription);
+
+  /// The SM limit of each context the constructor creates, in order, for
+  /// callers that need a pool's shape without building one.
+  static std::vector<int> sm_limits(int device_total_sms,
+                                    const ContextPoolConfig& cfg);
 
  private:
   std::vector<PooledContext> contexts_;

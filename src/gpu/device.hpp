@@ -24,6 +24,8 @@ struct DeviceSpec {
   std::int64_t total_warps() const {
     return static_cast<std::int64_t>(total_sms) * warps_per_sm;
   }
+
+  bool operator==(const DeviceSpec&) const = default;
 };
 
 inline DeviceSpec rtx2080ti() { return DeviceSpec{}; }

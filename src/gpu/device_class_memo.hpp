@@ -8,10 +8,12 @@
 // the speedup model, the sharing parameters, the context SM limits and
 // each stream's (context, priority). Together these are the device class.
 // SGPRS builds every context pool once, offline, so every device of one
-// spec in a fleet is of one class, and cluster::Cluster attaches one memo
-// per (shard, class) to all of them (Executor::attach_memo); an executor
-// built outside a cluster owns a memo of its own. Only the thread running
-// a shard touches that shard's memos, so they need no locking.
+// spec in a fleet is of one class. cluster::Cluster keeps a record per
+// distinct spec (a device type) and one memo per (shard, type), found by
+// the device's type index and attached to all of them
+// (Executor::attach_memo, which checks the class); an executor built
+// outside a cluster owns a memo of its own. Only the thread running a
+// shard touches that shard's memos, so they need no locking.
 // docs/ARCHITECTURE.md § "Contended shares" is the design note.
 #pragma once
 

@@ -89,19 +89,18 @@ void Executor::EntryQueue::clear() {
   head_ = 0;
 }
 
-Executor::Executor(sim::Engine& engine, DeviceSpec device,
+Executor::Executor(sim::Engine& engine, const DeviceSpec& device,
                    SpeedupModel speedup, SharingParams sharing)
     : engine_(engine),
-      device_(std::move(device)),
       last_update_(engine.now()),
       own_memo_(std::make_unique<DeviceClassMemo>(DeviceClass{
-          device_.total_sms, std::move(speedup), sharing, {}, {}})) {
+          device.total_sms, std::move(speedup), sharing, {}, {}})) {
   memo_ = own_memo_.get();
 }
 
 ContextId Executor::create_context(int sm_limit) {
   SGPRS_CHECK_MSG(own_memo_, "a context created after attach_memo");
-  SGPRS_CHECK_MSG(sm_limit > 0 && sm_limit <= device_.total_sms,
+  SGPRS_CHECK_MSG(sm_limit > 0 && sm_limit <= own_memo_->cls_.total_sms,
                   "context SM limit must be in [1, total_sms]");
   contexts_.push_back(Context{});
   own_memo_->cls_.context_sms.push_back(sm_limit);

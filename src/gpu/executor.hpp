@@ -69,10 +69,11 @@
 // gpu::DeviceClassMemo (device_class_memo.hpp), not in the executor. Every
 // entry is a pure function of the device class — SM count, speedup model,
 // sharing parameters, context SM limits, each stream's (context, priority)
-// — so cluster::Cluster attaches one memo per (shard, class) to all its
-// executors of that class, and an executor built elsewhere owns one. The
+// — so cluster::Cluster attaches one memo per (shard, device type) to all
+// its executors of that type, and an executor built elsewhere owns one. The
 // pointer is bound once, at attach_memo; a hit returns the same doubles
-// whichever executor of the class computed it.
+// whichever executor of the class computed it. The executor keeps no
+// DeviceSpec: the class is all it knows of its device.
 #pragma once
 
 #include <bit>
@@ -107,8 +108,8 @@ using InputBound = common::InplaceFunction<SimTime(), 16, alignof(void*)>;
 
 class Executor {
  public:
-  Executor(sim::Engine& engine, DeviceSpec device, SpeedupModel speedup,
-           SharingParams sharing);
+  Executor(sim::Engine& engine, const DeviceSpec& device,
+           SpeedupModel speedup, SharingParams sharing);
 
   Executor(const Executor&) = delete;
   Executor& operator=(const Executor&) = delete;
@@ -190,7 +191,6 @@ class Executor {
   /// (SimTime::max() if the stream is idle). Queued kernels not included.
   SimTime running_remaining(StreamId s);
 
-  const DeviceSpec& device() const { return device_; }
   const SpeedupModel& speedup_model() const { return device_class().speedup; }
   sim::Engine& engine() { return engine_; }
 
@@ -355,7 +355,6 @@ class Executor {
   ShareGrant solo_grant(const Stream& s, OpClass op);
 
   sim::Engine& engine_;
-  DeviceSpec device_;
   TraceSink* trace_ = nullptr;
   // The memo every lookup goes through: own_memo_ until attach_memo.
   DeviceClassMemo* memo_ = nullptr;

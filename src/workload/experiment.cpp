@@ -1,5 +1,6 @@
 #include "workload/experiment.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <filesystem>
 #include <future>
@@ -209,6 +210,22 @@ void validate(const ExperimentSpec& spec) {
     }
   }
 
+  // Bound the run count before anything is sized by it, multiplying so
+  // the product cannot overflow.
+  std::size_t runs = static_cast<std::size_t>(spec.replications);
+  for (const auto& axis : spec.axes) {
+    if (axis.size() > kMaxExperimentRuns / runs) {
+      runs = kMaxExperimentRuns + 1;
+      break;
+    }
+    runs *= axis.size();
+  }
+  if (runs > kMaxExperimentRuns) {
+    bad(epath + ".replications",
+        "grid cells x replications must be <= " +
+            std::to_string(kMaxExperimentRuns) + " (kMaxExperimentRuns)");
+  }
+
   // Every cell must lower onto a valid scenario — surface bad combinations
   // (e.g. an admission margin on a spec the base validation rejects) before
   // any simulation runs, naming the cell.
@@ -402,13 +419,15 @@ ExperimentResult run_experiment(const ExperimentSpec& spec, int jobs) {
 
   const auto t0 = std::chrono::steady_clock::now();
   std::vector<RunOutcome> outcomes(plan.size());
-  if (jobs <= 1) {
+  const std::size_t workers =
+      std::min(static_cast<std::size_t>(std::max(jobs, 1)), plan.size());
+  if (workers <= 1) {
     for (std::size_t i = 0; i < plan.size(); ++i) {
       outcomes[i] =
           run_one(spec, cell_specs[plan[i].cell], plan[i].cell, plan[i].rep);
     }
   } else {
-    common::ThreadPool pool(jobs);
+    common::ThreadPool pool(static_cast<int>(workers));
     std::vector<std::future<RunOutcome>> futures;
     futures.reserve(plan.size());
     for (const Job& j : plan) {

@@ -14,6 +14,7 @@
 //    so reports are byte-identical for --jobs 1 and --jobs N.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <ostream>
 #include <string>
@@ -51,6 +52,13 @@ struct GridAxisSpec {
   /// Human/report label of value `i` ("sgprs", "1.5", "0.85", ...).
   std::string value_label(std::size_t i) const;
 };
+
+/// Upper bound on an experiment's runs, grid cells x replications. Each run
+/// is a simulation plus an entry in the run plan and the outcome list; the
+/// curated experiments run 64 and 48. Like kMaxInitialStreams, the bound
+/// turns a mistyped count into a field-path error instead of an allocation
+/// failure or days of wall clock.
+inline constexpr std::size_t kMaxExperimentRuns = 100000;
 
 struct ExperimentSpec {
   std::string name;         // defaults to the file stem
@@ -144,9 +152,9 @@ struct ExperimentResult {
 };
 
 /// Expands the grid × replications into independent jobs and runs them on
-/// `jobs` workers (<= 1 runs inline on the calling thread — no pool, same
-/// results). Validates first; throws SpecError on a bad spec. Individual
-/// job failures do not abort the experiment.
+/// min(`jobs`, runs) workers (<= 1 runs inline on the calling thread — no
+/// pool, same results). Validates first; throws SpecError on a bad spec.
+/// Individual job failures do not abort the experiment.
 ExperimentResult run_experiment(const ExperimentSpec& spec, int jobs);
 
 /// Human-readable per-cell CI table (one row per grid cell).

@@ -4,6 +4,7 @@
 // workload::ScenarioSpec surface.
 #pragma once
 
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 
@@ -27,5 +28,13 @@ class SpecError : public std::runtime_error {
  private:
   std::string path_;
 };
+
+/// A seed read from a signed input (a spec's JSON integer, a --seed flag).
+/// A negative one would silently wrap to a huge uint64, so it is an error
+/// naming `path` instead.
+inline std::uint64_t checked_seed(std::int64_t n, const std::string& path) {
+  if (n < 0) throw SpecError(path, "seed must be >= 0");
+  return static_cast<std::uint64_t>(n);
+}
 
 }  // namespace sgprs::workload

@@ -159,11 +159,9 @@ inline std::uint64_t seed_or(const common::JsonValue& obj, const char* key,
                              std::uint64_t def, const std::string& path) {
   const common::JsonValue* v = obj.find(key);
   if (!v) return def;
-  const std::int64_t n = get_field(key, path, [&] { return v->as_int(); });
-  // A negative seed would silently wrap to a huge uint64 — reject it like
-  // any other bad value instead.
-  if (n < 0) bad(path + std::string(".") + key, "seed must be >= 0");
-  return static_cast<std::uint64_t>(n);
+  return checked_seed(
+      get_field(key, path, [&] { return v->as_int(); }),
+      path + "." + key);
 }
 
 }  // namespace sgprs::workload::specdet

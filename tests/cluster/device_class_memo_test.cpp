@@ -1,5 +1,5 @@
 // Device-class memos: a cluster keeps one gpu::DeviceClassMemo per
-// (shard, device class) and attaches it to every executor of that class on
+// (shard, device type) and attaches it to every executor of that type on
 // the shard; a memo never serves an executor of another class.
 #include <gtest/gtest.h>
 

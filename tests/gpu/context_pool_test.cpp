@@ -2,10 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "sim/engine.hpp"
 
 namespace sgprs::gpu {
 namespace {
+
+int allocated_sms(const ContextPool& pool) {
+  int total = 0;
+  for (const auto& pc : pool.contexts()) total += pc.sm_limit;
+  return total;
+}
 
 class ContextPoolTest : public ::testing::Test {
  protected:
@@ -66,8 +74,8 @@ TEST_F(ContextPoolTest, OversubscribedPoolExceedsDevice) {
   cfg.num_contexts = 3;
   cfg.oversubscription = 2.0;
   ContextPool pool(exec_, cfg);
-  EXPECT_EQ(pool.total_allocated_sms(), 135);  // 3 x 45 > 68
-  EXPECT_GT(pool.total_allocated_sms(), exec_.device().total_sms);
+  EXPECT_EQ(allocated_sms(pool), 135);  // 3 x 45 > 68
+  EXPECT_GT(allocated_sms(pool), exec_.device_class().total_sms);
 }
 
 TEST_F(ContextPoolTest, NonOversubscribedPoolFitsDevice) {
@@ -75,7 +83,7 @@ TEST_F(ContextPoolTest, NonOversubscribedPoolFitsDevice) {
   cfg.num_contexts = 2;
   cfg.oversubscription = 1.0;
   ContextPool pool(exec_, cfg);
-  EXPECT_LE(pool.total_allocated_sms(), exec_.device().total_sms);
+  EXPECT_LE(allocated_sms(pool), exec_.device_class().total_sms);
 }
 
 TEST_F(ContextPoolTest, CustomStreamCounts) {
@@ -86,6 +94,38 @@ TEST_F(ContextPoolTest, CustomStreamCounts) {
   ContextPool pool(exec_, cfg);
   EXPECT_EQ(pool.at(0).high_streams.size(), 1u);
   EXPECT_TRUE(pool.at(0).low_streams.empty());
+}
+
+TEST_F(ContextPoolTest, SmLimitsMatchTheContextsARealPoolCreates) {
+  // Callers that size a pool without building one (the cluster's device
+  // types, cluster::pool_sm_sizes_for) get exactly what the pool creates.
+  const auto real_limits = [](const DeviceSpec& spec,
+                              const ContextPoolConfig& cfg) {
+    sim::Engine engine;
+    Executor exec(engine, spec, SpeedupModel::rtx2080ti(), SharingParams{});
+    ContextPool pool(exec, cfg);
+    std::vector<int> limits;
+    for (const auto& pc : pool.contexts()) limits.push_back(pc.sm_limit);
+    return limits;
+  };
+  for (const DeviceSpec& spec : {rtx2080ti(), rtx3090()}) {
+    for (int contexts : {1, 2, 3}) {
+      for (double oversub : {1.0, 1.5, 2.0, 1e9}) {
+        ContextPoolConfig cfg;
+        cfg.num_contexts = contexts;
+        cfg.oversubscription = oversub;
+        EXPECT_EQ(ContextPool::sm_limits(spec.total_sms, cfg),
+                  real_limits(spec, cfg))
+            << spec.name << ", " << contexts << " contexts, oversub "
+            << oversub;
+      }
+    }
+    ContextPoolConfig explicit_cfg;
+    explicit_cfg.explicit_sm_limits = {40, 20, 68, 20};
+    EXPECT_EQ(ContextPool::sm_limits(spec.total_sms, explicit_cfg),
+              real_limits(spec, explicit_cfg))
+        << spec.name << ", explicit limits";
+  }
 }
 
 TEST_F(ContextPoolTest, RejectsInvalidConfigs) {

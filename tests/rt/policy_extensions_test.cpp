@@ -48,7 +48,9 @@ TEST_F(PolicyExtTest, HeterogeneousPoolBuildsRequestedSizes) {
   EXPECT_EQ(pool_->at(0).sm_limit, 45);
   EXPECT_EQ(pool_->at(1).sm_limit, 17);
   EXPECT_EQ(pool_->at(2).sm_limit, 6);
-  EXPECT_EQ(pool_->total_allocated_sms(), 68);
+  int allocated = 0;
+  for (const auto& pc : pool_->contexts()) allocated += pc.sm_limit;
+  EXPECT_EQ(allocated, 68);
 }
 
 TEST_F(PolicyExtTest, SchedulerRunsOnHeterogeneousPool) {

@@ -177,6 +177,22 @@ TEST(ExperimentValidate, AxisCompatibilityChecks) {
     "experiment": { "replications": 0 }
   })");
   EXPECT_THROW(validate(parse_experiment_spec(doc, "x")), SpecError);
+
+  // runs = cells x replications is bounded, before any cell is lowered or
+  // any run is planned.
+  doc = common::parse_json(R"({
+    "tasks": [ { "network": "lenet5" } ],
+    "experiment": {
+      "replications": 2000000000,
+      "grid": { "scheduler": ["sgprs", "naive"] }
+    }
+  })");
+  try {
+    validate(parse_experiment_spec(doc, "x"));
+    FAIL() << "expected SpecError";
+  } catch (const SpecError& e) {
+    EXPECT_EQ(e.path(), "spec.experiment.replications");
+  }
 }
 
 TEST(ExperimentCells, RowMajorEnumerationLastAxisFastest) {

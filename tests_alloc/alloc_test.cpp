@@ -12,7 +12,9 @@
 // admitting it allocates only name buffers and admission-list growth.
 // Schedulers keep per-stream state by the runner's dense stream slot, so
 // admitting streams allocates bytes in proportion to the streams, however
-// far apart their task ids are.
+// far apart their task ids are. A cluster keeps one record per distinct
+// device spec and its executors keep none, so a fleet of one spec holds
+// one copy of it, however many devices it has.
 // This binary replaces the global operator new to count every allocation
 // in its process, which is why it is its own executable rather than part
 // of sgprs_tests.
@@ -24,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "cluster/cluster.hpp"
 #include "dnn/builders.hpp"
 #include "dnn/partition.hpp"
 #include "fleet/timeline.hpp"
@@ -39,10 +42,14 @@ namespace {
 
 std::size_t g_allocations = 0;
 std::size_t g_allocated_bytes = 0;  // requested sizes, summed
+// Allocations of exactly g_watched_size bytes (0 = watch nothing).
+std::size_t g_watched_size = 0;
+std::size_t g_watched_allocations = 0;
 
 void* counted_alloc(std::size_t n) {
   ++g_allocations;
   g_allocated_bytes += n;
+  if (n == g_watched_size) ++g_watched_allocations;
   return std::malloc(n == 0 ? 1 : n);
 }
 
@@ -454,3 +461,33 @@ TEST(SchedulerAdmitAllocations, SparseTaskIdsAllocateBySlotNotById) {
 
 }  // namespace
 }  // namespace sgprs::rt
+
+namespace sgprs::cluster {
+namespace {
+
+TEST(DeviceSpecAllocations, AFleetOfOneSpecHoldsOneCopyOfIt) {
+  // A name far past the small-string buffer: each copy of the spec is one
+  // allocation of its buffer's size, which nothing else here requests.
+  gpu::DeviceSpec spec = gpu::rtx2080ti();
+  spec.name = std::string(200, 'g');
+  constexpr int kDevices = 64;
+  ClusterConfig cfg;
+  cfg.devices.assign(kDevices, spec);
+  sim::Engine engine;
+  metrics::Collector collector;
+
+  g_watched_size = spec.name.size() + 1;
+  g_watched_allocations = 0;
+  Cluster fleet(engine, collector, std::move(cfg));
+  EXPECT_LE(g_watched_allocations, 2u)
+      << "spec copies building a " << kDevices << "-device cluster";
+  g_watched_allocations = 0;
+  fleet.add_device(spec);
+  EXPECT_EQ(g_watched_allocations, 0u)
+      << "spec copies adding a device of a known spec";
+  g_watched_size = 0;
+  EXPECT_EQ(fleet.device_spec(kDevices).name, spec.name);
+}
+
+}  // namespace
+}  // namespace sgprs::cluster

@@ -25,6 +25,7 @@
 #include <optional>
 #include <sstream>
 
+#include "cluster/cluster.hpp"
 #include "common/csv.hpp"
 #include "common/flags.hpp"
 #include "common/thread_pool.hpp"
@@ -453,8 +454,9 @@ int run_experiment_file(const std::string& path, int jobs,
   const auto r = workload::run_experiment(spec, jobs);
   workload::print_experiment(r, std::cout);
   std::cout << "\n" << r.total_runs << " runs (" << r.total_failures
-            << " failed) on " << jobs << " job(s) in "
-            << metrics::Table::fmt(r.wall_seconds, 2) << " s\n";
+            << " failed) on " << std::min(jobs, r.total_runs)
+            << " job(s) in " << metrics::Table::fmt(r.wall_seconds, 2)
+            << " s\n";
 
   workload::write_experiment_csv(r, csv);
   workload::write_experiment_json(r, json);
@@ -502,7 +504,7 @@ bool parse_base_config(const common::FlagParser& flags,
                                         "spec.sim.duration_s");
   cfg.warmup = workload::spec_seconds(flags.get_double("warmup"),
                                       "spec.sim.warmup_s");
-  cfg.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
+  cfg.seed = workload::checked_seed(flags.get_int("seed"), "spec.sim.seed");
   cfg.sgprs.medium_boost = flags.get_bool("medium-boost");
   cfg.sgprs.abort_hopeless = flags.get_bool("abort-hopeless");
   cfg.sgprs.max_in_flight_per_task = flags.get_int("in-flight");
@@ -637,11 +639,11 @@ int run_trace_file(const std::string& path, const common::FlagParser& flags,
     suggest_near(path, "scenarios/traces", "trace");
     return 1;
   }
-  auto tr = std::make_shared<const trace::Trace>(trace::load_trace(path));
   workload::ScenarioSpec spec;
+  if (!parse_base_config(flags, spec)) return 1;
+  auto tr = std::make_shared<const trace::Trace>(trace::load_trace(path));
   spec.name = tr->name.empty() ? fs::path(path).stem().string() : tr->name;
   spec.description = tr->description;
-  if (!parse_base_config(flags, spec)) return 1;
   spec.fleet_mode = true;  // all load comes from the trace
   fleet::TimelineSpec tl;
   tl.trace_path = path;
@@ -685,6 +687,14 @@ int run(const common::FlagParser& flags) {
                           flags.get_bool("profile"));
   }
   if (flags.has("experiment")) {
+    // Each job is a thread: bound the count like --shards, before any
+    // input is read.
+    const int jobs = flags.get_int("jobs");
+    if (jobs < 0 || jobs > cluster::kMaxShards) {
+      std::cerr << "error: --jobs must be in 0.." << cluster::kMaxShards
+                << " (0 = all hardware threads), got " << jobs << "\n";
+      return 1;
+    }
     if (!fs::exists(flags.get("experiment"))) {
       std::cerr << "error: no such experiment spec: "
                 << flags.get("experiment") << "\n";
@@ -693,7 +703,7 @@ int run(const common::FlagParser& flags) {
     }
     // Distinct default prefix: an experiment must never silently overwrite
     // a suite_report.* pair from an earlier --suite run.
-    return run_experiment_file(flags.get("experiment"), flags.get_int("jobs"),
+    return run_experiment_file(flags.get("experiment"), jobs,
                                flags.has("report") ? flags.get("report")
                                                    : "experiment_report",
                                shards_flag(flags));
@@ -767,8 +777,8 @@ int main(int argc, char** argv) {
                     "writes <report>_profile.json (excluded from "
                     "deterministic byte-compares)");
   flags.define("jobs",
-               "worker threads for --experiment (0 = all hardware threads; "
-               "results are byte-identical for any value)",
+               "worker threads for --experiment, 0..64 (0 = all hardware "
+               "threads; results are byte-identical for any value)",
                "0");
   flags.define_multi("fail-device",
                      "inject a scripted crash into the run: "

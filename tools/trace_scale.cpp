@@ -15,6 +15,7 @@
 #include "common/flags.hpp"
 #include "trace/scale.hpp"
 #include "trace/trace.hpp"
+#include "workload/spec_error.hpp"
 
 int main(int argc, char** argv) {
   using namespace sgprs;
@@ -54,15 +55,14 @@ int main(int argc, char** argv) {
   }
 
   try {
-    const trace::Trace in = trace::load_trace(flags.get("in"));
-
     trace::TraceScaleConfig cfg;
     cfg.time_warp = flags.get_double("time-warp");
     cfg.clone = flags.get_int("clone");
     cfg.rate = flags.get_double("rate");
     cfg.jitter_ms = flags.get_double("jitter-ms");
-    cfg.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
+    cfg.seed = workload::checked_seed(flags.get_int("seed"), "scale.seed");
 
+    const trace::Trace in = trace::load_trace(flags.get("in"));
     const trace::Trace out = trace::scale_trace(in, cfg);
     trace::save_trace(out, flags.get("out"));
 
