@@ -12,12 +12,10 @@ namespace sgprs::cluster {
 
 namespace {
 
-/// Appends each of `sms` not in `sizes` yet, in order.
-void add_distinct(std::vector<int>& sizes, const std::vector<int>& sms) {
-  for (int s : sms) {
-    if (std::find(sizes.begin(), sizes.end(), s) == sizes.end()) {
-      sizes.push_back(s);
-    }
+/// Appends `sms` to `sizes` unless it is there already.
+void add_distinct(std::vector<int>& sizes, int sms) {
+  if (std::find(sizes.begin(), sizes.end(), sms) == sizes.end()) {
+    sizes.push_back(sms);
   }
 }
 
@@ -26,7 +24,9 @@ void add_distinct(std::vector<int>& sizes, const std::vector<int>& sms) {
 std::vector<int> pool_sm_sizes_for(const gpu::DeviceSpec& spec,
                                    const gpu::ContextPoolConfig& pool) {
   std::vector<int> sizes;
-  add_distinct(sizes, gpu::ContextPool::sm_limits(spec.total_sms, pool));
+  for (int sms : gpu::ContextPool::sm_limits(spec.total_sms, pool)) {
+    add_distinct(sizes, sms);
+  }
   return sizes;
 }
 
@@ -60,26 +60,28 @@ int Cluster::type_of(const gpu::DeviceSpec& spec) {
   for (std::size_t t = 0; t < types_.size(); ++t) {
     if (types_[t].spec == spec) return static_cast<int>(t);
   }
-  // Sized first: a spec the pool cannot be carved from adds no type.
-  std::vector<int> sms = gpu::ContextPool::sm_limits(spec.total_sms, cfg_.pool);
+  // Laid out first: a spec the pool cannot be carved from adds no type.
+  gpu::ContextPool pool(spec.total_sms, cfg_.pool);
   for (auto& memos : memos_) memos.emplace_back();
-  DeviceType& type = types_.emplace_back();
-  type.spec = spec;
-  type.context_sms = std::move(sms);
+  std::vector<int> context_sms;  // in creation order
+  for (const gpu::PooledContext& pc : pool.contexts()) {
+    context_sms.push_back(pc.sm_limit);
+  }
+  DeviceType& type = types_.emplace_back(spec, std::move(pool));
   type.placer.mem_bytes = spec.mem_bytes;
   type.placer.total_warps = spec.total_warps();
   // Reference size for WCET lookups; profiles cover every pool size, so
   // any context works — use the first.
-  type.placer.pool_sms = type.context_sms.front();
+  type.placer.pool_sms = context_sms.front();
   type.placer.capacity = rt::pool_capacity(
       gpu::SpeedupModel::rtx2080ti(), cfg_.sharing, spec.total_sms,
-      type.context_sms,
+      context_sms,
       cfg_.pool.high_streams_per_context + cfg_.pool.low_streams_per_context);
   // busy_sm_seconds integrates granted SMs, and an over-subscribed pool
   // grants up to its allocation (> the physical device).
   type.utilization_basis = std::max(
       spec.total_sms,
-      std::accumulate(type.context_sms.begin(), type.context_sms.end(), 0));
+      std::accumulate(context_sms.begin(), context_sms.end(), 0));
   return static_cast<int>(types_.size() - 1);
 }
 
@@ -90,26 +92,23 @@ Cluster::Device Cluster::make_device(int type, int index) {
   // shard's calendar, and its metrics on a collector of its own.
   sim::Engine& engine = device_engine(index);
   metrics::Collector& collector = collectors_.emplace_back(collector_.warmup());
-  dev.exec = std::make_unique<gpu::Executor>(
-      engine, types_[type].spec, gpu::SpeedupModel::rtx2080ti(),
-      cfg_.sharing);
-  dev.pool = std::make_unique<gpu::ContextPool>(*dev.exec, cfg_.pool);
-  // Built from the type's first executor here; attach_memo checks the rest.
+  const DeviceType& t = types_[type];
   auto& memo = memos_[shard_of(index, cfg_.shards)][type];
   if (!memo) {
-    memo = std::make_unique<gpu::DeviceClassMemo>(dev.exec->device_class());
+    memo = std::make_unique<gpu::DeviceClassMemo>(t.pool.device_class(
+        t.spec.total_sms, gpu::SpeedupModel::rtx2080ti(), cfg_.sharing));
   }
-  dev.exec->attach_memo(*memo);
+  dev.exec = std::make_unique<gpu::Executor>(engine, *memo);
   dev.exec->set_input_bound([this, index] { return input_bound(index); });
   std::unique_ptr<rt::Scheduler> scheduler;
   switch (cfg_.scheduler) {
     case rt::SchedulerKind::kSgprs:
       scheduler = std::make_unique<rt::SgprsScheduler>(
-          *dev.exec, *dev.pool, collector, cfg_.sgprs);
+          *dev.exec, t.pool, collector, cfg_.sgprs);
       break;
     case rt::SchedulerKind::kNaive:
       scheduler = std::make_unique<rt::NaiveScheduler>(
-          *dev.exec, *dev.pool, collector, cfg_.naive);
+          *dev.exec, t.pool, collector, cfg_.naive);
       break;
   }
   dev.scheduler =
@@ -148,7 +147,11 @@ int Cluster::add_device(const gpu::DeviceSpec& spec, bool active) {
 
 std::vector<int> Cluster::pool_sm_sizes() const {
   std::vector<int> sizes;  // types are in first-seen device order
-  for (const auto& type : types_) add_distinct(sizes, type.context_sms);
+  for (const auto& type : types_) {
+    for (const gpu::PooledContext& pc : type.pool.contexts()) {
+      add_distinct(sizes, pc.sm_limit);
+    }
+  }
   return sizes;
 }
 
@@ -258,14 +261,31 @@ bool Cluster::retire_task(int i, int task_id, bool forget_metrics) {
 }
 
 metrics::DeviceReport Cluster::device_report(int i, SimTime end) const {
+  std::vector<int> ids;
+  return device_row(i, end, ids, nullptr);
+}
+
+std::vector<metrics::DeviceReport> Cluster::device_reports(
+    SimTime end, common::Histogram* latency_ms) const {
+  std::vector<metrics::DeviceReport> reports;
+  reports.reserve(devices_.size());
+  std::vector<int> ids;
+  for (int i = 0; i < num_devices(); ++i) {
+    reports.push_back(device_row(i, end, ids, latency_ms));
+  }
+  return reports;
+}
+
+metrics::DeviceReport Cluster::device_row(int i, SimTime end,
+                                          std::vector<int>& ids,
+                                          common::Histogram* latency_ms) const {
   const Device& dev = devices_.at(i);
   const DeviceType& type = types_[dev.type];
   metrics::DeviceReport report;
   report.device_index = i;
   report.device_name = type.spec.name;
   report.total_sms = type.spec.total_sms;
-  std::vector<int> ids;
-  ids.reserve(dev.tasks.size());
+  ids.clear();
   for (const auto& t : dev.tasks) {
     if (std::find(dev.moved_away.begin(), dev.moved_away.end(), t.id) ==
         dev.moved_away.end()) {
@@ -273,7 +293,7 @@ metrics::DeviceReport Cluster::device_report(int i, SimTime end) const {
     }
   }
   report.tasks_assigned = static_cast<int>(ids.size());
-  report.snapshot = collector_.aggregate_tasks(ids, end);
+  report.snapshot = collector_.aggregate_tasks(ids, end, latency_ms);
   report.busy_sm_seconds = dev.exec->busy_sm_seconds();
   const double denom =
       static_cast<double>(type.utilization_basis) * end.to_sec();
@@ -282,14 +302,11 @@ metrics::DeviceReport Cluster::device_report(int i, SimTime end) const {
 }
 
 metrics::FleetReport Cluster::fleet_report(SimTime end) const {
-  std::vector<metrics::DeviceReport> reports;
-  reports.reserve(devices_.size());
-  for (int i = 0; i < num_devices(); ++i) {
-    reports.push_back(device_report(i, end));
-  }
+  common::Histogram latency_ms;
+  std::vector<metrics::DeviceReport> reports = device_reports(end, &latency_ms);
   int oom = 0;
   for (const Rejected& r : rejected_) oom += r.oom ? 1 : 0;
-  return metrics::roll_up(std::move(reports),
+  return metrics::roll_up(std::move(reports), latency_ms,
                           static_cast<int>(rejected_.size()), oom);
 }
 

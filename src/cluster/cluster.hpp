@@ -10,8 +10,9 @@
 // aggregations and the fleet aggregate is exact at any shard count. All
 // devices of one spec are identical (pools are built once, offline), so
 // what the cluster derives from a spec is computed once, in a record per
-// distinct spec (a device type), and each shard keeps one
-// gpu::DeviceClassMemo per type, attached to its executors of that type.
+// distinct spec (a device type) that owns the type's one context pool
+// layout, and each shard keeps one gpu::DeviceClassMemo per type, from
+// which its executors of that type are built.
 //
 // Closed-world lifecycle: construct → place(tasks) → start(cfg) →
 // run_until(T) → reduce() → fleet_report(T).
@@ -119,7 +120,6 @@ class Cluster {
   struct Device {
     int type = 0;  // index of the device's spec in the cluster's types
     std::unique_ptr<gpu::Executor> exec;
-    std::unique_ptr<gpu::ContextPool> pool;
     std::unique_ptr<rt::Scheduler> scheduler;
     /// Tasks admitted here (deque: stable addresses under churn).
     std::deque<rt::Task> tasks;
@@ -129,8 +129,9 @@ class Cluster {
     std::unique_ptr<rt::Runner> runner;
   };
 
-  /// Creates every device's executor, pool and scheduler up front (the
-  /// SGPRS zero-runtime-reconfiguration property, fleet-wide). `engine` is
+  /// Creates every device's executor and scheduler up front, on its
+  /// type's context pool (the SGPRS zero-runtime-reconfiguration property,
+  /// fleet-wide). `engine` is
   /// shard 0; `collector` receives the reduced metrics and sets the
   /// warm-up window of every per-device collector.
   Cluster(sim::Engine& engine, metrics::Collector& collector,
@@ -188,7 +189,7 @@ class Cluster {
 
   // --- Open-world (fleet runtime) surface ---
 
-  /// Adds a device mid-run (or before start). Its scheduler/pool/executor
+  /// Adds a device mid-run (or before start). Its scheduler and executor
   /// are created immediately; when `active` is false the placer will not
   /// use it until set_device_active(i, true) — autoscaler warm-up latency.
   int add_device(const gpu::DeviceSpec& spec, bool active = true);
@@ -231,6 +232,11 @@ class Cluster {
   /// run [0, end]. A re-placed stream's whole history (which may span
   /// devices and shards) is attributed to its final home.
   metrics::DeviceReport device_report(int i, SimTime end) const;
+  /// Every device's report, in device order. When `latency_ms` is given,
+  /// each device's latency distribution is merged into it as its row is
+  /// built, so it ends as the fleet's, grouped per device.
+  std::vector<metrics::DeviceReport> device_reports(
+      SimTime end, common::Histogram* latency_ms) const;
   metrics::FleetReport fleet_report(SimTime end) const;
 
   std::int64_t releases_issued() const;
@@ -241,13 +247,21 @@ class Cluster {
  private:
   /// What the cluster derives from one distinct spec, once.
   struct DeviceType {
+    DeviceType(gpu::DeviceSpec s, gpu::ContextPool p)
+        : spec(std::move(s)), pool(std::move(p)) {}
+
     gpu::DeviceSpec spec;
-    std::vector<int> context_sms;  // the pool's, in creation order
+    /// The layout every executor of the type holds; its schedulers read it.
+    gpu::ContextPool pool;
     PlacerDevice placer;
     int utilization_basis = 0;  // max(total SMs, summed context SMs)
   };
   /// Index of `spec`'s type, added on first sight.
   int type_of(const gpu::DeviceSpec& spec);
+  /// device_report's row, with `ids` as scratch and the device's latency
+  /// distribution merged into `latency_ms` when given.
+  metrics::DeviceReport device_row(int i, SimTime end, std::vector<int>& ids,
+                                   common::Histogram* latency_ms) const;
   Device make_device(int type, int index);
   /// The earliest instant an input can reach device `index`'s executor:
   /// its runner's next release, its scheduler's next timer, or the end of
@@ -267,7 +281,8 @@ class Cluster {
   std::vector<std::unique_ptr<sim::Engine>> owned_engines_;
   std::unique_ptr<common::ThreadPool> pool_;  // shards 1..N-1; null at 1
   std::deque<metrics::Collector> collectors_;  // one per device
-  std::vector<DeviceType> types_;  // first-seen order
+  /// First-seen order; a deque, so schedulers may hold a type's pool.
+  std::deque<DeviceType> types_;
   /// memos_[s][type], null until a device of the type runs on shard s.
   /// Declared before devices_, so they outlive the executors.
   std::vector<std::vector<std::unique_ptr<gpu::DeviceClassMemo>>> memos_;

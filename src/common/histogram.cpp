@@ -63,48 +63,92 @@ void Histogram::add(double v) {
   sum_ += v;
 }
 
-void Histogram::merge(const Histogram& other) {
-  if (other.count_ == 0) return;
-  if (other.counts_.size() > counts_.size()) {
-    counts_.resize(other.counts_.size(), 0);
+Histogram::Union Histogram::union_of(
+    std::span<const Histogram* const> parts) {
+  Union u;
+  for (const Histogram* p : parts) {
+    if (p->count_ == 0) continue;
+    if (u.count == 0) {
+      u.min = p->min_;
+      u.max = p->max_;
+    } else {
+      u.min = std::min(u.min, p->min_);
+      u.max = std::max(u.max, p->max_);
+    }
+    u.count += p->count_;
+    u.sum += p->sum_;
+    u.buckets = std::max(u.buckets, p->counts_.size());
   }
-  for (std::size_t i = 0; i < other.counts_.size(); ++i) {
-    counts_[i] += other.counts_[i];
-  }
-  if (count_ == 0) {
-    min_ = other.min_;
-    max_ = other.max_;
-  } else {
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
-  }
-  count_ += other.count_;
-  sum_ += other.sum_;
+  return u;
 }
 
-double Histogram::quantile(double q) const {
-  SGPRS_CHECK(q >= 0.0 && q <= 1.0);
-  if (count_ == 0) return 0.0;
-  if (q == 0.0) return min_;
-  if (q == 1.0) return max_;
-  const double rank = q * static_cast<double>(count_ - 1);
-  std::int64_t cum = 0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const std::int64_t c = counts_[i];
-    if (c == 0) continue;
-    if (rank < static_cast<double>(cum + c)) {
-      // Model the bucket's c samples at evenly spaced interior positions
-      // and read off the fractional rank within it.
-      const double lo = bucket_lo(static_cast<int>(i));
-      const double hi = bucket_hi(static_cast<int>(i));
-      const double within =
-          (rank - static_cast<double>(cum) + 0.5) / static_cast<double>(c);
-      const double v = lo + (hi - lo) * within;
-      return std::clamp(v, min_, max_);
+void Histogram::merge(const Histogram& other) {
+  const Histogram* part = &other;
+  merge(std::span<const Histogram* const>(&part, 1));
+}
+
+void Histogram::merge(std::span<const Histogram* const> parts) {
+  const Union u = union_of(parts);
+  if (u.count == 0) return;
+  if (u.buckets > counts_.size()) counts_.resize(u.buckets, 0);
+  for (const Histogram* p : parts) {
+    for (std::size_t i = 0; i < p->counts_.size(); ++i) {
+      counts_[i] += p->counts_[i];
     }
-    cum += c;
   }
-  return max_;  // rank == count - 1 lands here via floating round-up
+  if (count_ == 0) {
+    min_ = u.min;
+    max_ = u.max;
+  } else {
+    min_ = std::min(min_, u.min);
+    max_ = std::max(max_, u.max);
+  }
+  count_ += u.count;
+  sum_ += u.sum;
+}
+
+double Histogram::quantile(double q) const { return quantiles(q, q).first; }
+
+std::pair<double, double> Histogram::quantiles(double lo, double hi) const {
+  const Histogram* self = this;
+  return quantiles(std::span<const Histogram* const>(&self, 1), lo, hi);
+}
+
+std::pair<double, double> Histogram::quantiles(
+    std::span<const Histogram* const> parts, double lo, double hi) {
+  SGPRS_CHECK(lo >= 0.0 && lo <= hi && hi <= 1.0);
+  const Union u = union_of(parts);
+  if (u.count == 0) return {0.0, 0.0};
+  // One walk for both reads: hi's rank is at least lo's, so every bucket
+  // the first read passes lies below it too.
+  std::size_t i = 0;
+  std::int64_t cum = 0;
+  auto read = [&](double q) {
+    if (q == 0.0) return u.min;
+    if (q == 1.0) return u.max;
+    const double rank = q * static_cast<double>(u.count - 1);
+    for (; i < u.buckets; ++i) {
+      std::int64_t c = 0;
+      for (const Histogram* p : parts) {
+        if (i < p->counts_.size()) c += p->counts_[i];
+      }
+      if (c == 0) continue;
+      if (rank < static_cast<double>(cum + c)) {
+        // Model the bucket's c samples at evenly spaced interior positions
+        // and read off the fractional rank within it.
+        const double b_lo = bucket_lo(static_cast<int>(i));
+        const double b_hi = bucket_hi(static_cast<int>(i));
+        const double within =
+            (rank - static_cast<double>(cum) + 0.5) / static_cast<double>(c);
+        const double v = b_lo + (b_hi - b_lo) * within;
+        return std::clamp(v, u.min, u.max);
+      }
+      cum += c;
+    }
+    return u.max;  // rank == count - 1 lands here via floating round-up
+  };
+  const double first = read(lo);
+  return {first, read(hi)};
 }
 
 }  // namespace sgprs::common

@@ -19,6 +19,8 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
+#include <utility>
 #include <vector>
 
 namespace sgprs::common {
@@ -38,6 +40,10 @@ class Histogram {
 
   /// Folds `other` in: integer bucket-count sums plus exact min/max/sum.
   void merge(const Histogram& other);
+  /// Folds in the union of `parts` as merging the histogram that merges
+  /// them all, in order, would: the parts' sums are added together first,
+  /// so the double sum groups as that merge's. Builds no such histogram.
+  void merge(std::span<const Histogram* const> parts);
 
   std::int64_t count() const { return count_; }
   bool empty() const { return count_ == 0; }
@@ -53,6 +59,13 @@ class Histogram {
   /// interpolated inside the covering bucket and clamped to [min, max] —
   /// so quantile(0) == min and quantile(1) == max exactly.
   double quantile(double q) const;
+  /// {quantile(lo), quantile(hi)} for lo <= hi (checked), read in one walk
+  /// over the buckets; bit-equal to the two calls.
+  std::pair<double, double> quantiles(double lo, double hi) const;
+  /// quantiles(lo, hi) of the union of `parts`, the histogram merging them
+  /// all would hold, read across the parts without building it.
+  static std::pair<double, double> quantiles(
+      std::span<const Histogram* const> parts, double lo, double hi);
   double p50() const { return quantile(0.50); }
   double p95() const { return quantile(0.95); }
   double p99() const { return quantile(0.99); }
@@ -65,6 +78,17 @@ class Histogram {
   const std::vector<std::int64_t>& buckets() const { return counts_; }
 
  private:
+  // What merging `parts` in order into an empty histogram would give its
+  // count, sum, min, max and bucket extent.
+  struct Union {
+    std::int64_t count = 0;
+    double sum = 0.0;
+    double min = 0.0;
+    double max = 0.0;
+    std::size_t buckets = 0;
+  };
+  static Union union_of(std::span<const Histogram* const> parts);
+
   std::vector<std::int64_t> counts_;
   std::int64_t count_ = 0;
   double sum_ = 0.0;

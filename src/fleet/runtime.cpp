@@ -1200,15 +1200,14 @@ class FleetRuntime {
 
   void fill_dynamic() {
     result_.name = spec_.name;
-    result_.fleet = cluster_->fleet_report(cfg_.duration);
     // The per-device rollup double-counts nothing (moved-away ids are
     // forgotten at the source), but the exact fleet snapshot comes from the
-    // whole reduced collector.
-    result_.fleet.fleet = reduced_.aggregate(cfg_.duration);
-    result_.fleet.tasks_rejected =
-        static_cast<int>(result_.streams_rejected);
-    result_.fleet.tasks_oom_rejected =
-        static_cast<int>(result_.streams_oom_rejected);
+    // whole reduced collector, so the rows fold no fleet distribution.
+    result_.fleet = metrics::roll_up(
+        cluster_->device_reports(cfg_.duration, nullptr),
+        reduced_.aggregate(cfg_.duration),
+        static_cast<int>(result_.streams_rejected),
+        static_cast<int>(result_.streams_oom_rejected));
     fill_counters(result_, engine_.processed_count());
     result_.jobs_shed = overload_.total_jobs_shed();
     result_.recovery_p50_s = recovery_.p50();

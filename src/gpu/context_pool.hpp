@@ -2,7 +2,9 @@
 // contexts that gives SGPRS its "seamless, zero-configuration partition
 // switch" (paper Sections I/IV). All contexts are created once, offline;
 // at run time a stage can be dispatched to any of them with no
-// reconfiguration cost.
+// reconfiguration cost. Every device of one spec therefore holds the same
+// pool, so cluster::Cluster lays it out once per device type and builds
+// each executor of the type from the class the layout implies.
 #pragma once
 
 #include <vector>
@@ -40,15 +42,27 @@ class ContextPool {
   /// Creates all contexts and streams on `exec` per `cfg`.
   ContextPool(Executor& exec, const ContextPoolConfig& cfg);
 
+  /// The layout the constructor above gives a fresh executor of a device
+  /// with `device_total_sms` SMs, created on none: each context, then its
+  /// high and its low streams, numbered in that creation order.
+  ContextPool(int device_total_sms, const ContextPoolConfig& cfg);
+
   const std::vector<PooledContext>& contexts() const { return contexts_; }
   int size() const { return static_cast<int>(contexts_.size()); }
   const PooledContext& at(int i) const { return contexts_.at(i); }
+
+  /// The class of an executor whose contexts and streams are exactly this
+  /// layout's: what Executor(engine, memo) is built from. The layout must
+  /// number its contexts and streams from 0 in creation order (checked),
+  /// as the layout constructor and a pool created on a fresh executor do.
+  DeviceClass device_class(int device_total_sms, const SpeedupModel& speedup,
+                           const SharingParams& sharing) const;
 
   /// SMs per context for a device/pool combination (exposed for tests).
   static int sms_per_context(int device_total_sms, int num_contexts,
                              double oversubscription);
 
-  /// The SM limit of each context the constructor creates, in order, for
+  /// The SM limit of each context the constructors lay out, in order, for
   /// callers that need a pool's shape without building one.
   static std::vector<int> sm_limits(int device_total_sms,
                                     const ContextPoolConfig& cfg);

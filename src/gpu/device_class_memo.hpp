@@ -9,11 +9,12 @@
 // each stream's (context, priority). Together these are the device class.
 // SGPRS builds every context pool once, offline, so every device of one
 // spec in a fleet is of one class. cluster::Cluster keeps a record per
-// distinct spec (a device type) and one memo per (shard, type), found by
-// the device's type index and attached to all of them
-// (Executor::attach_memo, which checks the class); an executor built
-// outside a cluster owns a memo of its own. Only the thread running a
-// shard touches that shard's memos, so they need no locking.
+// distinct spec (a device type), whose pool layout gives the class
+// (ContextPool::device_class), and one memo per (shard, type), found by
+// the device's type index; every executor of the type is built from it
+// (Executor(engine, memo)) and so is of its class by construction. An
+// executor built outside a cluster owns a memo of its own. Only the thread
+// running a shard touches that shard's memos, so they need no locking.
 // docs/ARCHITECTURE.md § "Contended shares" is the design note.
 #pragma once
 
@@ -50,9 +51,10 @@ struct DeviceClass {
   bool operator==(const DeviceClass&) const = default;
 };
 
-/// The memo tables of one device class. It records its class, and
-/// Executor::attach_memo CHECKs that the executor is of that class, so an
-/// entry never answers for another device. The lookups are Executor's.
+/// The memo tables of one device class. It records its class, and an
+/// executor built from it takes its contexts and streams from that class,
+/// so an entry never answers for another device. The lookups are
+/// Executor's.
 class DeviceClassMemo {
  public:
   explicit DeviceClassMemo(DeviceClass cls) : cls_(std::move(cls)) {}

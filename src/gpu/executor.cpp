@@ -98,8 +98,23 @@ Executor::Executor(sim::Engine& engine, const DeviceSpec& device,
   memo_ = own_memo_.get();
 }
 
+Executor::Executor(sim::Engine& engine, DeviceClassMemo& memo)
+    : engine_(engine), memo_(&memo), last_update_(engine.now()) {
+  const DeviceClass& cls = memo.device_class();
+  contexts_.resize(cls.context_sms.size());
+  streams_.resize(cls.streams.size());
+  for (std::size_t sid = 0; sid < streams_.size(); ++sid) {
+    streams_[sid].ctx = cls.streams[sid].ctx;
+    streams_[sid].priority = cls.streams[sid].priority;
+  }
+  // The stream count is fixed, so the completion path's scratch buffers
+  // take their size now: an executor joining a memo that others warmed
+  // allocates nothing at its first events either.
+  size_scratch();
+}
+
 ContextId Executor::create_context(int sm_limit) {
-  SGPRS_CHECK_MSG(own_memo_, "a context created after attach_memo");
+  SGPRS_CHECK_MSG(own_memo_, "a context created on a shared-memo executor");
   SGPRS_CHECK_MSG(sm_limit > 0 && sm_limit <= own_memo_->cls_.total_sms,
                   "context SM limit must be in [1, total_sms]");
   contexts_.push_back(Context{});
@@ -108,7 +123,7 @@ ContextId Executor::create_context(int sm_limit) {
 }
 
 StreamId Executor::create_stream(ContextId ctx, StreamPriority priority) {
-  SGPRS_CHECK_MSG(own_memo_, "a stream created after attach_memo");
+  SGPRS_CHECK_MSG(own_memo_, "a stream created on a shared-memo executor");
   SGPRS_CHECK(ctx >= 0 && ctx < context_count());
   Stream s;
   s.ctx = ctx;
@@ -120,18 +135,6 @@ StreamId Executor::create_stream(ContextId ctx, StreamPriority priority) {
   // A stream added after the first submit widens the set and key too.
   if (!running_.empty()) size_scratch();
   return static_cast<StreamId>(streams_.size() - 1);
-}
-
-void Executor::attach_memo(DeviceClassMemo& memo) {
-  SGPRS_CHECK_MSG(memo.device_class() == device_class(),
-                  "a device-class memo attached to an executor of another "
-                  "class");
-  memo_ = &memo;
-  own_memo_.reset();
-  // The stream count is fixed from here on, so the completion path's
-  // scratch buffers take their size now: an executor joining a memo that
-  // others warmed allocates nothing at its first events either.
-  size_scratch();
 }
 
 void Executor::size_scratch() {

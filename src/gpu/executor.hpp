@@ -69,11 +69,11 @@
 // gpu::DeviceClassMemo (device_class_memo.hpp), not in the executor. Every
 // entry is a pure function of the device class — SM count, speedup model,
 // sharing parameters, context SM limits, each stream's (context, priority)
-// — so cluster::Cluster attaches one memo per (shard, device type) to all
-// its executors of that type, and an executor built elsewhere owns one. The
-// pointer is bound once, at attach_memo; a hit returns the same doubles
-// whichever executor of the class computed it. The executor keeps no
-// DeviceSpec: the class is all it knows of its device.
+// — so cluster::Cluster keeps one memo per (shard, device type) and builds
+// every executor of that type from it, and an executor built elsewhere owns
+// one. The pointer is bound once, at construction; a hit returns the same
+// doubles whichever executor of the class computed it. The executor keeps
+// no DeviceSpec: the class is all it knows of its device.
 #pragma once
 
 #include <bit>
@@ -108,25 +108,29 @@ using InputBound = common::InplaceFunction<SimTime(), 16, alignof(void*)>;
 
 class Executor {
  public:
+  /// An executor with no contexts and a memo of its own, which grows its
+  /// class as contexts and streams are created.
   Executor(sim::Engine& engine, const DeviceSpec& device,
            SpeedupModel speedup, SharingParams sharing);
+
+  /// An executor of `memo`'s class, shared with the other executors of
+  /// the class: its contexts and streams are the class's, in order, and
+  /// the completion path's scratch is sized here. `memo` must outlive the
+  /// executor.
+  Executor(sim::Engine& engine, DeviceClassMemo& memo);
 
   Executor(const Executor&) = delete;
   Executor& operator=(const Executor&) = delete;
 
   /// Creates a context limited to `sm_limit` SMs. The pool may be
   /// over-subscribed: no check against the device total (that is the point).
-  /// Not after attach_memo (checked): that would change the class.
+  /// Only on an executor with a memo of its own (checked): on a shared memo
+  /// it would change the class.
   ContextId create_context(int sm_limit);
 
-  /// Creates a stream in `ctx` with the given priority. Not after
-  /// attach_memo (checked).
+  /// Creates a stream in `ctx` with the given priority. Only on an
+  /// executor with a memo of its own (checked).
   StreamId create_stream(ContextId ctx, StreamPriority priority);
-
-  /// Replaces this executor's own memo with `memo`, shared with the other
-  /// executors of its class; `memo` must be of this executor's class
-  /// (checked) and outlive the executor.
-  void attach_memo(DeviceClassMemo& memo);
 
   /// The class this executor's memo entries are a function of.
   const DeviceClass& device_class() const { return memo_->device_class(); }
@@ -356,7 +360,7 @@ class Executor {
 
   sim::Engine& engine_;
   TraceSink* trace_ = nullptr;
-  // The memo every lookup goes through: own_memo_ until attach_memo.
+  // The memo every lookup goes through: own_memo_ or a shared one.
   DeviceClassMemo* memo_ = nullptr;
 
   std::vector<Context> contexts_;
@@ -383,7 +387,7 @@ class Executor {
 
   InputBound input_bound_;
 
-  // This executor's own memo; null once attach_memo shares another.
+  // This executor's own memo; null when built from a shared one.
   std::unique_ptr<DeviceClassMemo> own_memo_;
 
   // The running set and the share-memo key in one buffer, so that a device

@@ -1,5 +1,8 @@
 #include "metrics/collector.hpp"
 
+#include <algorithm>
+#include <tuple>
+
 #include "common/check.hpp"
 
 namespace sgprs::metrics {
@@ -29,6 +32,14 @@ void Collector::on_complete(int task, SimTime release, SimTime deadline,
 }
 
 Snapshot Collector::snapshot_of(const PerTask& pt, SimTime end) const {
+  const common::Histogram* latency = &pt.latency_hist_ms;
+  return snapshot_of(pt, std::span<const common::Histogram* const>(&latency, 1),
+                     end);
+}
+
+Snapshot Collector::snapshot_of(
+    const PerTask& pt, std::span<const common::Histogram* const> latency,
+    SimTime end) const {
   SGPRS_CHECK_MSG(end > warmup_, "measurement window is empty");
   const double window = (end - warmup_).to_sec();
   Snapshot s;
@@ -41,22 +52,29 @@ Snapshot Collector::snapshot_of(const PerTask& pt, SimTime end) const {
               : static_cast<double>(pt.counts.late + pt.counts.dropped) /
                     static_cast<double>(closed);
   s.mean_latency_ms = pt.latency_ms.mean();
-  s.p50_latency_ms = pt.latency_hist_ms.p50();
-  s.p99_latency_ms = pt.latency_hist_ms.p99();
-  s.max_latency_ms = pt.latency_hist_ms.max();
-  s.latency_hist_ms = pt.latency_hist_ms;
+  std::tie(s.p50_latency_ms, s.p99_latency_ms) =
+      common::Histogram::quantiles(latency, 0.50, 0.99);
+  for (const common::Histogram* h : latency) {
+    s.max_latency_ms = std::max(s.max_latency_ms, h->max());
+  }
   return s;
 }
 
 namespace {
 
+// Folds `pt`'s counters and running stats into `all`.
 template <typename PerTaskT>
-void merge_into(PerTaskT& all, const PerTaskT& pt) {
+void merge_stats(PerTaskT& all, const PerTaskT& pt) {
   all.counts.released += pt.counts.released;
   all.counts.dropped += pt.counts.dropped;
   all.counts.on_time += pt.counts.on_time;
   all.counts.late += pt.counts.late;
   all.latency_ms.merge(pt.latency_ms);
+}
+
+template <typename PerTaskT>
+void merge_into(PerTaskT& all, const PerTaskT& pt) {
+  merge_stats(all, pt);
   all.latency_hist_ms.merge(pt.latency_hist_ms);
 }
 
@@ -94,13 +112,36 @@ TaskCounters Collector::total_counts() const {
 }
 
 Snapshot Collector::aggregate_tasks(const std::vector<int>& ids,
-                                    SimTime end) const {
-  PerTask all;
+                                    SimTime end,
+                                    common::Histogram* latency_ms) const {
+  // Merging one record into an empty one copies it exactly, so a subset
+  // of one is read where it lies. A larger one folds its counters and
+  // running stats into one record and is read across its histograms.
+  const PerTask* first = nullptr;
+  PerTask all;  // its histogram stays empty
+  std::vector<const common::Histogram*> latency;
   for (int id : ids) {
     auto it = tasks_.find(id);
-    if (it != tasks_.end()) merge_into(all, it->second);
+    if (it == tasks_.end()) continue;
+    if (!first) {
+      first = &it->second;
+      continue;
+    }
+    if (latency.empty()) {
+      latency.reserve(ids.size());
+      merge_stats(all, *first);
+      latency.push_back(&first->latency_hist_ms);
+    }
+    merge_stats(all, it->second);
+    latency.push_back(&it->second.latency_hist_ms);
   }
-  return snapshot_of(all, end);
+  if (latency.empty()) {
+    const PerTask& subset = first ? *first : all;
+    if (latency_ms) latency_ms->merge(subset.latency_hist_ms);
+    return snapshot_of(subset, end);
+  }
+  if (latency_ms) latency_ms->merge(latency);
+  return snapshot_of(all, latency, end);
 }
 
 Snapshot Collector::per_task(int task, SimTime end) const {

@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <vector>
 
 #include "common/histogram.hpp"
@@ -42,11 +43,6 @@ struct Snapshot {
   double p50_latency_ms = 0.0;
   double p99_latency_ms = 0.0;
   double max_latency_ms = 0.0;
-  /// The latency distribution behind the scalars above. Carried so
-  /// roll_up_snapshots can merge distributions instead of averaging
-  /// percentiles — integer bucket counts make the fleet-wide p50/p99
-  /// exact (common/histogram.hpp).
-  common::Histogram latency_hist_ms;
 };
 
 class Collector {
@@ -67,8 +63,13 @@ class Collector {
   /// a full aggregate() per window would grow with run history).
   TaskCounters total_counts() const;
   /// Aggregate over a subset of tasks (e.g. one device's share of a fleet).
-  /// Ids with no recorded events contribute nothing.
-  Snapshot aggregate_tasks(const std::vector<int>& ids, SimTime end) const;
+  /// Ids with no recorded events contribute nothing. The subset's latency
+  /// histograms are read where they lie, never copied. When `latency_ms`
+  /// is given, the subset's latency distribution is merged into it as one
+  /// histogram — integer bucket counts make a fleet-wide p50/p99 folded
+  /// this way exact (common/histogram.hpp).
+  Snapshot aggregate_tasks(const std::vector<int>& ids, SimTime end,
+                           common::Histogram* latency_ms = nullptr) const;
   /// Metrics for one task over [warmup, end]; the task must has_task().
   Snapshot per_task(int task, SimTime end) const;
   /// True when `task` produced at least one in-window event.
@@ -94,6 +95,11 @@ class Collector {
   };
   bool in_window(SimTime release) const { return release >= warmup_; }
   Snapshot snapshot_of(const PerTask& pt, SimTime end) const;
+  /// The snapshot of records whose counters and running stats are folded
+  /// into `pt` and whose latency histograms are `latency`.
+  Snapshot snapshot_of(const PerTask& pt,
+                       std::span<const common::Histogram* const> latency,
+                       SimTime end) const;
 
   SimTime warmup_;
   std::map<int, PerTask> tasks_;

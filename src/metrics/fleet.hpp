@@ -2,10 +2,12 @@
 //
 // Rollup semantics: counts and rates (FPS) sum across devices; DMR is
 // recomputed from the summed counts; latency mean/p50/p99/max come from
-// the merged per-device histograms (common/histogram.hpp), so the fleet
-// percentiles are exact — bit-identical to a shared Collector over the
-// same population. Utilization is SM-weighted so a big idle device drags
-// the fleet number down proportionally to its size.
+// the fleet's latency distribution, the per-device histograms merged in
+// device order (common/histogram.hpp; cluster::Cluster folds it while it
+// builds the rows), so the fleet percentiles are exact — bit-identical to
+// a shared Collector over the same population. Utilization is SM-weighted
+// so a big idle device drags the fleet number down proportionally to its
+// size.
 #pragma once
 
 #include <string>
@@ -41,11 +43,16 @@ struct FleetReport {
   int tasks_oom_rejected = 0;
 };
 
-/// Combines per-device snapshots under the semantics above.
-Snapshot roll_up_snapshots(const std::vector<Snapshot>& per_device);
+/// Full fleet rollup from per-device reports and `fleet`, a fleet
+/// snapshot taken elsewhere (a collector holding the whole fleet's
+/// records): utilization and assigned tasks come from the rows.
+FleetReport roll_up(std::vector<DeviceReport> devices, Snapshot fleet,
+                    int tasks_rejected, int tasks_oom_rejected = 0);
 
-/// Full fleet rollup from per-device reports.
-FleetReport roll_up(std::vector<DeviceReport> devices, int tasks_rejected,
+/// Full fleet rollup under the semantics above; `latency_ms` is the
+/// devices' latency distributions merged in device order.
+FleetReport roll_up(std::vector<DeviceReport> devices,
+                    const common::Histogram& latency_ms, int tasks_rejected,
                     int tasks_oom_rejected = 0);
 
 }  // namespace sgprs::metrics

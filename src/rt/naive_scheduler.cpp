@@ -10,8 +10,10 @@ NaiveScheduler::NaiveScheduler(gpu::Executor& exec,
                                metrics::Collector& collector, NaiveConfig cfg)
     : exec_(exec), collector_(collector), cfg_(cfg) {
   SGPRS_CHECK(cfg_.max_in_flight_per_task >= 1);
+  // Sized once: the pool is fixed for the scheduler's lifetime.
+  contexts_.reserve(pool.contexts().size());
   for (const auto& pc : pool.contexts()) {
-    CtxState cs;
+    CtxState& cs = contexts_.emplace_back();
     cs.ctx = pc.ctx;
     // The naive scheduler uses a single stream per context; take the first
     // stream the pool created, whatever its priority.
@@ -19,7 +21,6 @@ NaiveScheduler::NaiveScheduler(gpu::Executor& exec,
                     "pool context has no streams");
     cs.stream = pc.high_streams.empty() ? pc.low_streams.front()
                                         : pc.high_streams.front();
-    contexts_.push_back(cs);
   }
   SGPRS_CHECK(!contexts_.empty());
   sync_timers_.reserve(contexts_.size());

@@ -13,17 +13,20 @@ SgprsScheduler::SgprsScheduler(gpu::Executor& exec,
                                metrics::Collector& collector, SgprsConfig cfg)
     : exec_(exec), collector_(collector), cfg_(cfg), rng_(cfg.rng_seed) {
   SGPRS_CHECK(cfg_.max_in_flight_per_task >= 1);
+  // Sized once: the pool is fixed for the scheduler's lifetime.
+  contexts_.reserve(pool.contexts().size());
   for (const auto& pc : pool.contexts()) {
-    CtxState cs;
+    CtxState& cs = contexts_.emplace_back();
     cs.ctx = pc.ctx;
     cs.sm_limit = pc.sm_limit;
+    cs.high_slots.reserve(pc.high_streams.size());
     for (auto s : pc.high_streams) {
       cs.high_slots.push_back(Slot{s, false, SimTime{}});
     }
+    cs.low_slots.reserve(pc.low_streams.size());
     for (auto s : pc.low_streams) {
       cs.low_slots.push_back(Slot{s, false, SimTime{}});
     }
-    contexts_.push_back(std::move(cs));
   }
   SGPRS_CHECK_MSG(!contexts_.empty(), "SGPRS needs a context pool");
 }

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <filesystem>
 #include <memory>
+#include <optional>
 
 #include "cluster/cluster.hpp"
 #include "cluster/placement.hpp"
@@ -154,7 +155,9 @@ GeneratorSpec parse_generator(const JsonValue& v, const std::string& path) {
 }
 
 /// The base config's rules, each reported at its spec field.
-void validate_base(const ScenarioConfig& cfg) {
+/// `scale_device` is the device the autoscaler adds, if it adds any.
+void validate_base(const ScenarioConfig& cfg,
+                   const std::optional<gpu::DeviceSpec>& scale_device) {
   // Explicit per-context SM limits replace pool.contexts, but only on the
   // SGPRS path (the naive pool stays uniform and ignores them).
   const bool explicit_pool =
@@ -163,9 +166,11 @@ void validate_base(const ScenarioConfig& cfg) {
     bad("spec.pool.contexts", "must be >= 1");
   }
   // Each context needs at least one SM of every device it is carved from,
-  // and cannot hold more SMs than the smallest of them has.
+  // the autoscaler's included, and cannot hold more SMs than the smallest
+  // of them has.
   int min_sms = cfg.device.total_sms;
   for (const auto& d : cfg.fleet) min_sms = std::min(min_sms, d.total_sms);
+  if (scale_device) min_sms = std::min(min_sms, scale_device->total_sms);
   if (cfg.num_contexts > min_sms) {
     bad("spec.pool.contexts", "must be <= " + std::to_string(min_sms) +
                                   ", the device's SM count (each context "
@@ -380,7 +385,14 @@ void validate(const ScenarioSpec& spec) {
     }
     fleet::validate_stream(e, path, fleet::StreamRole::kTaskEntry);
   }
-  validate_base(spec.base);
+  // An unknown autoscaler device is validate_fleet_policy's error.
+  std::optional<gpu::DeviceSpec> scale_device;
+  if (spec.fleet_policy && spec.fleet_policy->autoscaler.kind !=
+                               fleet::AutoscalePolicyKind::kNone) {
+    const std::string& name = spec.fleet_policy->autoscaler.device;
+    if (!name.empty()) scale_device = gpu::device_by_name(name);
+  }
+  validate_base(spec.base, scale_device);
 
   if (spec.timeline) {
     fleet::validate_timeline(*spec.timeline, "spec.timeline",

@@ -1,6 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
+#include "cluster/cluster.hpp"
 #include "metrics/fleet.hpp"
+#include "workload/scenario.hpp"
 #include "workload/spec.hpp"
 
 namespace sgprs {
@@ -26,19 +32,30 @@ metrics::DeviceReport device_report(int index, int sms, int tasks,
   d.snapshot.p50_latency_ms = mean_ms;
   d.snapshot.p99_latency_ms = 2.0 * mean_ms;
   d.snapshot.max_latency_ms = 3.0 * mean_ms;
-  // The rollup derives fleet latency from merged histograms, not from the
-  // scalar fields above: one sample per completed frame, all at mean_ms.
-  for (std::int64_t i = 0; i < on_time + late; ++i) {
-    d.snapshot.latency_hist_ms.add(mean_ms);
-  }
   d.utilization = util;
   return d;
+}
+
+/// Folds one device's latency distribution into `fleet`: one sample per
+/// completed frame, all at `mean_ms`.
+void fold_latency(common::Histogram& fleet, const metrics::DeviceReport& d,
+                  double mean_ms) {
+  common::Histogram device;
+  for (std::int64_t i = 0; i < d.snapshot.counts.completed(); ++i) {
+    device.add(mean_ms);
+  }
+  fleet.merge(device);
 }
 
 TEST(FleetRollup, CountsAndRatesSumAcrossDevices) {
   const auto a = device_report(0, 68, 4, 90, 10, 0, 100.0, 10.0, 0.5);
   const auto b = device_report(1, 82, 6, 180, 0, 20, 180.0, 20.0, 0.25);
-  const auto fleet = metrics::roll_up({a, b}, /*tasks_rejected=*/3);
+  // The rollup derives fleet latency from the merged distributions, not
+  // from the rows' scalar latency fields.
+  common::Histogram latency;
+  fold_latency(latency, a, 10.0);
+  fold_latency(latency, b, 20.0);
+  const auto fleet = metrics::roll_up({a, b}, latency, /*tasks_rejected=*/3);
 
   EXPECT_EQ(fleet.fleet.counts.on_time, 270);
   EXPECT_EQ(fleet.fleet.counts.late, 10);
@@ -62,10 +79,185 @@ TEST(FleetRollup, CountsAndRatesSumAcrossDevices) {
 }
 
 TEST(FleetRollup, EmptyFleetIsAllZero) {
-  const auto fleet = metrics::roll_up({}, 0);
+  const auto fleet = metrics::roll_up({}, common::Histogram{}, 0);
   EXPECT_DOUBLE_EQ(fleet.fleet.fps, 0.0);
   EXPECT_DOUBLE_EQ(fleet.fleet.dmr, 0.0);
   EXPECT_DOUBLE_EQ(fleet.mean_utilization, 0.0);
+}
+
+// --- fleet_report against the report built the way it was before rows
+// were read in place: each device's records merged into one, with a
+// materialised histogram read by two quantile walks, and the device
+// histograms merged into the fleet's in device order.
+
+void expect_same(const metrics::Snapshot& got, const metrics::Snapshot& want,
+                 const std::string& what) {
+  SCOPED_TRACE(what);
+  EXPECT_EQ(got.counts.released, want.counts.released);
+  EXPECT_EQ(got.counts.dropped, want.counts.dropped);
+  EXPECT_EQ(got.counts.on_time, want.counts.on_time);
+  EXPECT_EQ(got.counts.late, want.counts.late);
+  EXPECT_EQ(got.fps, want.fps);
+  EXPECT_EQ(got.fps_on_time, want.fps_on_time);
+  EXPECT_EQ(got.dmr, want.dmr);
+  EXPECT_EQ(got.mean_latency_ms, want.mean_latency_ms);
+  EXPECT_EQ(got.p50_latency_ms, want.p50_latency_ms);
+  EXPECT_EQ(got.p99_latency_ms, want.p99_latency_ms);
+  EXPECT_EQ(got.max_latency_ms, want.max_latency_ms);
+}
+
+/// Compares `c.fleet_report(end)` with the oracle, on every row and fleet
+/// field; `col` is the collector `c` reduced into. Returns how many rows
+/// held more than one stream (-1 when the row count is wrong).
+int expect_report_matches_oracle(const cluster::Cluster& c,
+                                 const metrics::Collector& col, SimTime end) {
+  const metrics::FleetReport got = c.fleet_report(end);
+  EXPECT_EQ(static_cast<int>(got.devices.size()), c.num_devices());
+  if (static_cast<int>(got.devices.size()) != c.num_devices()) return -1;
+  common::Histogram fleet_latency;
+  metrics::Snapshot fleet;
+  double weighted_util = 0.0;
+  double total_sms = 0.0;
+  int tasks_assigned = 0;
+  int multi_stream_rows = 0;
+  for (int i = 0; i < c.num_devices(); ++i) {
+    const cluster::Cluster::Device& dev = c.device(i);
+    std::vector<int> ids;
+    for (const auto& t : dev.tasks) {
+      if (std::find(dev.moved_away.begin(), dev.moved_away.end(), t.id) ==
+          dev.moved_away.end()) {
+        ids.push_back(t.id);
+      }
+    }
+    // The device's records merged one by one into a histogram of its own.
+    common::Histogram device_latency;
+    int records = 0;
+    for (int id : ids) {
+      if (!col.has_task(id)) continue;
+      ++records;
+      col.aggregate_tasks({id}, end, &device_latency);
+    }
+    multi_stream_rows += records > 1 ? 1 : 0;
+    metrics::Snapshot row = col.aggregate_tasks(ids, end);
+    row.p50_latency_ms = device_latency.quantile(0.50);
+    row.p99_latency_ms = device_latency.quantile(0.99);
+    row.max_latency_ms = device_latency.max();
+    const metrics::DeviceReport& r = got.devices[i];
+    expect_same(r.snapshot, row, "device " + std::to_string(i));
+    const metrics::DeviceReport alone = c.device_report(i, end);
+    expect_same(alone.snapshot, row, "device_report " + std::to_string(i));
+    EXPECT_EQ(r.device_index, i);
+    EXPECT_EQ(r.device_name, c.device_spec(i).name);
+    EXPECT_EQ(r.total_sms, c.device_spec(i).total_sms);
+    EXPECT_EQ(r.tasks_assigned, static_cast<int>(ids.size()));
+    EXPECT_EQ(r.busy_sm_seconds, alone.busy_sm_seconds);
+    EXPECT_EQ(r.utilization, alone.utilization);
+
+    fleet_latency.merge(device_latency);
+    fleet.counts.released += row.counts.released;
+    fleet.counts.dropped += row.counts.dropped;
+    fleet.counts.on_time += row.counts.on_time;
+    fleet.counts.late += row.counts.late;
+    fleet.fps += row.fps;
+    fleet.fps_on_time += row.fps_on_time;
+    weighted_util += static_cast<double>(r.total_sms) * r.utilization;
+    total_sms += static_cast<double>(r.total_sms);
+    tasks_assigned += r.tasks_assigned;
+  }
+  const auto closed = fleet.counts.closed();
+  fleet.dmr = closed == 0 ? 0.0
+                          : static_cast<double>(fleet.counts.late +
+                                                fleet.counts.dropped) /
+                                static_cast<double>(closed);
+  if (!fleet_latency.empty()) {
+    fleet.mean_latency_ms = fleet_latency.mean();
+    fleet.p50_latency_ms = fleet_latency.quantile(0.50);
+    fleet.p99_latency_ms = fleet_latency.quantile(0.99);
+    fleet.max_latency_ms = fleet_latency.max();
+  }
+  EXPECT_GT(got.fleet.counts.completed(), 0);
+  expect_same(got.fleet, fleet, "fleet");
+  EXPECT_EQ(got.mean_utilization,
+            total_sms > 0.0 ? weighted_util / total_sms : 0.0);
+  EXPECT_EQ(got.tasks_assigned, tasks_assigned);
+  int oom = 0;
+  for (const auto& rej : c.rejected()) oom += rej.oom ? 1 : 0;
+  EXPECT_EQ(got.tasks_rejected, static_cast<int>(c.rejected().size()));
+  EXPECT_EQ(got.tasks_oom_rejected, oom);
+  // The dynamic report's rows are the same rows, built with no fold.
+  const auto rows = c.device_reports(end, nullptr);
+  EXPECT_EQ(rows.size(), got.devices.size());
+  for (std::size_t i = 0; i < std::min(rows.size(), got.devices.size()); ++i) {
+    expect_same(rows[i].snapshot, got.devices[i].snapshot,
+                "unfolded row " + std::to_string(i));
+  }
+  return multi_stream_rows;
+}
+
+/// A cluster of `spec`'s base config with its task set placed and started.
+struct StaticRun {
+  explicit StaticRun(const workload::ScenarioSpec& spec)
+      : base(workload::lower(spec)),
+        collector(base.warmup),
+        fleet(engine, collector, workload::cluster_config_for(base)) {
+    fleet.place(workload::task_builder_for(spec)(base, fleet.pool_sm_sizes()));
+    rt::RunnerConfig run;
+    run.duration = base.duration;
+    run.jitter_seed = base.seed;
+    fleet.start(run);
+  }
+  workload::ScenarioConfig base;
+  sim::Engine engine;
+  metrics::Collector collector;
+  cluster::Cluster fleet;
+};
+
+workload::ScenarioSpec base_spec(workload::SchedulerKind kind, int tasks);
+
+TEST(FleetReportOracle, StaticFleetWithMultiStreamDevices) {
+  // Three devices of two specs, 20 streams round-robin: every row holds
+  // several streams, read across their histograms.
+  auto spec = base_spec(workload::SchedulerKind::kSgprs, 20);
+  spec.fleet_mode = true;
+  spec.base.fleet = {gpu::rtx2080ti(), gpu::rtx3090(), gpu::rtx2080ti()};
+  spec.base.placement = cluster::PlacementPolicy::kRoundRobin;
+  spec.base.admission_margin = 0.0;
+  StaticRun run(spec);
+  run.fleet.run_until(run.base.duration);
+  run.fleet.reduce();
+  EXPECT_EQ(expect_report_matches_oracle(run.fleet, run.collector,
+                                         run.base.duration),
+            3);
+}
+
+TEST(FleetReportOracle, FlakyFleetWithMovedStreams) {
+  // flaky_fleet's devices and initial streams, with its failover's moves
+  // made by hand: device 0's streams are re-placed (their history forgotten
+  // at the source) onto the other two mid-run, and some return later, so
+  // a stream's records span devices and merge at reduce().
+  const auto spec = workload::load_scenario_spec(
+      std::string(SGPRS_SOURCE_DIR) + "/scenarios/flaky_fleet.json");
+  StaticRun run(spec);
+  const SimTime end = run.base.duration;
+  auto move_all = [&](int from, std::vector<int> to) {
+    std::vector<rt::Task> moved;
+    for (const auto& t : run.fleet.device(from).tasks) {
+      if (run.fleet.retire_task(from, t.id, /*forget_metrics=*/true)) {
+        moved.push_back(t);
+      }
+    }
+    for (std::size_t k = 0; k < moved.size(); ++k) {
+      run.fleet.admit_task(to[k % to.size()], moved[k]);
+    }
+    return static_cast<int>(moved.size());
+  };
+  run.fleet.run_until(SimTime::from_sec(1.0));
+  EXPECT_GT(move_all(0, {1, 2}), 0);
+  run.fleet.run_until(SimTime::from_sec(2.0));
+  EXPECT_GT(move_all(1, {0}), 0);
+  run.fleet.run_until(end);
+  run.fleet.reduce();
+  EXPECT_GE(expect_report_matches_oracle(run.fleet, run.collector, end), 1);
 }
 
 workload::ScenarioSpec base_spec(workload::SchedulerKind kind, int tasks) {

@@ -1,6 +1,6 @@
 // Device-class memos: a cluster keeps one gpu::DeviceClassMemo per
-// (shard, device type) and attaches it to every executor of that type on
-// the shard; a memo never serves an executor of another class.
+// (shard, device type) and builds every executor of that type on the shard
+// from it; a memo never serves an executor of another class.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -139,41 +139,45 @@ struct Device {
   gpu::ContextPool pool;
 };
 
-TEST(DeviceClassMemo, AttachingAMemoOfAnotherClassFailsTheCheck) {
-  Device reference;
-  gpu::DeviceClassMemo memo(reference.exec.device_class());
+TEST(DeviceClassMemo, LayoutsOfAnotherSpecPoolOrSharingAreAnotherClass) {
+  // A device type's class comes from its pool layout; any input that
+  // changes a memo entry gives another class, so another memo.
+  const gpu::DeviceClass reference = Device().exec.device_class();
+  EXPECT_EQ(Device().exec.device_class(), reference);
 
-  Device same;
-  same.exec.attach_memo(memo);  // same class: accepted
-
-  Device other_spec(gpu::rtx3090());
-  EXPECT_THROW(other_spec.exec.attach_memo(memo), common::CheckError);
+  EXPECT_NE(Device(gpu::rtx3090()).exec.device_class(), reference);
 
   gpu::ContextPoolConfig three = Device::paper_pool();
   three.num_contexts = 3;
-  Device other_pool(gpu::rtx2080ti(), three);
-  EXPECT_THROW(other_pool.exec.attach_memo(memo), common::CheckError);
+  EXPECT_NE(Device(gpu::rtx2080ti(), three).exec.device_class(), reference);
 
   gpu::ContextPoolConfig one_low = Device::paper_pool();
   one_low.low_streams_per_context = 1;
-  Device other_streams(gpu::rtx2080ti(), one_low);
-  EXPECT_THROW(other_streams.exec.attach_memo(memo), common::CheckError);
+  EXPECT_NE(Device(gpu::rtx2080ti(), one_low).exec.device_class(), reference);
 
   gpu::SharingParams strict;
   strict.interference_gamma = 0.0;
-  Device other_sharing(gpu::rtx2080ti(), Device::paper_pool(), strict);
-  EXPECT_THROW(other_sharing.exec.attach_memo(memo), common::CheckError);
+  EXPECT_NE(
+      Device(gpu::rtx2080ti(), Device::paper_pool(), strict).exec.device_class(),
+      reference);
 }
 
-TEST(DeviceClassMemo, ContextsAndStreamsAreFixedOnceAttached) {
+TEST(DeviceClassMemo, ContextsAndStreamsAreFixedOnAMemoBuiltExecutor) {
   Device reference;
   gpu::DeviceClassMemo memo(reference.exec.device_class());
-  Device dev;
-  dev.exec.attach_memo(memo);
-  EXPECT_THROW(dev.exec.create_context(10), common::CheckError);
-  EXPECT_THROW(dev.exec.create_stream(0, gpu::StreamPriority::kHigh),
+  sim::Engine engine;
+  gpu::Executor exec(engine, memo);
+  EXPECT_EQ(exec.device_class(), reference.exec.device_class());
+  EXPECT_EQ(exec.context_count(), reference.exec.context_count());
+  EXPECT_EQ(exec.stream_count(), reference.exec.stream_count());
+  for (gpu::StreamId s = 0; s < exec.stream_count(); ++s) {
+    EXPECT_EQ(exec.stream_context(s), reference.exec.stream_context(s));
+    EXPECT_EQ(exec.stream_priority(s), reference.exec.stream_priority(s));
+  }
+  EXPECT_THROW(exec.create_context(10), common::CheckError);
+  EXPECT_THROW(exec.create_stream(0, gpu::StreamPriority::kHigh),
                common::CheckError);
-  EXPECT_EQ(dev.exec.stream_count(), reference.exec.stream_count());
+  EXPECT_EQ(exec.stream_count(), reference.exec.stream_count());
 }
 
 }  // namespace

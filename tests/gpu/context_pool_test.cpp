@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -125,6 +126,56 @@ TEST_F(ContextPoolTest, SmLimitsMatchTheContextsARealPoolCreates) {
     EXPECT_EQ(ContextPool::sm_limits(spec.total_sms, explicit_cfg),
               real_limits(spec, explicit_cfg))
         << spec.name << ", explicit limits";
+  }
+}
+
+TEST_F(ContextPoolTest, MemoBuiltExecutorHasAStandaloneExecutorsClass) {
+  // A cluster lays a device type's pool out once, on no executor, and
+  // builds every executor of the type from the memo of the class that
+  // layout implies. That class, and the layout itself, must be what a
+  // standalone executor gets from creating the same pool on itself.
+  SharingParams sharing;
+  sharing.interference_gamma = 0.25;  // not the default: it is passed on
+  std::vector<ContextPoolConfig> cfgs;
+  for (int contexts : {1, 2, 3}) {
+    for (double oversub : {1.0, 1.5}) {
+      ContextPoolConfig cfg;
+      cfg.num_contexts = contexts;
+      cfg.oversubscription = oversub;
+      cfgs.push_back(cfg);
+    }
+  }
+  ContextPoolConfig explicit_cfg;
+  explicit_cfg.explicit_sm_limits = {40, 20, 68, 20};
+  explicit_cfg.high_streams_per_context = 1;
+  explicit_cfg.low_streams_per_context = 3;
+  cfgs.push_back(explicit_cfg);
+  for (const DeviceSpec& spec : {rtx2080ti(), rtx3090()}) {
+    for (const ContextPoolConfig& cfg : cfgs) {
+      SCOPED_TRACE(spec.name + ", " + std::to_string(cfg.num_contexts) +
+                   " contexts, oversub " + std::to_string(cfg.oversubscription) +
+                   (cfg.explicit_sm_limits.empty() ? "" : ", explicit"));
+      sim::Engine engine;
+      Executor standalone(engine, spec, SpeedupModel::rtx2080ti(), sharing);
+      const ContextPool created(standalone, cfg);
+
+      const ContextPool layout(spec.total_sms, cfg);
+      DeviceClassMemo memo(
+          layout.device_class(spec.total_sms, SpeedupModel::rtx2080ti(),
+                              sharing));
+      Executor built(engine, memo);
+      EXPECT_EQ(built.device_class(), standalone.device_class());
+      EXPECT_EQ(built.context_count(), standalone.context_count());
+      EXPECT_EQ(built.stream_count(), standalone.stream_count());
+
+      ASSERT_EQ(layout.size(), created.size());
+      for (int c = 0; c < layout.size(); ++c) {
+        EXPECT_EQ(layout.at(c).ctx, created.at(c).ctx);
+        EXPECT_EQ(layout.at(c).sm_limit, created.at(c).sm_limit);
+        EXPECT_EQ(layout.at(c).high_streams, created.at(c).high_streams);
+        EXPECT_EQ(layout.at(c).low_streams, created.at(c).low_streams);
+      }
+    }
   }
 }
 

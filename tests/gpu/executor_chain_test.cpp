@@ -190,17 +190,26 @@ struct Outcome {
 template <typename Exec>
 class Harness {
  public:
+  /// A gpu::Executor harness given `memo` is built from it, so the memo
+  /// must be of the plan's class (class_of).
   explicit Harness(const Plan& plan, bool traced = true,
-                   sim::Engine* shared = nullptr, bool bounded = false)
+                   sim::Engine* shared = nullptr, bool bounded = false,
+                   DeviceClassMemo* memo = nullptr)
       : plan_(plan),
         own_engine_(shared ? nullptr : std::make_unique<sim::Engine>()),
         engine_(shared ? *shared : *own_engine_),
-        exec_(engine_, rtx2080ti(), SpeedupModel::rtx2080ti(), plan.sharing) {
+        exec_(make_exec(engine_, plan, memo)) {
     if (traced) exec_.set_trace_sink(&trace_);
     if constexpr (std::is_same_v<Exec, Executor>) {
       if (bounded) exec_.set_input_bound([this] { return input_bound(); });
     }
     for (const auto& kernels : plan.programs) programs_.emplace_back(kernels);
+    if (memo) {
+      for (std::size_t s = 0; s < plan.streams.size(); ++s) {
+        streams_.push_back(static_cast<StreamId>(s));
+      }
+      return;
+    }
     for (int sms : plan.context_sms) exec_.create_context(sms);
     for (const auto& s : plan.streams) {
       streams_.push_back(exec_.create_stream(s.ctx, s.priority));
@@ -230,6 +239,16 @@ class Harness {
   }
 
   Exec& exec() { return exec_; }
+
+  /// The device class of an executor holding `plan`'s contexts and streams.
+  static DeviceClass class_of(const Plan& plan) {
+    DeviceClass cls{rtx2080ti().total_sms, SpeedupModel::rtx2080ti(),
+                    plan.sharing, plan.context_sms, {}};
+    for (const auto& s : plan.streams) {
+      cls.streams.push_back(DeviceClass::Stream{s.ctx, s.priority});
+    }
+    return cls;
+  }
 
   /// Schedules the plan (and `probe`) on the engine.
   void arm(Probe probe = Probe::kNone, std::int64_t probe_ns = -1,
@@ -270,6 +289,13 @@ class Harness {
   }
 
  private:
+  static Exec make_exec(sim::Engine& engine, const Plan& plan,
+                        DeviceClassMemo* memo) {
+    if constexpr (std::is_same_v<Exec, Executor>) {
+      if (memo) return Executor(engine, *memo);
+    }
+    return Exec(engine, rtx2080ti(), SpeedupModel::rtx2080ti(), plan.sharing);
+  }
   /// Schedules `fn` at `t_ns`, pending for the input bound until it fires.
   template <typename F>
   void at(std::int64_t t_ns, F fn) {
@@ -740,17 +766,13 @@ Plan plan_of_class(const Plan& cls, std::uint64_t seed) {
   return p;
 }
 
-/// Overflows `memo` from one more executor of `cls`'s class, on an engine
-/// of its own, until its solo-step table has started over and, when the
-/// class has streams enough to hold that many running sets, its share
-/// table too. Returns whether the share table started over.
-bool overflow_memo(const Plan& cls, DeviceClassMemo& memo,
-                   std::uint64_t seed) {
+/// Overflows `memo` from one more executor of its class, on an engine of
+/// its own, until its solo-step table has started over and, when the class
+/// has streams enough to hold that many running sets, its share table too.
+/// Returns whether the share table started over.
+bool overflow_memo(DeviceClassMemo& memo, std::uint64_t seed) {
   sim::Engine side;
-  Executor filler(side, rtx2080ti(), SpeedupModel::rtx2080ti(), cls.sharing);
-  for (int sms : cls.context_sms) filler.create_context(sms);
-  for (const auto& s : cls.streams) filler.create_stream(s.ctx, s.priority);
-  filler.attach_memo(memo);
+  Executor filler(side, memo);
   common::Rng rng(seed);
 
   // Each one-off batch queued behind a lone running kernel with no
@@ -813,22 +835,19 @@ TEST(ShareMemoDifferential, SharedMemoExecutorsMatchTheirOracles) {
     }
 
     sim::Engine engine;
+    DeviceClassMemo memo(Harness<Executor>::class_of(cls));
     std::vector<std::unique_ptr<Harness<Executor>>> shared;
     // Half the seeds step contended chains, each bounded by its own
     // harness's inputs.
     for (const Plan& plan : plans) {
       shared.push_back(std::make_unique<Harness<Executor>>(
-          plan, true, &engine, /*bounded=*/seed % 2 == 0));
-    }
-    DeviceClassMemo memo(shared.front()->exec().device_class());
-    for (auto& h : shared) {
-      h->exec().attach_memo(memo);
-      h->arm();
+          plan, true, &engine, /*bounded=*/seed % 2 == 0, &memo));
+      shared.back()->arm();
     }
     common::Rng rng(seed);
     const auto overflow_ns = static_cast<std::int64_t>(rng.uniform(0.0, 3e6));
     engine.schedule_at(SimTime::from_ns(overflow_ns), [&] {
-      share_resets += overflow_memo(cls, memo, seed) ? 1 : 0;
+      share_resets += overflow_memo(memo, seed) ? 1 : 0;
     });
     engine.run();
 

@@ -368,6 +368,22 @@ TEST(SpecValidate, BaseConfigErrorsSurfaceAsSpecErrors) {
   } catch (const SpecError& e) {
     EXPECT_EQ(e.path(), "spec.pool.contexts") << e.what();
   }
+  // Devices the autoscaler adds bound the pool too: 80 SMs fit the base
+  // 3090 but not the 2080 Ti the autoscaler would add (a CHECK abort in
+  // the pool when that device was built).
+  spec = parse(kTinyMixed);
+  spec.base.device = gpu::rtx3090();
+  spec.base.context_sms = {80, 40};
+  EXPECT_NO_THROW(validate(spec));
+  spec.fleet_policy = fleet::FleetPolicySpec{};
+  spec.fleet_policy->autoscaler.kind = fleet::AutoscalePolicyKind::kUtilization;
+  spec.fleet_policy->autoscaler.device = "2080ti";
+  try {
+    validate(spec);
+    FAIL() << "expected SpecError";
+  } catch (const SpecError& e) {
+    EXPECT_EQ(e.path(), "spec.pool.context_sms[0]") << e.what();
+  }
   // A mistyped fleet size fails before any device is allocated.
   spec = parse(kTinyMixed);
   spec.fleet_mode = true;

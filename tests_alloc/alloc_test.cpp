@@ -6,7 +6,7 @@
 // contended chain — touches no allocator. A lone stream running shared stage programs replays them
 // from the solo-step memo, so once each program has run, dispatching a
 // stage and its chain event touch no allocator either. Both memos belong
-// to the device class, so an executor attached to a memo another executor
+// to the device class, so an executor built from a memo another executor
 // of its class warmed allocates nothing from its first event on. A stream
 // cloned from a prototype shares its rt::TaskClass, so cloning one and
 // admitting it allocates only name buffers and admission-list growth.
@@ -291,11 +291,13 @@ TEST(SoloChainAllocations, ProgramStagesOnALoneStreamAllocateNothing) {
 
 /// The paper's pool on `exec`: 2 contexts at over-subscription 1.5, two
 /// high- and two low-priority streams each.
-ContextPool paper_pool(Executor& exec) {
+/// The paper's pool (2 contexts at over-subscription 1.5) on a 2080 Ti,
+/// laid out on no executor.
+ContextPool paper_pool() {
   ContextPoolConfig cfg;
   cfg.num_contexts = 2;
   cfg.oversubscription = 1.5;
-  return ContextPool(exec, cfg);
+  return ContextPool(rtx2080ti().total_sms, cfg);
 }
 
 /// One frame of `stages` on every stream in `streams`, queued up front;
@@ -313,7 +315,7 @@ void queue_frame(Executor& exec, const std::vector<StreamId>& streams,
 TEST(DeviceClassMemoAllocations, ExecutorJoiningAWarmMemoAllocatesNothing) {
   // Executor `a` warms a shared memo with one frame on a lone stream (solo
   // chains), then one frame on all eight streams (contended completions).
-  // Executor `b`, of the same class and attached to the same memo, then
+  // Executor `b`, of the same class and built from the same memo, then
   // replays both: every lookup hits, and its events allocate nothing.
   const dnn::Network net = dnn::resnet18();
   const dnn::CostModel cost = dnn::CostModel::calibrated();
@@ -324,14 +326,12 @@ TEST(DeviceClassMemoAllocations, ExecutorJoiningAWarmMemoAllocatesNothing) {
   }
 
   sim::Engine engine;
-  Executor a(engine, rtx2080ti(), SpeedupModel::rtx2080ti(), SharingParams{});
-  Executor b(engine, rtx2080ti(), SpeedupModel::rtx2080ti(), SharingParams{});
-  const ContextPool pool_a = paper_pool(a);
-  const ContextPool pool_b = paper_pool(b);
-  DeviceClassMemo memo(a.device_class());
-  a.attach_memo(memo);
-  b.attach_memo(memo);
-  const std::vector<StreamId> lone = {pool_a.at(0).low_streams.front()};
+  const ContextPool pool = paper_pool();
+  DeviceClassMemo memo(pool.device_class(
+      rtx2080ti().total_sms, SpeedupModel::rtx2080ti(), SharingParams{}));
+  Executor a(engine, memo);
+  Executor b(engine, memo);
+  const std::vector<StreamId> lone = {pool.at(0).low_streams.front()};
   std::vector<StreamId> every;
   for (StreamId s = 0; s < a.stream_count(); ++s) every.push_back(s);
   const std::vector<StreamId>& all = every;
@@ -487,6 +487,34 @@ TEST(DeviceSpecAllocations, AFleetOfOneSpecHoldsOneCopyOfIt) {
       << "spec copies adding a device of a known spec";
   g_watched_size = 0;
   EXPECT_EQ(fleet.device_spec(kDevices).name, spec.name);
+}
+
+TEST(DeviceBuildAllocations, DevicesAreBuiltFromTheirTypeInFewAllocations) {
+  // Each device of a known type takes the type's pool layout and its
+  // shard's memo, so building it allocates only its own executor state,
+  // scheduler and collector: no pool, no class, no memo of its own.
+  constexpr int kDevices = 64;
+  constexpr std::size_t kPerDevice = 20;
+  ClusterConfig cfg;
+  cfg.devices.assign(kDevices, gpu::rtx2080ti());
+  cfg.placement = PlacementPolicy::kHashAffinity;
+  cfg.admission_margin = 0.0;
+  cfg.pool.num_contexts = 2;
+  cfg.pool.oversubscription = 1.5;
+  sim::Engine engine;
+  metrics::Collector collector;
+
+  std::size_t before = g_allocations;
+  Cluster fleet(engine, collector, std::move(cfg));
+  const std::size_t built = g_allocations - before;
+  EXPECT_LE(built, kPerDevice * kDevices)
+      << "allocations building a " << kDevices << "-device cluster ("
+      << static_cast<double>(built) / kDevices << " per device)";
+  before = g_allocations;
+  fleet.add_device(gpu::rtx2080ti());
+  EXPECT_LE(g_allocations - before, kPerDevice)
+      << "allocations adding a device of a known type";
+  EXPECT_EQ(fleet.memo_count(), 1u);
 }
 
 }  // namespace
