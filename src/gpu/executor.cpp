@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <optional>
 
 #include "common/check.hpp"
 
@@ -40,6 +41,11 @@ std::uint64_t share_term(std::size_t sid, std::uint8_t b) {
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
   return z ^ (z >> 31);
+}
+
+// The share-memo key byte of a stream running a kernel of class `op`.
+std::uint8_t key_byte(OpClass op) {
+  return static_cast<std::uint8_t>(static_cast<unsigned>(op) + 1);
 }
 
 // The hash of a stored share-memo key: what the executor keeps in place.
@@ -143,8 +149,8 @@ void Executor::size_scratch() {
   running_.assign(running_words_ + (n + 7) / 8, 0);
   key_hash_ = 0;
   for (StreamId sid = 0; sid < stream_count(); ++sid) {
-    const auto& run = streams_[sid].running;
-    if (run) mark_running(sid, run->desc->op);
+    const Running& run = streams_[sid].running;
+    if (run.desc) mark_running(sid, run.desc->op);
   }
   callbacks_.reserve(n);
 }
@@ -191,7 +197,7 @@ std::size_t Executor::stream_queue_length(StreamId s) {
 bool Executor::stream_busy(StreamId s) {
   SGPRS_CHECK(s >= 0 && s < stream_count());
   settle();
-  return streams_[s].running.has_value() || !streams_[s].queue.empty();
+  return streams_[s].running.desc || !streams_[s].queue.empty();
 }
 
 int Executor::running_kernel_count() {
@@ -219,13 +225,13 @@ double Executor::busy_sm_seconds() {
 SimTime Executor::running_remaining(StreamId s) {
   SGPRS_CHECK(s >= 0 && s < stream_count());
   settle();
-  const auto& run = streams_[s].running;
-  if (!run) return SimTime::max();
+  const Running& run = streams_[s].running;
+  if (!run.desc) return SimTime::max();
   const double elapsed = (engine_.now() - last_update_).to_sec();
-  double rem_over = std::max(0.0, run->rem_overhead - elapsed);
-  double consumed = std::max(0.0, elapsed - run->rem_overhead);
-  double rem_work = std::max(0.0, run->rem_work - consumed * run->rate);
-  const double rate = run->rate > 0.0 ? run->rate : 1e-9;
+  double rem_over = std::max(0.0, run.rem_overhead - elapsed);
+  double consumed = std::max(0.0, elapsed - run.rem_overhead);
+  double rem_work = std::max(0.0, run.rem_work - consumed * run.rate);
+  const double rate = run.rate > 0.0 ? run.rate : 1e-9;
   return SimTime::from_sec(rem_over + rem_work / rate);
 }
 
@@ -263,7 +269,7 @@ void Executor::submit(StreamId stream, const KernelProgram* program,
   e.next = 0;
   e.tag = tag;
   e.on_done = std::move(on_done);
-  if (!s.running) {
+  if (!s.running.desc) {
     start_if_idle(stream);
     return;
   }
@@ -278,7 +284,7 @@ void Executor::submit(StreamId stream, const KernelProgram* program,
 }
 
 void Executor::start_if_idle(StreamId stream) {
-  if (streams_[stream].running) return;
+  if (streams_[stream].running.desc) return;
   // Starting a second stream ends any solo chain: settle it up to now.
   catch_up(engine_.now());
   advance_progress(engine_.now());
@@ -314,7 +320,7 @@ void Executor::advance_progress(SimTime to) {
   last_update_ = to;
   if (elapsed <= 0.0) return;
   for_each_running(
-      [&](StreamId sid) { advance_kernel(*streams_[sid].running, elapsed); });
+      [&](StreamId sid) { advance_kernel(streams_[sid].running, elapsed); });
 }
 
 Executor::Progress Executor::progress(Running& r, double elapsed) {
@@ -342,36 +348,50 @@ void Executor::advance_kernel(Running& r, double elapsed) {
 
 void Executor::start_next(StreamId sid, SimTime at) {
   Stream& s = streams_[sid];
-  SGPRS_CHECK(!s.running);
+  SGPRS_CHECK(!s.running.desc);
   if (s.queue.empty()) return;
+  load_next(sid, at);
+  ++running_count_;
+  ++contexts_[s.ctx].running_count;
+  mark_running(sid, s.running.desc->op);
+}
+
+void Executor::load_next(StreamId sid, SimTime at) {
+  Stream& s = streams_[sid];
   Entry& e = s.queue.front();
   const KernelDesc& k = e.program->kernels()[e.next];
-  Running& r = s.running.emplace();
+  Running& r = s.running;
   r.desc = &k;
   r.tag = e.tag_of(k);
   r.rem_overhead = k.overhead_seconds;
   r.rem_work = k.work_sm_seconds;
+  r.rate = 0.0;
+  r.granted_sms = 0.0;
+  // The record's callback is already empty: its last holder moved it out
+  // or stop_running dropped it. Replacing `owned` releases the program of
+  // the kernel this one succeeds.
   if (++e.next == e.program->size()) {
     r.on_done = std::move(e.on_done);
     r.owned = std::move(e.owned);
     s.queue.pop_front();
+  } else {
+    r.owned.reset();
   }
-  ++running_count_;
-  ++contexts_[s.ctx].running_count;
-  mark_running(sid, k.op);
   if (trace_) trace_->on_kernel_start(at, s.ctx, sid, traced(k, r.tag));
 }
 
 void Executor::mark_running(StreamId sid, OpClass op) {
   running_[sid / 64] |= std::uint64_t{1} << (sid % 64);
   std::uint8_t& b = key()[sid];
-  b = static_cast<std::uint8_t>(static_cast<unsigned>(op) + 1);
+  b = key_byte(op);
   key_hash_ ^= share_term(sid, b);
 }
 
 void Executor::stop_running(StreamId sid) {
   Stream& s = streams_[sid];
-  s.running.reset();
+  s.running.desc = nullptr;
+  s.running.on_done = nullptr;
+  s.running.owned.reset();
   --running_count_;
   --contexts_[s.ctx].running_count;
   running_[sid / 64] &= ~(std::uint64_t{1} << (sid % 64));
@@ -431,7 +451,7 @@ SimTime Executor::contended_boundary() {
   const ShareGrant* grants = contended_grants();
   double min_finish = std::numeric_limits<double>::infinity();
   for_each_running([&](StreamId sid) {
-    Running& r = *streams_[sid].running;
+    Running& r = streams_[sid].running;
     r.rate = grants[sid].rate;
     r.granted_sms = grants[sid].sms;
     SGPRS_CHECK(r.rate > 0.0);
@@ -499,7 +519,7 @@ const ShareGrant* Executor::contended_grants() {
   for_each_running([&](StreamId sid) {
     const Stream& s = streams_[sid];
     reqs.push_back(
-        ShareRequest{s.ctx, priority_weight(s.priority), s.running->desc->op});
+        ShareRequest{s.ctx, priority_weight(s.priority), s.running.desc->op});
   });
   const DeviceClass& cls = m.cls_;
   const auto grants = compute_shares(cls.speedup, cls.total_sms,
@@ -534,7 +554,7 @@ void Executor::arm_solo_chain(StreamId sid) {
   // boundary is skipped, and catch_up() replays it when needed. A queued
   // entry adds its memoised remaining duration.
   Stream& s = streams_[sid];
-  Running& r = *s.running;
+  Running& r = s.running;
   const ShareGrant g = solo_grant(s, r.desc->op);
   r.rate = g.rate;
   r.granted_sms = g.sms;
@@ -646,8 +666,8 @@ int Executor::catch_up(SimTime now) {
   // happened to fire the foreign event first. A kernel that also *starts*
   // at `now` stays: the per-kernel path would end it only at a fresh
   // zero-delay event, behind everything already pending at `now`.
-  while (s.running && !s.running->on_done && last_update_ < now) {
-    Running& r = *s.running;
+  Running& r = s.running;
+  while (r.desc && !r.on_done && last_update_ < now) {
     const SimTime end =
         last_update_ + finish_delay(r.rem_overhead + r.rem_work / r.rate);
     if (end > now) break;
@@ -666,14 +686,14 @@ int Executor::catch_up(SimTime now) {
     // and start_next materialises the one the chain stops at.
     retired += retire_queued(sid, now);
     start_next(sid, last_update_);
-    if (s.running) {
-      const ShareGrant g = solo_grant(s, s.running->desc->op);
-      s.running->rate = g.rate;
-      s.running->granted_sms = g.sms;
+    if (r.desc) {
+      const ShareGrant g = solo_grant(s, r.desc->op);
+      r.rate = g.rate;
+      r.granted_sms = g.sms;
     }
   }
   // A chain that ran dry leaves its pending event nothing to end.
-  if (!s.running) cancel_completion();
+  if (!r.desc) cancel_completion();
   return retired;
 }
 
@@ -749,19 +769,33 @@ void Executor::on_held_callbacks() {
 }
 
 int Executor::retire_finished(SimTime at) {
-  // start_next touches only its own stream, so one pass in stream order
-  // retires what a collect-then-retire pass would.
+  // Starting a successor touches only its own stream, so one pass in
+  // stream order retires what a collect-then-retire pass would.
   int finished = 0;
   for_each_running([&](StreamId sid) {
     Stream& s = streams_[sid];
-    Running& r = *s.running;
+    Running& r = s.running;
     if (r.rem_overhead > 0.0 || r.rem_work > kWorkEpsilon) return;
     work_done_ += r.rem_work;  // residue below epsilon
     if (trace_) trace_->on_kernel_end(at, s.ctx, sid, traced(*r.desc, r.tag));
     if (r.on_done) callbacks_.push_back(std::move(r.on_done));
-    stop_running(sid);
-    start_next(sid, at);
     ++finished;
+    if (s.queue.empty()) {
+      stop_running(sid);
+      return;
+    }
+    // The successor takes the record in place: the stream stays in the
+    // running set and both counts, and its key byte changes only with the
+    // op class. The op is read before load_next may release the program
+    // that holds the finished kernel.
+    const OpClass op = r.desc->op;
+    load_next(sid, at);
+    if (r.desc->op != op) {
+      std::uint8_t& b = key()[sid];
+      key_hash_ ^= share_term(sid, b);
+      b = key_byte(r.desc->op);
+      key_hash_ ^= share_term(sid, b);
+    }
   });
   return finished;
 }

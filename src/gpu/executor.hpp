@@ -79,7 +79,6 @@
 #include <bit>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "common/inplace_function.hpp"
@@ -222,11 +221,15 @@ class Executor {
     }
   };
 
+  // A stream's running kernel, kept in the stream: loading the next
+  // kernel overwrites the fields, so a kernel boundary builds and destroys
+  // nothing.
   struct Running {
-    const KernelDesc* desc = nullptr;  // inside its entry's program
+    // Inside its entry's program; null while the stream is idle.
+    const KernelDesc* desc = nullptr;
     std::uint64_t tag = 0;
     // The entry's callback and owned program move here with its last
-    // kernel, when the entry leaves the queue.
+    // kernel, when the entry leaves the queue; stop_running drops them.
     CompletionFn on_done;
     std::unique_ptr<const KernelProgram> owned;
     double rem_overhead = 0.0;  // seconds at unit rate
@@ -262,7 +265,7 @@ class Executor {
     ContextId ctx;
     StreamPriority priority;
     EntryQueue queue;
-    std::optional<Running> running;  // empty when idle
+    Running running;  // running.desc is null when idle
   };
 
   struct Context {
@@ -318,16 +321,20 @@ class Executor {
   const SoloStep* solo_steps(const Stream& s, const KernelProgram& program);
   // The kernel as the trace sink sees it: `k` under `tag`.
   const KernelDesc& traced(const KernelDesc& k, std::uint64_t tag);
-  // Starts the stream's next queued kernel at `at`.
+  // Starts the idle stream's next queued kernel at `at`.
   void start_next(StreamId s, SimTime at);
+  // Loads the stream's next queued kernel (the queue is not empty) into
+  // its running record at `at`; start_next and an in-place successor share
+  // it.
+  void load_next(StreamId s, SimTime at);
   // Drops the pending completion event, solo chain or not.
   void cancel_completion();
   void on_completion_event();
   // The event a stepped boundary posts for the callbacks it holds.
   void on_held_callbacks();
   // Retires every running kernel that has finished at `at` and starts its
-  // stream's successor, collecting callbacks into callbacks_; returns how
-  // many it retired.
+  // stream's successor in place, collecting callbacks into callbacks_;
+  // returns how many it retired.
   int retire_finished(SimTime at);
   // Sizes running_ and callbacks_ to the stream count and fills the set
   // and key from the streams' running kernels.
@@ -335,7 +342,8 @@ class Executor {
   // Adds a stream running a kernel of class `op` to the running set and
   // the key.
   void mark_running(StreamId sid, OpClass op);
-  // Drops the stream's running kernel from the running set and the key.
+  // Drops the stream's running kernel from the running set and the key,
+  // with any callback or owned program it still holds.
   void stop_running(StreamId sid);
   // Calls f(sid) for every stream in the running set, in stream order. A
   // word is read once, so f may retire and restart the stream it is given.

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -285,6 +286,113 @@ TEST_F(ExecutorTest, TraceSinkSeesStartAndEnd) {
   EXPECT_EQ(rec.events[3].first, 'e');
   EXPECT_EQ(rec.events[1].second, rec.events[2].second)
       << "next kernel starts when the previous ends";
+}
+
+// Callbacks that hold a shared sentinel: once the executor has fired or
+// dropped every one, the test holds the only reference. Each stream gets a
+// shared program, an owned batch and single kernels, of alternating op
+// classes, so its running record holds callbacks and owned programs in
+// turn.
+class CallbackCleanupTest : public ExecutorTest {
+ protected:
+  void submit(StreamId s, double work) {
+    programs_.push_back(std::make_unique<KernelProgram>(std::vector{
+        kernel(OpClass::kConv, work), kernel(OpClass::kReLU, work / 4),
+        kernel(OpClass::kLinear, work)}));
+    exec_.enqueue_program(s, *programs_.back(), 7, callback());
+    exec_.enqueue_batch(s,
+                        {kernel(OpClass::kLinear, work),
+                         kernel(OpClass::kConv, work)},
+                        callback());
+    for (int i = 0; i < 3; ++i) {
+      exec_.enqueue(s, kernel(i % 2 ? OpClass::kConv : OpClass::kLinear, work),
+                    callback());
+    }
+  }
+  CompletionFn callback() {
+    return [token = token_, this](SimTime) { ++fired_; };
+  }
+  // Steps events until `n` callbacks have fired.
+  void step_until_fired(int n) {
+    while (fired_ < n) ASSERT_TRUE(engine_.step());
+  }
+
+  std::vector<std::unique_ptr<KernelProgram>> programs_;
+  std::shared_ptr<int> token_ = std::make_shared<int>(0);
+  int fired_ = 0;
+};
+
+TEST_F(CallbackCleanupTest, PurgeMidKernelReleasesContendedCallbacks) {
+  const auto ctx = exec_.create_context(34);
+  const auto fast = exec_.create_stream(ctx, StreamPriority::kHigh);
+  const auto slow = exec_.create_stream(ctx, StreamPriority::kLow);
+  submit(fast, 0.05);
+  submit(slow, 50.0);
+  // The fast stream's program and batch are done: its record was loaded
+  // in place with a single kernel and that kernel's callback.
+  step_until_fired(2);
+  engine_.run_until(engine_.now() + SimTime::from_ns(1000));
+  ASSERT_EQ(exec_.running_kernel_count(), 2);
+  EXPECT_GT(token_.use_count(), 1);
+  const int fired = fired_;
+  exec_.purge_all();
+  EXPECT_EQ(token_.use_count(), 1);
+  engine_.run();
+  EXPECT_EQ(fired_, fired);
+  EXPECT_FALSE(exec_.stream_busy(fast));
+  EXPECT_FALSE(exec_.stream_busy(slow));
+}
+
+TEST_F(CallbackCleanupTest, PurgeMidKernelReleasesSoloChainCallbacks) {
+  const auto ctx = exec_.create_context(68);
+  const auto s = exec_.create_stream(ctx, StreamPriority::kHigh);
+  submit(s, 0.05);
+  step_until_fired(2);
+  engine_.run_until(engine_.now() + SimTime::from_ns(1000));
+  ASSERT_EQ(exec_.running_kernel_count(), 1);
+  EXPECT_GT(token_.use_count(), 1);
+  exec_.purge_all();
+  EXPECT_EQ(token_.use_count(), 1);
+  engine_.run();
+  EXPECT_EQ(fired_, 2);
+}
+
+TEST_F(CallbackCleanupTest, RunToCompletionReleasesCallbacks) {
+  const auto ctx = exec_.create_context(34);
+  const auto a = exec_.create_stream(ctx, StreamPriority::kHigh);
+  const auto b = exec_.create_stream(ctx, StreamPriority::kLow);
+  const auto c = exec_.create_stream(exec_.create_context(34),
+                                     StreamPriority::kLow);
+  submit(a, 0.05);
+  submit(b, 0.2);
+  submit(c, 0.1);
+  engine_.run();
+  EXPECT_EQ(fired_, 15);
+  EXPECT_EQ(exec_.running_kernel_count(), 0);
+  EXPECT_EQ(token_.use_count(), 1);
+}
+
+TEST(ExecutorLifetime, DestroyedMidKernelReleasesCallbacks) {
+  sim::Engine engine;
+  auto token = std::make_shared<int>(0);
+  {
+    Executor exec(engine, rtx2080ti(), SpeedupModel::rtx2080ti(),
+                  clean_params());
+    const auto ctx = exec.create_context(34);
+    for (int i = 0; i < 2; ++i) {
+      const auto s = exec.create_stream(ctx, StreamPriority::kLow);
+      for (int j = 0; j < 3; ++j) {
+        exec.enqueue(s, kernel(OpClass::kConv, 1.0 + i),
+                     [token](SimTime) {});
+      }
+    }
+    engine.run_until(SimTime::from_ms(1));
+    ASSERT_EQ(exec.running_kernel_count(), 2);
+    EXPECT_EQ(token.use_count(), 7);
+  }
+  // The engine still holds the executor's completion event; it is never
+  // run.
+  EXPECT_EQ(token.use_count(), 1);
 }
 
 // Parameterized: N equal kernels in one context finish simultaneously and
