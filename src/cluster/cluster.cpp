@@ -239,6 +239,9 @@ std::size_t Cluster::memo_count() const {
 
 const rt::Task& Cluster::admit_task(int i, rt::Task task) {
   Device& dev = devices_.at(i);
+  // A stream re-placed back onto a device it moved away from is this
+  // device's again.
+  std::erase(dev.moved_away, task.id);
   dev.tasks.push_back(std::move(task));
   const rt::Task& stored = dev.tasks.back();
   if (started_) {
@@ -286,9 +289,11 @@ metrics::DeviceReport Cluster::device_row(int i, SimTime end,
   report.device_name = type.spec.name;
   report.total_sms = type.spec.total_sms;
   ids.clear();
+  // A stream that came back holds two entries in dev.tasks: count it once.
   for (const auto& t : dev.tasks) {
     if (std::find(dev.moved_away.begin(), dev.moved_away.end(), t.id) ==
-        dev.moved_away.end()) {
+            dev.moved_away.end() &&
+        std::find(ids.begin(), ids.end(), t.id) == ids.end()) {
       ids.push_back(t.id);
     }
   }

@@ -123,8 +123,9 @@ class Cluster {
     std::unique_ptr<rt::Scheduler> scheduler;
     /// Tasks admitted here (deque: stable addresses under churn).
     std::deque<rt::Task> tasks;
-    /// Task ids re-placed onto another device: the stream's metrics are
-    /// reported by its final home, so this device's report skips them.
+    /// Task ids re-placed onto another device and not back here: the
+    /// stream's metrics are reported by its final home, so this device's
+    /// report skips them.
     std::vector<int> moved_away;
     std::unique_ptr<rt::Runner> runner;
   };

@@ -122,10 +122,13 @@ int expect_report_matches_oracle(const cluster::Cluster& c,
   int multi_stream_rows = 0;
   for (int i = 0; i < c.num_devices(); ++i) {
     const cluster::Cluster::Device& dev = c.device(i);
+    // The device's streams, each once: a stream that came back holds two
+    // entries in dev.tasks.
     std::vector<int> ids;
     for (const auto& t : dev.tasks) {
       if (std::find(dev.moved_away.begin(), dev.moved_away.end(), t.id) ==
-          dev.moved_away.end()) {
+              dev.moved_away.end() &&
+          std::find(ids.begin(), ids.end(), t.id) == ids.end()) {
         ids.push_back(t.id);
       }
     }
@@ -258,6 +261,54 @@ TEST(FleetReportOracle, FlakyFleetWithMovedStreams) {
   run.fleet.run_until(end);
   run.fleet.reduce();
   EXPECT_GE(expect_report_matches_oracle(run.fleet, run.collector, end), 1);
+}
+
+TEST(FleetReportRows, StreamMovedAwayAndBackIsReportedOnce) {
+  // One flaky_fleet stream leaves device 0 for device 1, its history
+  // forgotten at each source, and comes back: device 0 reports it again,
+  // once, and the rows account for every release.
+  const auto spec = workload::load_scenario_spec(
+      std::string(SGPRS_SOURCE_DIR) + "/scenarios/flaky_fleet.json");
+  StaticRun run(spec);
+  const SimTime end = run.base.duration;
+  int streams = 0;
+  for (int i = 0; i < run.fleet.num_devices(); ++i) {
+    streams += static_cast<int>(run.fleet.device(i).tasks.size());
+  }
+  const int on_device0 = static_cast<int>(run.fleet.device(0).tasks.size());
+  const rt::Task moved = run.fleet.device(0).tasks.front();
+  run.fleet.run_until(SimTime::from_sec(1.0));
+  ASSERT_TRUE(run.fleet.retire_task(0, moved.id, /*forget_metrics=*/true));
+  run.fleet.admit_task(1, moved);
+  run.fleet.run_until(SimTime::from_sec(2.0));
+  ASSERT_TRUE(run.fleet.retire_task(1, moved.id, /*forget_metrics=*/true));
+  run.fleet.admit_task(0, moved);
+  run.fleet.run_until(end);
+  run.fleet.reduce();
+
+  const auto rows = run.fleet.device_reports(end, nullptr);
+  int listed = 0;
+  std::int64_t released = 0;
+  for (const auto& r : rows) {
+    listed += r.tasks_assigned;
+    released += r.snapshot.counts.released;
+  }
+  EXPECT_EQ(listed, streams);
+  EXPECT_EQ(rows[0].tasks_assigned, on_device0);
+  EXPECT_EQ(released, run.collector.aggregate(end).counts.released);
+  EXPECT_GT(released, 0);
+}
+
+TEST(FleetReportRows, CorrelatedOutageReportsStreamsFailedBack) {
+  // Device 2 crashes, and streams fail over back onto it once it
+  // recovers: its row must list them.
+  const auto result = workload::run_spec(workload::load_scenario_spec(
+      std::string(SGPRS_SOURCE_DIR) + "/scenarios/correlated_outage.json"));
+  ASSERT_TRUE(result.dynamic);
+  ASSERT_GT(result.dyn.fleet.devices.size(), 2u);
+  const metrics::DeviceReport& row = result.dyn.fleet.devices[2];
+  EXPECT_GT(row.tasks_assigned, 0);
+  EXPECT_GT(row.snapshot.counts.released, 0);
 }
 
 workload::ScenarioSpec base_spec(workload::SchedulerKind kind, int tasks) {
