@@ -785,16 +785,14 @@ int Executor::retire_finished(SimTime at) {
       return;
     }
     // The successor takes the record in place: the stream stays in the
-    // running set and both counts, and its key byte changes only with the
-    // op class. The op is read before load_next may release the program
-    // that holds the finished kernel.
-    const OpClass op = r.desc->op;
+    // running set and both counts. Its key byte, which still holds the
+    // finished kernel's class, changes only with the op class.
     load_next(sid, at);
-    if (r.desc->op != op) {
-      std::uint8_t& b = key()[sid];
-      key_hash_ ^= share_term(sid, b);
-      b = key_byte(r.desc->op);
-      key_hash_ ^= share_term(sid, b);
+    std::uint8_t& b = key()[sid];
+    const std::uint8_t next = key_byte(r.desc->op);
+    if (b != next) {
+      key_hash_ ^= share_term(sid, b) ^ share_term(sid, next);
+      b = next;
     }
   });
   return finished;

@@ -45,9 +45,10 @@
 // costs one lookup and returns the exact doubles a fresh call would. The
 // running set is a bitset of streams, walked in stream order, and the memo
 // key (one byte per stream) is kept in place with an XOR hash of its
-// running streams' terms: start_next and each retirement update both, so a
-// lookup neither rebuilds nor rehashes the key, and every per-boundary
-// pass visits only the running kernels. Every scratch buffer of the
+// running streams' terms: start_next, stop_running and an in-place
+// successor of another op class update both, so a lookup neither rebuilds
+// nor rehashes the key, and every per-boundary pass visits only the
+// running kernels. Every scratch buffer of the
 // completion path belongs to this executor, and after warm-up a contended
 // completion touches no allocator. docs/ARCHITECTURE.md § "Contended
 // shares" is the design note.
@@ -63,7 +64,11 @@
 // them and steps on. Nothing foreign arrives before the bound, so stepped
 // state never runs ahead of an input and no rollback is needed; an entry
 // point reached while last_update_ is past now() is a CHECK failure.
-// docs/ARCHITECTURE.md § "Contended chains" is the design note.
+// Each stream keeps its running kernel in one record (a null desc is
+// idle), so a boundary builds and destroys nothing, and a retired kernel
+// whose stream has a queued successor hands the record to it in place:
+// the stream stays in the running set and the counts. docs/ARCHITECTURE.md
+// § "Contended chains" is the design note.
 //
 // Device-class memos: the solo-grant, solo-step and share memos live in a
 // gpu::DeviceClassMemo (device_class_memo.hpp), not in the executor. Every
