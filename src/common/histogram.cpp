@@ -47,11 +47,25 @@ double Histogram::bucket_hi(int index) {
   return bucket_lo(index + 1);
 }
 
+void Histogram::widen(int lo, int hi) {
+  if (counts_.empty()) {
+    lo_ = lo;
+    counts_.assign(static_cast<std::size_t>(hi - lo), 0);
+    return;
+  }
+  if (lo < lo_) {
+    counts_.insert(counts_.begin(), static_cast<std::size_t>(lo_ - lo), 0);
+    lo_ = lo;
+  }
+  const auto size = static_cast<std::size_t>(hi - lo_);
+  if (size > counts_.size()) counts_.resize(size, 0);
+}
+
 void Histogram::add(double v) {
   if (!(v > 0.0)) v = 0.0;
   const int idx = bucket_index(v);
-  if (idx >= static_cast<int>(counts_.size())) counts_.resize(idx + 1, 0);
-  ++counts_[idx];
+  widen(idx, idx + 1);
+  ++counts_[static_cast<std::size_t>(idx - lo_)];
   if (count_ == 0) {
     min_ = v;
     max_ = v;
@@ -68,16 +82,20 @@ Histogram::Union Histogram::union_of(
   Union u;
   for (const Histogram* p : parts) {
     if (p->count_ == 0) continue;
+    const int hi = p->lo_ + static_cast<int>(p->counts_.size());
     if (u.count == 0) {
       u.min = p->min_;
       u.max = p->max_;
+      u.lo = p->lo_;
+      u.hi = hi;
     } else {
       u.min = std::min(u.min, p->min_);
       u.max = std::max(u.max, p->max_);
+      u.lo = std::min(u.lo, p->lo_);
+      u.hi = std::max(u.hi, hi);
     }
     u.count += p->count_;
     u.sum += p->sum_;
-    u.buckets = std::max(u.buckets, p->counts_.size());
   }
   return u;
 }
@@ -90,10 +108,12 @@ void Histogram::merge(const Histogram& other) {
 void Histogram::merge(std::span<const Histogram* const> parts) {
   const Union u = union_of(parts);
   if (u.count == 0) return;
-  if (u.buckets > counts_.size()) counts_.resize(u.buckets, 0);
+  widen(u.lo, u.hi);
   for (const Histogram* p : parts) {
+    if (p->counts_.empty()) continue;
+    std::int64_t* at = counts_.data() + (p->lo_ - lo_);
     for (std::size_t i = 0; i < p->counts_.size(); ++i) {
-      counts_[i] += p->counts_[i];
+      at[i] += p->counts_[i];
     }
   }
   if (count_ == 0) {
@@ -120,24 +140,27 @@ std::pair<double, double> Histogram::quantiles(
   const Union u = union_of(parts);
   if (u.count == 0) return {0.0, 0.0};
   // One walk for both reads: hi's rank is at least lo's, so every bucket
-  // the first read passes lies below it too.
-  std::size_t i = 0;
+  // the first read passes lies below it too. Every bucket below the
+  // union's window holds 0, so the walk starts at its low edge.
+  int i = u.lo;
   std::int64_t cum = 0;
   auto read = [&](double q) {
     if (q == 0.0) return u.min;
     if (q == 1.0) return u.max;
     const double rank = q * static_cast<double>(u.count - 1);
-    for (; i < u.buckets; ++i) {
+    for (; i < u.hi; ++i) {
       std::int64_t c = 0;
       for (const Histogram* p : parts) {
-        if (i < p->counts_.size()) c += p->counts_[i];
+        // Below a part's window the offset wraps past its size.
+        const auto at = static_cast<std::size_t>(i - p->lo_);
+        if (at < p->counts_.size()) c += p->counts_[at];
       }
       if (c == 0) continue;
       if (rank < static_cast<double>(cum + c)) {
         // Model the bucket's c samples at evenly spaced interior positions
         // and read off the fractional rank within it.
-        const double b_lo = bucket_lo(static_cast<int>(i));
-        const double b_hi = bucket_hi(static_cast<int>(i));
+        const double b_lo = bucket_lo(i);
+        const double b_hi = bucket_hi(i);
         const double within =
             (rank - static_cast<double>(cum) + 0.5) / static_cast<double>(c);
         const double v = b_lo + (b_hi - b_lo) * within;

@@ -13,9 +13,12 @@
 // doubles to one histogram fed the whole population, for any split
 // (pinned by tests/common/histogram_test.cpp). That is what makes the
 // fleet-wide p50/p99 in metrics/fleet.cpp exact rather than a
-// completed-weighted mean of per-device percentiles, while bounding a
-// 10k-device run at a few KB per task instead of an unbounded sample
-// vector.
+// completed-weighted mean of per-device percentiles.
+//
+// Storage is windowed: the counts cover only the buckets from the lowest
+// to the highest occupied one (an offset plus a vector), so a stream whose
+// latencies sit in a narrow band holds a few buckets, not every bucket
+// from 0 up to its highest — and never an unbounded sample vector.
 #pragma once
 
 #include <cstdint>
@@ -74,22 +77,25 @@ class Histogram {
   static int bucket_index(double v);
   static double bucket_lo(int index);
   static double bucket_hi(int index);
-  /// Bucket counts, sized to the highest occupied index + 1.
-  const std::vector<std::int64_t>& buckets() const { return counts_; }
 
  private:
   // What merging `parts` in order into an empty histogram would give its
-  // count, sum, min, max and bucket extent.
+  // count, sum, min, max and occupied bucket window [lo, hi).
   struct Union {
     std::int64_t count = 0;
     double sum = 0.0;
     double min = 0.0;
     double max = 0.0;
-    std::size_t buckets = 0;
+    int lo = 0;
+    int hi = 0;
   };
   static Union union_of(std::span<const Histogram* const> parts);
+  // Grows the window to cover buckets [lo, hi); new buckets hold 0.
+  void widen(int lo, int hi);
 
+  // counts_[i] is bucket lo_ + i's count. Empty exactly when count_ == 0.
   std::vector<std::int64_t> counts_;
+  int lo_ = 0;
   std::int64_t count_ = 0;
   double sum_ = 0.0;
   double min_ = 0.0;

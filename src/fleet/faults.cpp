@@ -93,7 +93,8 @@ FaultSpec parse_fault_spec(const common::JsonValue& v,
   return spec;
 }
 
-void validate_fault_spec(const FaultSpec& spec, const std::string& path) {
+void validate_fault_spec(const FaultSpec& spec, const std::string& path,
+                         std::optional<int> num_devices) {
   for (std::size_t i = 0; i < spec.events.size(); ++i) {
     const auto& e = spec.events[i];
     const std::string p = path + ".events[" + std::to_string(i) + "]";
@@ -101,6 +102,13 @@ void validate_fault_spec(const FaultSpec& spec, const std::string& path) {
     if (e.at_s < 0.0) bad(p + ".at_s", "must be >= 0");
     if (e.device < -1) bad(p, "device index must be >= 0 (or -1 to pick "
                                "at fire time)");
+    if (num_devices && e.device >= *num_devices) {
+      bad(p + ".device",
+          "device index " + std::to_string(e.device) +
+              " (the \"crash\"/\"recover\" value) is past the fleet's " +
+              std::to_string(*num_devices) + " device(s), indices 0.." +
+              std::to_string(*num_devices - 1));
+    }
     if (e.count < 1) bad(p + ".count", "must be >= 1");
     if (e.down_s < 0.0) bad(p + ".down_s", "must be >= 0");
     if (e.kind == FaultEvent::Kind::kRecover) {

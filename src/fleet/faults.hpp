@@ -28,6 +28,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -94,8 +95,12 @@ FaultSpec parse_fault_spec(const common::JsonValue& v,
                            const std::string& path);
 
 /// Semantic validation: event targets and ranges, process and failover
-/// parameter ranges; every time field must fit SimTime.
-void validate_fault_spec(const FaultSpec& spec, const std::string& path);
+/// parameter ranges; every time field must fit SimTime. A scripted event's
+/// device index must lie below `num_devices`, the fleet's device count. An
+/// autoscaled fleet appends device indices at run time, so it passes
+/// std::nullopt and its event indices are bounded from below only.
+void validate_fault_spec(const FaultSpec& spec, const std::string& path,
+                         std::optional<int> num_devices);
 
 /// The deterministic draw core of the stochastic process and the retry
 /// jitter. Stateless per call: every draw builds a fresh rng from a

@@ -387,8 +387,10 @@ void validate(const ScenarioSpec& spec) {
   }
   // An unknown autoscaler device is validate_fleet_policy's error.
   std::optional<gpu::DeviceSpec> scale_device;
-  if (spec.fleet_policy && spec.fleet_policy->autoscaler.kind !=
-                               fleet::AutoscalePolicyKind::kNone) {
+  const bool autoscaled =
+      spec.fleet_policy &&
+      spec.fleet_policy->autoscaler.kind != fleet::AutoscalePolicyKind::kNone;
+  if (autoscaled) {
     const std::string& name = spec.fleet_policy->autoscaler.device;
     if (!name.empty()) scale_device = gpu::device_by_name(name);
   }
@@ -403,7 +405,13 @@ void validate(const ScenarioSpec& spec) {
                                  spec.base.duration);
   }
   if (spec.faults) {
-    fleet::validate_fault_spec(*spec.faults, "spec.faults");
+    std::optional<int> num_devices;  // an autoscaler appends devices
+    if (!autoscaled) {
+      num_devices = spec.base.fleet.empty()
+                        ? spec.base.num_devices
+                        : static_cast<int>(spec.base.fleet.size());
+    }
+    fleet::validate_fault_spec(*spec.faults, "spec.faults", num_devices);
   }
 
   if (spec.generator) {

@@ -465,6 +465,40 @@ TEST(SpecValidate, FaultTimesMustFitSimTime) {
   }
 }
 
+TEST(SpecValidate, FaultEventDeviceMustExistInAFixedFleet) {
+  // A crash aimed past the fleet used to pass validation and then do
+  // nothing at run time: the runtime's crash_device refuses the index.
+  const std::string doc = R"({
+    "pool": { "contexts": 2, "oversubscription": 1.5 },
+    "sim": { "duration_s": 0.6, "warmup_s": 0.1 },
+    "fleet": { "devices": 2 },
+    "tasks": [ { "name": "cam", "count": 2, "network": "lenet5", "fps": 30,
+                 "stages": 3 } ],
+    "faults": { "events": [ { "at_s": 0.2, "crash": 1 },
+                            { "at_s": 0.4, "recover": 1 } ] }
+  })";
+  EXPECT_EQ(path_of(parse(doc)), "<no error>");
+  std::string crash_past = doc;
+  crash_past.replace(crash_past.find("\"crash\": 1"), 10, "\"crash\": 2");
+  EXPECT_EQ(path_of(parse(crash_past)), "spec.faults.events[0].device");
+  std::string recover_past = doc;
+  recover_past.replace(recover_past.find("\"recover\": 1"), 12,
+                       "\"recover\": 9");
+  EXPECT_EQ(path_of(parse(recover_past)), "spec.faults.events[1].device");
+  // A device list bounds the index by its length.
+  std::string listed = crash_past;
+  listed.replace(listed.find("\"devices\": 2"), 12,
+                 "\"devices\": [\"2080ti\", \"3090\", \"2080ti\"]");
+  EXPECT_EQ(path_of(parse(listed)), "<no error>");
+  // An autoscaler appends device indices at run time, so an index past the
+  // initial fleet stays accepted there.
+  ScenarioSpec scaled = parse(crash_past);
+  scaled.fleet_policy = fleet::FleetPolicySpec{};
+  scaled.fleet_policy->autoscaler.kind =
+      fleet::AutoscalePolicyKind::kUtilization;
+  EXPECT_EQ(path_of(scaled), "<no error>");
+}
+
 TEST(SpecValidate, EveryBaseConfigRuleNamesItsField) {
   const ScenarioSpec base = parse(kTinyMixed);
   ASSERT_EQ(path_of(base), "<no error>");

@@ -14,7 +14,10 @@
 // admitting streams allocates bytes in proportion to the streams, however
 // far apart their task ids are. A cluster keeps one record per distinct
 // device spec and its executors keep none, so a fleet of one spec holds
-// one copy of it, however many devices it has.
+// one copy of it, however many devices it has. A latency histogram stores
+// only the buckets between its lowest and highest sample, so a task whose
+// latencies sit in a narrow band allocates a few counts, not one per
+// bucket below them.
 // This binary replaces the global operator new to count every allocation
 // in its process, which is why it is its own executable rather than part
 // of sgprs_tests.
@@ -519,3 +522,32 @@ TEST(DeviceBuildAllocations, DevicesAreBuiltFromTheirTypeInFewAllocations) {
 
 }  // namespace
 }  // namespace sgprs::cluster
+
+namespace sgprs::metrics {
+namespace {
+
+TEST(HistogramAllocations, ANarrowLatencyBandAllocatesFewBuckets) {
+  // 1,000 completions whose latencies fall in [5.0, 5.1) ms occupy four
+  // adjacent buckets, so the task's histogram holds about four counts. A
+  // histogram stored from bucket 0 would hold ~420 (several KB).
+  constexpr std::size_t kMaxBytes = 256;
+  Collector collector;
+  const SimTime release = SimTime::from_ms(10.0);
+  collector.on_release(0, release);  // the task's record, before counting
+
+  const std::size_t before = g_allocated_bytes;
+  for (int i = 0; i < 1000; ++i) {
+    const SimTime latency = SimTime::from_ms(5.0 + 0.0001 * i);
+    collector.on_complete(0, release, release + SimTime::from_ms(33.0),
+                          release + latency);
+  }
+  EXPECT_LE(g_allocated_bytes - before, kMaxBytes)
+      << "bytes allocated recording 1,000 latencies in [5.0, 5.1) ms";
+  const Snapshot s = collector.per_task(0, release + SimTime::from_ms(100.0));
+  EXPECT_EQ(s.counts.on_time, 1000);
+  EXPECT_GE(s.p50_latency_ms, 5.0);
+  EXPECT_LT(s.p99_latency_ms, 5.1);
+}
+
+}  // namespace
+}  // namespace sgprs::metrics

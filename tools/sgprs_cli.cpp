@@ -370,7 +370,8 @@ bool parse_fail_device(const std::string& arg, fleet::FaultEvent& ev) {
 
 /// Injects --fail-device crashes into the spec's fault section (creating
 /// one when the spec has none). Validation of device indices against the
-/// fleet shape is the spec validator's job — it names the field path.
+/// fleet's device count (unbounded above when an autoscaler grows the
+/// fleet) is the spec validator's job — it names the field path.
 bool inject_fail_devices(const std::vector<std::string>& fail_devices,
                          workload::ScenarioSpec& spec) {
   if (fail_devices.empty()) return true;
