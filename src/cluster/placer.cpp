@@ -49,7 +49,9 @@ int Placer::add_device(PlacerDevice device, bool active) {
                                      margin_ > 0.0 ? margin_ : 1.0, budget);
   devices_.push_back(
       DeviceState{std::move(device), std::move(controller), active});
-  return static_cast<int>(devices_.size()) - 1;
+  const int d = static_cast<int>(devices_.size()) - 1;
+  refile(d);
+  return d;
 }
 
 void Placer::set_device_active(int d, bool active) {
@@ -63,7 +65,9 @@ int Placer::active_devices() const {
 }
 
 bool Placer::remove_task(int d, int task_id) {
-  return devices_.at(d).controller.remove(task_id);
+  if (!devices_.at(d).controller.remove(task_id)) return false;
+  refile(d);
+  return true;
 }
 
 double Placer::utilization(int d) const {
@@ -100,8 +104,9 @@ double Placer::order_key(int d) const {
     case PlacementPolicy::kLeastLoaded:
       return utilization(d);
     case PlacementPolicy::kBinPackUtilization:
-    case PlacementPolicy::kWorstFit:
       return remaining_capacity(d);
+    case PlacementPolicy::kWorstFit:
+      return -remaining_capacity(d);
     case PlacementPolicy::kBinPackMemory:
       return static_cast<double>(remaining_mem_bytes(d));
     case PlacementPolicy::kRoundRobin:
@@ -109,12 +114,6 @@ double Placer::order_key(int d) const {
       break;
   }
   return 0.0;
-}
-
-bool Placer::order_ascending() const {
-  // Best-fit family probes the least spare first (so the first admitting
-  // device is the tightest fit); worst-fit probes the most spare first.
-  return policy_ != PlacementPolicy::kWorstFit;
 }
 
 int Placer::cyclic_start(const rt::Task& task) const {
@@ -132,17 +131,15 @@ int Placer::cyclic_start(const rt::Task& task) const {
   return -1;
 }
 
-std::vector<int> Placer::candidate_order() const {
-  const int n = num_devices();
-  std::vector<int> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  std::vector<double> key(n);
-  for (int i = 0; i < n; ++i) key[i] = order_key(i);
-  const bool asc = order_ascending();
-  std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
-    return asc ? key[a] < key[b] : key[a] > key[b];
-  });
-  return order;
+void Placer::refile(int d) {
+  if (policy_ == PlacementPolicy::kRoundRobin ||
+      policy_ == PlacementPolicy::kHashAffinity) {
+    return;  // cyclic walks keep no index
+  }
+  DeviceState& ds = devices_[d];
+  by_key_.erase({ds.key, d});  // absent when `d` was just added
+  ds.key = order_key(d);
+  by_key_.emplace(ds.key, d);
 }
 
 template <typename Admit>
@@ -159,16 +156,19 @@ std::optional<int> Placer::first_admitting(const rt::Task& task,
       }
     }
   } else {
-    for (int d : candidate_order()) {
+    // A rejected probe leaves the admitted set as it was, so no key moves
+    // during the walk; only the chosen device is re-filed after it.
+    for (const auto& entry : by_key_) {
+      const int d = entry.second;
       if (devices_[d].active && admit(d)) {
         chosen = d;
         break;
       }
     }
   }
-  if (chosen && policy_ == PlacementPolicy::kRoundRobin) {
-    rr_next_ = (*chosen + 1) % n;
-  }
+  if (!chosen) return chosen;
+  refile(*chosen);
+  if (policy_ == PlacementPolicy::kRoundRobin) rr_next_ = (*chosen + 1) % n;
   return chosen;
 }
 
@@ -205,81 +205,31 @@ PlaceResult Placer::place_ex(const rt::Task& task) {
 
 std::vector<PlaceResult> Placer::place_batch(
     const std::vector<rt::Task>& tasks, bool force) {
-  std::vector<PlaceResult> results(tasks.size());
-  if (force) {
-    for (std::size_t i = 0; i < tasks.size(); ++i) {
-      results[i].device = force_place(tasks[i]);
-    }
-    return results;
-  }
-  if (policy_ == PlacementPolicy::kRoundRobin ||
-      policy_ == PlacementPolicy::kHashAffinity) {
-    // Order-keyed by the stream, not the load — nothing to cache.
-    for (std::size_t i = 0; i < tasks.size(); ++i) {
-      results[i] = place_ex(tasks[i]);
-    }
-    return results;
-  }
-
-  // Load-sorted policies: compute every device's ordering key once, then
-  // refresh only the device each placement lands on. A placement changes
-  // no other device's load, so the candidate orderings — and therefore the
-  // decisions — are byte-identical to sequential place() calls, without
-  // the O(batch × devices) utilization recomputes.
-  const int n = num_devices();
-  std::vector<double> key(n);
-  for (int d = 0; d < n; ++d) key[d] = order_key(d);
-
   std::vector<std::size_t> item(tasks.size());
   std::iota(item.begin(), item.end(), std::size_t{0});
   // Best-fit *decreasing*: the bin-packing policies consider streams
   // largest-first over their binding dimension, which is what makes
-  // best-fit pack tightly. Other policies keep arrival order.
-  if (policy_ == PlacementPolicy::kBinPackUtilization) {
+  // best-fit pack tightly. Other policies, and forced batches, keep
+  // arrival order.
+  if (!force && policy_ == PlacementPolicy::kBinPackUtilization) {
     std::vector<double> w(tasks.size());
     for (std::size_t i = 0; i < tasks.size(); ++i) {
       w[i] = rt::task_work_rate(tasks[i]);
     }
     std::stable_sort(item.begin(), item.end(),
                      [&](std::size_t a, std::size_t b) { return w[a] > w[b]; });
-  } else if (policy_ == PlacementPolicy::kBinPackMemory) {
+  } else if (!force && policy_ == PlacementPolicy::kBinPackMemory) {
     std::stable_sort(item.begin(), item.end(), [&](std::size_t a,
                                                    std::size_t b) {
       return tasks[a].mem_bytes > tasks[b].mem_bytes;
     });
   }
-
-  const bool asc = order_ascending();
-  std::vector<int> order(n);
+  std::vector<PlaceResult> results(tasks.size());
   for (std::size_t idx : item) {
-    const rt::Task& task = tasks[idx];
-    std::iota(order.begin(), order.end(), 0);
-    std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
-      return asc ? key[a] < key[b] : key[a] > key[b];
-    });
-    bool saw_oom = false;
-    bool placed = false;
-    for (int d : order) {
-      if (!devices_[d].active) continue;
-      auto& controller = devices_[d].controller;
-      if (margin_ <= 0.0) {
-        controller.force_admit(task);
-      } else {
-        const rt::AdmitOutcome out = controller.try_admit_ex(task);
-        if (out != rt::AdmitOutcome::kAdmitted) {
-          saw_oom = saw_oom || out == rt::AdmitOutcome::kRejectedMemory;
-          continue;
-        }
-      }
-      key[d] = order_key(d);
-      results[idx] = PlaceResult{d, false};
-      placed = true;
-      break;
-    }
-    if (!placed) {
-      ++rejected_;
-      if (saw_oom) ++oom_rejected_;
-      results[idx] = PlaceResult{std::nullopt, saw_oom};
+    if (force) {
+      results[idx].device = force_place(tasks[idx]);
+    } else {
+      results[idx] = place_ex(tasks[idx]);
     }
   }
   return results;

@@ -8,11 +8,15 @@
 // admission test; when no device passes, the task is rejected — and when
 // memory was the sole blocker anywhere, the rejection is classified OOM.
 // Round-robin and hash placement walk cyclically from their start device,
-// one device at a time; the load-keyed policies sort every device first.
+// one device at a time. The load-keyed policies walk an ordered index of
+// (key, device) pairs that is re-filed only for the device whose load a
+// call changed, so a placement sorts nothing.
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "cluster/placement.hpp"
@@ -59,13 +63,11 @@ class Placer {
   /// memory (not compute) was the blocking resource.
   PlaceResult place_ex(const rt::Task& task);
 
-  /// Places a batch of tasks in one pass (CASE-style batched scheduling).
-  /// Results align with the input order. Per-device ordering keys are
-  /// computed once and refreshed only for the device each placement lands
-  /// on, so the decisions are byte-identical to calling place() per task —
-  /// except that the bin-packing policies first order the batch largest-
-  /// first over their binding dimension (best-fit *decreasing*). `force`
-  /// routes through force_place instead of admission.
+  /// Places a batch of tasks (CASE-style batched scheduling): place_ex, or
+  /// force_place when `force` is set, per task. Results align with the
+  /// input order. Unforced, the bin-packing policies first order the batch
+  /// largest-first over their binding dimension (best-fit *decreasing*);
+  /// every other case places in input order, exactly as per-task calls.
   std::vector<PlaceResult> place_batch(const std::vector<rt::Task>& tasks,
                                        bool force = false);
 
@@ -116,27 +118,36 @@ class Placer {
     PlacerDevice info;
     rt::AdmissionController controller;
     bool active = true;
+    /// The key this device is filed under in by_key_ (key-ordered
+    /// policies only).
+    double key = 0.0;
   };
 
-  /// Ordering key of device `d` under the current load-sorted policy
-  /// (utilization, spare work-rate, or remaining memory).
+  /// Walk key of device `d` under a key-ordered policy, ascending: the
+  /// best-fit family probes the least spare first (utilization, spare
+  /// work-rate or remaining memory), worst-fit the most spare first (its
+  /// spare work-rate negated).
   double order_key(int d) const;
-  /// True when the policy sorts candidates by order_key ascending
-  /// (best-fit family); false for worst-fit's descending order.
-  bool order_ascending() const;
   /// Where round-robin and hash placement start their cyclic walk over
   /// the devices, or -1 for the key-ordered policies.
   int cyclic_start(const rt::Task& task) const;
-  /// Device indices in the order a key-ordered policy wants them tried.
-  std::vector<int> candidate_order() const;
+  /// Re-files device `d` in by_key_ under its current order_key; called
+  /// whenever its admitted set changes. No-op for the cyclic policies.
+  void refile(int d);
   /// Offers `task` to each active device in policy order until
-  /// `admit(device)` takes it; returns that device (advancing round-robin
-  /// past it), or std::nullopt. Round-robin and hash visit
-  /// (start + i) % n on demand instead of materialising the order.
+  /// `admit(device)` takes it; returns that device (re-filing it and
+  /// advancing round-robin past it), or std::nullopt. `admit` changes a
+  /// device's admitted set only when it returns true. Round-robin and
+  /// hash visit (start + i) % n; the key-ordered policies walk by_key_.
   template <typename Admit>
   std::optional<int> first_admitting(const rt::Task& task, Admit admit);
 
   std::vector<DeviceState> devices_;
+  /// (order_key, device index) of every device, active or not, under a
+  /// key-ordered policy: ascending key, ties by index — the order a
+  /// stable sort of the indices by key gives. Empty for the cyclic
+  /// policies.
+  std::set<std::pair<double, int>> by_key_;
   PlacementPolicy policy_;
   double margin_;
   double occupancy_threshold_;

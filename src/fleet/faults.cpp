@@ -139,7 +139,10 @@ void validate_fault_spec(const FaultSpec& spec, const std::string& path,
   const std::string fp = path + ".failover";
   check_times(fp, {{"backoff_ms", f.backoff_ms * 1e-3},
                    {"jitter_ms", f.jitter_ms * 1e-3}});
-  if (f.max_attempts < 1) bad(fp + ".max_attempts", "must be >= 1");
+  if (f.max_attempts < 1 || f.max_attempts > kMaxFailoverAttempts) {
+    bad(fp + ".max_attempts",
+        "must be in 1.." + std::to_string(kMaxFailoverAttempts));
+  }
   if (f.backoff_ms < 0.0) bad(fp + ".backoff_ms", "must be >= 0");
   if (f.backoff_mult < 1.0) bad(fp + ".backoff_mult", "must be >= 1");
   if (f.jitter_ms < 0.0) bad(fp + ".jitter_ms", "must be >= 0");

@@ -61,6 +61,12 @@ struct FaultProcess {
   double until_s = 0.0;  // 0 = run horizon
 };
 
+/// Upper bound on failover.max_attempts. Orphans of one crash retry at the
+/// same instants, and each retry's backoff takes `attempt` steps, so a huge
+/// bound with a near-zero backoff ran for minutes; 1,000 attempts run in
+/// tens of milliseconds. The curated scenarios ask for at most 4.
+inline constexpr int kMaxFailoverAttempts = 1000;
+
 /// Failover retry policy for orphaned streams.
 struct FailoverPolicy {
   int max_attempts = 3;

@@ -409,7 +409,7 @@ class FleetRuntime {
       SGPRS_CHECK(t != nullptr);  // validated at parse time
       for (int i = 0; i < e.count; ++i) admit_stream(*t, now, "scripted");
     } else {
-      retire_matching(e.target, e.count, now);
+      retire_matching(e.target, e.count);
     }
   }
 
@@ -553,7 +553,7 @@ class FleetRuntime {
   /// Prefix or suffix heuristics would let "cam" capture "cam_hd" /
   /// "cam2" streams; generator-built streams have no origin name and can
   /// only be retired by lifetime.
-  void retire_matching(const std::string& target, int count, SimTime now) {
+  void retire_matching(const std::string& target, int count) {
     std::vector<int> ids;
     for (const auto& s : live_) {
       if (static_cast<int>(ids.size()) >= count) break;
@@ -562,7 +562,6 @@ class FleetRuntime {
     for (int id : ids) {
       retire_stream_by_id(id, DecisionKind::kStreamRetired, "scripted");
     }
-    (void)now;
   }
 
   bool retire_stream_by_id(int id, DecisionKind kind, const char* detail) {
@@ -675,8 +674,7 @@ class FleetRuntime {
     int victim_streams = 0;
     for (int d = 0; d < cluster_->num_devices(); ++d) {
       if (!cluster_->placer().device_active(d)) continue;
-      int streams = 0;
-      for (const auto& s : live_) streams += s.device == d ? 1 : 0;
+      const int streams = cluster_->placer().task_count(d);
       if (victim < 0 || streams < victim_streams ||
           (streams == victim_streams && d > victim)) {
         victim = d;

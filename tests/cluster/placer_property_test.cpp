@@ -5,6 +5,7 @@
 // happen only when no device admits the task.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <set>
 #include <string>
@@ -419,6 +420,117 @@ TEST(PlacerProperty, CyclicWalkChoosesAsTheMaterialisedOrder) {
     // The walk really had to skip inactive and full devices.
     EXPECT_GT(probed_past_start, 500);
     EXPECT_GT(placed, 2000);
+  }
+}
+
+TEST(PlacerProperty, KeyOrderedWalkChoosesAsTheMaterialisedOrder) {
+  // The load-keyed policies walk an ordered device index that is re-filed
+  // only for the device a call changed. Over 1000 mixed devices, with
+  // admits, forced placements, removals and activation toggles, every
+  // placement must land where a stable sort of freshly computed keys
+  // lands: the first active device in it that admits the task (ties by
+  // index). Keys and admission come from one-device placers mirroring
+  // each device, which the oracle keeps in step.
+  constexpr int kDevices = 1000;
+  for (const auto policy :
+       {PlacementPolicy::kLeastLoaded, PlacementPolicy::kBinPackUtilization,
+        PlacementPolicy::kBinPackMemory, PlacementPolicy::kWorstFit}) {
+    SCOPED_TRACE(to_string(policy));
+    common::Rng rng(static_cast<std::uint64_t>(policy) + 91);
+    std::vector<PlacerDevice> devices;
+    std::vector<Placer> mirror;
+    for (int d = 0; d < kDevices; ++d) {
+      PlacerDevice dev = rng.next_double() < 0.2 ? big_device()
+                                                 : small_device();
+      if (rng.next_double() < 0.1) dev.mem_bytes = 1ll << 28;  // 256 MiB
+      devices.push_back(dev);
+      mirror.emplace_back(std::vector<PlacerDevice>{dev}, policy, kMargin);
+    }
+    const auto key_of = [&](int d) {
+      switch (policy) {
+        case PlacementPolicy::kLeastLoaded:
+          return mirror[d].utilization(0);
+        case PlacementPolicy::kBinPackMemory:
+          return static_cast<double>(mirror[d].remaining_mem_bytes(0));
+        default:
+          return mirror[d].remaining_capacity(0);
+      }
+    };
+    const bool descending = policy == PlacementPolicy::kWorstFit;
+
+    Placer placer(devices, policy, kMargin);
+    std::vector<bool> active(kDevices, true);
+    std::vector<std::pair<int, int>> resident;  // (device, task id)
+    int placed = 0;
+    int removed = 0;
+    int probed_past_first = 0;
+    for (int i = 0; i < 2400; ++i) {
+      if (i % 100 == 0) {
+        for (int d = 0; d < kDevices; ++d) {
+          active[d] = rng.next_double() >= 0.1;
+          placer.set_device_active(d, active[d]);
+        }
+      }
+      if (!resident.empty() && rng.next_double() < 0.3) {
+        const std::size_t k = static_cast<std::size_t>(rng.uniform_int(
+            0, static_cast<int>(resident.size()) - 1));
+        const auto [d, id] = resident[k];
+        resident.erase(resident.begin() + static_cast<std::ptrdiff_t>(k));
+        ASSERT_TRUE(mirror[d].remove_task(0, id));
+        ASSERT_TRUE(placer.remove_task(d, id));
+        ++removed;
+      }
+      rt::Task t = make_task(i, "t" + std::to_string(i),
+                             rng.uniform(0.1, 0.6));
+      t.mem_bytes = static_cast<std::int64_t>(rng.uniform(0.0, 1.0) *
+                                              static_cast<double>(1ll << 30));
+      const bool force = i % 10 == 9;
+
+      std::vector<double> key(kDevices);
+      for (int d = 0; d < kDevices; ++d) key[d] = key_of(d);
+      std::vector<int> order(kDevices);
+      for (int d = 0; d < kDevices; ++d) order[d] = d;
+      std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
+        return descending ? key[a] > key[b] : key[a] < key[b];
+      });
+      PlaceResult want;
+      int first_active = -1;
+      for (int d : order) {
+        if (!active[d]) continue;
+        if (first_active < 0) first_active = d;
+        if (force) {
+          mirror[d].force_place(t);
+          want.device = d;
+          break;
+        }
+        const PlaceResult r = mirror[d].place_ex(t);
+        if (r.device) {
+          want.device = d;
+          break;
+        }
+        want.oom = want.oom || r.oom;
+      }
+      if (want.device) want.oom = false;  // oom classifies rejections only
+
+      PlaceResult got;
+      if (force) {
+        got.device = placer.force_place(t);
+      } else {
+        got = placer.place_ex(t);
+      }
+      ASSERT_EQ(got.device, want.device) << "task " << i;
+      ASSERT_EQ(got.oom, want.oom) << "task " << i;
+      if (got.device) {
+        resident.emplace_back(*got.device, t.id);
+        ++placed;
+        probed_past_first += *got.device != first_active ? 1 : 0;
+      }
+    }
+    // Streams really left, and the walk really had to skip devices that
+    // did not admit.
+    EXPECT_GT(removed, 500);
+    EXPECT_GT(placed, 2000);
+    EXPECT_GT(probed_past_first, 100);
   }
 }
 

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <numeric>
+#include <string>
+#include <vector>
+
 #include "gpu/device.hpp"
 #include "gpu/sharing.hpp"
 #include "gpu/speedup.hpp"
@@ -316,27 +322,70 @@ TEST(Placer, PlaceExClassifiesMemoryExhaustionAsOom) {
 }
 
 TEST(Placer, PlaceBatchMatchesSequentialPlacementForStableOrderPolicies) {
-  // For every policy that does not reorder its input (everything except
-  // the two binpack BFD policies), one batched call must produce exactly
-  // the placements sequential place() calls produce.
+  // One batched call must produce exactly the placements sequential
+  // place_ex() calls produce: in input order for every policy, except that
+  // an unforced binpack batch is placed best-fit-decreasing (heaviest
+  // first over its binding dimension, ties in input order). A forced batch
+  // keeps input order and matches sequential force_place().
   const auto cap = small_device().capacity;
+  std::vector<rt::Task> tasks;
+  // Lightest first, and more work and memory than the three devices hold,
+  // so best-fit-decreasing places differently from input order and some
+  // tasks are rejected (on memory, too).
+  for (int i = 0; i < 12; ++i) {
+    tasks.push_back(make_task(i, "t" + std::to_string(i % 5),
+                              0.04 + 0.05 * i, cap, /*deadline_factor=*/10.0));
+    tasks.back().mem_bytes = (i + 1) * (std::int64_t{3} << 28);
+  }
   for (const PlacementPolicy policy :
        {PlacementPolicy::kRoundRobin, PlacementPolicy::kLeastLoaded,
+        PlacementPolicy::kBinPackUtilization, PlacementPolicy::kBinPackMemory,
         PlacementPolicy::kWorstFit, PlacementPolicy::kHashAffinity}) {
-    Placer seq({small_device(), big_device(), small_device()}, policy);
-    Placer batch({small_device(), big_device(), small_device()}, policy);
-    std::vector<rt::Task> tasks;
-    for (int i = 0; i < 12; ++i) {
-      tasks.push_back(make_task(i, "t" + std::to_string(i % 5),
-                                0.05 + 0.03 * (i % 4), cap));
-    }
-    std::vector<std::optional<int>> want;
-    for (const auto& t : tasks) want.push_back(seq.place(t));
-    const std::vector<PlaceResult> got = batch.place_batch(tasks);
-    ASSERT_EQ(got.size(), want.size());
-    for (std::size_t i = 0; i < want.size(); ++i) {
-      EXPECT_EQ(got[i].device, want[i])
-          << "policy " << to_string(policy) << " task " << i;
+    for (const bool force : {false, true}) {
+      SCOPED_TRACE(std::string(to_string(policy)) +
+                   (force ? " forced" : ""));
+      std::vector<std::size_t> order(tasks.size());
+      std::iota(order.begin(), order.end(), std::size_t{0});
+      if (!force && policy == PlacementPolicy::kBinPackUtilization) {
+        std::stable_sort(order.begin(), order.end(), [&](auto a, auto b) {
+          return rt::task_work_rate(tasks[a]) > rt::task_work_rate(tasks[b]);
+        });
+      } else if (!force && policy == PlacementPolicy::kBinPackMemory) {
+        std::stable_sort(order.begin(), order.end(), [&](auto a, auto b) {
+          return tasks[a].mem_bytes > tasks[b].mem_bytes;
+        });
+      }
+      Placer seq({small_device(), big_device(), small_device()}, policy);
+      Placer batch({small_device(), big_device(), small_device()}, policy);
+      std::vector<PlaceResult> want(tasks.size());
+      for (std::size_t i : order) {
+        if (force) {
+          want[i].device = seq.force_place(tasks[i]);
+        } else {
+          want[i] = seq.place_ex(tasks[i]);
+        }
+      }
+      const std::vector<PlaceResult> got = batch.place_batch(tasks, force);
+      ASSERT_EQ(got.size(), want.size());
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(got[i].device, want[i].device) << "task " << i;
+        EXPECT_EQ(got[i].oom, want[i].oom) << "task " << i;
+      }
+      EXPECT_EQ(batch.rejected(), seq.rejected());
+      EXPECT_EQ(batch.oom_rejected(), seq.oom_rejected());
+      for (int d = 0; d < batch.num_devices(); ++d) {
+        EXPECT_EQ(batch.task_count(d), seq.task_count(d)) << "device " << d;
+      }
+      if (!std::is_sorted(order.begin(), order.end())) {
+        // The reordering matters: input-order placement lands elsewhere.
+        Placer in_order({small_device(), big_device(), small_device()},
+                        policy);
+        bool differs = false;
+        for (std::size_t i = 0; i < tasks.size(); ++i) {
+          differs = differs || in_order.place(tasks[i]) != want[i].device;
+        }
+        EXPECT_TRUE(differs);
+      }
     }
   }
 }

@@ -425,8 +425,10 @@ TEST(SpecValidate, BaseConfigErrorsSurfaceAsSpecErrors) {
 }
 
 TEST(SpecValidate, FaultTimesMustFitSimTime) {
-  // Each value used to end in an internal "schedule event in the past"
-  // CHECK once converted to a SimTime.
+  // Each time value used to end in an internal "schedule event in the
+  // past" CHECK once converted to a SimTime; the two max_attempts cases
+  // used to hang (orphans retrying at one instant, with a backoff loop as
+  // long as the attempt number).
   ScenarioSpec base = parse(kTinyMixed);
   fleet::FaultSpec faults;
   fleet::FaultEvent crash;
@@ -457,12 +459,27 @@ TEST(SpecValidate, FaultTimesMustFitSimTime) {
            "spec.faults.failover.backoff_ms"},
           {[=](auto& f) { f.failover.jitter_ms = kInf; },
            "spec.faults.failover.jitter_ms"},
+          {[](auto& f) {
+             f.failover.max_attempts = 2000000000;
+             f.failover.backoff_ms = 0.0;
+           },
+           "spec.faults.failover.max_attempts"},
+          {[](auto& f) {
+             f.failover.max_attempts = 200000;
+             f.failover.backoff_ms = 0.000001;
+             f.failover.backoff_mult = 1.0;
+           },
+           "spec.faults.failover.max_attempts"},
       };
   for (const auto& [mutate, path] : cases) {
     ScenarioSpec bad = base;
     mutate(*bad.faults);
     EXPECT_EQ(path_of(bad), path);
   }
+  ScenarioSpec most = base;
+  most.faults->failover.max_attempts = fleet::kMaxFailoverAttempts;
+  most.faults->failover.backoff_ms = 0.0;
+  EXPECT_EQ(path_of(most), "<no error>");
 }
 
 TEST(SpecValidate, FaultEventDeviceMustExistInAFixedFleet) {
